@@ -41,6 +41,7 @@
 #include "bench_util.h"
 #include "cluster/kv_cluster.h"
 #include "stats/histogram.h"
+#include "telemetry/export.h"
 #include "telemetry/fleet.h"
 #include "telemetry/http_exporter.h"
 #include "workload/value_gen.h"
@@ -64,30 +65,6 @@ void Check(bool ok, const char* what, std::uint64_t got, std::uint64_t want) {
                  static_cast<unsigned long long>(want));
     ++failures;
   }
-}
-
-std::uint64_t SampleValue(const telemetry::FleetAggregator& agg,
-                          const telemetry::Sample& s, const std::string& name) {
-  const std::int64_t id = agg.series().Find(name);
-  return id < 0 ? 0 : s.Value(static_cast<std::uint32_t>(id));
-}
-
-std::uint64_t SumSeries(const telemetry::FleetAggregator& agg,
-                        const std::string& name) {
-  std::uint64_t sum = 0;
-  for (const telemetry::Sample& s : agg.samples()) {
-    sum += SampleValue(agg, s, name);
-  }
-  return sum;
-}
-
-std::uint64_t MaxSeries(const telemetry::FleetAggregator& agg,
-                        const std::string& name) {
-  std::uint64_t max = 0;
-  for (const telemetry::Sample& s : agg.samples()) {
-    max = std::max(max, SampleValue(agg, s, name));
-  }
-  return max;
 }
 
 std::uint64_t AlertFires(const StoreSnapshot& snap, const char* rule) {

@@ -58,28 +58,6 @@ void Check(bool ok, const char* what, std::uint64_t got, std::uint64_t want) {
   }
 }
 
-std::uint64_t SumSeries(const telemetry::Sampler& sampler,
-                        const std::string& name) {
-  const std::int64_t id = sampler.series().Find(name);
-  if (id < 0) return 0;
-  std::uint64_t sum = 0;
-  for (const telemetry::Sample& s : sampler.samples()) {
-    sum += s.Value(static_cast<std::uint32_t>(id));
-  }
-  return sum;
-}
-
-std::uint64_t MaxSeries(const telemetry::Sampler& sampler,
-                        const std::string& name) {
-  const std::int64_t id = sampler.series().Find(name);
-  if (id < 0) return 0;
-  std::uint64_t max = 0;
-  for (const telemetry::Sample& s : sampler.samples()) {
-    max = std::max(max, s.Value(static_cast<std::uint32_t>(id)));
-  }
-  return max;
-}
-
 std::uint64_t AlertFires(const DeviceSnapshot& snap, const char* rule) {
   for (const auto& alert : snap.alerts) {
     if (alert.rule == rule) return alert.fired;

@@ -47,243 +47,23 @@ trace_export() {
   fi
 }
 
-# Telemetry timeline: the bench itself enforces the hard invariants
-# (telescoped per-interval deltas == final counters, histogram deltas
-# telescoping to the lifetime percentile pipeline, double-run byte-identical
-# exports, in-process scrape == file export, watchdog firing under the drop
-# and compaction storms and silent on the clean run) and exits nonzero on
-# violation; here we additionally scrape the live HTTP endpoint from a real
-# external client (curl) and validate the exported formats — Prometheus text
-# exposition via promtool when installed (falling back to a line-grammar
-# check), and the JSONL stream's per-line schema and timestamp ordering via
-# jq.
-telemetry_timeline() {
-  local build_dir="$1"
-  echo "=== verify pass: telemetry timeline (${build_dir}) ==="
-  local out="${build_dir}/timeline"
-  rm -f "${out}.port"
-  "${build_dir}/bench/timeline_report" --ops=2000 --export="${out}" \
-    --serve=0 --serve-hold=30000 &
-  local bench_pid=$!
-  # The bench writes PREFIX.port once the run finished and the exports are
-  # on disk, then holds the server up until the file is deleted.
-  local waited=0
-  while [ ! -f "${out}.port" ]; do
-    if ! kill -0 "${bench_pid}" 2> /dev/null; then
-      wait "${bench_pid}"
-      echo "telemetry: bench exited before serving" >&2
-      return 1
-    fi
-    sleep 0.2
-    waited=$((waited + 1))
-    if [ "${waited}" -gt 1500 ]; then
-      echo "telemetry: timed out waiting for ${out}.port" >&2
-      kill "${bench_pid}" 2> /dev/null || true
-      return 1
-    fi
-  done
-  local port
-  port="$(cat "${out}.port")"
-  if command -v curl > /dev/null; then
-    curl -sf "http://127.0.0.1:${port}/healthz" | grep -q '"status":"ok"'
-    curl -sf "http://127.0.0.1:${port}/metrics" -o "${out}.scraped.prom"
-    curl -sf "http://127.0.0.1:${port}/timeline.jsonl" -o "${out}.scraped.jsonl"
-    cmp "${out}.scraped.prom" "${out}.prom"
-    cmp "${out}.scraped.jsonl" "${out}.jsonl"
-    echo "telemetry: live scrape byte-matches the file exports"
-  else
-    echo "telemetry: curl not found, external scrape skipped"
-  fi
-  rm -f "${out}.port"  # Releases the hold.
-  wait "${bench_pid}"
-  if command -v promtool > /dev/null; then
-    promtool check metrics < "${out}.prom"
-    echo "telemetry: promtool exposition check passed"
-  else
-    # Exposition format 0.0.4: comment lines, or
-    #   metric_name[{labels}] value [timestamp_ms]
-    awk '
-      /^#/ { next }
-      /^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? -?[0-9]+( [0-9]+)?$/ { next }
-      { print "bad exposition line " NR ": " $0; bad = 1 }
-      END { exit bad }
-    ' "${out}.prom"
-    echo "telemetry: exposition line-grammar check passed (promtool not found)"
-  fi
-  if command -v jq > /dev/null; then
-    jq -e -s '
-      length > 0
-      and all(has("kind") and has("t_ns") and has("seq"))
-      and all(select(.kind == "sample")
-              | has("interval_ns") and (.values | type == "object"))
-      and all(select(.kind == "event")
-              | (.type | type == "string") and has("a") and has("b")
-                and has("tenant"))
-      and ([.[].t_ns] as $t | $t == ($t | sort))
-    ' "${out}.jsonl" > /dev/null
-    echo "telemetry: jq JSONL schema checks passed"
-  else
-    echo "telemetry: jq not found, JSONL schema checks skipped"
-  fi
-}
-
-# Fleet observability: the bench itself enforces the aggregation invariants
-# (every fleet interval sums its per-shard deltas, the deltas telescope to
-# the summed final shard counters, merged-bucket percentiles equal the union
-# quantiles, double-run byte-identical exports, a disabled aggregator
-# bit-identical to an enabled run, the hot-shard storm firing the
-# shard-imbalance/ring-skew/straggler rules while uniform routing stays
-# silent) and exits nonzero on violation; here we additionally scrape the
-# live federated endpoint from a real external client (curl), byte-compare
-# both documents against the file exports, and validate the formats —
-# Prometheus text exposition (promtool or the line-grammar fallback) for the
-# shard-labeled scrape, and the per-shard JSONL document's schema via jq.
-fleet_timeline() {
-  local build_dir="$1" ops="${2:-2000}"
-  echo "=== verify pass: fleet timeline (${build_dir}) ==="
-  local out="${build_dir}/fleet"
-  rm -f "${out}.port"
-  "${build_dir}/bench/fleet_timeline" --ops="${ops}" --export="${out}" \
-    --serve=0 --serve-hold=30000 &
-  local bench_pid=$!
-  local waited=0
-  while [ ! -f "${out}.port" ]; do
-    if ! kill -0 "${bench_pid}" 2> /dev/null; then
-      wait "${bench_pid}"
-      echo "fleet: bench exited before serving" >&2
-      return 1
-    fi
-    sleep 0.2
-    waited=$((waited + 1))
-    if [ "${waited}" -gt 1500 ]; then
-      echo "fleet: timed out waiting for ${out}.port" >&2
-      kill "${bench_pid}" 2> /dev/null || true
-      return 1
-    fi
-  done
-  local port
-  port="$(cat "${out}.port")"
-  if command -v curl > /dev/null; then
-    curl -sf "http://127.0.0.1:${port}/healthz" | grep -q '"shards":4'
-    curl -sf "http://127.0.0.1:${port}/metrics" -o "${out}.scraped.prom"
-    curl -sf "http://127.0.0.1:${port}/shards.jsonl" \
-      -o "${out}.scraped.shards.jsonl"
-    cmp "${out}.scraped.prom" "${out}.prom"
-    cmp "${out}.scraped.shards.jsonl" "${out}.shards.jsonl"
-    echo "fleet: live federated scrape byte-matches the file exports"
-  else
-    echo "fleet: curl not found, external scrape skipped"
-  fi
-  rm -f "${out}.port"  # Releases the hold.
-  wait "${bench_pid}"
-  if command -v promtool > /dev/null; then
-    promtool check metrics < "${out}.prom"
-    echo "fleet: promtool exposition check passed"
-  else
-    awk '
-      /^#/ { next }
-      /^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? -?[0-9]+( [0-9]+)?$/ { next }
-      { print "bad exposition line " NR ": " $0; bad = 1 }
-      END { exit bad }
-    ' "${out}.prom"
-    echo "fleet: exposition line-grammar check passed (promtool not found)"
-  fi
-  grep -q 'bandslim_shard_ops_total{shard="3"}' "${out}.prom"
-  if command -v jq > /dev/null; then
-    jq -e -s '
-      length == 4
-      and all(has("shard") and has("t_ns") and has("ops") and has("delta_ops")
-              and has("routed_keys") and has("expected_share_permille")
-              and has("actual_share_permille"))
-      and ([.[].shard] == [0, 1, 2, 3])
-    ' "${out}.shards.jsonl" > /dev/null
-    echo "fleet: jq shards.jsonl schema checks passed"
-  else
-    echo "fleet: jq not found, shards.jsonl schema checks skipped"
-  fi
-}
-
-# Tenant/key-space attribution: the bench itself enforces the attribution
-# invariants (every fleet interval's tenant + untagged deltas sum exactly to
-# the fleet delta across all four charge dimensions and telescope to the
-# summed final counters, the attribution ledger matches the runner's issued
-# op/shed counts, double-run byte-identical prom/timeline/slo exports, a
-# disabled plane bit-identical in virtual time and device counters, the
-# noisy-neighbor storm firing the burn-rate and hot-key-range rules while
-# the clean blend stays silent and shed-free) and exits nonzero on
-# violation; here we additionally scrape /metrics and /slo.jsonl from a real
-# external client (curl), byte-compare both against the file exports,
-# validate the tenant-labeled exposition (promtool or the line-grammar
-# fallback), and check the /slo.jsonl per-tenant schema via jq.
-tenant_slo() {
-  local build_dir="$1" ops="${2:-3000}"
-  echo "=== verify pass: tenant SLO attribution (${build_dir}) ==="
-  local out="${build_dir}/tenant_slo"
-  rm -f "${out}.port"
-  "${build_dir}/bench/tenant_slo_report" --ops="${ops}" --export="${out}" \
-    --serve=0 --serve-hold=30000 &
-  local bench_pid=$!
-  local waited=0
-  while [ ! -f "${out}.port" ]; do
-    if ! kill -0 "${bench_pid}" 2> /dev/null; then
-      wait "${bench_pid}"
-      echo "tenant_slo: bench exited before serving" >&2
-      return 1
-    fi
-    sleep 0.2
-    waited=$((waited + 1))
-    if [ "${waited}" -gt 1500 ]; then
-      echo "tenant_slo: timed out waiting for ${out}.port" >&2
-      kill "${bench_pid}" 2> /dev/null || true
-      return 1
-    fi
-  done
-  local port
-  port="$(cat "${out}.port")"
-  if command -v curl > /dev/null; then
-    curl -sf "http://127.0.0.1:${port}/healthz" | grep -q '"status":"ok"'
-    curl -sf "http://127.0.0.1:${port}/metrics" -o "${out}.scraped.prom"
-    curl -sf "http://127.0.0.1:${port}/slo.jsonl" -o "${out}.scraped.slo.jsonl"
-    cmp "${out}.scraped.prom" "${out}.prom"
-    cmp "${out}.scraped.slo.jsonl" "${out}.slo.jsonl"
-    echo "tenant_slo: live scrape byte-matches the file exports"
-  else
-    echo "tenant_slo: curl not found, external scrape skipped"
-  fi
-  rm -f "${out}.port"  # Releases the hold.
-  wait "${bench_pid}"
-  if command -v promtool > /dev/null; then
-    promtool check metrics < "${out}.prom"
-    echo "tenant_slo: promtool exposition check passed"
-  else
-    awk '
-      /^#/ { next }
-      /^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? -?[0-9]+( [0-9]+)?$/ { next }
-      { print "bad exposition line " NR ": " $0; bad = 1 }
-      END { exit bad }
-    ' "${out}.prom"
-    echo "tenant_slo: exposition line-grammar check passed (promtool not found)"
-  fi
-  grep -q 'bandslim_tenant_ops_total{tenant="frontend"}' "${out}.prom"
-  grep -q 'bandslim_keyspace_heat_max_share_permille' "${out}.prom"
-  if command -v jq > /dev/null; then
-    jq -e -s '
-      length == 2
-      and all(has("tenant") and has("name") and has("ops") and has("good")
-              and has("bad") and has("shed") and has("errors")
-              and has("latency_target_ns")
-              and has("availability_target_permille")
-              and has("allowed_bad_permille") and has("budget_spent_permille")
-              and has("burn_fast_milli") and has("burn_slow_milli")
-              and has("p99_ns") and has("dev_ops") and has("value_bytes")
-              and has("pcie_h2d_bytes") and has("nand_pages_programmed")
-              and has("taf_milli"))
-      and ([.[].tenant] == [0, 1])
-    ' "${out}.slo.jsonl" > /dev/null
-    echo "tenant_slo: jq slo.jsonl schema checks passed"
-  else
-    echo "tenant_slo: jq not found, slo.jsonl schema checks skipped"
-  fi
+# Timeline benches: each enforces its own invariants (telemetry
+# reconciliation and watchdog storms, fleet aggregation exactness and
+# shard-imbalance rules, tenant attribution reconciliation and burn-rate
+# rules, double-run byte identity, observer neutrality) and exits nonzero on
+# violation; scrape_check (ci/scrape_check.sh) then scrapes each live
+# endpoint with curl, byte-compares every route against the file exports,
+# and validates the exposition and JSONL formats.
+source ci/scrape_check.sh
+timeline_scrapes() {
+  local build_dir="$1" fleet_ops="$2" tenant_ops="$3"
+  scrape_check "${build_dir}/bench/timeline_report" "${build_dir}/timeline" \
+    2000 /metrics /timeline.jsonl
+  scrape_check "${build_dir}/bench/fleet_timeline" "${build_dir}/fleet" \
+    "${fleet_ops}" /metrics /timeline.jsonl /shards.jsonl
+  scrape_check "${build_dir}/bench/tenant_slo_report" \
+    "${build_dir}/tenant_slo" "${tenant_ops}" /metrics /timeline.jsonl \
+    /slo.jsonl
 }
 
 # Closed-loop control storm: the bench replays the undersized-LSM storm
@@ -353,9 +133,7 @@ run_pass release "${prefix}-release" \
   -DCMAKE_CXX_FLAGS="-Werror=deprecated-declarations"
 
 trace_export "${prefix}-release"
-telemetry_timeline "${prefix}-release"
-fleet_timeline "${prefix}-release"
-tenant_slo "${prefix}-release"
+timeline_scrapes "${prefix}-release" 2000 3000
 control_storm "${prefix}-release"
 sim_speed_gate "${prefix}-release"
 shard_scaling "${prefix}-release"
@@ -367,9 +145,7 @@ run_pass asan-ubsan "${prefix}-asan" \
 
 fault_campaign "${prefix}-asan"
 trace_export "${prefix}-asan"
-telemetry_timeline "${prefix}-asan"
-fleet_timeline "${prefix}-asan" 1200
-tenant_slo "${prefix}-asan" 1500
+timeline_scrapes "${prefix}-asan" 1200 1500
 control_storm "${prefix}-asan"
 shard_scaling "${prefix}-asan" 1500
 

@@ -92,6 +92,28 @@ Status KvCluster::Assemble() {
     return Status::InvalidArgument(
         "attribution.slo has more entries than tenants");
   }
+  if (config_.attribution.enabled) {
+    // Tenant names are exported verbatim as Prometheus label values and
+    // JSON strings, beside the residual row labeled "untagged".
+    for (std::size_t i = 0; i < tenants_.size(); ++i) {
+      const std::string& name = tenants_[i].name;
+      const bool charset_ok = std::all_of(name.begin(), name.end(), [](char c) {
+        return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+               (c >= '0' && c <= '9') || c == '_' || c == '.' || c == '-';
+      });
+      if (name.empty() || name == "untagged" || !charset_ok) {
+        return Status::InvalidArgument(
+            "attribution tenant names must be non-empty, not \"untagged\", "
+            "and use only [A-Za-z0-9_.-]");
+      }
+      for (std::size_t j = 0; j < i; ++j) {
+        if (tenants_[j].name == name) {
+          return Status::InvalidArgument(
+              "attribution tenant names must be distinct");
+        }
+      }
+    }
+  }
 
   std::uint16_t max_queue = 0;
   for (std::size_t i = 0; i < tenants_.size(); ++i) {

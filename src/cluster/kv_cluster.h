@@ -78,7 +78,7 @@ struct ClusterConfig {
   // percentiles and shard-imbalance watchdogs. Disabled by default; the
   // aggregator is observation-only either way, so enabling it changes no
   // simulated outcome.
-  telemetry::FleetConfig fleet;
+  telemetry::TimelineConfig fleet;
   // Tenant/key-space attribution plane (telemetry/attribution). Requires
   // fleet.enabled — its series ride the fleet sample grid. Per-tenant SLOs
   // in attribution.slo pair positionally with `tenants`. Observation-only:

@@ -6,7 +6,7 @@
 // instead of stalling.
 //
 // Determinism: the controller is a SampleObserver, so it runs synchronously
-// inside Sampler::TakeSample — after the watchdog evaluated this interval,
+// inside Timeline::TakeSample — after the watchdog evaluated this interval,
 // before snapshot publication. Everything it reads is integer virtual-time
 // state and everything it does is a deterministic function of that state,
 // so two runs of one workload produce byte-identical actuation logs. Any

@@ -64,7 +64,7 @@ struct KvSsdOptions {
   // structured event log, and watchdog alert rules. Disabled by default —
   // the stack then pays one branch per poll site, records nothing, and
   // simulated outcomes are bit-identical to a telemetry-free build.
-  telemetry::TelemetryConfig telemetry;
+  telemetry::TimelineConfig telemetry;
   // Closed-loop adaptive control (src/control): a deterministic controller
   // ticked on the telemetry sample grid that actuates driver thresholds,
   // GC pacing, flush admission, and per-SQ credits. Requires telemetry to

@@ -3,21 +3,11 @@
 #include <algorithm>
 #include <sstream>
 
+#include "telemetry/timeline.h"
+
 namespace bandslim::telemetry::attribution {
 
 namespace {
-
-std::uint64_t PerSecondMilli(std::uint64_t delta,
-                             sim::Nanoseconds interval_ns) {
-  if (interval_ns == 0) return 0;
-  return delta * sim::kSecond / interval_ns * kMilliScale +
-         delta * sim::kSecond % interval_ns * kMilliScale / interval_ns;
-}
-
-std::uint64_t RatioMilli(std::uint64_t numer, std::uint64_t denom) {
-  if (denom == 0) return 0;
-  return numer * kMilliScale / denom;
-}
 
 // The counters a tenant op is charged against — the same four families the
 // fleet's delta.* series track, so the residual reconciles exactly.
@@ -44,46 +34,37 @@ std::uint64_t BurnMilli(std::uint64_t good, std::uint64_t bad,
   return bad * 1000 * kMilliScale / (total * allowed_permille);
 }
 
+// "slo_burn_<window>_t<tenant>" on tenant<tenant>.slo.burn_<window>_milli,
+// stamped with the tenant (index + 1) so its alert edges are attributable.
+WatchdogRule TenantBurnRule(const std::string& window, std::size_t tenant,
+                            std::uint64_t burn_milli, std::uint32_t n,
+                            std::uint32_t clear_n) {
+  const std::string t = std::to_string(tenant);
+  WatchdogRule r{"slo_burn_" + window + "_t" + t,
+                 "tenant" + t + ".slo.burn_" + window + "_milli",
+                 WatchdogRule::Cmp::kAtLeast, burn_milli, n, clear_n};
+  r.tenant = static_cast<std::uint16_t>(tenant + 1);
+  return r;
+}
+
 }  // namespace
 
 WatchdogRule TenantBurnRateFastRule(std::size_t tenant,
                                     std::uint64_t burn_milli, std::uint32_t n,
                                     std::uint32_t clear_n) {
-  WatchdogRule r;
-  r.name = "slo_burn_fast_t" + std::to_string(tenant);
-  r.series = "tenant" + std::to_string(tenant) + ".slo.burn_fast_milli";
-  r.cmp = WatchdogRule::Cmp::kAtLeast;
-  r.threshold = burn_milli;
-  r.for_intervals = n;
-  r.clear_for_intervals = clear_n;
-  r.tenant = static_cast<std::uint16_t>(tenant + 1);
-  return r;
+  return TenantBurnRule("fast", tenant, burn_milli, n, clear_n);
 }
 
 WatchdogRule TenantBurnRateSlowRule(std::size_t tenant,
                                     std::uint64_t burn_milli, std::uint32_t n,
                                     std::uint32_t clear_n) {
-  WatchdogRule r;
-  r.name = "slo_burn_slow_t" + std::to_string(tenant);
-  r.series = "tenant" + std::to_string(tenant) + ".slo.burn_slow_milli";
-  r.cmp = WatchdogRule::Cmp::kAtLeast;
-  r.threshold = burn_milli;
-  r.for_intervals = n;
-  r.clear_for_intervals = clear_n;
-  r.tenant = static_cast<std::uint16_t>(tenant + 1);
-  return r;
+  return TenantBurnRule("slow", tenant, burn_milli, n, clear_n);
 }
 
 WatchdogRule HotRangeRule(std::uint64_t share_permille, std::uint32_t n,
                           std::uint32_t clear_n) {
-  WatchdogRule r;
-  r.name = "hot_key_range";
-  r.series = "heat.max_share_permille";
-  r.cmp = WatchdogRule::Cmp::kAtLeast;
-  r.threshold = share_permille;
-  r.for_intervals = n;
-  r.clear_for_intervals = clear_n;
-  return r;
+  return WatchdogRule{"hot_key_range", "heat.max_share_permille",
+                      WatchdogRule::Cmp::kAtLeast, share_permille, n, clear_n};
 }
 
 AttributionPlane::AttributionPlane(const AttributionConfig& config)
@@ -125,8 +106,7 @@ void AttributionPlane::Bind(
   tenants_.assign(n, TenantCharges{});
   prev_tenants_.assign(n, TenantCharges{});
   latency_.assign(n, stats::Histogram{});
-  prev_latency_buckets_.assign(n, stats::Histogram::BucketArray{});
-  prev_latency_counts_.assign(n, 0);
+  prev_latency_.assign(n, stats::HistogramBuckets{});
   windows_.assign(n, {});
   slo_.assign(n, SloState{});
   untagged_ = TenantCharges{};
@@ -191,12 +171,8 @@ void AttributionPlane::TouchKey(std::uint64_t key_hash) {
   ++heat_touches_;
 }
 
-void AttributionPlane::OnFleetSample(Sample* s, SeriesTable* series,
+void AttributionPlane::OnFleetSample(SampleBuilder& b,
                                      const FleetTotals& totals) {
-  const auto set = [&](const std::string& name, std::uint64_t value) {
-    s->Set(series->Intern(name), value);
-  };
-
   // --- Untagged residual: fleet totals minus the sum of tenant charges ----
   // Both sides are read at the same instant (inside TakeSample, after the
   // op that crossed the boundary fully completed), so the residual is exact
@@ -212,17 +188,17 @@ void AttributionPlane::OnFleetSample(Sample* s, SeriesTable* series,
   untagged_.value_bytes = totals.value_bytes - sums.value_bytes;
   untagged_.pcie_h2d_bytes = totals.pcie_h2d_bytes - sums.pcie_h2d_bytes;
   untagged_.nand_pages = totals.nand_pages - sums.nand_pages;
-  set("untagged.dev.ops", untagged_.dev_ops);
-  set("untagged.delta.dev.ops", untagged_.dev_ops - prev_untagged_.dev_ops);
-  set("untagged.value_bytes", untagged_.value_bytes);
-  set("untagged.delta.value_bytes",
-      untagged_.value_bytes - prev_untagged_.value_bytes);
-  set("untagged.pcie.h2d_bytes", untagged_.pcie_h2d_bytes);
-  set("untagged.delta.pcie.h2d_bytes",
-      untagged_.pcie_h2d_bytes - prev_untagged_.pcie_h2d_bytes);
-  set("untagged.nand.pages_programmed", untagged_.nand_pages);
-  set("untagged.delta.nand.pages_programmed",
-      untagged_.nand_pages - prev_untagged_.nand_pages);
+  b.Set("untagged.dev.ops", untagged_.dev_ops);
+  b.Set("untagged.delta.dev.ops", untagged_.dev_ops - prev_untagged_.dev_ops);
+  b.Set("untagged.value_bytes", untagged_.value_bytes);
+  b.Set("untagged.delta.value_bytes",
+        untagged_.value_bytes - prev_untagged_.value_bytes);
+  b.Set("untagged.pcie.h2d_bytes", untagged_.pcie_h2d_bytes);
+  b.Set("untagged.delta.pcie.h2d_bytes",
+        untagged_.pcie_h2d_bytes - prev_untagged_.pcie_h2d_bytes);
+  b.Set("untagged.nand.pages_programmed", untagged_.nand_pages);
+  b.Set("untagged.delta.nand.pages_programmed",
+        untagged_.nand_pages - prev_untagged_.nand_pages);
   prev_untagged_ = untagged_;
 
   // --- Per-tenant series ---------------------------------------------------
@@ -230,48 +206,39 @@ void AttributionPlane::OnFleetSample(Sample* s, SeriesTable* series,
     const TenantCharges& t = tenants_[i];
     const TenantCharges& p = prev_tenants_[i];
     const std::string base = "tenant" + std::to_string(i);
-    set(base + ".ops", t.ops);
-    set(base + ".delta.ops", t.ops - p.ops);
-    set(base + ".shed", t.shed_ops);
-    set(base + ".delta.shed", t.shed_ops - p.shed_ops);
-    set(base + ".errors", t.error_ops);
-    set(base + ".requested_bytes", t.requested_bytes);
-    set(base + ".dev.ops", t.dev_ops);
-    set(base + ".delta.dev.ops", t.dev_ops - p.dev_ops);
-    set(base + ".value_bytes", t.value_bytes);
-    set(base + ".delta.value_bytes", t.value_bytes - p.value_bytes);
-    set(base + ".pcie.h2d_bytes", t.pcie_h2d_bytes);
-    set(base + ".delta.pcie.h2d_bytes",
-        t.pcie_h2d_bytes - p.pcie_h2d_bytes);
-    set(base + ".nand.pages_programmed", t.nand_pages);
-    set(base + ".delta.nand.pages_programmed", t.nand_pages - p.nand_pages);
-    set(base + ".rate.ops_per_sec_milli",
-        PerSecondMilli(t.ops - p.ops, s->interval_ns));
-    set(base + ".rate.taf_milli",
-        RatioMilli(t.pcie_h2d_bytes - p.pcie_h2d_bytes,
+    b.Set(base + ".ops", t.ops);
+    b.Set(base + ".delta.ops", t.ops - p.ops);
+    b.Set(base + ".shed", t.shed_ops);
+    b.Set(base + ".delta.shed", t.shed_ops - p.shed_ops);
+    b.Set(base + ".errors", t.error_ops);
+    b.Set(base + ".requested_bytes", t.requested_bytes);
+    b.Set(base + ".dev.ops", t.dev_ops);
+    b.Set(base + ".delta.dev.ops", t.dev_ops - p.dev_ops);
+    b.Set(base + ".value_bytes", t.value_bytes);
+    b.Set(base + ".delta.value_bytes", t.value_bytes - p.value_bytes);
+    b.Set(base + ".pcie.h2d_bytes", t.pcie_h2d_bytes);
+    b.Set(base + ".delta.pcie.h2d_bytes",
+          t.pcie_h2d_bytes - p.pcie_h2d_bytes);
+    b.Set(base + ".nand.pages_programmed", t.nand_pages);
+    b.Set(base + ".delta.nand.pages_programmed", t.nand_pages - p.nand_pages);
+    b.Set(base + ".rate.ops_per_sec_milli",
+          PerSecondMilli(t.ops - p.ops, b.interval_ns()));
+    b.Set(base + ".rate.taf_milli",
+          RatioMilli(t.pcie_h2d_bytes - p.pcie_h2d_bytes,
                    t.value_bytes - p.value_bytes));
-    set(base + ".total.taf_milli",
-        RatioMilli(t.pcie_h2d_bytes, t.value_bytes));
+    b.Set(base + ".total.taf_milli",
+          RatioMilli(t.pcie_h2d_bytes, t.value_bytes));
 
     // Interval latency percentiles from the tenant histogram's bucket delta
     // — same shared-boundary exactness as the fleet's merged percentiles.
-    const stats::Histogram::BucketArray& cur = latency_[i].bucket_counts();
-    stats::Histogram::BucketArray delta{};
-    for (int b = 0; b < stats::Histogram::kNumBuckets; ++b) {
-      delta[static_cast<std::size_t>(b)] =
-          cur[static_cast<std::size_t>(b)] -
-          prev_latency_buckets_[i][static_cast<std::size_t>(b)];
-    }
-    const std::uint64_t d_count = latency_[i].count() - prev_latency_counts_[i];
-    set(base + ".p50",
-        stats::Histogram::QuantileFromBuckets(delta, d_count, 500));
-    set(base + ".p95",
-        stats::Histogram::QuantileFromBuckets(delta, d_count, 950));
-    set(base + ".p99",
-        stats::Histogram::QuantileFromBuckets(delta, d_count, 990));
-    set(base + ".lifetime.p99", latency_[i].QuantilePermille(990));
-    prev_latency_buckets_[i] = cur;
-    prev_latency_counts_[i] = latency_[i].count();
+    const stats::HistogramBuckets cur{latency_[i].bucket_counts(),
+                                      latency_[i].count(), latency_[i].sum()};
+    const IntervalQuantiles q = QuantilesSince(cur, prev_latency_[i]);
+    b.Set(base + ".p50", q.p50);
+    b.Set(base + ".p95", q.p95);
+    b.Set(base + ".p99", q.p99);
+    b.Set(base + ".lifetime.p99", latency_[i].QuantilePermille(990));
+    prev_latency_[i] = cur;
 
     // SLO ledger: advance the trailing windows by this interval's good/bad
     // deltas, then derive burn rates and lifetime budget spend.
@@ -299,12 +266,12 @@ void AttributionPlane::OnFleetSample(Sample* s, SeriesTable* series,
     // lifetime budget is exactly exhausted.
     state.budget_spent_permille =
         t.ops == 0 ? 0 : t.bad_ops * 1000 * 1000 / (t.ops * allowed);
-    set(base + ".slo.good", t.good_ops);
-    set(base + ".slo.bad", t.bad_ops);
-    set(base + ".slo.delta.bad", t.bad_ops - p.bad_ops);
-    set(base + ".slo.burn_fast_milli", state.burn_fast_milli);
-    set(base + ".slo.burn_slow_milli", state.burn_slow_milli);
-    set(base + ".slo.budget_spent_permille", state.budget_spent_permille);
+    b.Set(base + ".slo.good", t.good_ops);
+    b.Set(base + ".slo.bad", t.bad_ops);
+    b.Set(base + ".slo.delta.bad", t.bad_ops - p.bad_ops);
+    b.Set(base + ".slo.burn_fast_milli", state.burn_fast_milli);
+    b.Set(base + ".slo.burn_slow_milli", state.burn_slow_milli);
+    b.Set(base + ".slo.budget_spent_permille", state.budget_spent_permille);
     prev_tenants_[i] = t;
   }
 
@@ -319,10 +286,10 @@ void AttributionPlane::OnFleetSample(Sample* s, SeriesTable* series,
     }
   }
   heat_max_share_permille_ = total == 0 ? 0 : max_weight * 1000 / total;
-  set("heat.touches", heat_touches_);
-  set("heat.weight", total);
-  set("heat.max_share_permille", heat_max_share_permille_);
-  set("heat.hot_range", heat_hot_range_);
+  b.Set("heat.touches", heat_touches_);
+  b.Set("heat.weight", total);
+  b.Set("heat.max_share_permille", heat_max_share_permille_);
+  b.Set("heat.hot_range", heat_hot_range_);
   for (std::uint64_t& w : heat_) {
     w = w * config_.heat_decay_keep_permille / 1000;
   }
@@ -337,46 +304,40 @@ void AttributionPlane::AppendPrometheus(std::string* out,
                           bool with_untagged, auto getter) {
     os << "# TYPE " << name << " " << type << "\n";
     for (std::size_t i = 0; i < tenants_.size(); ++i) {
-      os << name << "{tenant=\"" << tenant_names_[i] << "\"} "
-         << getter(tenants_[i]) << " " << ts_ms << "\n";
+      os << name << "{tenant=\"" << tenant_names_[i] << "\"} " << getter(i)
+         << " " << ts_ms << "\n";
     }
     if (with_untagged) {
-      os << name << "{tenant=\"untagged\"} " << getter(untagged_) << " "
-         << ts_ms << "\n";
+      os << name << "{tenant=\"untagged\"} " << getter(tenants_.size())
+         << " " << ts_ms << "\n";
     }
+  };
+  // Ledger row i; row tenants_.size() is the untagged residual.
+  const auto row = [&](std::size_t i) -> const TenantCharges& {
+    return i < tenants_.size() ? tenants_[i] : untagged_;
   };
   family("bandslim_tenant_ops_total", "counter", false,
-         [](const TenantCharges& t) { return t.ops; });
+         [&](std::size_t i) { return row(i).ops; });
   family("bandslim_tenant_shed_total", "counter", false,
-         [](const TenantCharges& t) { return t.shed_ops; });
+         [&](std::size_t i) { return row(i).shed_ops; });
   family("bandslim_tenant_dev_ops_total", "counter", true,
-         [](const TenantCharges& t) { return t.dev_ops; });
+         [&](std::size_t i) { return row(i).dev_ops; });
   family("bandslim_tenant_value_bytes_total", "counter", true,
-         [](const TenantCharges& t) { return t.value_bytes; });
+         [&](std::size_t i) { return row(i).value_bytes; });
   family("bandslim_tenant_pcie_h2d_bytes_total", "counter", true,
-         [](const TenantCharges& t) { return t.pcie_h2d_bytes; });
+         [&](std::size_t i) { return row(i).pcie_h2d_bytes; });
   family("bandslim_tenant_nand_pages_programmed_total", "counter", true,
-         [](const TenantCharges& t) { return t.nand_pages; });
+         [&](std::size_t i) { return row(i).nand_pages; });
   family("bandslim_tenant_slo_bad_total", "counter", false,
-         [](const TenantCharges& t) { return t.bad_ops; });
-  const auto slo_family = [&](const char* name, auto getter) {
-    os << "# TYPE " << name << " gauge\n";
-    for (std::size_t i = 0; i < tenants_.size(); ++i) {
-      os << name << "{tenant=\"" << tenant_names_[i] << "\"} "
-         << getter(slo_[i]) << " " << ts_ms << "\n";
-    }
-  };
-  slo_family("bandslim_tenant_slo_burn_fast_milli",
-             [](const SloState& s) { return s.burn_fast_milli; });
-  slo_family("bandslim_tenant_slo_burn_slow_milli",
-             [](const SloState& s) { return s.burn_slow_milli; });
-  slo_family("bandslim_tenant_slo_budget_spent_permille",
-             [](const SloState& s) { return s.budget_spent_permille; });
-  os << "# TYPE bandslim_tenant_p99_ns gauge\n";
-  for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    os << "bandslim_tenant_p99_ns{tenant=\"" << tenant_names_[i] << "\"} "
-       << latency_[i].QuantilePermille(990) << " " << ts_ms << "\n";
-  }
+         [&](std::size_t i) { return row(i).bad_ops; });
+  family("bandslim_tenant_slo_burn_fast_milli", "gauge", false,
+         [&](std::size_t i) { return slo_[i].burn_fast_milli; });
+  family("bandslim_tenant_slo_burn_slow_milli", "gauge", false,
+         [&](std::size_t i) { return slo_[i].burn_slow_milli; });
+  family("bandslim_tenant_slo_budget_spent_permille", "gauge", false,
+         [&](std::size_t i) { return slo_[i].budget_spent_permille; });
+  family("bandslim_tenant_p99_ns", "gauge", false,
+         [&](std::size_t i) { return latency_[i].QuantilePermille(990); });
   // Key-space heat: the decayed range histogram, one row per hash range.
   os << "# TYPE bandslim_keyspace_heat gauge\n";
   for (std::size_t b = 0; b < heat_.size(); ++b) {

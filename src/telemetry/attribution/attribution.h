@@ -9,7 +9,7 @@
 //   RecordOp         router-observed latency + status (kBusy = shed) into
 //                    the tenant's log-bucket histogram and SLO ledger
 //
-// The plane does not run its own sampler: FleetAggregator::TakeSample calls
+// The plane does not run its own sampler: FleetAggregator::Collect calls
 // OnFleetSample so every tenant/heat/SLO series lands in the SAME interval
 // grid, timeline, and watchdog pass as the fleet series (one merged
 // /timeline.jsonl, burn-rate rules ride the existing hysteresis engine and
@@ -50,6 +50,10 @@
 #include "stats/metrics.h"
 #include "telemetry/sample.h"
 #include "telemetry/watchdog.h"
+
+namespace bandslim::telemetry {
+class SampleBuilder;
+}
 
 namespace bandslim::telemetry::attribution {
 
@@ -185,13 +189,12 @@ class AttributionPlane {
   // Count one routed key (batch members individually) into its heat bucket.
   void TouchKey(std::uint64_t key_hash);
 
-  // --- Sample grid (FleetAggregator::TakeSample) --------------------------
+  // --- Sample grid (FleetAggregator::Collect) -----------------------------
   // Folds tenant/heat/SLO series into the fleet sample being built, updates
   // the untagged residual against `totals`, advances burn windows, and
   // decays the heat buckets. Must run before the sample's values are sorted
   // and before the watchdog evaluates it.
-  void OnFleetSample(Sample* s, SeriesTable* series,
-                     const FleetTotals& totals);
+  void OnFleetSample(SampleBuilder& b, const FleetTotals& totals);
 
   // --- Exports -------------------------------------------------------------
   // Appends tenant-labeled Prometheus families (and key-space heat gauges)
@@ -250,8 +253,7 @@ class AttributionPlane {
   // Previous-sample cumulative state, for per-interval series.
   std::vector<TenantCharges> prev_tenants_;
   TenantCharges prev_untagged_;
-  std::vector<stats::Histogram::BucketArray> prev_latency_buckets_;
-  std::vector<std::uint64_t> prev_latency_counts_;
+  std::vector<stats::HistogramBuckets> prev_latency_;
   // Trailing good/bad interval deltas per tenant (ring of slow_windows).
   std::vector<std::deque<std::pair<std::uint64_t, std::uint64_t>>> windows_;
   std::vector<SloState> slo_;

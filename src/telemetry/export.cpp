@@ -1,142 +1,46 @@
 #include "telemetry/export.h"
 
 #include <algorithm>
-#include <cctype>
-#include <map>
 #include <sstream>
 
 namespace bandslim::telemetry {
 
-std::string SanitizeMetricName(const std::string& name) {
-  std::string out;
-  out.reserve(name.size());
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out.push_back(ok ? c : '_');
-  }
-  if (out.empty() || (out[0] >= '0' && out[0] <= '9')) out.insert(0, 1, '_');
-  return out;
-}
-
-std::string PrometheusTextCore(const std::deque<Sample>& samples,
-                               const SeriesTable& series,
-                               const Watchdog& watchdog,
-                               std::uint64_t samples_emitted,
-                               const char* counter_name,
-                               const char* counter_help) {
-  std::ostringstream os;
-  os << "# HELP " << counter_name << " " << counter_help << "\n";
-  os << "# TYPE " << counter_name << " counter\n";
-  os << counter_name << " " << samples_emitted << "\n";
-  if (!samples.empty()) {
-    const Sample& last = samples.back();
-    const std::uint64_t ts_ms = last.t_ns / sim::kMillisecond;
-    // Stable order: sort the latest sample's series by name.
-    std::map<std::string, std::uint64_t> by_name;
-    for (const auto& [id, value] : last.values) {
-      by_name.emplace(SanitizeMetricName(series.NameOf(id)), value);
-    }
-    for (const auto& [name, value] : by_name) {
-      os << "# TYPE bandslim_" << name << " gauge\n";
-      os << "bandslim_" << name << " " << value << " " << ts_ms << "\n";
-    }
-  }
-  for (std::size_t i = 0; i < watchdog.rules().size(); ++i) {
-    if (i == 0) {
-      os << "# HELP bandslim_watchdog_alerts_total Edge-triggered watchdog "
-            "rule fires.\n";
-      os << "# TYPE bandslim_watchdog_alerts_total counter\n";
-    }
-    os << "bandslim_watchdog_alerts_total{rule=\""
-       << SanitizeMetricName(watchdog.rules()[i].name) << "\"} "
-       << watchdog.states()[i].fired << "\n";
-  }
-  return os.str();
-}
-
-std::string ToPrometheusText(const Sampler& sampler) {
-  return PrometheusTextCore(
-      sampler.samples(), sampler.series(), sampler.watchdog(),
-      sampler.samples_emitted(), "bandslim_telemetry_samples_total",
-      "Samples emitted by the virtual-time sampler.");
-}
-
-std::string TimelineJsonlCore(const std::deque<Sample>& samples,
-                              const SeriesTable& series,
-                              const EventLog& event_log,
-                              const Watchdog& watchdog) {
-  std::ostringstream os;
-  const auto& events = event_log.records();
-  const auto& rules = watchdog.rules();
-
-  const auto emit_event = [&](const EventRecord& e) {
-    os << "{\"kind\":\"event\",\"t_ns\":" << e.t_ns << ",\"seq\":" << e.seq
-       << ",\"type\":\"" << EventTypeName(e.type) << "\"";
-    if (e.type == EventType::kAlert && e.a < rules.size()) {
-      os << ",\"rule\":\"" << rules[static_cast<std::size_t>(e.a)].name
-         << "\"";
-    }
-    os << ",\"a\":" << e.a << ",\"b\":" << e.b
-       << ",\"tenant\":" << e.tenant << "}\n";
-  };
-  const auto emit_sample = [&](const Sample& s) {
-    os << "{\"kind\":\"sample\",\"t_ns\":" << s.t_ns << ",\"seq\":" << s.seq
-       << ",\"interval_ns\":" << s.interval_ns << ",\"values\":{";
-    bool first = true;
-    for (const auto& [id, value] : s.values) {
-      if (!first) os << ",";
-      first = false;
-      os << "\"" << series.NameOf(id) << "\":" << value;
-    }
-    os << "}}\n";
-  };
-
-  // Merge by timestamp. An event at t belongs to the interval that a sample
-  // stamped >= t closes, so events sort before an equal-stamped sample —
-  // except events the sample itself emitted (watchdog alerts, recognized by
-  // seq >= events_before), which sort after it.
-  std::size_t si = 0, ei = 0;
-  while (si < samples.size() || ei < events.size()) {
-    const bool take_event =
-        ei < events.size() &&
-        (si >= samples.size() || events[ei].t_ns < samples[si].t_ns ||
-         (events[ei].t_ns == samples[si].t_ns &&
-          events[ei].seq < samples[si].events_before));
-    if (take_event) {
-      emit_event(events[ei++]);
-    } else {
-      emit_sample(samples[si++]);
-    }
-  }
-  return os.str();
-}
-
-std::string ToJsonl(const Sampler& sampler) {
-  return TimelineJsonlCore(sampler.samples(), sampler.series(),
-                           sampler.event_log(), sampler.watchdog());
-}
-
-std::string ToTimeSeriesCsv(const Sampler& sampler,
+std::string ToTimeSeriesCsv(const Timeline& timeline,
                             const std::vector<std::string>& series_names) {
   std::ostringstream os;
   os << "t_ns,interval_ns";
-  std::vector<std::int64_t> ids;
-  ids.reserve(series_names.size());
-  for (const std::string& name : series_names) {
-    os << "," << name;
-    ids.push_back(sampler.series().Find(name));
-  }
+  for (const std::string& name : series_names) os << "," << name;
   os << "\n";
-  for (const Sample& s : sampler.samples()) {
+  for (const Sample& s : timeline.samples()) {
     os << s.t_ns << "," << s.interval_ns;
-    for (std::int64_t id : ids) {
-      os << ","
-         << (id < 0 ? 0 : s.Value(static_cast<std::uint32_t>(id)));
+    for (const std::string& name : series_names) {
+      os << "," << SampleValue(timeline, s, name);
     }
     os << "\n";
   }
   return os.str();
+}
+
+std::uint64_t SampleValue(const Timeline& timeline, const Sample& sample,
+                          const std::string& name) {
+  const std::int64_t id = timeline.series().Find(name);
+  return id < 0 ? 0 : sample.Value(static_cast<std::uint32_t>(id));
+}
+
+std::uint64_t SumSeries(const Timeline& timeline, const std::string& name) {
+  std::uint64_t sum = 0;
+  for (const Sample& s : timeline.samples()) {
+    sum += SampleValue(timeline, s, name);
+  }
+  return sum;
+}
+
+std::uint64_t MaxSeries(const Timeline& timeline, const std::string& name) {
+  std::uint64_t max = 0;
+  for (const Sample& s : timeline.samples()) {
+    max = std::max(max, SampleValue(timeline, s, name));
+  }
+  return max;
 }
 
 }  // namespace bandslim::telemetry

@@ -1,10 +1,9 @@
-// Deterministic exporters for the telemetry sample stream and event log.
-// All three formats are produced from the same in-memory data with fixed
-// integer formatting and stable ordering, so two runs of the same workload
-// write byte-identical files.
+// Deterministic exports of a timeline (telemetry/timeline.h), produced from
+// in-memory data with fixed integer formatting and stable ordering, so two
+// runs of the same workload write byte-identical files.
 //
 //  * Prometheus text exposition (one scrape of the LATEST sample, plus
-//    watchdog alert totals) — what a /metrics endpoint would serve.
+//    watchdog alert totals) — what a /metrics endpoint serves.
 //  * JSONL: the full time series, samples and typed events interleaved by
 //    virtual timestamp (events sort before the sample that closes their
 //    interval; ties break on emit order).
@@ -12,51 +11,32 @@
 //    fig* plots consume.
 #pragma once
 
-#include <deque>
 #include <string>
 #include <vector>
 
-#include "telemetry/telemetry.h"
+#include "telemetry/timeline.h"
 
 namespace bandslim::telemetry {
 
-// Prometheus text exposition format (version 0.0.4): `# TYPE` header per
-// metric, `bandslim_<sanitized_series>` gauge lines carrying the latest
-// sample's values with millisecond timestamps, and
-// `bandslim_watchdog_alerts_total{rule="..."}` counters. Empty sampler
-// yields only the build-info line.
-std::string ToPrometheusText(const Sampler& sampler);
-
-// One JSON object per line:
-//   {"kind":"sample","t_ns":..,"seq":..,"interval_ns":..,"values":{..}}
-//   {"kind":"event","t_ns":..,"seq":..,"type":"gc_start","a":..,"b":..}
-// Alert events additionally carry "rule":"<name>".
-std::string ToJsonl(const Sampler& sampler);
-
-// Component-parameterized cores behind the two renderers above. The device
-// Sampler and the fleet aggregator (telemetry/fleet.h) hold the same pieces
-// — a sample deque, an interning table, an event log, a watchdog — so both
-// render through one implementation and their exports stay format-identical
-// by construction. `counter_name`/`counter_help` label the leading
-// samples-emitted counter ("bandslim_telemetry_samples_total" for the
-// device sampler, "bandslim_fleet_samples_total" for the fleet).
-std::string PrometheusTextCore(const std::deque<Sample>& samples,
-                               const SeriesTable& series,
-                               const Watchdog& watchdog,
-                               std::uint64_t samples_emitted,
-                               const char* counter_name,
-                               const char* counter_help);
-std::string TimelineJsonlCore(const std::deque<Sample>& samples,
-                              const SeriesTable& series,
-                              const EventLog& event_log,
-                              const Watchdog& watchdog);
+// Free-function spellings of Timeline::ToPrometheusText / ToJsonl.
+inline std::string ToPrometheusText(const Timeline& timeline) {
+  return timeline.ToPrometheusText();
+}
+inline std::string ToJsonl(const Timeline& timeline) {
+  return timeline.ToJsonl();
+}
 
 // Time-series CSV with the named series as columns (missing values print
 // as 0). The first two columns are always t_ns and interval_ns.
-std::string ToTimeSeriesCsv(const Sampler& sampler,
+std::string ToTimeSeriesCsv(const Timeline& timeline,
                             const std::vector<std::string>& series_names);
 
-// "a.b-c" -> "a_b_c": Prometheus metric names admit [a-zA-Z0-9_:] only.
-std::string SanitizeMetricName(const std::string& name);
+// Value of series `name` in `sample` (0 when absent), and its sum and
+// maximum over the retained samples — the reductions the gate benches and
+// tests check the exports with.
+std::uint64_t SampleValue(const Timeline& timeline, const Sample& sample,
+                          const std::string& name);
+std::uint64_t SumSeries(const Timeline& timeline, const std::string& name);
+std::uint64_t MaxSeries(const Timeline& timeline, const std::string& name);
 
 }  // namespace bandslim::telemetry

@@ -1,116 +1,70 @@
 #include "telemetry/fleet.h"
 
 #include <algorithm>
-#include <memory>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
 
 #include "telemetry/attribution/attribution.h"
-#include "telemetry/export.h"
 
 namespace bandslim::telemetry {
 
 namespace {
 
-std::uint64_t PerSecondMilli(std::uint64_t delta,
-                             sim::Nanoseconds interval_ns) {
-  if (interval_ns == 0) return 0;
-  return delta * sim::kSecond / interval_ns * kMilliScale +
-         delta * sim::kSecond % interval_ns * kMilliScale / interval_ns;
-}
-
-std::uint64_t RatioMilli(std::uint64_t numer, std::uint64_t denom) {
-  if (denom == 0) return 0;
-  return numer * kMilliScale / denom;
-}
-
-// "trace.op.put.latency_ns" -> "trace.op.put", as in the device sampler, so
-// fleet percentile series share the per-device naming scheme.
-std::string PercentileBase(const std::string& hist_name) {
-  static constexpr char kLatencySuffix[] = ".latency_ns";
-  static constexpr char kNsSuffix[] = "_ns";
-  if (hist_name.size() > sizeof(kLatencySuffix) - 1 &&
-      hist_name.compare(hist_name.size() - (sizeof(kLatencySuffix) - 1),
-                        sizeof(kLatencySuffix) - 1, kLatencySuffix) == 0) {
-    return hist_name.substr(0,
-                            hist_name.size() - (sizeof(kLatencySuffix) - 1));
-  }
-  if (hist_name.size() > sizeof(kNsSuffix) - 1 &&
-      hist_name.compare(hist_name.size() - (sizeof(kNsSuffix) - 1),
-                        sizeof(kNsSuffix) - 1, kNsSuffix) == 0) {
-    return hist_name.substr(0, hist_name.size() - (sizeof(kNsSuffix) - 1));
-  }
-  return hist_name;
-}
-
 // The registry mirrors PCIe bytes as one counter per traffic class
 // ("pcie.mmio.h2d_bytes" ... "pcie.completion.h2d_bytes"); their sum is the
 // link's host-to-device byte total, exactly as KvSsd::GetStats computes it.
 bool IsPcieH2dBytes(const std::string& name) {
-  static constexpr char kPrefix[] = "pcie.";
-  static constexpr char kSuffix[] = ".h2d_bytes";
-  return name.size() > sizeof(kPrefix) - 1 + sizeof(kSuffix) - 1 &&
-         name.compare(0, sizeof(kPrefix) - 1, kPrefix) == 0 &&
-         name.compare(name.size() - (sizeof(kSuffix) - 1),
-                      sizeof(kSuffix) - 1, kSuffix) == 0;
+  constexpr std::string_view kPrefix = "pcie.", kSuffix = ".h2d_bytes";
+  return name.size() > kPrefix.size() + kSuffix.size() &&
+         name.starts_with(kPrefix) && name.ends_with(kSuffix);
 }
 
 constexpr char kOpLatencyHist[] = "trace.op.latency_ns";
+
+// summed_ marker for a series no shard reported this sample.
+constexpr std::uint64_t kAbsent = ~0ULL;
+
+void MergeInto(stats::HistogramBuckets* into,
+               const stats::HistogramBuckets& from) {
+  for (std::size_t b = 0; b < into->buckets.size(); ++b) {
+    into->buckets[b] += from.buckets[b];
+  }
+  into->count += from.count;
+  into->sum += from.sum;
+}
 
 }  // namespace
 
 WatchdogRule ShardImbalanceRule(std::uint64_t ratio_milli, std::uint32_t n,
                                 std::uint32_t clear_n) {
-  WatchdogRule r;
-  r.name = "shard_imbalance";
-  r.series = "fleet.imbalance.ops_max_over_mean_milli";
-  r.cmp = WatchdogRule::Cmp::kAtLeast;
-  r.threshold = ratio_milli;
-  r.for_intervals = n;
-  r.clear_for_intervals = clear_n;
-  return r;
+  return WatchdogRule{"shard_imbalance",
+                      "fleet.imbalance.ops_max_over_mean_milli",
+                      WatchdogRule::Cmp::kAtLeast, ratio_milli, n, clear_n};
 }
 
 WatchdogRule HotShardP99SkewRule(std::uint64_t ratio_milli, std::uint32_t n,
                                  std::uint32_t clear_n) {
-  WatchdogRule r;
-  r.name = "hot_shard_p99_skew";
-  r.series = "fleet.skew.p99_max_over_fleet_milli";
-  r.cmp = WatchdogRule::Cmp::kAtLeast;
-  r.threshold = ratio_milli;
-  r.for_intervals = n;
-  r.clear_for_intervals = clear_n;
-  return r;
+  return WatchdogRule{"hot_shard_p99_skew",
+                      "fleet.skew.p99_max_over_fleet_milli",
+                      WatchdogRule::Cmp::kAtLeast, ratio_milli, n, clear_n};
 }
 
 WatchdogRule RingSkewRule(std::uint64_t skew_permille, std::uint32_t n) {
-  WatchdogRule r;
-  r.name = "ring_skew";
-  r.series = "fleet.ring.skew_permille";
-  r.cmp = WatchdogRule::Cmp::kAbove;
-  r.threshold = skew_permille;
-  r.for_intervals = n;
-  return r;
+  return WatchdogRule{"ring_skew", "fleet.ring.skew_permille",
+                      WatchdogRule::Cmp::kAbove, skew_permille, n};
 }
 
 WatchdogRule StragglerShardRule(std::uint32_t n, std::uint32_t clear_n) {
-  WatchdogRule r;
-  r.name = "straggler_shard";
-  r.series = "fleet.straggler.stalled_shards";
-  r.cmp = WatchdogRule::Cmp::kAtLeast;
-  r.threshold = 1;
-  r.for_intervals = n;
-  r.clear_for_intervals = clear_n;
-  return r;
+  return WatchdogRule{"straggler_shard", "fleet.straggler.stalled_shards",
+                      WatchdogRule::Cmp::kAtLeast, 1, n, clear_n};
 }
 
 FleetAggregator::FleetAggregator(const sim::VirtualClock* router_clock,
-                                 const FleetConfig& config)
-    : clock_(router_clock),
-      config_(config),
-      event_log_(router_clock, config.event_capacity),
-      watchdog_(config.rules) {}
+                                 const TimelineConfig& config)
+    : Timeline(router_clock, config, "bandslim_fleet_samples_total",
+               "Fleet samples emitted by the cluster aggregator.") {}
 
 void FleetAggregator::Bind(std::vector<ShardSource> shards,
                            const std::vector<std::uint64_t>* routed_keys,
@@ -121,77 +75,22 @@ void FleetAggregator::Bind(std::vector<ShardSource> shards,
   windows_.assign(shards_.size(), ShardWindow{});
   prev_shard_ops_.assign(shards_.size(), 0);
   last_shard_op_hist_.assign(shards_.size(), stats::HistogramBuckets{});
-  if (!anchored_) {
-    anchored_ = true;
-    anchor_ns_ = clock_->Now();
-    last_sample_ns_ = anchor_ns_;
-    next_boundary_ns_ = anchor_ns_ + config_.sample_interval_ns;
-  }
+  Anchor();
 }
 
-void FleetAggregator::Poll() {
-  if (!config_.enabled || !anchored_) return;
-  const sim::Nanoseconds now = clock_->Now();
-  if (now < next_boundary_ns_) return;
-  const sim::Nanoseconds stamp =
-      anchor_ns_ +
-      (now - anchor_ns_) / config_.sample_interval_ns *
-          config_.sample_interval_ns;
-  TakeSample(stamp);
-  next_boundary_ns_ = stamp + config_.sample_interval_ns;
-}
-
-void FleetAggregator::Finalize() {
-  if (!config_.enabled || !anchored_) return;
-  const sim::Nanoseconds now = clock_->Now();
-  if (now <= last_sample_ns_ && next_seq_ > 0) {
-    PublishSnapshot();
-    return;
-  }
-  TakeSample(now);
-  PublishSnapshot();
-  if (next_boundary_ns_ <= now) {
-    next_boundary_ns_ =
-        anchor_ns_ +
-        ((now - anchor_ns_) / config_.sample_interval_ns + 1) *
-            config_.sample_interval_ns;
-  }
-}
-
-std::uint64_t FleetAggregator::Latest(const std::string& name) const {
-  if (samples_.empty()) return 0;
-  const std::int64_t id = series_.Find(name);
-  if (id < 0) return 0;
-  return samples_.back().Value(static_cast<std::uint32_t>(id));
-}
-
-void FleetAggregator::TakeSample(sim::Nanoseconds stamp) {
-  Sample s;
-  s.t_ns = stamp;
-  s.interval_ns = stamp - last_sample_ns_;
-  s.seq = next_seq_++;
-  const Sample* prev = samples_.empty() ? nullptr : &samples_.back();
-  const auto prev_of = [&](std::uint32_t id) -> std::uint64_t {
-    return prev == nullptr ? 0 : prev->Value(id);
-  };
-  const auto set = [&](const std::string& name, std::uint64_t value) {
-    s.Set(series_.Intern(name), value);
-  };
-  const auto cumulative = [&](const std::string& name,
-                              std::uint64_t value) -> std::uint64_t {
-    const std::uint32_t id = series_.Intern(name);
-    s.Set(id, value);
-    return value - prev_of(id);
-  };
-
+void FleetAggregator::Collect(SampleBuilder& b) {
   // --- Per-shard reads: one instant, one pass ----------------------------
   // Every shard's counters are read while the routed op that crossed the
   // boundary is complete on its device, so the summed cluster series and
   // the per-shard windows describe the same cut — the reconciliation
   // invariant (fleet delta == sum of shard deltas) is exact by construction.
+  // Sums accumulate by id; a name this timeline has not seen yet is held
+  // back by name, so new series are interned in name order.
   const std::size_t n = shards_.size();
-  summed_.clear();
-  merged_hist_.clear();
+  summed_.assign(series().size(), kAbsent);
+  merged_hist_.assign(histogram_names().size(), stats::HistogramBuckets{});
+  std::map<std::string, std::uint64_t> new_counters;
+  std::map<std::string, stats::HistogramBuckets> new_hists;
   std::uint64_t max_shard_p99 = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const ShardSource& src = shards_[i];
@@ -199,30 +98,25 @@ void FleetAggregator::TakeSample(sim::Nanoseconds stamp) {
     w.p99_ns = 0;
     if (src.metrics != nullptr) {
       for (const auto& [name, value] : src.metrics->SnapshotCounters()) {
-        summed_[name] += value;
+        const std::int64_t id = series().Find(name);
+        if (id < 0) {
+          new_counters[name] += value;
+          continue;
+        }
+        std::uint64_t& sum = summed_[static_cast<std::size_t>(id)];
+        sum = (sum == kAbsent ? 0 : sum) + value;
       }
       for (const auto& [name, cur] :
            src.metrics->SnapshotHistogramBuckets()) {
         if (cur.count == 0) continue;
-        stats::HistogramBuckets& merged = merged_hist_[name];
-        for (int b = 0; b < stats::Histogram::kNumBuckets; ++b) {
-          merged.buckets[static_cast<std::size_t>(b)] +=
-              cur.buckets[static_cast<std::size_t>(b)];
-        }
-        merged.count += cur.count;
-        merged.sum += cur.sum;
+        const std::int64_t id = histogram_names().Find(name);
+        MergeInto(id < 0 ? &new_hists[name]
+                         : &merged_hist_[static_cast<std::size_t>(id)],
+                  cur);
         if (name == kOpLatencyHist) {
-          stats::HistogramBuckets& last = last_shard_op_hist_[i];
-          stats::Histogram::BucketArray delta{};
-          for (int b = 0; b < stats::Histogram::kNumBuckets; ++b) {
-            delta[static_cast<std::size_t>(b)] =
-                cur.buckets[static_cast<std::size_t>(b)] -
-                last.buckets[static_cast<std::size_t>(b)];
-          }
-          w.p99_ns = stats::Histogram::QuantileFromBuckets(
-              delta, cur.count - last.count, 990);
+          w.p99_ns = QuantilesSince(cur, last_shard_op_hist_[i]).p99;
           max_shard_p99 = std::max(max_shard_p99, w.p99_ns);
-          last = cur;
+          last_shard_op_hist_[i] = cur;
         }
       }
       w.ops = src.metrics->CounterValue("nvme.commands_submitted");
@@ -247,8 +141,8 @@ void FleetAggregator::TakeSample(sim::Nanoseconds stamp) {
   // --- Cluster cumulative series: summed shard counters, verbatim names --
   std::uint64_t cum_ops = 0, cum_vb = 0, cum_h2d = 0, cum_pages = 0;
   std::uint64_t d_ops = 0, d_vb = 0, d_pages = 0, d_h2d = 0;
-  for (const auto& [name, value] : summed_) {
-    const std::uint64_t delta = cumulative(name, value);
+  const auto counter = [&](const std::string& name, std::uint64_t value,
+                           std::uint64_t delta) {
     if (name == "nvme.commands_submitted") {
       cum_ops = value;
       d_ops = delta;
@@ -262,6 +156,13 @@ void FleetAggregator::TakeSample(sim::Nanoseconds stamp) {
       cum_h2d += value;
       d_h2d += delta;
     }
+  };
+  for (std::uint32_t id = 0; id < summed_.size(); ++id) {
+    if (summed_[id] == kAbsent) continue;
+    counter(series().NameOf(id), summed_[id], b.Cumulative(id, summed_[id]));
+  }
+  for (const auto& [name, value] : new_counters) {
+    counter(name, value, b.Cumulative(name, value));
   }
 
   // --- Merged-histogram percentiles ---------------------------------------
@@ -271,47 +172,34 @@ void FleetAggregator::TakeSample(sim::Nanoseconds stamp) {
   // the quantiles over the union of every shard's recordings, which the
   // fleet test asserts against a replayed union histogram.
   std::uint64_t fleet_p99 = 0;
-  for (const auto& [name, cur] : merged_hist_) {
-    stats::HistogramBuckets& last = last_hist_[name];
-    stats::Histogram::BucketArray delta{};
-    for (int b = 0; b < stats::Histogram::kNumBuckets; ++b) {
-      delta[static_cast<std::size_t>(b)] =
-          cur.buckets[static_cast<std::size_t>(b)] -
-          last.buckets[static_cast<std::size_t>(b)];
+  const auto merged = [&](const std::string& name,
+                          const stats::HistogramBuckets& cur) {
+    const IntervalQuantiles q = b.Histogram(name, cur);
+    const std::string base = SampleBuilder::PercentileBase(name);
+    b.Set("lifetime." + base + ".p50",
+          stats::Histogram::QuantileFromBuckets(cur.buckets, cur.count, 500));
+    b.Set("lifetime." + base + ".p95",
+          stats::Histogram::QuantileFromBuckets(cur.buckets, cur.count, 950));
+    b.Set("lifetime." + base + ".p99",
+          stats::Histogram::QuantileFromBuckets(cur.buckets, cur.count, 990));
+    if (name == kOpLatencyHist) fleet_p99 = q.p99;
+  };
+  for (std::uint32_t id = 0; id < merged_hist_.size(); ++id) {
+    if (merged_hist_[id].count != 0) {
+      merged(histogram_names().NameOf(id), merged_hist_[id]);
     }
-    const std::uint64_t d_count = cur.count - last.count;
-    const std::uint64_t d_sum = cur.sum - last.sum;
-    const std::string base = PercentileBase(name);
-    set("hist." + base + ".count", cur.count);
-    set("delta." + base + ".count", d_count);
-    set("delta." + base + ".sum", d_sum);
-    set(base + ".p50",
-        stats::Histogram::QuantileFromBuckets(delta, d_count, 500));
-    set(base + ".p95",
-        stats::Histogram::QuantileFromBuckets(delta, d_count, 950));
-    set(base + ".p99",
-        stats::Histogram::QuantileFromBuckets(delta, d_count, 990));
-    set("lifetime." + base + ".p50",
-        stats::Histogram::QuantileFromBuckets(cur.buckets, cur.count, 500));
-    set("lifetime." + base + ".p95",
-        stats::Histogram::QuantileFromBuckets(cur.buckets, cur.count, 950));
-    set("lifetime." + base + ".p99",
-        stats::Histogram::QuantileFromBuckets(cur.buckets, cur.count, 990));
-    if (name == kOpLatencyHist) {
-      fleet_p99 = stats::Histogram::QuantileFromBuckets(delta, d_count, 990);
-    }
-    last = cur;
   }
+  for (const auto& [name, cur] : new_hists) merged(name, cur);
 
   // --- Per-shard series and imbalance inputs ------------------------------
   std::uint64_t max_delta_ops = 0, stalled = 0, total_routed = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const ShardWindow& w = windows_[i];
     const std::string base = "shard" + std::to_string(i);
-    set(base + ".ops", w.ops);
-    set(base + ".delta.ops", w.delta_ops);
-    set(base + ".routed_keys", w.routed_keys);
-    set(base + ".p99_ns", w.p99_ns);
+    b.Set(base + ".ops", w.ops);
+    b.Set(base + ".delta.ops", w.delta_ops);
+    b.Set(base + ".routed_keys", w.routed_keys);
+    b.Set(base + ".p99_ns", w.p99_ns);
     max_delta_ops = std::max(max_delta_ops, w.delta_ops);
     if (w.delta_ops == 0) ++stalled;
     total_routed += w.routed_keys;
@@ -330,22 +218,22 @@ void FleetAggregator::TakeSample(sim::Nanoseconds stamp) {
   }
 
   // --- Fleet derived series and watchdog rule inputs ----------------------
-  set("fleet.shards", n);
-  set("delta.ops", d_ops);
-  set("delta.value_bytes", d_vb);
-  set("delta.pcie.h2d_bytes", d_h2d);
-  set("delta.nand.pages_programmed", d_pages);
-  set("rate.ops_per_sec_milli", PerSecondMilli(d_ops, s.interval_ns));
-  set("rate.taf_milli", RatioMilli(d_h2d, d_vb));
-  set("total.taf_milli", RatioMilli(cum_h2d, cum_vb));
+  b.Set("fleet.shards", n);
+  b.Set("delta.ops", d_ops);
+  b.Set("delta.value_bytes", d_vb);
+  b.Set("delta.pcie.h2d_bytes", d_h2d);
+  b.Set("delta.nand.pages_programmed", d_pages);
+  b.Set("rate.ops_per_sec_milli", PerSecondMilli(d_ops, b.interval_ns()));
+  b.Set("rate.taf_milli", RatioMilli(d_h2d, d_vb));
+  b.Set("total.taf_milli", RatioMilli(cum_h2d, cum_vb));
   // max/mean x1000 == max * N * 1000 / total; 0 on an idle interval so the
   // imbalance rule never fires while the fleet is quiet.
-  set("fleet.imbalance.ops_max_over_mean_milli",
-      d_ops == 0 ? 0 : max_delta_ops * n * kMilliScale / d_ops);
-  set("fleet.skew.p99_max_over_fleet_milli",
-      fleet_p99 == 0 ? 0 : max_shard_p99 * kMilliScale / fleet_p99);
-  set("fleet.ring.skew_permille", ring_skew);
-  set("fleet.straggler.stalled_shards", d_ops > 0 ? stalled : 0);
+  b.Set("fleet.imbalance.ops_max_over_mean_milli",
+        d_ops == 0 ? 0 : max_delta_ops * n * kMilliScale / d_ops);
+  b.Set("fleet.skew.p99_max_over_fleet_milli",
+        fleet_p99 == 0 ? 0 : max_shard_p99 * kMilliScale / fleet_p99);
+  b.Set("fleet.ring.skew_permille", ring_skew);
+  b.Set("fleet.straggler.stalled_shards", d_ops > 0 ? stalled : 0);
 
   // --- Tenant/key-space attribution series --------------------------------
   // Folded into THIS sample before the sort and the watchdog pass, so the
@@ -358,33 +246,13 @@ void FleetAggregator::TakeSample(sim::Nanoseconds stamp) {
     totals.value_bytes = cum_vb;
     totals.pcie_h2d_bytes = cum_h2d;
     totals.nand_pages = cum_pages;
-    attribution_->OnFleetSample(&s, &series_, totals);
-  }
-
-  std::sort(s.values.begin(), s.values.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  s.events_before = event_log_.total_emitted();
-
-  last_sample_ns_ = stamp;
-  if (samples_.size() == config_.sample_capacity) {
-    samples_.pop_front();
-    ++dropped_samples_;
-  }
-  samples_.push_back(std::move(s));
-  watchdog_.Evaluate(samples_.back(), series_, &event_log_);
-
-  if (config_.publish_every != 0 &&
-      samples_.back().seq % config_.publish_every == 0) {
-    PublishSnapshot();
+    attribution_->OnFleetSample(b, totals);
   }
 }
 
-std::string FleetAggregator::ToPrometheusText() const {
-  std::string out = PrometheusTextCore(
-      samples_, series_, watchdog_, next_seq_, "bandslim_fleet_samples_total",
-      "Fleet samples emitted by the cluster aggregator.");
-  if (samples_.empty() || windows_.empty()) return out;
-  const std::uint64_t ts_ms = samples_.back().t_ns / sim::kMillisecond;
+void FleetAggregator::AppendPrometheus(std::string* out,
+                                       std::uint64_t ts_ms) const {
+  if (windows_.empty()) return;
   std::ostringstream os;
   // Federated per-shard block: the same scrape carries every shard's view
   // under a `shard` label, so one endpoint serves the whole cluster.
@@ -409,20 +277,15 @@ std::string FleetAggregator::ToPrometheusText() const {
          [](const ShardWindow& w) { return w.routed_keys; });
   family("bandslim_shard_p99_ns", "gauge",
          [](const ShardWindow& w) { return w.p99_ns; });
-  out += os.str();
+  *out += os.str();
   if (attribution_ != nullptr && attribution_->enabled()) {
-    attribution_->AppendPrometheus(&out, ts_ms);
+    attribution_->AppendPrometheus(out, ts_ms);
   }
-  return out;
-}
-
-std::string FleetAggregator::ToJsonl() const {
-  return TimelineJsonlCore(samples_, series_, event_log_, watchdog_);
 }
 
 std::string FleetAggregator::ShardsJsonl() const {
   std::ostringstream os;
-  const sim::Nanoseconds t = samples_.empty() ? 0 : samples_.back().t_ns;
+  const sim::Nanoseconds t = samples().empty() ? 0 : samples().back().t_ns;
   std::uint64_t total_routed = 0;
   for (const ShardWindow& w : windows_) total_routed += w.routed_keys;
   for (std::size_t i = 0; i < windows_.size(); ++i) {
@@ -443,36 +306,16 @@ std::string FleetAggregator::ShardsJsonl() const {
   return os.str();
 }
 
-void FleetAggregator::PublishSnapshot() {
-  if (sink_ == nullptr || samples_.empty() ||
-      samples_.back().seq == last_published_seq_) {
-    return;
-  }
-  auto snap = std::make_shared<PublishedSnapshot>();
-  snap->sample_seq = samples_.back().seq;
-  snap->t_ns = samples_.back().t_ns;
-  snap->metrics_text = ToPrometheusText();
-  snap->timeline_jsonl = ToJsonl();
-  snap->shards_jsonl = ShardsJsonl();
+void FleetAggregator::AppendHealthz(std::string* doc) const {
+  *doc += ",\"shards\":" + std::to_string(windows_.size());
+}
+
+void FleetAggregator::AppendRoutes(std::vector<Route>* routes) const {
+  routes->push_back({"/shards.jsonl", "application/x-ndjson", ShardsJsonl()});
   if (attribution_ != nullptr && attribution_->enabled()) {
-    snap->slo_jsonl = attribution_->SloJsonl();
+    routes->push_back(
+        {"/slo.jsonl", "application/x-ndjson", attribution_->SloJsonl()});
   }
-  std::string health = "{\"status\":\"ok\",\"sample_seq\":";
-  health += std::to_string(snap->sample_seq);
-  health += ",\"t_ns\":";
-  health += std::to_string(snap->t_ns);
-  health += ",\"samples\":";
-  health += std::to_string(next_seq_);
-  health += ",\"events\":";
-  health += std::to_string(event_log_.total_emitted());
-  health += ",\"alerts_fired\":";
-  health += std::to_string(watchdog_.total_fired());
-  health += ",\"shards\":";
-  health += std::to_string(windows_.size());
-  health += "}\n";
-  snap->healthz_json = std::move(health);
-  last_published_seq_ = snap->sample_seq;
-  sink_->Publish(std::move(snap));
 }
 
 }  // namespace bandslim::telemetry

@@ -1,7 +1,8 @@
 // Fleet-level observability for a sharded KvCluster (DESIGN.md 2.9): one
-// aggregator that samples every shard's metrics registry on the ROUTER
-// clock's interval grid and renders a cluster-wide timeline next to the
-// shards' own per-device samplers.
+// aggregator — a Timeline source (telemetry/timeline.h) — that samples
+// every shard's metrics registry on the ROUTER clock's interval grid and
+// renders a cluster-wide timeline next to the shards' own per-device
+// samplers.
 //
 // Aggregation invariants (asserted by tests/fleet_test and enforced by
 // bench/fleet_timeline exiting nonzero):
@@ -26,37 +27,18 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "sim/clock.h"
 #include "stats/metrics.h"
-#include "telemetry/event_log.h"
-#include "telemetry/sample.h"
-#include "telemetry/telemetry.h"
-#include "telemetry/watchdog.h"
+#include "telemetry/timeline.h"
 
 namespace bandslim::telemetry {
 
 namespace attribution {
 class AttributionPlane;
 }
-
-struct FleetConfig {
-  bool enabled = false;
-  // Virtual time between fleet samples, on the router clock.
-  sim::Nanoseconds sample_interval_ns = sim::kMillisecond;
-  std::size_t sample_capacity = 1u << 16;
-  std::size_t event_capacity = 1u << 14;
-  // Fleet watchdog rules (see the canned constructors below); evaluated on
-  // every fleet sample with the same assert/deassert hysteresis engine the
-  // per-device sampler uses.
-  std::vector<WatchdogRule> rules;
-  // Snapshot publication cadence, as in TelemetryConfig::publish_every.
-  std::uint64_t publish_every = 64;
-};
 
 // --- Canned fleet rules ----------------------------------------------------
 // Rule table (all inputs are fleet series the aggregator derives; series
@@ -88,7 +70,7 @@ WatchdogRule RingSkewRule(std::uint64_t skew_permille, std::uint32_t n);
 // consecutive intervals.
 WatchdogRule StragglerShardRule(std::uint32_t n, std::uint32_t clear_n = 2);
 
-class FleetAggregator {
+class FleetAggregator : public Timeline {
  public:
   // One shard's observation points. Pointers are observed, never mutated.
   struct ShardSource {
@@ -110,10 +92,7 @@ class FleetAggregator {
   };
 
   FleetAggregator(const sim::VirtualClock* router_clock,
-                  const FleetConfig& config);
-
-  bool enabled() const { return config_.enabled; }
-  const FleetConfig& config() const { return config_; }
+                  const TimelineConfig& config);
 
   // Binds the shard observation points; anchors the interval grid at the
   // router clock's current time on first call. `routed_keys` points at the
@@ -125,36 +104,10 @@ class FleetAggregator {
             const std::vector<std::uint64_t>* routed_keys,
             std::vector<std::uint64_t> expected_share_permille);
 
-  // Emits one fleet sample if a router-clock interval boundary has passed;
-  // called by the cluster after every routed op. Disabled = one branch.
-  void Poll();
-  // Closing sample at the current router time, so the last sample's
-  // cumulative series equal the summed final shard counters exactly.
-  // Idempotent at a given time.
-  void Finalize();
-
-  const std::deque<Sample>& samples() const { return samples_; }
-  const SeriesTable& series() const { return series_; }
-  std::uint64_t samples_emitted() const { return next_seq_; }
-  std::uint64_t dropped_samples() const { return dropped_samples_; }
-  EventLog& event_log() { return event_log_; }
-  const EventLog& event_log() const { return event_log_; }
-  Watchdog& watchdog() { return watchdog_; }
-  const Watchdog& watchdog() const { return watchdog_; }
   const std::vector<ShardWindow>& shard_windows() const { return windows_; }
 
-  // Value of `name` in the latest fleet sample (0 when absent).
-  std::uint64_t Latest(const std::string& name) const;
-
-  // Federated exports. ToPrometheusText serves the cluster series plus a
-  // `shard`-labeled per-shard block from one scrape; ShardsJsonl is one
-  // JSON object per shard (the /shards.jsonl document).
-  std::string ToPrometheusText() const;
-  std::string ToJsonl() const;
+  // The /shards.jsonl document: one JSON object per shard.
   std::string ShardsJsonl() const;
-
-  // Installs (or clears) the snapshot consumer, e.g. the HTTP exporter.
-  void SetSink(SnapshotSink* sink) { sink_ = sink; }
 
   // Attaches (or clears) the tenant/key-space attribution plane. The plane
   // folds its per-tenant and heat series into THIS aggregator's samples —
@@ -170,39 +123,25 @@ class FleetAggregator {
   }
 
  private:
-  void TakeSample(sim::Nanoseconds stamp);
-  void PublishSnapshot();
-
-  const sim::VirtualClock* clock_;  // Router clock: the fleet time base.
-  FleetConfig config_;
-  EventLog event_log_;
-  Watchdog watchdog_;
-  SeriesTable series_;
+  void Collect(SampleBuilder& b) override;
+  // Federated per-shard block plus the attribution plane's tenant families.
+  void AppendPrometheus(std::string* out, std::uint64_t ts_ms) const override;
+  void AppendHealthz(std::string* doc) const override;
+  void AppendRoutes(std::vector<Route>* routes) const override;
 
   std::vector<ShardSource> shards_;
   const std::vector<std::uint64_t>* routed_keys_ = nullptr;
   std::vector<std::uint64_t> expected_share_permille_;
 
-  std::deque<Sample> samples_;
   std::vector<ShardWindow> windows_;
-  // Previous-sample cumulative state, for per-interval deltas.
-  std::map<std::string, stats::HistogramBuckets> last_hist_;
   std::vector<std::uint64_t> prev_shard_ops_;
   std::vector<stats::HistogramBuckets> last_shard_op_hist_;
-  // Scratch rebuilt each sample: shard counters summed by name, and shard
-  // histogram buckets merged by name.
-  std::map<std::string, std::uint64_t> summed_;
-  std::map<std::string, stats::HistogramBuckets> merged_hist_;
+  // Scratch rebuilt each sample: shard counters summed by series id, and
+  // shard histogram buckets merged by histogram id (histogram_names()).
+  std::vector<std::uint64_t> summed_;
+  std::vector<stats::HistogramBuckets> merged_hist_;
 
-  SnapshotSink* sink_ = nullptr;
   attribution::AttributionPlane* attribution_ = nullptr;
-  std::uint64_t last_published_seq_ = ~0ULL;
-  bool anchored_ = false;
-  sim::Nanoseconds anchor_ns_ = 0;
-  sim::Nanoseconds next_boundary_ns_ = 0;
-  sim::Nanoseconds last_sample_ns_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t dropped_samples_ = 0;
 };
 
 }  // namespace bandslim::telemetry

@@ -181,41 +181,26 @@ void HttpExporter::HandleConnection(int fd) {
   // HEAD is GET with the body suppressed: identical routing, identical
   // status and headers (Content-Length included), zero body bytes.
   const bool head_only = req.method == "HEAD";
-  const std::string& path = req.path;
   const std::shared_ptr<const PublishedSnapshot> snap = Current();
-  if (path == "/healthz") {
-    // Liveness is meaningful before the first sample too.
-    SendResponse(fd, "200 OK", "application/json",
-                 snap != nullptr ? snap->healthz_json
-                                 : "{\"status\":\"starting\"}\n",
-                 head_only);
-    return;
-  }
   if (snap == nullptr) {
-    SendResponse(fd, "503 Service Unavailable", "text/plain; charset=utf-8",
-                 "no snapshot published yet\n", head_only);
+    // Liveness is meaningful before the first sample; data is not.
+    if (req.path == "/healthz") {
+      SendResponse(fd, "200 OK", "application/json",
+                   "{\"status\":\"starting\"}\n", head_only);
+    } else {
+      SendResponse(fd, "503 Service Unavailable", "text/plain; charset=utf-8",
+                   "no snapshot published yet\n", head_only);
+    }
     return;
   }
-  if (path == "/metrics") {
-    SendResponse(fd, "200 OK", "text/plain; version=0.0.4; charset=utf-8",
-                 snap->metrics_text, head_only);
-  } else if (path == "/timeline.jsonl") {
-    SendResponse(fd, "200 OK", "application/x-ndjson", snap->timeline_jsonl,
-                 head_only);
-  } else if (path == "/shards.jsonl" && !snap->shards_jsonl.empty()) {
-    // Federated per-shard snapshots; only the fleet aggregator publishes
-    // them, so a single-device sampler keeps 404-ing here.
-    SendResponse(fd, "200 OK", "application/x-ndjson", snap->shards_jsonl,
-                 head_only);
-  } else if (path == "/slo.jsonl" && !snap->slo_jsonl.empty()) {
-    // Per-tenant SLO ledger; published only by a fleet aggregator with an
-    // attribution plane attached.
-    SendResponse(fd, "200 OK", "application/x-ndjson", snap->slo_jsonl,
-                 head_only);
-  } else {
+  const Route* route = snap->Find(req.path);
+  if (route == nullptr) {
     SendResponse(fd, "404 Not Found", "text/plain; charset=utf-8",
                  "unknown path\n", head_only);
+    return;
   }
+  SendResponse(fd, "200 OK", route->content_type.c_str(), route->body,
+               head_only);
 }
 
 Result<std::string> HttpRequestRaw(std::uint16_t port,
@@ -260,47 +245,14 @@ Result<std::string> HttpRequestRaw(std::uint16_t port,
 }
 
 Result<std::string> HttpGet(std::uint16_t port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IoError(std::string("socket: ") + std::strerror(errno));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    return Status::IoError("connect 127.0.0.1:" + std::to_string(port) +
-                           ": " + err);
-  }
-  const std::string req = "GET " + path +
-                          " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
-                          "Connection: close\r\n\r\n";
-  if (!SendAll(fd, req.data(), req.size())) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    return Status::IoError("send: " + err);
-  }
-  std::string response;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    response.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  const std::size_t body_at = response.find("\r\n\r\n");
-  if (body_at == std::string::npos) {
-    return Status::IoError("malformed HTTP response");
-  }
+  Result<std::string> raw = HttpRequestRaw(port, "GET", path);
+  if (!raw.ok()) return raw.status();
+  const std::string& response = raw.value();
   if (response.compare(0, 12, "HTTP/1.1 200") != 0) {
-    const std::size_t eol = response.find("\r\n");
-    return Status::IoError("HTTP error: " + response.substr(0, eol));
+    return Status::IoError("HTTP error: " +
+                           response.substr(0, response.find("\r\n")));
   }
-  return response.substr(body_at + 4);
+  return response.substr(response.find("\r\n\r\n") + 4);
 }
 
 }  // namespace bandslim::telemetry

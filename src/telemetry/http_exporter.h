@@ -1,18 +1,20 @@
 // Live scrape endpoint for the telemetry stream (DESIGN.md 2.5). A minimal,
-// dependency-free HTTP/1.1 server over POSIX sockets that serves
+// dependency-free HTTP/1.1 server over POSIX sockets that serves the route
+// table of the most recent PublishedSnapshot a timeline handed to Publish():
 //
 //   GET /metrics        Prometheus text exposition 0.0.4 (ToPrometheusText)
 //   GET /timeline.jsonl the full sample/event timeline so far (ToJsonl)
+//   GET /healthz        a tiny JSON liveness document
 //   GET /shards.jsonl   per-shard snapshots (fleet aggregator only)
 //   GET /slo.jsonl      per-tenant SLO ledger (attribution plane only)
-//   GET /healthz        a tiny JSON liveness document
 //
-// from the most recent PublishedSnapshot the Sampler handed to Publish().
-// HEAD mirrors GET (same status/headers/Content-Length, no body); any other
-// method answers 405 with an Allow header.
+// Unmapped paths answer 404. Before the first publish /healthz answers
+// {"status":"starting"} and every other path 503. HEAD mirrors GET (same
+// status/headers/Content-Length, no body); any other method answers 405
+// with an Allow header.
 //
 // Concurrency model: the simulation stays single-threaded and deterministic.
-// The Sampler renders each snapshot on the simulation thread and swaps it in
+// The timeline renders each snapshot on the simulation thread and swaps it in
 // under a mutex; the single server thread only ever copies that shared_ptr
 // (same mutex) and reads the immutable strings behind it. Enabling the
 // server cannot perturb virtual-time results — the scraped bytes at sample
@@ -27,7 +29,7 @@
 #include <thread>
 
 #include "common/status.h"
-#include "telemetry/telemetry.h"
+#include "telemetry/timeline.h"
 
 namespace bandslim::telemetry {
 

@@ -1,56 +1,12 @@
 #include "telemetry/telemetry.h"
 
-#include <algorithm>
-#include <memory>
 #include <string>
-#include <utility>
 
 #include "lsm/lsm_tree.h"
-#include "telemetry/export.h"
 
 namespace bandslim::telemetry {
 
 namespace {
-
-// Integer rate helpers. All quantities fit 64 bits comfortably: deltas are
-// bounded by bytes-per-interval (<= GB) and intervals by the run length, so
-// the largest intermediate (delta * 1e12) stays under 2^63 for any workload
-// the benches run.
-std::uint64_t PerSecond(std::uint64_t delta, sim::Nanoseconds interval_ns) {
-  if (interval_ns == 0) return 0;
-  return delta * sim::kSecond / interval_ns;
-}
-
-std::uint64_t PerSecondMilli(std::uint64_t delta,
-                             sim::Nanoseconds interval_ns) {
-  if (interval_ns == 0) return 0;
-  return delta * sim::kSecond / interval_ns * kMilliScale +
-         delta * sim::kSecond % interval_ns * kMilliScale / interval_ns;
-}
-
-std::uint64_t RatioMilli(std::uint64_t numer, std::uint64_t denom) {
-  if (denom == 0) return 0;
-  return numer * kMilliScale / denom;
-}
-
-// Histogram "trace.op.put.latency_ns" yields percentile series
-// "trace.op.put.p50" etc.; a bare "..._ns" histogram just drops the unit
-// suffix.
-std::string PercentileBase(const std::string& hist_name) {
-  static constexpr char kLatencySuffix[] = ".latency_ns";
-  static constexpr char kNsSuffix[] = "_ns";
-  if (hist_name.size() > sizeof(kLatencySuffix) - 1 &&
-      hist_name.compare(hist_name.size() - (sizeof(kLatencySuffix) - 1),
-                        sizeof(kLatencySuffix) - 1, kLatencySuffix) == 0) {
-    return hist_name.substr(0, hist_name.size() - (sizeof(kLatencySuffix) - 1));
-  }
-  if (hist_name.size() > sizeof(kNsSuffix) - 1 &&
-      hist_name.compare(hist_name.size() - (sizeof(kNsSuffix) - 1),
-                        sizeof(kNsSuffix) - 1, kNsSuffix) == 0) {
-    return hist_name.substr(0, hist_name.size() - (sizeof(kNsSuffix) - 1));
-  }
-  return hist_name;
-}
 
 const char* PcieClassName(pcie::TrafficClass cls) {
   switch (cls) {
@@ -64,101 +20,20 @@ const char* PcieClassName(pcie::TrafficClass cls) {
 
 }  // namespace
 
-Sampler::Sampler(const sim::VirtualClock* clock, const TelemetryConfig& config)
-    : clock_(clock),
-      config_(config),
-      event_log_(clock, config.event_capacity),
-      watchdog_(config.rules) {}
+Sampler::Sampler(const sim::VirtualClock* clock, const TimelineConfig& config)
+    : Timeline(clock, config, "bandslim_telemetry_samples_total",
+               "Samples emitted by the virtual-time sampler.") {}
 
-void Sampler::Bind(const Sources& sources) {
-  src_ = sources;
-  if (!anchored_) {
-    anchored_ = true;
-    anchor_ns_ = clock_->Now();
-    last_sample_ns_ = anchor_ns_;
-    next_boundary_ns_ = anchor_ns_ + config_.sample_interval_ns;
-  }
-}
-
-void Sampler::Poll() {
-  if (!config_.enabled || !anchored_) return;
-  const sim::Nanoseconds now = clock_->Now();
-  if (now < next_boundary_ns_) return;
-  // Stamp at the last boundary the clock has passed; everything since the
-  // previous sample is attributed to the single interval ending there.
-  const sim::Nanoseconds stamp =
-      anchor_ns_ +
-      (now - anchor_ns_) / config_.sample_interval_ns *
-          config_.sample_interval_ns;
-  TakeSample(stamp);
-  next_boundary_ns_ = stamp + config_.sample_interval_ns;
-}
-
-void Sampler::Finalize() {
-  if (!config_.enabled || !anchored_) return;
-  const sim::Nanoseconds now = clock_->Now();
-  // Idempotent: a repeated Finalize with no clock progress — or one landing
-  // on a stamp Poll() already emitted — is a no-op, never a duplicate
-  // closing sample. (Only the very first sample may be stamped at the
-  // anchor itself, hence the next_seq_ guard.)
-  if (now <= last_sample_ns_ && next_seq_ > 0) {
-    // Still guarantee the final state is live: the last Poll() sample may
-    // have fallen between publish cadence points.
-    PublishSnapshot();
-    return;
-  }
-  TakeSample(now);
-  PublishSnapshot();
-  if (next_boundary_ns_ <= now) {
-    next_boundary_ns_ =
-        anchor_ns_ +
-        ((now - anchor_ns_) / config_.sample_interval_ns + 1) *
-            config_.sample_interval_ns;
-  }
-}
-
-std::uint64_t Sampler::Latest(const std::string& name) const {
-  if (samples_.empty()) return 0;
-  const std::int64_t id = series_.Find(name);
-  if (id < 0) return 0;
-  return samples_.back().Value(static_cast<std::uint32_t>(id));
-}
-
-void Sampler::TakeSample(sim::Nanoseconds stamp) {
-  Sample s;
-  s.t_ns = stamp;
-  s.interval_ns = stamp - last_sample_ns_;
-  s.seq = next_seq_++;
-  const Sample* prev = samples_.empty() ? nullptr : &samples_.back();
-  // Reads a cumulative series' value at the previous sample (0 before the
-  // first one), for delta derivation.
-  const auto prev_of = [&](std::uint32_t id) -> std::uint64_t {
-    return prev == nullptr ? 0 : prev->Value(id);
-  };
-  const auto set = [&](const std::string& name, std::uint64_t value) {
-    s.Set(series_.Intern(name), value);
-  };
-  // Interns a cumulative series, records its current value, and returns the
-  // per-interval delta.
-  const auto cumulative = [&](const std::string& name,
-                              std::uint64_t value) -> std::uint64_t {
-    const std::uint32_t id = series_.Intern(name);
-    s.Set(id, value);
-    return value - prev_of(id);
-  };
-
+void Sampler::Collect(SampleBuilder& b) {
   // --- Metrics registry: every named counter, verbatim -------------------
-  std::uint64_t cum_ops = 0, cum_value_bytes = 0, cum_pages = 0;
-  std::uint64_t cum_timeouts = 0, cum_retries = 0, cum_prog_fail = 0,
-                cum_ecc = 0;
+  std::uint64_t cum_value_bytes = 0, cum_pages = 0;
   std::uint64_t d_ops = 0, d_value_bytes = 0, d_pages = 0, d_timeouts = 0,
                 d_retries = 0, d_prog_fail = 0, d_ecc = 0;
   std::uint64_t d_stalls = 0, d_compactions = 0, d_comp_bytes = 0;
   if (src_.metrics != nullptr) {
     for (const auto& [name, value] : src_.metrics->SnapshotCounters()) {
-      const std::uint64_t delta = cumulative(name, value);
+      const std::uint64_t delta = b.Cumulative(name, value);
       if (name == "nvme.commands_submitted") {
-        cum_ops = value;
         d_ops = delta;
       } else if (name == "controller.value_bytes_written") {
         cum_value_bytes = value;
@@ -167,16 +42,12 @@ void Sampler::TakeSample(sim::Nanoseconds stamp) {
         cum_pages = value;
         d_pages = delta;
       } else if (name == "nvme.timeouts") {
-        cum_timeouts = value;
         d_timeouts = delta;
       } else if (name == "nvme.retries") {
-        cum_retries = value;
         d_retries = delta;
       } else if (name == "nand.program_failures") {
-        cum_prog_fail = value;
         d_prog_fail = delta;
       } else if (name == "nand.ecc_corrections") {
-        cum_ecc = value;
         d_ecc = delta;
       } else if (name == "lsm.memtable_stalls") {
         d_stalls = delta;
@@ -189,28 +60,25 @@ void Sampler::TakeSample(sim::Nanoseconds stamp) {
   }
 
   // --- PCIe link: direction totals and per-class transaction counts ------
-  std::uint64_t cum_h2d = 0, cum_d2h = 0, d_h2d = 0, d_d2h = 0;
+  std::uint64_t cum_h2d = 0, d_h2d = 0, d_d2h = 0;
   if (src_.link != nullptr) {
     cum_h2d = src_.link->HostToDeviceBytes();
-    cum_d2h = src_.link->DeviceToHostBytes();
-    d_h2d = cumulative("pcie.h2d_bytes", cum_h2d);
-    d_d2h = cumulative("pcie.d2h_bytes", cum_d2h);
+    d_h2d = b.Cumulative("pcie.h2d_bytes", cum_h2d);
+    d_d2h = b.Cumulative("pcie.d2h_bytes", src_.link->DeviceToHostBytes());
     for (int c = 0; c < pcie::kNumTrafficClasses; ++c) {
       const auto cls = static_cast<pcie::TrafficClass>(c);
       const std::string base = std::string("pcie.") + PcieClassName(cls);
-      cumulative(base + ".h2d_txns",
-                 src_.link->TransactionsOf(cls,
-                                           pcie::Direction::kHostToDevice));
+      b.Cumulative(base + ".h2d_txns",
+                   src_.link->TransactionsOf(cls,
+                                             pcie::Direction::kHostToDevice));
       // Per-class byte rates: the cumulative series is the registry mirror
       // snapshotted above; the current value comes straight from the link
       // (identical by construction).
       const std::uint64_t cls_bytes =
           src_.link->BytesOf(cls, pcie::Direction::kHostToDevice);
-      const std::int64_t id = series_.Find(base + ".h2d_bytes");
-      const std::uint64_t prev_bytes =
-          id < 0 ? 0 : prev_of(static_cast<std::uint32_t>(id));
-      set("rate." + base + ".h2d_bytes_per_sec",
-          PerSecond(cls_bytes - prev_bytes, s.interval_ns));
+      b.Set("rate." + base + ".h2d_bytes_per_sec",
+            PerSecond(cls_bytes - b.Previous(base + ".h2d_bytes"),
+                      b.interval_ns()));
     }
   }
 
@@ -218,9 +86,9 @@ void Sampler::TakeSample(sim::Nanoseconds stamp) {
   if (src_.transport != nullptr) {
     for (const auto& q : src_.transport->QueueInfos()) {
       const std::string base = "queue" + std::to_string(q.queue_id);
-      set("gauge." + base + ".depth", q.depth);
-      set("gauge." + base + ".inflight", q.inflight);
-      cumulative(base + ".submitted", q.submitted);
+      b.Set("gauge." + base + ".depth", q.depth);
+      b.Set("gauge." + base + ".inflight", q.inflight);
+      b.Cumulative(base + ".submitted", q.submitted);
     }
   }
 
@@ -228,50 +96,51 @@ void Sampler::TakeSample(sim::Nanoseconds stamp) {
   if (src_.nand != nullptr) {
     const nand::NandGeometry& g = src_.nand->geometry();
     for (std::uint32_t c = 0; c < g.channels; ++c) {
-      const std::uint64_t d_busy = cumulative(
+      const std::uint64_t d_busy = b.Cumulative(
           "nand.ch" + std::to_string(c) + ".busy_ns",
           static_cast<std::uint64_t>(src_.nand->channel_busy_ns(c)));
-      set("gauge.nand.ch" + std::to_string(c) + ".busy_permille",
-          s.interval_ns == 0 ? 0 : d_busy * kMilliScale / s.interval_ns);
+      b.Set("gauge.nand.ch" + std::to_string(c) + ".busy_permille",
+            RatioMilli(d_busy, b.interval_ns()));
     }
     for (std::uint64_t d = 0; d < g.dies(); ++d) {
-      cumulative("nand.die" + std::to_string(d) + ".busy_ns",
-                 static_cast<std::uint64_t>(src_.nand->die_busy_ns(d)));
+      b.Cumulative("nand.die" + std::to_string(d) + ".busy_ns",
+                   static_cast<std::uint64_t>(src_.nand->die_busy_ns(d)));
     }
   }
 
   // --- FTL block accounting and GC activity ------------------------------
   if (src_.ftl != nullptr) {
-    set("gauge.ftl.free_blocks", src_.ftl->free_blocks());
-    set("gauge.ftl.reserve_blocks", src_.ftl->reserve_remaining());
-    set("gauge.ftl.bad_blocks", src_.ftl->bad_blocks());
-    set("gauge.ftl.mapped_pages", src_.ftl->mapped_pages());
-    cumulative("ftl.gc_runs", src_.ftl->gc_runs());
+    b.Set("gauge.ftl.free_blocks", src_.ftl->free_blocks());
+    b.Set("gauge.ftl.reserve_blocks", src_.ftl->reserve_remaining());
+    b.Set("gauge.ftl.bad_blocks", src_.ftl->bad_blocks());
+    b.Set("gauge.ftl.mapped_pages", src_.ftl->mapped_pages());
+    b.Cumulative("ftl.gc_runs", src_.ftl->gc_runs());
   }
 
   // --- Page buffer window -------------------------------------------------
   if (src_.buffer != nullptr) {
-    set("gauge.buffer.wp", src_.buffer->wp());
-    set("gauge.buffer.window_base", src_.buffer->window_base_addr());
-    set("gauge.buffer.resident_bytes",
-        src_.buffer->wp() - src_.buffer->window_base_addr());
-    set("gauge.buffer.dma_frontier", src_.buffer->dma_frontier());
-    set("gauge.buffer.dlt_pending", src_.buffer->dlt().size());
+    b.Set("gauge.buffer.wp", src_.buffer->wp());
+    b.Set("gauge.buffer.window_base", src_.buffer->window_base_addr());
+    b.Set("gauge.buffer.resident_bytes",
+          src_.buffer->wp() - src_.buffer->window_base_addr());
+    b.Set("gauge.buffer.dma_frontier", src_.buffer->dma_frontier());
+    b.Set("gauge.buffer.dlt_pending", src_.buffer->dlt().size());
   }
 
   // --- LSM / compaction state ---------------------------------------------
   if (src_.lsm != nullptr) {
-    set("gauge.lsm.memtable_bytes", src_.lsm->memtable_bytes());
-    set("gauge.lsm.memtable_entries", src_.lsm->memtable_entries());
-    set("gauge.lsm.pending_trim_tables", src_.lsm->pending_trim_tables());
-    set("gauge.lsm.compaction_debt_bytes", src_.lsm->CompactionDebtBytes());
-    set("gauge.lsm.flush_in_progress", src_.lsm->flush_in_progress() ? 1 : 0);
-    set("gauge.lsm.compaction_in_progress",
-        src_.lsm->compaction_in_progress() ? 1 : 0);
+    b.Set("gauge.lsm.memtable_bytes", src_.lsm->memtable_bytes());
+    b.Set("gauge.lsm.memtable_entries", src_.lsm->memtable_entries());
+    b.Set("gauge.lsm.pending_trim_tables", src_.lsm->pending_trim_tables());
+    b.Set("gauge.lsm.compaction_debt_bytes", src_.lsm->CompactionDebtBytes());
+    b.Set("gauge.lsm.flush_in_progress",
+          src_.lsm->flush_in_progress() ? 1 : 0);
+    b.Set("gauge.lsm.compaction_in_progress",
+          src_.lsm->compaction_in_progress() ? 1 : 0);
     for (int l = 0; l < src_.lsm->level_count(); ++l) {
       const std::string base = "gauge.lsm.l" + std::to_string(l);
-      set(base + ".tables", src_.lsm->TableCount(l));
-      set(base + ".bytes", src_.lsm->LevelBytes(l));
+      b.Set(base + ".tables", src_.lsm->TableCount(l));
+      b.Set(base + ".bytes", src_.lsm->LevelBytes(l));
     }
   }
 
@@ -282,115 +151,33 @@ void Sampler::TakeSample(sim::Nanoseconds stamp) {
   // QuantileFromBuckets is 0 on an all-zero delta.
   if (src_.metrics != nullptr) {
     for (const auto& [name, cur] : src_.metrics->SnapshotHistogramBuckets()) {
-      if (cur.count == 0) continue;
-      stats::HistogramBuckets& last = last_hist_[name];
-      stats::Histogram::BucketArray delta{};
-      for (int i = 0; i < stats::Histogram::kNumBuckets; ++i) {
-        delta[static_cast<std::size_t>(i)] =
-            cur.buckets[static_cast<std::size_t>(i)] -
-            last.buckets[static_cast<std::size_t>(i)];
-      }
-      const std::uint64_t d_count = cur.count - last.count;
-      const std::uint64_t d_sum = cur.sum - last.sum;
-      const std::string base = PercentileBase(name);
-      set("hist." + base + ".count", cur.count);
-      set("delta." + base + ".count", d_count);
-      set("delta." + base + ".sum", d_sum);
-      set(base + ".p50",
-          stats::Histogram::QuantileFromBuckets(delta, d_count, 500));
-      set(base + ".p95",
-          stats::Histogram::QuantileFromBuckets(delta, d_count, 950));
-      set(base + ".p99",
-          stats::Histogram::QuantileFromBuckets(delta, d_count, 990));
-      last = cur;
+      if (cur.count != 0) b.Histogram(name, cur);
     }
   }
 
   // --- Per-interval deltas and fixed-point rates --------------------------
-  set("delta.ops", d_ops);
-  set("delta.pcie.h2d_bytes", d_h2d);
-  set("delta.pcie.d2h_bytes", d_d2h);
-  set("delta.value_bytes", d_value_bytes);
-  set("delta.nand.pages_programmed", d_pages);
-  set("delta.nvme.timeouts", d_timeouts);
-  set("delta.nvme.retries", d_retries);
-  set("delta.nand.program_failures", d_prog_fail);
-  set("delta.nand.ecc_corrections", d_ecc);
-  set("delta.lsm.memtable_stalls", d_stalls);
-  set("delta.lsm.compactions", d_compactions);
-  set("delta.lsm.compaction_bytes_written", d_comp_bytes);
+  b.Set("delta.ops", d_ops);
+  b.Set("delta.pcie.h2d_bytes", d_h2d);
+  b.Set("delta.pcie.d2h_bytes", d_d2h);
+  b.Set("delta.value_bytes", d_value_bytes);
+  b.Set("delta.nand.pages_programmed", d_pages);
+  b.Set("delta.nvme.timeouts", d_timeouts);
+  b.Set("delta.nvme.retries", d_retries);
+  b.Set("delta.nand.program_failures", d_prog_fail);
+  b.Set("delta.nand.ecc_corrections", d_ecc);
+  b.Set("delta.lsm.memtable_stalls", d_stalls);
+  b.Set("delta.lsm.compactions", d_compactions);
+  b.Set("delta.lsm.compaction_bytes_written", d_comp_bytes);
 
-  set("rate.ops_per_sec_milli", PerSecondMilli(d_ops, s.interval_ns));
-  set("rate.pcie.h2d_bytes_per_sec", PerSecond(d_h2d, s.interval_ns));
-  set("rate.pcie.d2h_bytes_per_sec", PerSecond(d_d2h, s.interval_ns));
-  set("rate.taf_milli", RatioMilli(d_h2d, d_value_bytes));
+  b.Set("rate.ops_per_sec_milli", PerSecondMilli(d_ops, b.interval_ns()));
+  b.Set("rate.pcie.h2d_bytes_per_sec", PerSecond(d_h2d, b.interval_ns()));
+  b.Set("rate.pcie.d2h_bytes_per_sec", PerSecond(d_d2h, b.interval_ns()));
+  b.Set("rate.taf_milli", RatioMilli(d_h2d, d_value_bytes));
   const std::size_t page_size =
       src_.nand != nullptr ? src_.nand->geometry().page_size : kNandPageSize;
-  set("rate.waf_milli", RatioMilli(d_pages * page_size, d_value_bytes));
-  set("total.taf_milli", RatioMilli(cum_h2d, cum_value_bytes));
-  set("total.waf_milli", RatioMilli(cum_pages * page_size, cum_value_bytes));
-  (void)cum_ops;
-  (void)cum_d2h;
-  (void)cum_timeouts;
-  (void)cum_retries;
-  (void)cum_prog_fail;
-  (void)cum_ecc;
-
-  // Series ids are assigned in first-appearance order; a counter created
-  // mid-run lands mid-snapshot with a high id, so restore id order for
-  // Sample::Value()'s binary search.
-  std::sort(s.values.begin(), s.values.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  // Events emitted from here on (watchdog alerts) belong *after* this
-  // sample in the timeline; the exporters use this to break timestamp ties.
-  s.events_before = event_log_.total_emitted();
-
-  last_sample_ns_ = stamp;
-  if (samples_.size() == config_.sample_capacity) {
-    samples_.pop_front();
-    ++dropped_samples_;
-  }
-  samples_.push_back(std::move(s));
-  watchdog_.Evaluate(samples_.back(), series_, &event_log_);
-
-  // Control tick: the observer sees the finalized sample plus this
-  // interval's watchdog edges, and may actuate device knobs. Any clock time
-  // it spends is charged to the op whose Poll() crossed the boundary.
-  if (observer_ != nullptr) observer_->OnSample(samples_.back());
-
-  // Rendering is O(samples), so publish on a sample-count cadence only;
-  // Finalize publishes the closing sample regardless.
-  if (config_.publish_every != 0 &&
-      samples_.back().seq % config_.publish_every == 0) {
-    PublishSnapshot();
-  }
-}
-
-void Sampler::PublishSnapshot() {
-  if (sink_ == nullptr || samples_.empty() ||
-      samples_.back().seq == last_published_seq_) {
-    return;
-  }
-  auto snap = std::make_shared<PublishedSnapshot>();
-  snap->sample_seq = samples_.back().seq;
-  snap->t_ns = samples_.back().t_ns;
-  snap->metrics_text = ToPrometheusText(*this);
-  snap->timeline_jsonl = ToJsonl(*this);
-  std::string health = "{\"status\":\"ok\",\"sample_seq\":";
-  health += std::to_string(snap->sample_seq);
-  health += ",\"t_ns\":";
-  health += std::to_string(snap->t_ns);
-  health += ",\"samples\":";
-  health += std::to_string(next_seq_);
-  health += ",\"events\":";
-  health += std::to_string(event_log_.total_emitted());
-  health += ",\"alerts_fired\":";
-  health += std::to_string(watchdog_.total_fired());
-  health += "}\n";
-  snap->healthz_json = std::move(health);
-  last_published_seq_ = snap->sample_seq;
-  sink_->Publish(std::move(snap));
+  b.Set("rate.waf_milli", RatioMilli(d_pages * page_size, d_value_bytes));
+  b.Set("total.taf_milli", RatioMilli(cum_h2d, cum_value_bytes));
+  b.Set("total.waf_milli", RatioMilli(cum_pages * page_size, cum_value_bytes));
 }
 
 }  // namespace bandslim::telemetry

@@ -18,6 +18,7 @@
 #include "core/kvssd.h"
 #include "stats/metrics.h"
 #include "telemetry/attribution/attribution.h"
+#include "telemetry/export.h"
 #include "telemetry/fleet.h"
 #include "telemetry/sample.h"
 #include "telemetry/watchdog.h"
@@ -30,16 +31,29 @@ using cluster::ClusterConfig;
 using cluster::KvCluster;
 using cluster::TenantConfig;
 
-std::uint64_t V(const SeriesTable& table, const Sample& s,
-                const std::string& name) {
-  const std::int64_t id = table.Find(name);
-  return id < 0 ? 0 : s.Value(static_cast<std::uint32_t>(id));
-}
+// A bare timeline with the plane as its only source, stepped one 1 ms
+// sample at a time — the plane folded in the way FleetAggregator folds it.
+class PlaneTimeline : public Timeline {
+ public:
+  PlaneTimeline(sim::VirtualClock* clock, AttributionPlane* plane)
+      : Timeline(clock, {true, sim::kMillisecond, {}}, "plane_samples_total",
+                 "Samples."),
+        clock_(clock),
+        plane_(plane) {
+    Anchor();
+  }
+  void Step() {
+    clock_->Advance(sim::kMillisecond);
+    Poll();
+  }
+  AttributionPlane::FleetTotals totals;
 
-std::uint64_t FleetValue(const FleetAggregator& fleet, const Sample& s,
-                         const std::string& name) {
-  return V(fleet.series(), s, name);
-}
+ private:
+  void Collect(SampleBuilder& b) override { plane_->OnFleetSample(b, totals); }
+
+  sim::VirtualClock* clock_;
+  AttributionPlane* plane_;
+};
 
 // --- Unit level: the plane driven directly ----------------------------------
 
@@ -74,44 +88,38 @@ TEST(AttributionPlaneTest, SloLedgerHandComputed) {
   EXPECT_EQ(t.requested_bytes, 64u);
   EXPECT_EQ(plane.tenant_latency(0).count(), 5u);
 
-  SeriesTable table;
-  AttributionPlane::FleetTotals totals;
-  Sample s1;
-  s1.interval_ns = sim::kMillisecond;
-  plane.OnFleetSample(&s1, &table, totals);
+  sim::VirtualClock clock;
+  PlaneTimeline timeline(&clock, &plane);
+  timeline.Step();
 
   // Burn = bad-share / allowed-share x1000: 3 bad of 5 ops = 600 permille
   // bad over a 10-permille allowance -> 60000 milli on both windows; the
   // lifetime budget spend is the same ratio in permille of the budget.
-  EXPECT_EQ(V(table, s1, "tenant0.slo.good"), 2u);
-  EXPECT_EQ(V(table, s1, "tenant0.slo.bad"), 3u);
-  EXPECT_EQ(V(table, s1, "tenant0.slo.delta.bad"), 3u);
-  EXPECT_EQ(V(table, s1, "tenant0.slo.burn_fast_milli"), 60000u);
-  EXPECT_EQ(V(table, s1, "tenant0.slo.burn_slow_milli"), 60000u);
-  EXPECT_EQ(V(table, s1, "tenant0.slo.budget_spent_permille"), 60000u);
-  EXPECT_EQ(V(table, s1, "tenant0.ops"), 5u);
-  EXPECT_EQ(V(table, s1, "tenant0.delta.ops"), 5u);
-  EXPECT_EQ(V(table, s1, "tenant0.shed"), 1u);
-  EXPECT_EQ(V(table, s1, "tenant0.errors"), 1u);
+  EXPECT_EQ(timeline.Latest("tenant0.slo.good"), 2u);
+  EXPECT_EQ(timeline.Latest("tenant0.slo.bad"), 3u);
+  EXPECT_EQ(timeline.Latest("tenant0.slo.delta.bad"), 3u);
+  EXPECT_EQ(timeline.Latest("tenant0.slo.burn_fast_milli"), 60000u);
+  EXPECT_EQ(timeline.Latest("tenant0.slo.burn_slow_milli"), 60000u);
+  EXPECT_EQ(timeline.Latest("tenant0.slo.budget_spent_permille"), 60000u);
+  EXPECT_EQ(timeline.Latest("tenant0.ops"), 5u);
+  EXPECT_EQ(timeline.Latest("tenant0.delta.ops"), 5u);
+  EXPECT_EQ(timeline.Latest("tenant0.shed"), 1u);
+  EXPECT_EQ(timeline.Latest("tenant0.errors"), 1u);
   EXPECT_EQ(plane.slo_state(0).burn_fast_milli, 60000u);
 
   // A quiet interval: the fast window (1 interval) empties and reads 0, the
   // slow window (2 intervals) still holds the bad burst; lifetime budget
   // spend does not decay.
-  Sample s2;
-  s2.interval_ns = sim::kMillisecond;
-  plane.OnFleetSample(&s2, &table, totals);
-  EXPECT_EQ(V(table, s2, "tenant0.slo.delta.bad"), 0u);
-  EXPECT_EQ(V(table, s2, "tenant0.slo.burn_fast_milli"), 0u);
-  EXPECT_EQ(V(table, s2, "tenant0.slo.burn_slow_milli"), 60000u);
-  EXPECT_EQ(V(table, s2, "tenant0.slo.budget_spent_permille"), 60000u);
+  timeline.Step();
+  EXPECT_EQ(timeline.Latest("tenant0.slo.delta.bad"), 0u);
+  EXPECT_EQ(timeline.Latest("tenant0.slo.burn_fast_milli"), 0u);
+  EXPECT_EQ(timeline.Latest("tenant0.slo.burn_slow_milli"), 60000u);
+  EXPECT_EQ(timeline.Latest("tenant0.slo.budget_spent_permille"), 60000u);
 
   // One more quiet interval rolls the burst out of the slow window too.
-  Sample s3;
-  s3.interval_ns = sim::kMillisecond;
-  plane.OnFleetSample(&s3, &table, totals);
-  EXPECT_EQ(V(table, s3, "tenant0.slo.burn_slow_milli"), 0u);
-  EXPECT_EQ(V(table, s3, "tenant0.slo.budget_spent_permille"), 60000u);
+  timeline.Step();
+  EXPECT_EQ(timeline.Latest("tenant0.slo.burn_slow_milli"), 0u);
+  EXPECT_EQ(timeline.Latest("tenant0.slo.budget_spent_permille"), 60000u);
 }
 
 TEST(AttributionPlaneTest, ChargeBracketingAndUntaggedResidual) {
@@ -146,33 +154,30 @@ TEST(AttributionPlaneTest, ChargeBracketingAndUntaggedResidual) {
   EXPECT_EQ(t.pcie_h2d_bytes, 40u);
   EXPECT_EQ(t.nand_pages, 2u);
 
-  SeriesTable table;
-  AttributionPlane::FleetTotals totals;
+  sim::VirtualClock clock;
+  PlaneTimeline timeline(&clock, &plane);
+  AttributionPlane::FleetTotals& totals = timeline.totals;
   totals.ops = 8;
   totals.value_bytes = 107;
   totals.pcie_h2d_bytes = 40;
   totals.nand_pages = 2;
-  Sample s1;
-  s1.interval_ns = sim::kMillisecond;
-  plane.OnFleetSample(&s1, &table, totals);
+  timeline.Step();
 
   EXPECT_EQ(plane.untagged().dev_ops, 5u);
   EXPECT_EQ(plane.untagged().value_bytes, 7u);
   EXPECT_EQ(plane.untagged().pcie_h2d_bytes, 0u);
-  EXPECT_EQ(V(table, s1, "tenant0.dev.ops"), 3u);
-  EXPECT_EQ(V(table, s1, "tenant0.delta.dev.ops"), 3u);
-  EXPECT_EQ(V(table, s1, "untagged.dev.ops"), 5u);
-  EXPECT_EQ(V(table, s1, "untagged.delta.dev.ops"), 5u);
-  EXPECT_EQ(V(table, s1, "untagged.delta.value_bytes"), 7u);
+  EXPECT_EQ(timeline.Latest("tenant0.dev.ops"), 3u);
+  EXPECT_EQ(timeline.Latest("tenant0.delta.dev.ops"), 3u);
+  EXPECT_EQ(timeline.Latest("untagged.dev.ops"), 5u);
+  EXPECT_EQ(timeline.Latest("untagged.delta.dev.ops"), 5u);
+  EXPECT_EQ(timeline.Latest("untagged.delta.value_bytes"), 7u);
 
   // No traffic since: cumulatives hold, every delta reads 0.
-  Sample s2;
-  s2.interval_ns = sim::kMillisecond;
-  plane.OnFleetSample(&s2, &table, totals);
-  EXPECT_EQ(V(table, s2, "tenant0.dev.ops"), 3u);
-  EXPECT_EQ(V(table, s2, "tenant0.delta.dev.ops"), 0u);
-  EXPECT_EQ(V(table, s2, "untagged.delta.dev.ops"), 0u);
-  EXPECT_EQ(V(table, s2, "untagged.delta.value_bytes"), 0u);
+  timeline.Step();
+  EXPECT_EQ(timeline.Latest("tenant0.dev.ops"), 3u);
+  EXPECT_EQ(timeline.Latest("tenant0.delta.dev.ops"), 0u);
+  EXPECT_EQ(timeline.Latest("untagged.delta.dev.ops"), 0u);
+  EXPECT_EQ(timeline.Latest("untagged.delta.value_bytes"), 0u);
 }
 
 TEST(AttributionPlaneTest, HeatSharesComputeBeforeDecay) {
@@ -189,28 +194,24 @@ TEST(AttributionPlaneTest, HeatSharesComputeBeforeDecay) {
   plane.TouchKey(0);
   plane.TouchKey(0);
 
-  SeriesTable table;
-  AttributionPlane::FleetTotals totals;
-  Sample s1;
-  s1.interval_ns = sim::kMillisecond;
-  plane.OnFleetSample(&s1, &table, totals);
+  sim::VirtualClock clock;
+  PlaneTimeline timeline(&clock, &plane);
+  timeline.Step();
   // Shares are computed on the PRE-decay weights (8 of 10 in bucket 3),
   // then every bucket keeps 500 permille.
-  EXPECT_EQ(V(table, s1, "heat.touches"), 10u);
-  EXPECT_EQ(V(table, s1, "heat.weight"), 10u);
-  EXPECT_EQ(V(table, s1, "heat.max_share_permille"), 800u);
-  EXPECT_EQ(V(table, s1, "heat.hot_range"), 3u);
+  EXPECT_EQ(timeline.Latest("heat.touches"), 10u);
+  EXPECT_EQ(timeline.Latest("heat.weight"), 10u);
+  EXPECT_EQ(timeline.Latest("heat.max_share_permille"), 800u);
+  EXPECT_EQ(timeline.Latest("heat.hot_range"), 3u);
   EXPECT_EQ(plane.heat()[3], 4u);
   EXPECT_EQ(plane.heat()[0], 1u);
 
   // No touches: the trailing-window gauge decays toward zero but the share
   // stays pinned on the same hot range until it fully evaporates.
-  Sample s2;
-  s2.interval_ns = sim::kMillisecond;
-  plane.OnFleetSample(&s2, &table, totals);
-  EXPECT_EQ(V(table, s2, "heat.touches"), 10u);  // Lifetime, no decay.
-  EXPECT_EQ(V(table, s2, "heat.weight"), 5u);
-  EXPECT_EQ(V(table, s2, "heat.max_share_permille"), 800u);
+  timeline.Step();
+  EXPECT_EQ(timeline.Latest("heat.touches"), 10u);  // Lifetime, no decay.
+  EXPECT_EQ(timeline.Latest("heat.weight"), 5u);
+  EXPECT_EQ(timeline.Latest("heat.max_share_permille"), 800u);
   EXPECT_EQ(plane.heat()[3], 2u);
   EXPECT_EQ(plane.heat()[0], 0u);
 }
@@ -285,6 +286,28 @@ TEST(AttributionClusterTest, OpenRequiresFleetTelemetryAndMatchingSlos) {
   ASSERT_FALSE(r2.ok());
   EXPECT_NE(r2.status().message().find("more entries than tenants"),
             std::string::npos);
+
+  // Tenant names are exported verbatim as label values and JSON strings:
+  // quoting characters, empty names, the residual row's "untagged" label
+  // and duplicates are refused up front.
+  for (const char* bad : {"fe\"x", "", "untagged", "a b", "t{0}"}) {
+    ClusterConfig named = AttrCluster(2);
+    named.tenants[1].name = bad;
+    const auto r = KvCluster::Open(named);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  ClusterConfig dup = AttrCluster(2);
+  dup.tenants[1].name = dup.tenants[0].name;
+  const auto r3 = KvCluster::Open(dup);
+  ASSERT_FALSE(r3.ok());
+  EXPECT_NE(r3.status().message().find("distinct"), std::string::npos);
+  // The same names are fine when attribution is off (nothing exports them).
+  dup.attribution.enabled = false;
+  EXPECT_TRUE(KvCluster::Open(dup).ok());
+  ClusterConfig ok_names = AttrCluster(2);
+  ok_names.tenants[0].name = "web-1.fe_A";
+  EXPECT_TRUE(KvCluster::Open(ok_names).ok());
 }
 
 TEST(AttributionClusterTest, ChargesReconcileExactlyAndTelescope) {
@@ -352,12 +375,12 @@ TEST(AttributionClusterTest, ChargesReconcileExactlyAndTelescope) {
   };
   for (const Sample& s : agg.samples()) {
     for (const Dim& d : dims) {
-      std::uint64_t attributed = FleetValue(agg, s, d.untagged_delta);
+      std::uint64_t attributed = SampleValue(agg, s, d.untagged_delta);
       for (std::size_t t = 0; t < plane.num_tenants(); ++t) {
-        attributed += FleetValue(
+        attributed += SampleValue(
             agg, s, "tenant" + std::to_string(t) + d.tenant_suffix);
       }
-      EXPECT_EQ(attributed, FleetValue(agg, s, d.fleet_delta))
+      EXPECT_EQ(attributed, SampleValue(agg, s, d.fleet_delta))
           << d.fleet_delta << " seq " << s.seq;
     }
   }

@@ -22,7 +22,7 @@ namespace {
 
 class WatchdogHysteresisTest : public ::testing::Test {
  protected:
-  telemetry::Sampler MakeSampler(telemetry::TelemetryConfig cfg) {
+  telemetry::Sampler MakeSampler(telemetry::TimelineConfig cfg) {
     cfg.enabled = true;
     cfg.sample_interval_ns = sim::kMillisecond;
     telemetry::Sampler sampler(&clock_, cfg);
@@ -44,7 +44,7 @@ TEST_F(WatchdogHysteresisTest, DeadbandClearRequiresConsecutiveQuiet) {
                                telemetry::WatchdogRule::Cmp::kAbove, 2000, 1};
   rule.clear_threshold = 1500;
   rule.clear_for_intervals = 2;
-  telemetry::TelemetryConfig cfg;
+  telemetry::TimelineConfig cfg;
   cfg.rules = {rule};
   telemetry::Sampler sampler = MakeSampler(cfg);
   stats::Counter* ops = metrics_.GetCounter("nvme.commands_submitted");
@@ -92,7 +92,7 @@ TEST_F(WatchdogHysteresisTest, RetryStormHoldsThroughBurstGaps) {
   // (retries, quiet, retries, quiet ...) re-fired the alert every burst.
   // With deassert hysteresis of 4 the alert stays active across the gaps
   // and fires once per storm, not once per burst.
-  telemetry::TelemetryConfig cfg;
+  telemetry::TimelineConfig cfg;
   cfg.rules = {telemetry::RetryStormRule(/*retries=*/1, /*n=*/1,
                                          /*clear_n=*/4)};
   telemetry::Sampler sampler = MakeSampler(cfg);

@@ -19,6 +19,7 @@
 #include "cluster/kv_cluster.h"
 #include "core/kvssd.h"
 #include "stats/histogram.h"
+#include "telemetry/export.h"
 #include "telemetry/fleet.h"
 #include "telemetry/http_exporter.h"
 #include "trace/trace.h"
@@ -68,12 +69,6 @@ std::vector<std::string> KeysOwnedBy(const KvCluster& fleet,
     if (fleet.ShardOf(key) == shard) keys.push_back(std::move(key));
   }
   return keys;
-}
-
-std::uint64_t SampleValue(const FleetAggregator& fleet, const Sample& s,
-                          const std::string& name) {
-  const std::int64_t id = fleet.series().Find(name);
-  return id < 0 ? 0 : s.Value(static_cast<std::uint32_t>(id));
 }
 
 // --- Mergeable percentiles ---------------------------------------------------
@@ -422,15 +417,15 @@ TEST(FleetHttpTest, ScrapeServesClusterAndShardDocuments) {
 }
 
 TEST(FleetHttpTest, ShardsRouteIs404OnSingleDeviceSnapshots) {
-  // A snapshot without a per-shard document — what the single-device
+  // A route table without a per-shard document — what the single-device
   // Sampler publishes — leaves the fleet route unmapped.
   HttpExporter server;
   ASSERT_TRUE(server.Start(0).ok());
   auto snap = std::make_shared<PublishedSnapshot>();
   snap->sample_seq = 1;
-  snap->metrics_text = "metric 1\n";
-  snap->timeline_jsonl = "{}\n";
-  snap->healthz_json = "{\"status\":\"ok\"}\n";
+  snap->routes = {{"/metrics", "text/plain", "metric 1\n"},
+                  {"/timeline.jsonl", "application/x-ndjson", "{}\n"},
+                  {"/healthz", "application/json", "{\"status\":\"ok\"}\n"}};
   server.Publish(std::move(snap));
   ASSERT_TRUE(HttpGet(server.port(), "/metrics").ok());
   const auto shards = HttpGet(server.port(), "/shards.jsonl");

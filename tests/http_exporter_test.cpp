@@ -1,5 +1,5 @@
-// HTTP exporter tests: server lifecycle on ephemeral ports, routing
-// (/metrics, /timeline.jsonl, /healthz, 404, 503-before-first-publish),
+// HTTP exporter tests: server lifecycle on ephemeral ports, route-table
+// serving (/metrics, /timeline.jsonl, /healthz, 404, 503-before-first-publish),
 // snapshot swap semantics, and the end-to-end guarantee the CI scrape relies
 // on — the bytes served over a real loopback socket equal the in-process
 // exports at the same sample seq.
@@ -20,11 +20,18 @@ std::shared_ptr<PublishedSnapshot> MakeSnapshot(std::uint64_t seq) {
   auto snap = std::make_shared<PublishedSnapshot>();
   snap->sample_seq = seq;
   snap->t_ns = seq * 1000;
-  snap->metrics_text = "# seq " + std::to_string(seq) + "\nmetric 1\n";
-  snap->timeline_jsonl = "{\"seq\":" + std::to_string(seq) + "}\n";
-  snap->healthz_json = "{\"status\":\"ok\",\"sample_seq\":" +
-                       std::to_string(seq) + "}\n";
+  snap->routes = {
+      {"/metrics", "text/plain; version=0.0.4; charset=utf-8",
+       "# seq " + std::to_string(seq) + "\nmetric 1\n"},
+      {"/timeline.jsonl", "application/x-ndjson",
+       "{\"seq\":" + std::to_string(seq) + "}\n"},
+      {"/healthz", "application/json",
+       "{\"status\":\"ok\",\"sample_seq\":" + std::to_string(seq) + "}\n"}};
   return snap;
+}
+
+void AddSloRoute(PublishedSnapshot* snap, std::string body) {
+  snap->routes.push_back({"/slo.jsonl", "application/x-ndjson", std::move(body)});
 }
 
 TEST(HttpExporterTest, StartStopLifecycle) {
@@ -86,7 +93,7 @@ TEST(HttpExporterTest, HeadMatchesGetHeadersWithoutBody) {
   HttpExporter server;
   ASSERT_TRUE(server.Start(0).ok());
   auto snap = MakeSnapshot(3);
-  snap->slo_jsonl = "{\"tenant\":0}\n";
+  AddSloRoute(snap.get(), "{\"tenant\":0}\n");
   server.Publish(std::move(snap));
 
   for (const char* path : {"/metrics", "/timeline.jsonl", "/slo.jsonl",
@@ -128,7 +135,7 @@ TEST(HttpExporterTest, NonGetMethodsAnswer405WithAllow) {
 TEST(HttpExporterTest, SloRouteServesPublishedDocumentOr404) {
   HttpExporter server;
   ASSERT_TRUE(server.Start(0).ok());
-  // Snapshot without an SLO document (attribution disabled): 404, so a
+  // Snapshot without an SLO route (attribution disabled): 404, so a
   // scraper can tell "no attribution" from "empty attribution".
   server.Publish(MakeSnapshot(5));
   const auto missing = HttpGet(server.port(), "/slo.jsonl");
@@ -136,7 +143,7 @@ TEST(HttpExporterTest, SloRouteServesPublishedDocumentOr404) {
   EXPECT_NE(missing.status().message().find("404"), std::string::npos);
 
   auto snap = MakeSnapshot(6);
-  snap->slo_jsonl = "{\"tenant\":0,\"name\":\"frontend\"}\n";
+  AddSloRoute(snap.get(), "{\"tenant\":0,\"name\":\"frontend\"}\n");
   server.Publish(std::move(snap));
   const auto slo = HttpGet(server.port(), "/slo.jsonl");
   ASSERT_TRUE(slo.ok());

@@ -1,135 +1,177 @@
-// Telemetry tests: sampler boundary stamping and delta/rate arithmetic
-// against hand-computed values, watchdog edge-trigger semantics, full-device
-// reconciliation (telescoping deltas == final counters), byte-identical
+// Telemetry tests: timeline boundary stamping and delta/rate arithmetic
+// against hand-computed values (device and fleet sources alike), watchdog
+// edge-trigger semantics, full-device reconciliation (telescoping deltas == final counters), byte-identical
 // exports across runs, alert behavior under fault storms vs clean runs, and
 // the disabled-telemetry invariance guarantee.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/kvssd.h"
 #include "telemetry/export.h"
+#include "telemetry/fleet.h"
 #include "telemetry/telemetry.h"
 #include "workload/value_gen.h"
 
 namespace bandslim::telemetry {
 namespace {
 
-// --- Sampler unit tests (no device, hand-driven clock) ---------------------
+// --- Timeline unit tests (no device, hand-driven clock) --------------------
+// The grid, Finalize, publish cadence and export ordering live once in
+// Timeline. Every test drives both of its sources in lockstep — the device
+// Sampler and a fleet aggregator over the same one-shard registry — and
+// asserts the same numbers on each.
 
 class SamplerUnitTest : public ::testing::Test {
  protected:
-  Sampler MakeSampler(TelemetryConfig cfg) {
+  void Make(TimelineConfig cfg = {}) {
     cfg.enabled = true;
     cfg.sample_interval_ns = sim::kMillisecond;
-    Sampler sampler(&clock_, cfg);
+    sampler_ = std::make_unique<Sampler>(&clock_, cfg);
     Sampler::Sources src;
     src.metrics = &metrics_;
-    sampler.Bind(src);
-    return sampler;
+    sampler_->Bind(src);
+    fleet_ = std::make_unique<FleetAggregator>(&clock_, cfg);
+    fleet_->Bind({{&metrics_, &clock_}}, nullptr, {});
+    planes_ = {sampler_.get(), fleet_.get()};
+  }
+  void Poll() {
+    for (Timeline* t : planes_) t->Poll();
+  }
+  void Finalize() {
+    for (Timeline* t : planes_) t->Finalize();
+  }
+  const char* Name(const Timeline* t) const {
+    return t == sampler_.get() ? "device" : "fleet";
   }
 
   sim::VirtualClock clock_;
   stats::MetricsRegistry metrics_;
+  std::unique_ptr<Sampler> sampler_;
+  std::unique_ptr<FleetAggregator> fleet_;
+  std::vector<Timeline*> planes_;
 };
 
 TEST_F(SamplerUnitTest, StampsAtIntervalBoundaries) {
-  Sampler sampler = MakeSampler({});
+  Make();
   stats::Counter* ops = metrics_.GetCounter("nvme.commands_submitted");
 
   // Inside the first interval: no boundary crossed, no sample.
   clock_.Advance(500'000);
-  sampler.Poll();
-  EXPECT_TRUE(sampler.samples().empty());
+  Poll();
+  for (Timeline* t : planes_) EXPECT_TRUE(t->samples().empty()) << Name(t);
 
   // Crossing 1 ms: one sample stamped exactly at the boundary.
   ops->Add(3);
   clock_.Advance(1'000'000);  // now = 1.5 ms
-  sampler.Poll();
-  ASSERT_EQ(sampler.samples().size(), 1u);
-  EXPECT_EQ(sampler.samples().back().t_ns, 1'000'000u);
-  EXPECT_EQ(sampler.samples().back().interval_ns, 1'000'000u);
-  EXPECT_EQ(sampler.Latest("delta.ops"), 3u);
-  // 3 ops over exactly 1 ms = 3000 ops/s = 3'000'000 milli-ops/s.
-  EXPECT_EQ(sampler.Latest("rate.ops_per_sec_milli"), 3'000'000u);
+  Poll();
+  for (Timeline* t : planes_) {
+    SCOPED_TRACE(Name(t));
+    ASSERT_EQ(t->samples().size(), 1u);
+    EXPECT_EQ(t->samples().back().t_ns, 1'000'000u);
+    EXPECT_EQ(t->samples().back().interval_ns, 1'000'000u);
+    EXPECT_EQ(t->Latest("delta.ops"), 3u);
+    // 3 ops over exactly 1 ms = 3000 ops/s = 3'000'000 milli-ops/s.
+    EXPECT_EQ(t->Latest("rate.ops_per_sec_milli"), 3'000'000u);
+  }
 
   // A burst crossing three boundaries yields ONE sample stamped at the last
   // crossed boundary, with rates divided by the true 3 ms span.
   ops->Add(10);
   clock_.Advance(3'200'000);  // now = 4.7 ms
-  sampler.Poll();
-  ASSERT_EQ(sampler.samples().size(), 2u);
-  EXPECT_EQ(sampler.samples().back().t_ns, 4'000'000u);
-  EXPECT_EQ(sampler.samples().back().interval_ns, 3'000'000u);
-  EXPECT_EQ(sampler.Latest("delta.ops"), 10u);
-  // floor(10e9/3e6)*1000 + (10e9 mod 3e6)*1000/3e6 = 3'333'333.
-  EXPECT_EQ(sampler.Latest("rate.ops_per_sec_milli"), 3'333'333u);
+  Poll();
+  for (Timeline* t : planes_) {
+    SCOPED_TRACE(Name(t));
+    ASSERT_EQ(t->samples().size(), 2u);
+    EXPECT_EQ(t->samples().back().t_ns, 4'000'000u);
+    EXPECT_EQ(t->samples().back().interval_ns, 3'000'000u);
+    EXPECT_EQ(t->Latest("delta.ops"), 10u);
+    // floor(10e9/3e6)*1000 + (10e9 mod 3e6)*1000/3e6 = 3'333'333.
+    EXPECT_EQ(t->Latest("rate.ops_per_sec_milli"), 3'333'333u);
+  }
 
   // No boundary since the last sample: Poll is a no-op.
-  sampler.Poll();
-  EXPECT_EQ(sampler.samples().size(), 2u);
+  Poll();
+  for (Timeline* t : planes_) EXPECT_EQ(t->samples().size(), 2u) << Name(t);
 }
 
 TEST_F(SamplerUnitTest, FinalizeClosesAtExactNowAndIsIdempotent) {
-  Sampler sampler = MakeSampler({});
+  Make();
   stats::Counter* ops = metrics_.GetCounter("nvme.commands_submitted");
 
   ops->Add(4);
   clock_.Advance(1'100'000);
-  sampler.Poll();
-  ASSERT_EQ(sampler.samples().size(), 1u);
+  Poll();
+  for (Timeline* t : planes_) ASSERT_EQ(t->samples().size(), 1u) << Name(t);
 
   // Finalize stamps off-grid at the current time so the closing sample's
   // cumulative series match the final counters.
   ops->Add(1);
   clock_.Advance(600'000);  // now = 1.7 ms, 0.7 ms past the 1 ms stamp
-  sampler.Finalize();
-  ASSERT_EQ(sampler.samples().size(), 2u);
-  EXPECT_EQ(sampler.samples().back().t_ns, 1'700'000u);
-  EXPECT_EQ(sampler.samples().back().interval_ns, 700'000u);
-  EXPECT_EQ(sampler.Latest("delta.ops"), 1u);
-  // floor(1e9/7e5)*1000 + (1e9 mod 7e5)*1000/7e5 = 1'428'571.
-  EXPECT_EQ(sampler.Latest("rate.ops_per_sec_milli"), 1'428'571u);
-  EXPECT_EQ(sampler.Latest("nvme.commands_submitted"), 5u);
+  Finalize();
+  for (Timeline* t : planes_) {
+    SCOPED_TRACE(Name(t));
+    ASSERT_EQ(t->samples().size(), 2u);
+    EXPECT_EQ(t->samples().back().t_ns, 1'700'000u);
+    EXPECT_EQ(t->samples().back().interval_ns, 700'000u);
+    EXPECT_EQ(t->Latest("delta.ops"), 1u);
+    // floor(1e9/7e5)*1000 + (1e9 mod 7e5)*1000/7e5 = 1'428'571.
+    EXPECT_EQ(t->Latest("rate.ops_per_sec_milli"), 1'428'571u);
+    EXPECT_EQ(t->Latest("nvme.commands_submitted"), 5u);
+  }
 
   // Same time, nothing new: no duplicate closing sample.
-  sampler.Finalize();
-  EXPECT_EQ(sampler.samples().size(), 2u);
-  EXPECT_EQ(sampler.samples_emitted(), 2u);
-  EXPECT_EQ(sampler.dropped_samples(), 0u);
+  Finalize();
+  for (Timeline* t : planes_) {
+    SCOPED_TRACE(Name(t));
+    EXPECT_EQ(t->samples().size(), 2u);
+    EXPECT_EQ(t->samples_emitted(), 2u);
+    EXPECT_EQ(t->dropped_samples(), 0u);
+  }
 }
 
 TEST_F(SamplerUnitTest, WatchdogEdgeTriggersAndRearms) {
-  TelemetryConfig cfg;
+  TimelineConfig cfg;
   cfg.rules = {ZeroOpStallRule(/*n=*/2)};
-  Sampler sampler = MakeSampler(cfg);
+  Make(cfg);
   stats::Counter* ops = metrics_.GetCounter("nvme.commands_submitted");
 
   const auto step = [&](std::uint64_t add_ops) {
     ops->Add(add_ops);
     clock_.Advance(sim::kMillisecond);
-    sampler.Poll();
+    Poll();
+  };
+  const auto fired = [&](const Timeline* t) {
+    return t->watchdog().states()[0].fired;
+  };
+  const auto active = [&](const Timeline* t) {
+    return t->watchdog().states()[0].active;
   };
 
   step(0);  // holding = 1: below for_intervals, silent.
-  EXPECT_EQ(sampler.watchdog().states()[0].fired, 0u);
+  for (Timeline* t : planes_) EXPECT_EQ(fired(t), 0u) << Name(t);
   step(0);  // holding = 2: FIRES.
-  EXPECT_EQ(sampler.watchdog().states()[0].fired, 1u);
-  EXPECT_TRUE(sampler.watchdog().states()[0].active);
+  for (Timeline* t : planes_) {
+    EXPECT_EQ(fired(t), 1u) << Name(t);
+    EXPECT_TRUE(active(t)) << Name(t);
+  }
   step(0);  // Still holding: stays active, no re-fire.
-  EXPECT_EQ(sampler.watchdog().states()[0].fired, 1u);
+  for (Timeline* t : planes_) EXPECT_EQ(fired(t), 1u) << Name(t);
   step(5);  // Condition breaks: re-arms.
-  EXPECT_FALSE(sampler.watchdog().states()[0].active);
+  for (Timeline* t : planes_) EXPECT_FALSE(active(t)) << Name(t);
   step(0);
   step(0);  // Held twice again: second fire.
-  EXPECT_EQ(sampler.watchdog().states()[0].fired, 2u);
-  EXPECT_EQ(sampler.watchdog().total_fired(), 2u);
-
-  // Each fire appended one alert record carrying the rule index.
-  EXPECT_EQ(sampler.event_log().count(EventType::kAlert), 2u);
-  EXPECT_EQ(sampler.event_log().records().back().a, 0u);
+  for (Timeline* t : planes_) {
+    SCOPED_TRACE(Name(t));
+    EXPECT_EQ(fired(t), 2u);
+    EXPECT_EQ(t->watchdog().total_fired(), 2u);
+    // Each fire appended one alert record carrying the rule index.
+    EXPECT_EQ(t->event_log().count(EventType::kAlert), 2u);
+    EXPECT_EQ(t->event_log().records().back().a, 0u);
+  }
 }
 
 // --- Full-device tests ------------------------------------------------------
@@ -150,16 +192,6 @@ void RunSmallWorkload(KvSsd& ssd, int ops) {
     ASSERT_TRUE(ssd.Put("key" + std::to_string(i), ByteSpan(value)).ok());
   }
   ASSERT_TRUE(ssd.Flush().ok());
-}
-
-std::uint64_t SumSeries(const Sampler& sampler, const std::string& name) {
-  const std::int64_t id = sampler.series().Find(name);
-  if (id < 0) return 0;
-  std::uint64_t sum = 0;
-  for (const Sample& s : sampler.samples()) {
-    sum += s.Value(static_cast<std::uint32_t>(id));
-  }
-  return sum;
 }
 
 TEST(TelemetryDeviceTest, DeltasTelescopeToFinalCounters) {
@@ -304,95 +336,102 @@ TEST(TelemetryDeviceTest, PowerCycleEmitsEventAndSamplingContinues) {
             std::string::npos);
 }
 
-// --------------------- Percentile pipeline (sampler) ------------------------
+// --------------------- Percentile pipeline (timeline) -----------------------
 
 TEST_F(SamplerUnitTest, PercentileSeriesFromHistogramDeltas) {
-  Sampler sampler = MakeSampler({});
+  Make();
   stats::Histogram* h = metrics_.GetHistogram("trace.op.put.latency_ns");
 
   // Interval 1: three values of 100 ns, all in bucket [64,128).
   for (int i = 0; i < 3; ++i) h->Record(100);
   clock_.Advance(sim::kMillisecond);
-  sampler.Poll();
-  // p50: rank ceil(3*0.5) = 2, position 2 of 3 -> 64 + 64*1/3 = 85.
-  EXPECT_EQ(sampler.Latest("trace.op.put.p50"), 85u);
-  // p95/p99: rank 3, position 3 of 3 -> 64 + 64*2/3 = 106.
-  EXPECT_EQ(sampler.Latest("trace.op.put.p95"), 106u);
-  EXPECT_EQ(sampler.Latest("trace.op.put.p99"), 106u);
-  EXPECT_EQ(sampler.Latest("delta.trace.op.put.count"), 3u);
-  EXPECT_EQ(sampler.Latest("delta.trace.op.put.sum"), 300u);
-  EXPECT_EQ(sampler.Latest("hist.trace.op.put.count"), 3u);
+  Poll();
+  for (Timeline* t : planes_) {
+    SCOPED_TRACE(Name(t));
+    // p50: rank ceil(3*0.5) = 2, position 2 of 3 -> 64 + 64*1/3 = 85.
+    EXPECT_EQ(t->Latest("trace.op.put.p50"), 85u);
+    // p95/p99: rank 3, position 3 of 3 -> 64 + 64*2/3 = 106.
+    EXPECT_EQ(t->Latest("trace.op.put.p95"), 106u);
+    EXPECT_EQ(t->Latest("trace.op.put.p99"), 106u);
+    EXPECT_EQ(t->Latest("delta.trace.op.put.count"), 3u);
+    EXPECT_EQ(t->Latest("delta.trace.op.put.sum"), 300u);
+    EXPECT_EQ(t->Latest("hist.trace.op.put.count"), 3u);
+  }
 
   // Interval 2: no records. Empty-interval percentiles are 0, never NaN or
   // a stale carry-over; the cumulative count holds.
   clock_.Advance(sim::kMillisecond);
-  sampler.Poll();
-  EXPECT_EQ(sampler.Latest("trace.op.put.p50"), 0u);
-  EXPECT_EQ(sampler.Latest("trace.op.put.p99"), 0u);
-  EXPECT_EQ(sampler.Latest("delta.trace.op.put.count"), 0u);
-  EXPECT_EQ(sampler.Latest("delta.trace.op.put.sum"), 0u);
-  EXPECT_EQ(sampler.Latest("hist.trace.op.put.count"), 3u);
+  Poll();
+  for (Timeline* t : planes_) {
+    SCOPED_TRACE(Name(t));
+    EXPECT_EQ(t->Latest("trace.op.put.p50"), 0u);
+    EXPECT_EQ(t->Latest("trace.op.put.p99"), 0u);
+    EXPECT_EQ(t->Latest("delta.trace.op.put.count"), 0u);
+    EXPECT_EQ(t->Latest("delta.trace.op.put.sum"), 0u);
+    EXPECT_EQ(t->Latest("hist.trace.op.put.count"), 3u);
+  }
 
   // Interval 3: one value of 7 ns (bucket [4,8)) — the interval quantile
   // reflects only this interval, not the lifetime distribution.
   h->Record(7);
   clock_.Advance(sim::kMillisecond);
-  sampler.Poll();
-  EXPECT_EQ(sampler.Latest("trace.op.put.p50"), 4u);
-  EXPECT_EQ(sampler.Latest("trace.op.put.p99"), 4u);
-  EXPECT_EQ(sampler.Latest("delta.trace.op.put.sum"), 7u);
-  EXPECT_EQ(sampler.Latest("hist.trace.op.put.count"), 4u);
+  Poll();
+  for (Timeline* t : planes_) {
+    SCOPED_TRACE(Name(t));
+    EXPECT_EQ(t->Latest("trace.op.put.p50"), 4u);
+    EXPECT_EQ(t->Latest("trace.op.put.p99"), 4u);
+    EXPECT_EQ(t->Latest("delta.trace.op.put.sum"), 7u);
+    EXPECT_EQ(t->Latest("hist.trace.op.put.count"), 4u);
 
-  // Telescoping: interval delta counts/sums add up to the lifetime.
-  std::uint64_t dcount = 0, dsum = 0;
-  const auto cid = sampler.series().Find("delta.trace.op.put.count");
-  const auto sid = sampler.series().Find("delta.trace.op.put.sum");
-  ASSERT_GE(cid, 0);
-  ASSERT_GE(sid, 0);
-  for (const Sample& s : sampler.samples()) {
-    dcount += s.Value(static_cast<std::uint32_t>(cid));
-    dsum += s.Value(static_cast<std::uint32_t>(sid));
+    // Telescoping: interval delta counts/sums add up to the lifetime.
+    ASSERT_GE(t->series().Find("delta.trace.op.put.count"), 0);
+    ASSERT_GE(t->series().Find("delta.trace.op.put.sum"), 0);
+    EXPECT_EQ(SumSeries(*t, "delta.trace.op.put.count"), h->count());
+    EXPECT_EQ(SumSeries(*t, "delta.trace.op.put.sum"), h->sum());
   }
-  EXPECT_EQ(dcount, h->count());
-  EXPECT_EQ(dsum, h->sum());
 }
 
 TEST_F(SamplerUnitTest, HistogramWithNoRecordsEmitsNoSeries) {
-  Sampler sampler = MakeSampler({});
+  Make();
   metrics_.GetHistogram("trace.op.get.latency_ns");  // Never recorded into.
   clock_.Advance(sim::kMillisecond);
-  sampler.Poll();
-  EXPECT_LT(sampler.series().Find("trace.op.get.p50"), 0);
-  EXPECT_LT(sampler.series().Find("hist.trace.op.get.count"), 0);
+  Poll();
+  for (Timeline* t : planes_) {
+    EXPECT_LT(t->series().Find("trace.op.get.p50"), 0) << Name(t);
+    EXPECT_LT(t->series().Find("hist.trace.op.get.count"), 0) << Name(t);
+  }
 }
 
 // ------------------- Export ordering and snapshot publishing ----------------
 
 TEST_F(SamplerUnitTest, EventAtSampleBoundaryOrdersBeforeSampleAlertAfter) {
-  TelemetryConfig cfg;
+  TimelineConfig cfg;
   cfg.rules = {ZeroOpStallRule(/*n=*/1)};  // Fires on the first 0-op sample.
-  Sampler sampler = MakeSampler(cfg);
+  Make(cfg);
   metrics_.GetCounter("nvme.commands_submitted");  // delta.ops = 0.
 
   // An event emitted at exactly the boundary timestamp, before the sample
   // is taken, must serialize BEFORE the sample line; the watchdog alert the
   // sample raises (same timestamp again) must serialize AFTER it.
   clock_.Advance(sim::kMillisecond);
-  sampler.event_log().Emit(EventType::kTimeout, 7, 0);
-  sampler.Poll();
-  ASSERT_EQ(sampler.samples().size(), 1u);
-  ASSERT_EQ(sampler.event_log().records().size(), 2u);  // timeout + alert.
-  EXPECT_EQ(sampler.samples().back().events_before, 1u);
+  for (Timeline* t : planes_) t->event_log().Emit(EventType::kTimeout, 7, 0);
+  Poll();
+  for (Timeline* t : planes_) {
+    SCOPED_TRACE(Name(t));
+    ASSERT_EQ(t->samples().size(), 1u);
+    ASSERT_EQ(t->event_log().records().size(), 2u);  // timeout + alert.
+    EXPECT_EQ(t->samples().back().events_before, 1u);
 
-  const std::string jsonl = ToJsonl(sampler);
-  const std::size_t timeout_at = jsonl.find("\"type\":\"timeout\"");
-  const std::size_t sample_at = jsonl.find("\"kind\":\"sample\"");
-  const std::size_t alert_at = jsonl.find("\"type\":\"alert\"");
-  ASSERT_NE(timeout_at, std::string::npos);
-  ASSERT_NE(sample_at, std::string::npos);
-  ASSERT_NE(alert_at, std::string::npos);
-  EXPECT_LT(timeout_at, sample_at);
-  EXPECT_LT(sample_at, alert_at);
+    const std::string jsonl = ToJsonl(*t);
+    const std::size_t timeout_at = jsonl.find("\"type\":\"timeout\"");
+    const std::size_t sample_at = jsonl.find("\"kind\":\"sample\"");
+    const std::size_t alert_at = jsonl.find("\"type\":\"alert\"");
+    ASSERT_NE(timeout_at, std::string::npos);
+    ASSERT_NE(sample_at, std::string::npos);
+    ASSERT_NE(alert_at, std::string::npos);
+    EXPECT_LT(timeout_at, sample_at);
+    EXPECT_LT(sample_at, alert_at);
+  }
 }
 
 class RecordingSink : public SnapshotSink {
@@ -403,41 +442,59 @@ class RecordingSink : public SnapshotSink {
   std::vector<std::shared_ptr<const PublishedSnapshot>> published;
 };
 
+// Body of route `path` in `snap` ("" when unmapped).
+std::string Body(const PublishedSnapshot& snap, const char* path) {
+  const Route* route = snap.Find(path);
+  return route == nullptr ? "" : route->body;
+}
+
 TEST_F(SamplerUnitTest, PublishCadenceAndFinalizeAlwaysPublish) {
-  TelemetryConfig cfg;
-  cfg.publish_every = 2;
-  Sampler sampler = MakeSampler(cfg);
-  RecordingSink sink;
-  sampler.SetSink(&sink);
+  Make();
+  RecordingSink sinks[2];
+  for (std::size_t p = 0; p < planes_.size(); ++p) {
+    planes_[p]->SetSink(&sinks[p]);
+  }
   stats::Counter* ops = metrics_.GetCounter("nvme.commands_submitted");
 
-  for (int i = 0; i < 5; ++i) {
+  const std::uint64_t samples = 2 * kPublishEvery + 1;
+  for (std::uint64_t i = 0; i < samples; ++i) {
     ops->Add(1);
     clock_.Advance(sim::kMillisecond);
-    sampler.Poll();
+    Poll();
   }
-  // Samples seq 0..4; cadence 2 publishes seq 0, 2, 4.
-  ASSERT_EQ(sink.published.size(), 3u);
-  EXPECT_EQ(sink.published[0]->sample_seq, 0u);
-  EXPECT_EQ(sink.published[1]->sample_seq, 2u);
-  EXPECT_EQ(sink.published[2]->sample_seq, 4u);
+  for (std::size_t p = 0; p < planes_.size(); ++p) {
+    SCOPED_TRACE(Name(planes_[p]));
+    const RecordingSink& sink = sinks[p];
+    // Samples seq 0..2N; cadence N publishes seq 0, N, 2N.
+    ASSERT_EQ(sink.published.size(), 3u);
+    EXPECT_EQ(sink.published[0]->sample_seq, 0u);
+    EXPECT_EQ(sink.published[1]->sample_seq, kPublishEvery);
+    EXPECT_EQ(sink.published[2]->sample_seq, 2 * kPublishEvery);
+  }
 
   // Finalize publishes its off-cadence closing sample exactly once, and the
   // published bytes equal the exports rendered at the same point.
   ops->Add(1);
   clock_.Advance(sim::kMillisecond / 2);
-  sampler.Finalize();
-  ASSERT_EQ(sink.published.size(), 4u);
-  EXPECT_EQ(sink.published.back()->sample_seq, 5u);
-  EXPECT_EQ(sink.published.back()->metrics_text, ToPrometheusText(sampler));
-  EXPECT_EQ(sink.published.back()->timeline_jsonl, ToJsonl(sampler));
-  EXPECT_NE(sink.published.back()->healthz_json.find("\"status\":\"ok\""),
-            std::string::npos);
+  Finalize();
+  for (std::size_t p = 0; p < planes_.size(); ++p) {
+    SCOPED_TRACE(Name(planes_[p]));
+    const RecordingSink& sink = sinks[p];
+    ASSERT_EQ(sink.published.size(), 4u);
+    EXPECT_EQ(sink.published.back()->sample_seq, samples);
+    const PublishedSnapshot& last = *sink.published.back();
+    EXPECT_EQ(Body(last, "/metrics"), ToPrometheusText(*planes_[p]));
+    EXPECT_EQ(Body(last, "/timeline.jsonl"), ToJsonl(*planes_[p]));
+    EXPECT_NE(Body(last, "/healthz").find("\"status\":\"ok\""),
+              std::string::npos);
+  }
 
   // Repeated Finalize: no duplicate closing sample AND no duplicate publish.
-  sampler.Finalize();
-  EXPECT_EQ(sampler.samples().size(), 6u);
-  EXPECT_EQ(sink.published.size(), 4u);
+  Finalize();
+  for (std::size_t p = 0; p < planes_.size(); ++p) {
+    EXPECT_EQ(planes_[p]->samples().size(), samples + 1);
+    EXPECT_EQ(sinks[p].published.size(), 4u);
+  }
 }
 
 // --------------------- LSM series and compaction alerts ---------------------
