@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
       auto ssd = KvSsd::Open(o).value();
       auto spec = w == 0 ? workload::MakeWorkloadB(args.ops)
                          : workload::MakeWorkloadM(args.ops);
-      auto r = workload::RunPutWorkload(*ssd, spec, "Backfill");
+      auto r = RunPut(*ssd, spec);
       const double nand_per_op =
           static_cast<double>(r.delta.nand_pages_programmed) /
           static_cast<double>(r.ops);

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
         auto spec = w == 0 ? workload::MakeWorkloadB(args.ops)
                            : workload::MakeWorkloadM(args.ops);
         resp[mode] =
-            workload::RunPutWorkload(*ssd, spec, "x").MeanResponseUs();
+            RunPut(*ssd, spec).MeanResponseUs();
       }
       std::printf("%9s %6s | %13.1f %13.1f | %12.2fx\n",
                   buffer::PolicyName(policy), wl, resp[0], resp[1],

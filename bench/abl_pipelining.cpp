@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
       auto ssd = KvSsd::Open(o).value();
       auto spec = workload::MakeWorkloadA(size, args.ops);
       resp[i++] =
-          workload::RunPutWorkload(*ssd, spec, "pipe").MeanResponseUs();
+          RunPut(*ssd, spec).MeanResponseUs();
     }
     std::printf("%8s | %12.1f %14.1f %14.1f | %10.2f\n", SizeLabel(size),
                 resp[0], resp[1], resp[2], resp[2] / resp[0]);

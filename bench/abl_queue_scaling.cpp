@@ -1,6 +1,6 @@
 // Ablation: NVMe queue-pair scaling. The paper's passthrough path drives
 // one submission queue synchronously; this bench shards the same PUT
-// sequence across 1..8 queue pairs (workload runner multi-stream mode) and
+// sequence across 1..8 queue pairs (the multi-stream workload executor) and
 // crosses that with the NAND dispatch mode. With synchronous NAND the
 // device serializes everything and extra queues buy little; with the
 // channel/way scheduler + die-striped FTL allocation the modeled throughput
@@ -36,11 +36,11 @@ int main(int argc, char** argv) {
       // overlap; the sync path keeps the paper-faithful allocator.
       o.ftl.stripe_across_dies = parallel;
       auto ssd = KvSsd::Open(o).value();
-      auto spec = workload::MakeWorkloadB(args.ops);
+      const workload::OpStream stream =
+          workload::PutStream(workload::MakeWorkloadB(args.ops));
 
       const auto wall_start = std::chrono::steady_clock::now();
-      const auto r =
-          workload::RunShardedPutWorkload(*ssd, spec, queues, "scaling");
+      const auto r = Checked(workload::RunParallel(*ssd, stream, queues));
       const double wall_s =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         wall_start)

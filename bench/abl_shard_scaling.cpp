@@ -21,7 +21,6 @@ namespace {
 
 workload::MixedWorkloadSpec MakeSpec(std::uint64_t ops, bool zipfian) {
   workload::MixedWorkloadSpec spec;
-  spec.name = zipfian ? "mixed-zipf" : "mixed-uniform";
   spec.ops = ops;
   spec.num_keys = 4096;
   spec.value_size = 128;
@@ -45,12 +44,12 @@ bool CheckSingleShardAnchor(const KvSsdOptions& shard_options,
   auto bare = KvSsd::Open(shard_options).value();
   if (!workload::PreloadMixedKeys(*bare, spec).ok()) return false;
   const workload::RunResult device =
-      workload::RunMixedWorkload(*bare, spec, "bare");
+      Checked(workload::RunSerial(*bare, workload::MixedStream(spec)));
 
   auto fleet = cluster::KvCluster::Open(MakeCluster(shard_options, 1)).value();
   if (!workload::PreloadMixedKeys(*fleet, spec).ok()) return false;
   const workload::RunResult routed =
-      workload::RunClusterMixedWorkload(*fleet, spec, "n1");
+      Checked(workload::RunParallel(*fleet, workload::MixedStream(spec)));
 
   const bool same =
       device.elapsed_ns == routed.elapsed_ns &&
@@ -103,12 +102,7 @@ int main(int argc, char** argv) {
       auto fleet = cluster::KvCluster::Open(MakeCluster(shard, n)).value();
       if (!workload::PreloadMixedKeys(*fleet, spec).ok()) return 1;
       const workload::RunResult r =
-          workload::RunClusterMixedWorkload(*fleet, spec, "n" +
-                                            std::to_string(n));
-      if (r.workload.find("FAILED") != std::string::npos) {
-        std::fprintf(stderr, "run failed: %s\n", r.workload.c_str());
-        return 1;
-      }
+          Checked(workload::RunParallel(*fleet, workload::MixedStream(spec)));
       const double kops = r.KopsPerSec();
       if (n == 1) base_kops = kops;
       const double speedup = base_kops > 0.0 ? kops / base_kops : 0.0;

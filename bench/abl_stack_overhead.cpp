@@ -57,7 +57,7 @@ Row RunKvSsd(const char* name, driver::TransferMethod method,
   o.buffer.policy = policy;
   auto ssd = KvSsd::Open(o).value();
   auto spec = workload::MakeWorkloadM(args.ops);
-  auto r = workload::RunPutWorkload(*ssd, spec, name);
+  auto r = RunPut(*ssd, spec);
   const double ops = static_cast<double>(args.ops);
   return Row{name, r.MeanResponseUs(),
              ScaledGB(args, r.TrafficPerOpBytes()),

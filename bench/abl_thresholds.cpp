@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
         auto spec = w == 0   ? workload::MakeWorkloadD(args.ops)
                     : w == 1 ? workload::MakeWorkloadM(args.ops)
                              : workload::MakeWorkloadA(4096 + 256, args.ops);
-        auto r = workload::RunPutWorkload(*ssd, spec, "Adaptive");
+        auto r = RunPut(*ssd, spec);
         std::printf("%7.1f %7.1f %14s | %12.1f %12.1f %14.3f\n", alpha, beta,
                     spec.name.c_str(), r.MeanResponseUs(), r.KopsPerSec(),
                     ScaledGB(args, r.TrafficPerOpBytes()));

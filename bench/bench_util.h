@@ -111,6 +111,24 @@ inline KvSsdOptions DefaultBenchOptions() {
   return o;
 }
 
+// Exits nonzero when a run stopped early: a truncated run must never print
+// as a valid figure point.
+inline workload::RunResult Checked(workload::RunResult r) {
+  if (!r.ok()) {
+    std::fprintf(stderr, "run failed after %llu ops: %s\n",
+                 static_cast<unsigned long long>(r.ops),
+                 r.status.ToString().c_str());
+    std::exit(1);
+  }
+  return r;
+}
+
+// The spec's PUT stream, issued serially; exits nonzero on a failed run.
+inline workload::RunResult RunPut(KvStore& store,
+                                  const workload::WorkloadSpec& spec) {
+  return Checked(workload::RunSerial(store, workload::PutStream(spec)));
+}
+
 inline const char* SizeLabel(std::size_t bytes) {
   static char buf[32];
   if (bytes >= 1024 && bytes % 1024 == 0) {

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   for (std::size_t kb = 1; kb <= 16; ++kb) {
     auto ssd = KvSsd::Open(options).value();
     auto spec = workload::MakeWorkloadA(kb * 1024, args.ops);
-    auto r = workload::RunPutWorkload(*ssd, spec, "Baseline");
+    auto r = RunPut(*ssd, spec);
     std::printf("%8s %16.2f %18.2f\n", SizeLabel(kb * 1024),
                 ScaledGB(args, r.TrafficPerOpBytes()), r.MeanResponseUs());
     csv.Row("fig3a,%zu,%.3f,%.2f,", kb * 1024,
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   for (std::size_t size : {32u, 64u, 128u, 256u, 512u, 1024u}) {
     auto ssd = KvSsd::Open(options).value();
     auto spec = workload::MakeWorkloadA(size, args.ops);
-    auto r = workload::RunPutWorkload(*ssd, spec, "Baseline");
+    auto r = RunPut(*ssd, spec);
     std::printf("%8s %12.1f\n", SizeLabel(size), r.TrafficAmplification());
     csv.Row("fig3b,%zu,,,%.2f", size, r.TrafficAmplification());
   }

@@ -28,8 +28,7 @@ int main(int argc, char** argv) {
       o.driver.method = method;
       auto ssd = KvSsd::Open(o).value();
       auto spec = workload::MakeWorkloadA(size, args.ops);
-      results[i++] = workload::RunPutWorkload(*ssd, spec,
-                                              driver::MethodName(method));
+      results[i++] = RunPut(*ssd, spec);
     }
     const double cut = 100.0 * (1.0 - results[1].TrafficPerOpBytes() /
                                           results[0].TrafficPerOpBytes());

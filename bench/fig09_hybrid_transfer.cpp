@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
       o.driver.method = method;
       auto ssd = KvSsd::Open(o).value();
       auto spec = workload::MakeWorkloadA(size, args.ops);
-      r[i++] = workload::RunPutWorkload(*ssd, spec, driver::MethodName(method));
+      r[i++] = RunPut(*ssd, spec);
     }
     std::printf("%9s | %11.3f %11.3f %11.3f | %11.1f %11.1f %11.1f\n",
                 SizeLabel(t), ScaledGB(args, r[0].TrafficPerOpBytes()),

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
       o.driver.method = method;
       auto ssd = KvSsd::Open(o).value();
       auto spec = factory(args.ops);
-      auto r = workload::RunPutWorkload(*ssd, spec, driver::MethodName(method));
+      auto r = RunPut(*ssd, spec);
       const double mmio_per_op = static_cast<double>(r.delta.mmio_bytes) /
                                  static_cast<double>(r.ops);
       std::printf("%10s %6s | %12.1f %12.1f %14.3f %14.1f\n",

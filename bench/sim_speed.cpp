@@ -7,12 +7,12 @@
 // the virtual-to-wall ratio (how many nanoseconds of simulated device time
 // one nanosecond of host CPU buys) across six profiles:
 //
-//   put_1q / get_1q / mixed_1q   — synchronous single-queue driver loop
-//   put_4q / get_4q / mixed_4q   — four queue pairs interleaved through the
-//                                  event engine (the sharded-runner path)
+//   put_1q / get_1q / mixed_1q   — the serial executor on one queue
+//   put_4q / get_4q / mixed_4q   — the multi-stream executor over four
+//                                  queue pairs of one device
 //   cluster_mixed_4shard         — the KvCluster router: a mixed campaign
-//                                  sharded across four devices through the
-//                                  parallel cluster workload runner
+//                                  through the multi-stream executor over
+//                                  the shards of a four-device cluster
 //
 // All profiles run 128 B values over a fixed 4096-key working set, so PUTs
 // take the piggyback path (1 write + 2 transfer commands) and GETs are
@@ -36,12 +36,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "bench_util.h"
-#include "sim/event_engine.h"
 
 namespace bandslim::bench {
 namespace {
@@ -51,7 +49,7 @@ enum class OpMix { kPut, kGet, kMixed };
 struct Profile {
   const char* name;
   OpMix mix;
-  std::uint16_t streams;  // 1 = synchronous loop; >1 = event-engine sharded.
+  std::uint16_t streams;  // 1 = serial executor; >1 = queue-pair lanes.
   std::uint32_t shards = 0;  // >0 = run through a KvCluster of this size.
 };
 
@@ -123,50 +121,65 @@ SpeedArgs ParseSpeedArgs(int argc, char** argv) {
   return args;
 }
 
-// One op of the profile's mix against one stream's driver. Returns false on
-// the first device error (the bench must not silently keep going). `got` is
-// the stream's long-lived receive buffer: GETs go through GetInto so the
-// steady-state loop performs zero heap allocations per op.
-bool RunOp(driver::KvDriver* d, OpMix mix, std::uint64_t index,
-           const std::vector<std::string>& keys, Bytes& value, Bytes& got) {
-  const std::string& key = keys[index % keys.size()];
-  const bool is_get =
-      mix == OpMix::kGet || (mix == OpMix::kMixed && (index & 1) != 0);
-  if (is_get) {
-    return d->GetInto(key, &got).ok();
-  }
-  for (int b = 0; b < 8; ++b) {
-    value[static_cast<std::size_t>(b)] =
-        static_cast<std::uint8_t>(index >> (8 * b));
-  }
-  return d->Put(key, ByteSpan(value)).ok();
+[[noreturn]] void Die(const char* what, const Status& status) {
+  std::fprintf(stderr, "%s failed: %s\n", what, status.ToString().c_str());
+  std::exit(2);
 }
 
-// Cluster profile: the same mixed steady-state pass, but routed through a
-// KvCluster and executed by the parallel cluster workload runner — measures
-// the router + per-shard stream hot path end to end.
-ProfileResult RunClusterProfile(const Profile& p, const SpeedArgs& args) {
-  cluster::ClusterConfig cc;
-  cc.num_shards = p.shards;
-  cc.shard = DefaultBenchOptions();
-  cc.shard.retain_payloads = true;
-  auto opened = cluster::KvCluster::Open(cc);
-  if (!opened.ok()) {
-    std::fprintf(stderr, "cluster open failed: %s\n",
-                 opened.status().ToString().c_str());
-    std::exit(2);
+// A device profile's op stream: op i touches key i mod kNumKeys and is a GET
+// or a PUT per the mix (mixed: odd ops read). GETs go through GetInto, so
+// the steady-state loop performs zero heap allocations per op.
+workload::OpStream SpeedStream(OpMix mix, std::uint64_t ops) {
+  workload::OpStream stream(ops);
+  for (std::uint64_t i = 0; i < ops; ++i) {
+    char key[16];
+    std::snprintf(key, sizeof key, "k%06llu",
+                  static_cast<unsigned long long>(i % kNumKeys));
+    const bool is_get =
+        mix == OpMix::kGet || (mix == OpMix::kMixed && (i & 1) != 0);
+    stream[i] = {is_get ? workload::OpKind::kGet : workload::OpKind::kPut,
+                 key, static_cast<std::uint32_t>(kValueSize), i};
   }
-  cluster::KvCluster& fleet = *opened.value();
+  return stream;
+}
 
-  workload::MixedWorkloadSpec spec;
-  spec.ops = args.ops;
-  spec.num_keys = kNumKeys;
-  spec.value_size = kValueSize;
-  spec.get_permille = 500;
-  spec.seed = 29;
-  if (!workload::PreloadMixedKeys(fleet, spec).ok()) {
-    std::fprintf(stderr, "cluster preload failed\n");
-    std::exit(2);
+// Runs one profile on a freshly opened store: preload the working set, then
+// time `reps` identical passes of `ops` operations and keep the best. The
+// cluster profile runs a seeded mixed stream through the shard lanes — the
+// router + per-shard stream hot path end to end.
+ProfileResult RunProfile(const Profile& p, const SpeedArgs& args) {
+  std::unique_ptr<KvSsd> ssd;
+  std::unique_ptr<cluster::KvCluster> fleet;
+  workload::OpStream stream;
+  if (p.shards > 0) {
+    cluster::ClusterConfig cc;
+    cc.num_shards = p.shards;
+    cc.shard = DefaultBenchOptions();
+    cc.shard.retain_payloads = true;
+    auto opened = cluster::KvCluster::Open(cc);
+    if (!opened.ok()) Die("cluster open", opened.status());
+    fleet = std::move(opened).value();
+    workload::MixedWorkloadSpec spec;
+    spec.ops = args.ops;
+    spec.num_keys = kNumKeys;
+    spec.value_size = kValueSize;
+    spec.get_permille = 500;
+    spec.seed = 29;
+    const Status preloaded = workload::PreloadMixedKeys(*fleet, spec);
+    if (!preloaded.ok()) Die("cluster preload", preloaded);
+    stream = workload::MixedStream(spec);
+  } else {
+    KvSsdOptions o = DefaultBenchOptions();
+    o.retain_payloads = true;  // GETs must exercise the real read path.
+    o.num_queues = 4;
+    auto opened = KvSsd::Open(o);
+    if (!opened.ok()) Die("device open", opened.status());
+    ssd = std::move(opened).value();
+    // Preload so GETs always hit and PUTs are steady-state overwrites.
+    const workload::RunResult preload =
+        workload::RunSerial(*ssd, SpeedStream(OpMix::kPut, kNumKeys));
+    if (!preload.ok()) Die("preload", preload.status);
+    stream = SpeedStream(p.mix, args.ops);
   }
 
   ProfileResult best;
@@ -174,12 +187,11 @@ ProfileResult RunClusterProfile(const Profile& p, const SpeedArgs& args) {
   for (int rep = 0; rep < args.reps; ++rep) {
     const auto wall_start = std::chrono::steady_clock::now();
     const workload::RunResult r =
-        workload::RunClusterMixedWorkload(fleet, spec, p.name);
+        fleet ? workload::RunParallel(*fleet, stream)
+        : p.streams == 1 ? workload::RunSerial(*ssd, stream)
+                         : workload::RunParallel(*ssd, stream, p.streams);
     const auto wall_end = std::chrono::steady_clock::now();
-    if (r.workload.find("FAILED") != std::string::npos) {
-      std::fprintf(stderr, "%s: device op failed mid-run\n", p.name);
-      std::exit(2);
-    }
+    if (!r.ok()) Die(p.name, r.status);
     const double wall_ms =
         std::chrono::duration<double, std::milli>(wall_end - wall_start)
             .count();
@@ -188,117 +200,6 @@ ProfileResult RunClusterProfile(const Profile& p, const SpeedArgs& args) {
       best.virtual_ms = static_cast<double>(r.elapsed_ns) / 1e6;
     }
   }
-  best.mops = best.wall_ms > 0.0
-                  ? static_cast<double>(best.ops) / (best.wall_ms * 1e3)
-                  : 0.0;
-  best.v2w = best.wall_ms > 0.0 ? best.virtual_ms / best.wall_ms : 0.0;
-  return best;
-}
-
-// Runs one profile on a freshly opened device: preload the working set,
-// then time `reps` identical passes of `ops` operations and keep the best.
-ProfileResult RunProfile(const Profile& p, const SpeedArgs& args) {
-  if (p.shards > 0) return RunClusterProfile(p, args);
-  KvSsdOptions o = DefaultBenchOptions();
-  o.retain_payloads = true;  // GETs must exercise the real read path.
-  o.num_queues = 4;
-  auto opened = KvSsd::Open(o);
-  if (!opened.ok()) {
-    std::fprintf(stderr, "device open failed: %s\n",
-                 opened.status().ToString().c_str());
-    std::exit(2);
-  }
-  KvSsd& ssd = *opened.value();
-  KvSsd::TestHooks hooks = ssd.Hooks();
-
-  std::vector<std::string> keys;
-  keys.reserve(kNumKeys);
-  for (std::size_t i = 0; i < kNumKeys; ++i) {
-    char buf[16];
-    std::snprintf(buf, sizeof buf, "k%06zu", i);
-    keys.emplace_back(buf);
-  }
-
-  // Preload so GETs always hit and PUTs are steady-state overwrites.
-  Bytes value(kValueSize, 0xA5);
-  for (const std::string& key : keys) {
-    if (!ssd.Put(key, ByteSpan(value)).ok()) {
-      std::fprintf(stderr, "preload PUT failed\n");
-      std::exit(2);
-    }
-  }
-
-  std::vector<driver::KvDriver*> drivers(p.streams, hooks.driver);
-  for (std::uint16_t s = 1; s < p.streams; ++s) {
-    auto d = ssd.CreateQueueDriver(s, o.driver);
-    if (!d.ok()) {
-      std::fprintf(stderr, "queue driver creation failed\n");
-      std::exit(2);
-    }
-    drivers[s] = d.value();
-  }
-  // One value buffer per stream: fragments of different streams' PUTs
-  // interleave, so a shared buffer would tear. Same for the GET receive
-  // buffers, which GetInto reuses across ops.
-  std::vector<Bytes> values(p.streams, value);
-  std::vector<Bytes> gots(p.streams);
-
-  const bool was_parallel = hooks.transport->parallel_arbitration();
-  if (p.streams > 1) hooks.transport->SetParallelArbitration(true);
-
-  ProfileResult best;
-  best.ops = args.ops;
-  for (int rep = 0; rep < args.reps; ++rep) {
-    sim::VirtualClock& clock = *hooks.clock;
-    const sim::Nanoseconds virt_start = clock.Now();
-    sim::Nanoseconds latest_finish = virt_start;
-    bool failed = false;
-    const auto wall_start = std::chrono::steady_clock::now();
-
-    if (p.streams == 1) {
-      for (std::uint64_t i = 0; i < args.ops && !failed; ++i) {
-        failed = !RunOp(drivers[0], p.mix, i, keys, values[0], gots[0]);
-      }
-      latest_finish = clock.Now();
-    } else {
-      sim::EventEngine engine(&clock);
-      engine.Reserve(2u * p.streams + 4u);
-      std::function<void(std::uint16_t, std::uint64_t)> run_op =
-          [&](std::uint16_t stream, std::uint64_t index) {
-            if (failed) return;
-            failed = !RunOp(drivers[stream], p.mix, index, keys,
-                            values[stream], gots[stream]);
-            latest_finish = std::max(latest_finish, clock.Now());
-            const std::uint64_t next = index + p.streams;
-            if (next < args.ops) {
-              engine.Schedule(clock.Now(),
-                              [&run_op, stream, next] { run_op(stream, next); });
-            }
-          };
-      for (std::uint16_t s = 0; s < p.streams && s < args.ops; ++s) {
-        const std::uint16_t stream = s;
-        engine.Schedule(clock.Now(), [&run_op, stream] { run_op(stream, stream); });
-      }
-      engine.RunUntilIdle();
-      clock.SetTime(std::max(clock.Now(), latest_finish));
-    }
-
-    const auto wall_end = std::chrono::steady_clock::now();
-    if (failed) {
-      std::fprintf(stderr, "%s: device op failed mid-run\n", p.name);
-      std::exit(2);
-    }
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(wall_end - wall_start)
-            .count();
-    if (rep == 0 || wall_ms < best.wall_ms) {
-      best.wall_ms = wall_ms;
-      best.virtual_ms =
-          static_cast<double>(latest_finish - virt_start) / 1e6;
-    }
-  }
-  if (p.streams > 1) hooks.transport->SetParallelArbitration(was_parallel);
-
   best.mops = best.wall_ms > 0.0
                   ? static_cast<double>(best.ops) / (best.wall_ms * 1e3)
                   : 0.0;

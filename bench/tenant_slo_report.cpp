@@ -153,7 +153,6 @@ workload::TenantBlendSpec BlendFor(const cluster::KvCluster& fleet,
   blend.seed = 7;
   blend.tenants.resize(2);
   workload::MixedWorkloadSpec& victim = blend.tenants[kVictim];
-  victim.name = "frontend";
   victim.ops = ops;
   victim.num_keys = 512;
   victim.value_size = 128;
@@ -161,7 +160,6 @@ workload::TenantBlendSpec BlendFor(const cluster::KvCluster& fleet,
   victim.seed = 11;
   victim.key_prefix = "v:";
   workload::MixedWorkloadSpec& hog = blend.tenants[kHog];
-  hog.name = "batch";
   hog.seed = 23;
   if (storm) {
     hog.ops = ops;
@@ -185,7 +183,7 @@ struct BlendRun {
   sim::Nanoseconds now_ns = 0;
   std::vector<std::map<std::string, std::uint64_t>> counters;  // Per shard.
   StoreSnapshot snap;
-  workload::BlendRunResult result;
+  workload::RunResult result;
   telemetry::attribution::AttributionPlane::SloState victim_slo, hog_slo;
   std::uint64_t victim_bad = 0;
 };
@@ -233,8 +231,7 @@ void CheckReconciliation(cluster::KvCluster& fleet, const KvSsdStats& stats) {
         agg.dropped_samples(), 0);
 }
 
-void PrintTenantReport(const cluster::KvCluster& fleet,
-                       const workload::BlendRunResult& result) {
+void PrintTenantReport(const cluster::KvCluster& fleet) {
   const auto& plane = fleet.attribution();
   std::printf("\n%-10s %8s %6s %10s %12s %10s %10s %8s\n", "tenant", "ops",
               "shed", "p99_us", "dev_bytes", "burn_fast", "burn_slow",
@@ -254,7 +251,6 @@ void PrintTenantReport(const cluster::KvCluster& fleet,
                 static_cast<double>(s.burn_fast_milli) / 1e3,
                 static_cast<double>(s.burn_slow_milli) / 1e3,
                 static_cast<unsigned long long>(s.budget_spent_permille));
-    (void)result;
   }
   const auto& u = plane.untagged();
   std::printf("%-10s %8s %6s %10s %12llu\n\n", "untagged", "-", "-", "-",
@@ -278,10 +274,14 @@ BlendRun RunBlend(std::uint64_t ops, bool storm, bool enabled,
     ++failures;
     return out;
   }
-  out.result = workload::RunTenantBlendWorkload(*fleet, blend, "blend");
-  if (out.result.workload.find("FAILED") != std::string::npos) {
+  std::vector<KvStore*> tenants;
+  for (std::size_t t = 0; t < blend.tenants.size(); ++t) {
+    tenants.push_back(&fleet->Tenant(t));
+  }
+  out.result = workload::RunSerial(tenants, workload::BlendStream(blend));
+  if (!out.result.ok()) {
     std::fprintf(stderr, "CHECK FAILED: blend: %s\n",
-                 out.result.workload.c_str());
+                 out.result.status.ToString().c_str());
     ++failures;
   }
   if (!fleet->Flush().ok()) {
@@ -317,7 +317,7 @@ BlendRun RunBlend(std::uint64_t ops, bool storm, bool enabled,
       Check(charges.shed_ops == out.result.tenants[t].shed, shed_who.c_str(),
             charges.shed_ops, out.result.tenants[t].shed);
     }
-    if (print) PrintTenantReport(*fleet, out.result);
+    if (print) PrintTenantReport(*fleet);
   }
 
   // Invariant 7: the wire documents equal the in-process exports.

@@ -137,6 +137,10 @@ timeline_scrapes "${prefix}-release" 2000 3000
 control_storm "${prefix}-release"
 sim_speed_gate "${prefix}-release"
 shard_scaling "${prefix}-release"
+# Figure oracle: the seven fig* stdouts and the shard-scaling CSV must
+# byte-match bench/golden/. Release only — the goldens are the Release
+# figures, and the sanitized build would spend minutes re-deriving them.
+ci/golden_check.sh "${prefix}-release"
 
 run_pass asan-ubsan "${prefix}-asan" \
   -DCMAKE_BUILD_TYPE=Debug \

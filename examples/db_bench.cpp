@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot open %s\n", dump_trace.c_str());
       return 1;
     }
-    workload::WriteTrace(workload::TraceFromSpec(spec), out);
+    workload::WriteTrace(workload::PutStream(spec), out);
     std::printf("wrote %llu-op trace to %s\n",
                 static_cast<unsigned long long>(spec.ops), dump_trace.c_str());
     return 0;
@@ -122,25 +122,32 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "bad trace: %s\n", trace.status().ToString().c_str());
       return 1;
     }
-    auto rr = workload::ReplayTrace(*device.value(), trace.value());
-    if (!rr.ok()) {
-      std::fprintf(stderr, "replay failed: %s\n", rr.status().ToString().c_str());
+    const auto r = workload::RunSerial(*device.value(), trace.value());
+    if (!r.ok()) {
+      std::fprintf(stderr, "replay failed: %s\n", r.status.ToString().c_str());
       return 1;
     }
-    const auto& r = rr.value();
     std::printf("replayed %s: %llu puts, %llu gets (%llu misses), %llu dels "
                 "in %.2f ms virtual\n",
-                replay.c_str(), static_cast<unsigned long long>(r.puts),
+                replay.c_str(),
+                static_cast<unsigned long long>(r.ops - r.gets - r.deletes),
                 static_cast<unsigned long long>(r.gets),
-                static_cast<unsigned long long>(r.get_misses),
+                static_cast<unsigned long long>(r.misses),
                 static_cast<unsigned long long>(r.deletes),
                 static_cast<double>(r.elapsed_ns) / 1e6);
     return 0;
   }
 
-  auto result = workload::RunPutWorkload(*device.value(), spec, "db_bench");
+  const auto result =
+      workload::RunSerial(*device.value(), workload::PutStream(spec));
+  if (!result.ok()) {
+    std::fprintf(stderr, "run failed after %llu ops: %s\n",
+                 static_cast<unsigned long long>(result.ops),
+                 result.status.ToString().c_str());
+    return 1;
+  }
 
-  std::printf("workload          : %s\n", result.workload.c_str());
+  std::printf("workload          : %s\n", spec.name.c_str());
   std::printf("transfer method   : %s\n", driver::MethodName(options.driver.method));
   std::printf("packing policy    : %s\n", buffer::PolicyName(options.buffer.policy));
   std::printf("nand io           : %s\n",

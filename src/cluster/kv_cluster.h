@@ -136,8 +136,9 @@ class KvCluster : public KvStore {
   KvStore& Tenant(std::size_t tenant);
 
   // Pulls the router clock up to the latest shard-local time. For harnesses
-  // (the cluster workload runner) that drive shards directly in parallel
-  // time frames and must hand a consistent timeline back to the router.
+  // (the multi-stream workload executor) that drive shards directly in
+  // parallel time frames and must hand a consistent timeline back to the
+  // router.
   void SyncClockToShards();
 
   std::uint64_t qos_refill_windows() const { return qos_refill_windows_; }

@@ -7,7 +7,7 @@
 //   * HostKvs    — the conventional host-side stack on a block SSD the
 //                  paper motivates against (hostkvs/host_kvs.h).
 //
-// Examples, benches, and the workload runner accept a KvStore&, so every
+// Examples, benches, and the workload executors accept a KvStore&, so every
 // harness runs unchanged against one device or a sharded fleet. The
 // interface is the KV data path plus observation; device maintenance
 // (power cycling, fault arming, queue drivers) stays on the concrete types.

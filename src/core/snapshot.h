@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -49,36 +50,36 @@ struct KvSsdStats {
   std::uint64_t recovery_replayed_refs = 0;
 };
 
+// Every counter of KvSsdStats except elapsed_ns, in declaration order: the
+// one field list that AccumulateStats and workload::StatsDelta walk, so a
+// new counter cannot be summed by one and dropped by the other. The
+// static_assert fails the build when a field is added to the struct but
+// not to this list.
+inline constexpr std::uint64_t KvSsdStats::*kStatsCounters[] = {
+    &KvSsdStats::commands_submitted,    &KvSsdStats::pcie_h2d_bytes,
+    &KvSsdStats::pcie_d2h_bytes,        &KvSsdStats::mmio_bytes,
+    &KvSsdStats::dma_h2d_bytes,         &KvSsdStats::nand_pages_programmed,
+    &KvSsdStats::nand_pages_read,       &KvSsdStats::nand_blocks_erased,
+    &KvSsdStats::vlog_pages_flushed,    &KvSsdStats::lsm_pages_programmed,
+    &KvSsdStats::gc_pages_programmed,   &KvSsdStats::device_memcpy_bytes,
+    &KvSsdStats::buffer_wasted_bytes,   &KvSsdStats::dlt_forced_evictions,
+    &KvSsdStats::values_written,        &KvSsdStats::value_bytes_written,
+    &KvSsdStats::lsm_compactions,       &KvSsdStats::memtable_flushes,
+    &KvSsdStats::nvme_timeouts,         &KvSsdStats::nvme_retries,
+    &KvSsdStats::nand_program_failures, &KvSsdStats::ecc_corrections,
+    &KvSsdStats::bad_block_remaps,      &KvSsdStats::recovery_runs,
+    &KvSsdStats::recovery_replayed_refs,
+};
+static_assert(sizeof(KvSsdStats) ==
+                  (std::size(kStatsCounters) + 1) * sizeof(std::uint64_t),
+              "KvSsdStats field missing from kStatsCounters");
+
 // Adds every counter of `from` into `into`, EXCEPT elapsed_ns: virtual
 // times of independent devices do not sum — the caller owns the clock
 // semantics (a cluster reports its own router clock). Used to aggregate a
 // shard fleet into one KvSsdStats.
 inline void AccumulateStats(KvSsdStats* into, const KvSsdStats& from) {
-  into->commands_submitted += from.commands_submitted;
-  into->pcie_h2d_bytes += from.pcie_h2d_bytes;
-  into->pcie_d2h_bytes += from.pcie_d2h_bytes;
-  into->mmio_bytes += from.mmio_bytes;
-  into->dma_h2d_bytes += from.dma_h2d_bytes;
-  into->nand_pages_programmed += from.nand_pages_programmed;
-  into->nand_pages_read += from.nand_pages_read;
-  into->nand_blocks_erased += from.nand_blocks_erased;
-  into->vlog_pages_flushed += from.vlog_pages_flushed;
-  into->lsm_pages_programmed += from.lsm_pages_programmed;
-  into->gc_pages_programmed += from.gc_pages_programmed;
-  into->device_memcpy_bytes += from.device_memcpy_bytes;
-  into->buffer_wasted_bytes += from.buffer_wasted_bytes;
-  into->dlt_forced_evictions += from.dlt_forced_evictions;
-  into->values_written += from.values_written;
-  into->value_bytes_written += from.value_bytes_written;
-  into->lsm_compactions += from.lsm_compactions;
-  into->memtable_flushes += from.memtable_flushes;
-  into->nvme_timeouts += from.nvme_timeouts;
-  into->nvme_retries += from.nvme_retries;
-  into->nand_program_failures += from.nand_program_failures;
-  into->ecc_corrections += from.ecc_corrections;
-  into->bad_block_remaps += from.bad_block_remaps;
-  into->recovery_runs += from.recovery_runs;
-  into->recovery_replayed_refs += from.recovery_replayed_refs;
+  for (const auto counter : kStatsCounters) into->*counter += from.*counter;
 }
 
 // Read-only, value-typed snapshot of one assembled device: the stats block

@@ -90,7 +90,7 @@ class NvmeTransport {
   // unit (an absolute-time busy timeline, cmd_pipelined_ns per command)
   // instead of serializing whole round trips. A single stream sees
   // identical timing either way because the round trip dominates the
-  // fetch cadence; the sharded workload runner turns this on.
+  // fetch cadence; the multi-stream workload executor turns this on.
   void SetParallelArbitration(bool on) { parallel_arbitration_ = on; }
   bool parallel_arbitration() const { return parallel_arbitration_; }
 

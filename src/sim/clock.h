@@ -33,9 +33,9 @@ class VirtualClock {
   }
 
   // Enters an arbitrary time frame — may move the clock BACKWARD. Reserved
-  // for the multi-queue machinery (EventEngine, sharded workload runner)
-  // which interleaves per-stream time frames; all shared resource timelines
-  // are absolute, so bookings stay consistent across frames.
+  // for the multi-queue machinery (EventEngine, the multi-stream workload
+  // executor) which interleaves per-stream time frames; all shared resource
+  // timelines are absolute, so bookings stay consistent across frames.
   void SetTime(Nanoseconds t) { now_ns_ = t; }
 
   void Reset() { now_ns_ = 0; }

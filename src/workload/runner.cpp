@@ -1,459 +1,268 @@
 #include "workload/runner.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cstdio>
 #include <functional>
 
 #include "sim/event_engine.h"
-#include "workload/key_gen.h"
 
 namespace bandslim::workload {
 
 KvSsdStats StatsDelta(const KvSsdStats& after, const KvSsdStats& before) {
-  KvSsdStats d;
-  d.elapsed_ns = after.elapsed_ns - before.elapsed_ns;
-  d.commands_submitted = after.commands_submitted - before.commands_submitted;
-  d.pcie_h2d_bytes = after.pcie_h2d_bytes - before.pcie_h2d_bytes;
-  d.pcie_d2h_bytes = after.pcie_d2h_bytes - before.pcie_d2h_bytes;
-  d.mmio_bytes = after.mmio_bytes - before.mmio_bytes;
-  d.dma_h2d_bytes = after.dma_h2d_bytes - before.dma_h2d_bytes;
-  d.nand_pages_programmed =
-      after.nand_pages_programmed - before.nand_pages_programmed;
-  d.nand_pages_read = after.nand_pages_read - before.nand_pages_read;
-  d.nand_blocks_erased = after.nand_blocks_erased - before.nand_blocks_erased;
-  d.vlog_pages_flushed = after.vlog_pages_flushed - before.vlog_pages_flushed;
-  d.lsm_pages_programmed =
-      after.lsm_pages_programmed - before.lsm_pages_programmed;
-  d.gc_pages_programmed = after.gc_pages_programmed - before.gc_pages_programmed;
-  d.device_memcpy_bytes = after.device_memcpy_bytes - before.device_memcpy_bytes;
-  d.buffer_wasted_bytes = after.buffer_wasted_bytes - before.buffer_wasted_bytes;
-  d.dlt_forced_evictions =
-      after.dlt_forced_evictions - before.dlt_forced_evictions;
-  d.values_written = after.values_written - before.values_written;
-  d.value_bytes_written =
-      after.value_bytes_written - before.value_bytes_written;
-  d.lsm_compactions = after.lsm_compactions - before.lsm_compactions;
-  d.memtable_flushes = after.memtable_flushes - before.memtable_flushes;
+  KvSsdStats d = after;
+  d.elapsed_ns -= before.elapsed_ns;
+  for (const auto counter : kStatsCounters) d.*counter -= before.*counter;
   return d;
 }
 
-RunResult RunPutWorkload(KvStore& store, const WorkloadSpec& spec,
-                         const std::string& config_label) {
-  RunResult result;
-  result.workload = spec.name;
-  result.config = config_label;
-  result.ops = spec.ops;
+namespace {
 
-  Xoshiro256 rng(spec.seed);
-  Bytes value(spec.sizes->MaxSize(), 0xA5);
-  spec.keys->Reset();
-
-  const KvSsdStats before = store.GetStats();
-  const sim::Nanoseconds start = store.Now();
-
-  for (std::uint64_t i = 0; i < spec.ops; ++i) {
-    const std::string key = spec.keys->Next();
-    const std::size_t size = spec.sizes->Next(rng);
-    // Stamp the op index so payloads differ without a full refill.
-    for (int b = 0; b < 8 && static_cast<std::size_t>(b) < size; ++b) {
-      value[static_cast<std::size_t>(b)] = static_cast<std::uint8_t>(i >> (8 * b));
+// Reusable PUT scratch holding Op's payload rule: refilled only when the
+// fill byte changes or a larger value arrives; only the stamp bytes are
+// rewritten per op.
+class PayloadBuffer {
+ public:
+  ByteSpan For(const Op& op) {
+    if (op.fill != fill_ || op.value_size > bytes_.size()) {
+      fill_ = op.fill;
+      bytes_.assign(std::max<std::size_t>(bytes_.size(), op.value_size),
+                    op.fill);
     }
-    const sim::Nanoseconds op_start = store.Now();
-    const Status st = store.Put(key, ByteSpan(value).subspan(0, size));
-    if (!st.ok()) {
-      // Surface failures loudly: a bench must not silently keep going.
-      result.workload += " [FAILED: " + st.ToString() + "]";
-      break;
+    for (std::size_t b = 0; b < 8 && b < op.value_size; ++b) {
+      bytes_[b] = static_cast<std::uint8_t>(op.stamp >> (8 * b));
     }
-    result.latency_ns.Record(store.Now() - op_start);
-    result.requested_value_bytes += size;
+    return ByteSpan(bytes_).subspan(0, op.value_size);
   }
 
-  result.elapsed_ns = store.Now() - start;
-  result.delta = StatsDelta(store.GetStats(), before);
+ private:
+  Bytes bytes_;
+  int fill_ = -1;  // No fill yet.
+};
+
+// Issues one op on a KvStore, a shard KvSsd, or a queue-pair KvDriver.
+template <typename Target>
+Status Apply(Target& target, const Op& op, PayloadBuffer& payload, Bytes* got) {
+  switch (op.kind) {
+    case OpKind::kPut:
+      return target.Put(op.key, payload.For(op));
+    case OpKind::kGet:
+      return target.GetInto(op.key, got);
+    case OpKind::kDelete:
+      return target.Delete(op.key);
+  }
+  return Status::InvalidArgument("unknown op kind");
+}
+
+// Starts fetching an op record the executor will issue next. A stream is
+// larger than the cache and every device op sweeps the simulator's own
+// working set in between, so without this each op's inline key is a cache
+// miss on the hot path.
+void Prefetch(const Op& op) {
+  __builtin_prefetch(&op);
+  __builtin_prefetch(reinterpret_cast<const char*>(&op) + sizeof(Op) - 1);
+}
+
+// Books a finished op under the outcome rules. Returns false (and records
+// the status) when the op failed and the run must stop.
+bool Book(RunResult& result, const Op& op, const Status& st,
+          sim::Nanoseconds latency) {
+  const bool miss = op.kind == OpKind::kGet && st.IsNotFound();
+  if (!st.ok() && !miss && !st.IsBusy()) {
+    result.status = st;
+    return false;
+  }
+  if (op.tenant >= result.tenants.size()) result.tenants.resize(op.tenant + 1u);
+  OpTally& t = result.tenants[op.tenant];
+  ++t.ops;
+  t.gets += op.kind == OpKind::kGet;
+  t.deletes += op.kind == OpKind::kDelete;
+  t.misses += miss;
+  t.shed += st.IsBusy();
+  if (op.kind == OpKind::kPut) t.requested_value_bytes += op.value_size;
+  t.latency_ns.Record(latency);
+  return true;
+}
+
+RunResult Failed(Status status) {
+  RunResult result;
+  result.status = std::move(status);
   return result;
 }
 
-RunResult RunShardedPutWorkload(KvSsd& ssd, const WorkloadSpec& spec,
-                                std::uint16_t num_streams,
-                                const std::string& config_label) {
-  assert(num_streams >= 1);
-  assert(num_streams <= ssd.options().num_queues);
+// Sums the per-tenant tallies into the whole-run tally.
+void Total(RunResult& result) {
+  for (const OpTally& t : result.tenants) {
+    result.ops += t.ops;
+    result.gets += t.gets;
+    result.deletes += t.deletes;
+    result.misses += t.misses;
+    result.shed += t.shed;
+    result.requested_value_bytes += t.requested_value_bytes;
+    result.latency_ns.Merge(t.latency_ns);
+  }
+}
+
+// One lane of the multi-stream executor: a target, the clock it runs on,
+// and the stream indices it issues, in order.
+template <typename Target>
+struct Lane {
+  Target* target = nullptr;
+  sim::VirtualClock* clock = nullptr;
+  std::vector<std::size_t> ops;
+};
+
+// The multi-stream executor. Each lane is a closed loop in its own time
+// frame: its next op issues when its previous op finished. The engine
+// always runs the lane with the smallest local time (ties by schedule
+// order), entering that lane's frame first — lanes sharing one device clock
+// (queue pairs) each see their own time, a lane with a private clock (a
+// shard) is already there. elapsed_ns is the latest lane finish - `start`.
+template <typename Target>
+RunResult RunLanes(std::vector<Lane<Target>>& lanes, const OpStream& stream,
+                   sim::Nanoseconds start) {
   RunResult result;
-  result.workload = spec.name;
-  result.config = config_label;
-  result.ops = spec.ops;
+  result.tenants.resize(1);  // Book grows it to the highest tenant seen.
 
-  // Pre-draw the op sequence in the exact order RunPutWorkload would, so a
-  // one-stream sharded run issues byte-identical PUTs.
-  struct Op {
-    std::string key;
-    std::size_t size = 0;
-  };
-  std::vector<Op> ops(spec.ops);
-  {
-    Xoshiro256 rng(spec.seed);
-    spec.keys->Reset();
-    for (std::uint64_t i = 0; i < spec.ops; ++i) {
-      ops[i].key = spec.keys->Next();
-      ops[i].size = spec.sizes->Next(rng);
-    }
-  }
-
-  // Stream s gets ops s, s+S, s+2S, ... and its own driver/queue pair;
-  // stream 0 rides the device's built-in queue-0 driver.
-  KvSsd::TestHooks hooks = ssd.Hooks();
-  std::vector<driver::KvDriver*> drivers(num_streams, hooks.driver);
-  for (std::uint16_t s = 1; s < num_streams; ++s) {
-    auto d = ssd.CreateQueueDriver(s, ssd.options().driver);
-    assert(d.ok());
-    drivers[s] = d.value();
-  }
-
-  sim::VirtualClock& clock = *hooks.clock;
-  const bool was_parallel = hooks.transport->parallel_arbitration();
-  hooks.transport->SetParallelArbitration(true);
-
-  const KvSsdStats before = ssd.GetStats();
-  const sim::Nanoseconds start = clock.Now();
+  // One payload buffer per lane: a lane's buffer must stay intact while
+  // other lanes interleave between its fragments' submissions.
+  std::vector<PayloadBuffer> payloads(lanes.size());
+  std::vector<Bytes> gots(lanes.size());
   sim::Nanoseconds latest_finish = start;
-  bool failed = false;
 
-  // One value buffer per stream: a stream's buffer must stay intact while
-  // other streams interleave between its fragments' submissions.
-  std::vector<Bytes> values(num_streams, Bytes(spec.sizes->MaxSize(), 0xA5));
-
-  sim::EventEngine engine(&clock);
-  // At most one in-flight turn per stream, so the heap and the callback
-  // arena never hold more than num_streams entries: pre-size both (plus
-  // slack for the drain buffer) so the run loop never grows them.
-  engine.Reserve(2u * num_streams + 4u);
-  // Each stream's turn runs one PUT in that stream's time frame, then books
-  // the stream's next turn at its new local time. The engine always picks
-  // the stream with the smallest local time (ties by schedule order), so
-  // the interleaving is deterministic.
-  std::function<void(std::uint16_t, std::uint64_t)> run_op =
-      [&](std::uint16_t stream, std::uint64_t index) {
-        if (failed) return;
-        const Op& op = ops[index];
-        Bytes& value = values[stream];
-        for (int b = 0; b < 8 && static_cast<std::size_t>(b) < op.size; ++b) {
-          value[static_cast<std::size_t>(b)] =
-              static_cast<std::uint8_t>(index >> (8 * b));
-        }
-        const sim::Nanoseconds op_start = clock.Now();
-        const Status st =
-            drivers[stream]->Put(op.key, ByteSpan(value).subspan(0, op.size));
-        if (!st.ok()) {
-          result.workload += " [FAILED: " + st.ToString() + "]";
-          failed = true;
-          return;
-        }
-        result.latency_ns.Record(clock.Now() - op_start);
-        result.requested_value_bytes += op.size;
-        latest_finish = std::max(latest_finish, clock.Now());
-        const std::uint64_t next = index + num_streams;
-        if (next < spec.ops) {
-          engine.Schedule(clock.Now(),
-                          [&run_op, stream, next] { run_op(stream, next); });
-        }
-      };
-  for (std::uint16_t s = 0; s < num_streams && s < spec.ops; ++s) {
-    const std::uint16_t stream = s;
-    engine.Schedule(start, [&run_op, stream] {
-      run_op(stream, stream);
-    });
+  sim::VirtualClock frame;
+  sim::EventEngine engine(&frame);
+  // At most one pending turn per lane: pre-size the heap and the callback
+  // arena (plus slack for the drain buffer) so the loop never grows them.
+  engine.Reserve(2u * lanes.size() + 4u);
+  std::function<void(std::size_t, std::size_t)> turn = [&](std::size_t l,
+                                                           std::size_t pos) {
+    if (!result.ok()) return;
+    Lane<Target>& lane = lanes[l];
+    lane.clock->SetTime(frame.Now());
+    const Op& op = stream[lane.ops[pos]];
+    const Status st = Apply(*lane.target, op, payloads[l], &gots[l]);
+    if (!Book(result, op, st, lane.clock->Now() - frame.Now())) return;
+    latest_finish = std::max(latest_finish, lane.clock->Now());
+    if (pos + 1 < lane.ops.size()) {
+      Prefetch(stream[lane.ops[pos + 1]]);
+      engine.Schedule(lane.clock->Now(), [&turn, l, pos] { turn(l, pos + 1); });
+    }
+  };
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    if (lanes[l].ops.empty()) continue;
+    engine.Schedule(lanes[l].clock->Now(), [&turn, l] { turn(l, 0); });
   }
   engine.RunUntilIdle();
 
-  // Leave the clock at the run's end (the last event may have been an
-  // earlier-finishing stream's frame).
-  clock.SetTime(std::max(clock.Now(), latest_finish));
-  hooks.transport->SetParallelArbitration(was_parallel);
-
   result.elapsed_ns = latest_finish - start;
-  result.delta = StatsDelta(ssd.GetStats(), before);
+  Total(result);
   return result;
-}
-
-
-// --- Mixed read/write workloads --------------------------------------------
-
-namespace {
-
-struct MixedOp {
-  std::uint64_t key_index = 0;
-  bool is_get = false;
-};
-
-// Pre-draws the full op sequence in canonical order: the serial and the
-// cluster-parallel runner consume the SAME draws, so they issue identical
-// ops (only the time frames differ).
-std::vector<MixedOp> DrawMixedOps(const MixedWorkloadSpec& spec) {
-  std::vector<MixedOp> ops(spec.ops);
-  Xoshiro256 rng(spec.seed);
-  ZipfianKeyChooser zipf(spec.num_keys, spec.zipf_theta, spec.seed + 1);
-  for (std::uint64_t i = 0; i < spec.ops; ++i) {
-    ops[i].is_get = (rng() % 1000) < spec.get_permille;
-    ops[i].key_index =
-        spec.zipfian ? zipf.NextIndex() : rng() % spec.num_keys;
-  }
-  return ops;
-}
-
-// Stamps the key index into the value head so updates carry distinct bytes.
-void StampValue(Bytes* value, std::uint64_t key_index) {
-  for (int b = 0; b < 8 && static_cast<std::size_t>(b) < value->size(); ++b) {
-    (*value)[static_cast<std::size_t>(b)] =
-        static_cast<std::uint8_t>(key_index >> (8 * b));
-  }
-}
-
-// spec.key_prefix + canonical name; the default "" prefix concatenates to
-// the historical key byte-for-byte.
-std::string SpecKeyName(const MixedWorkloadSpec& spec, std::uint64_t index) {
-  return spec.key_prefix + MixedKeyName(index);
 }
 
 }  // namespace
 
-std::string MixedKeyName(std::uint64_t index) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "k%08llx",
-                static_cast<unsigned long long>(index));
-  return buf;
-}
-
-Status PreloadMixedKeys(KvStore& store, const MixedWorkloadSpec& spec) {
-  Bytes value(spec.value_size, 0x5A);
-  for (std::uint64_t i = 0; i < spec.num_keys; ++i) {
-    StampValue(&value, i);
-    BANDSLIM_RETURN_IF_ERROR(store.Put(SpecKeyName(spec, i), ByteSpan(value)));
-  }
-  return store.Flush();
-}
-
-RunResult RunMixedWorkload(KvStore& store, const MixedWorkloadSpec& spec,
-                           const std::string& config_label) {
+RunResult RunSerial(std::span<KvStore* const> targets, const OpStream& stream) {
+  if (targets.empty()) return Failed(Status::InvalidArgument("no targets"));
   RunResult result;
-  result.workload = spec.name;
-  result.config = config_label;
-  result.ops = spec.ops;
-
-  const std::vector<MixedOp> ops = DrawMixedOps(spec);
-  Bytes value(spec.value_size, 0x5A);
+  result.tenants.resize(targets.size());
+  KvStore& timeline = *targets[0];
+  PayloadBuffer payload;
   Bytes got;
 
-  const KvSsdStats before = store.GetStats();
-  const sim::Nanoseconds start = store.Now();
-
-  for (const MixedOp& op : ops) {
-    const std::string key = SpecKeyName(spec, op.key_index);
-    const sim::Nanoseconds op_start = store.Now();
-    Status st = Status::Ok();
-    if (op.is_get) {
-      st = store.GetInto(key, &got);
-    } else {
-      StampValue(&value, op.key_index);
-      st = store.Put(key, ByteSpan(value));
-      result.requested_value_bytes += value.size();
-    }
-    if (!st.ok()) {
-      result.workload += " [FAILED: " + st.ToString() + "]";
+  const KvSsdStats before = timeline.GetStats();
+  const sim::Nanoseconds start = timeline.Now();
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const Op& op = stream[i];
+    if (i + 1 < stream.size()) Prefetch(stream[i + 1]);
+    if (op.tenant >= targets.size()) {
+      result.status = Status::InvalidArgument("op tenant has no target");
       break;
     }
-    result.latency_ns.Record(store.Now() - op_start);
+    KvStore& target = *targets[op.tenant];
+    const sim::Nanoseconds op_start = target.Now();
+    const Status st = Apply(target, op, payload, &got);
+    if (!Book(result, op, st, target.Now() - op_start)) break;
   }
-
-  result.elapsed_ns = store.Now() - start;
-  result.delta = StatsDelta(store.GetStats(), before);
+  result.elapsed_ns = timeline.Now() - start;
+  result.delta = StatsDelta(timeline.GetStats(), before);
+  Total(result);
   return result;
 }
 
-RunResult RunClusterMixedWorkload(cluster::KvCluster& cluster,
-                                  const MixedWorkloadSpec& spec,
-                                  const std::string& config_label) {
-  RunResult result;
-  result.workload = spec.name;
-  result.config = config_label;
-  result.ops = spec.ops;
+RunResult RunSerial(KvStore& store, const OpStream& stream) {
+  KvStore* const target = &store;
+  return RunSerial(std::span<KvStore* const>(&target, 1), stream);
+}
 
-  const std::vector<MixedOp> ops = DrawMixedOps(spec);
+RunResult RunParallel(KvSsd& ssd, const OpStream& stream,
+                      std::uint16_t num_queues) {
+  if (num_queues == 0) return Failed(Status::InvalidArgument("no queues"));
+  const KvSsd::TestHooks hooks = ssd.Hooks();
+  // Queue pair q runs ops q, q+Q, q+2Q, ...; queue 0 rides the device's
+  // built-in driver.
+  std::vector<Lane<driver::KvDriver>> lanes(num_queues);
+  for (std::uint16_t q = 0; q < num_queues; ++q) {
+    lanes[q].clock = hooks.clock;
+    lanes[q].target = hooks.driver;
+    if (q == 0) continue;
+    auto d = ssd.CreateQueueDriver(q, ssd.options().driver);
+    if (!d.ok()) return Failed(d.status());
+    lanes[q].target = d.value();
+  }
+  for (Lane<driver::KvDriver>& lane : lanes) {
+    lane.ops.reserve(stream.size() / num_queues + 1);
+  }
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    lanes[i % num_queues].ops.push_back(i);
+  }
 
-  // Partition the canonical sequence by owner shard; each shard runs its
-  // sub-sequence as one closed-loop stream.
-  const std::uint32_t num_shards = cluster.num_shards();
-  std::vector<std::vector<std::uint64_t>> stream(num_shards);
-  for (std::uint64_t i = 0; i < ops.size(); ++i) {
-    stream[cluster.ShardOf(SpecKeyName(spec, ops[i].key_index))].push_back(i);
+  const bool was_parallel = hooks.transport->parallel_arbitration();
+  hooks.transport->SetParallelArbitration(true);
+  const KvSsdStats before = ssd.GetStats();
+  const sim::Nanoseconds start = hooks.clock->Now();
+  RunResult result = RunLanes(lanes, stream, start);
+  // Leave the clock at the run's end (the last turn may have been an
+  // earlier-finishing lane's frame).
+  hooks.clock->SetTime(std::max(hooks.clock->Now(), start + result.elapsed_ns));
+  hooks.transport->SetParallelArbitration(was_parallel);
+  result.delta = StatsDelta(ssd.GetStats(), before);
+  return result;
+}
+
+RunResult RunParallel(cluster::KvCluster& cluster, const OpStream& stream) {
+  std::vector<Lane<KvSsd>> lanes(cluster.num_shards());
+  for (std::uint32_t s = 0; s < lanes.size(); ++s) {
+    lanes[s].target = &cluster.shard(s);
+    lanes[s].clock = cluster.shard(s).Hooks().clock;
+  }
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    lanes[cluster.ShardOf(stream[i].key)].ops.push_back(i);
   }
 
   // Common dispatch barrier: every shard starts in the router's frame.
   const sim::Nanoseconds start = cluster.Now();
-  for (std::uint32_t s = 0; s < num_shards; ++s) {
-    cluster.shard(s).Hooks().clock->AdvanceTo(start);
-  }
-
+  for (const Lane<KvSsd>& lane : lanes) lane.clock->AdvanceTo(start);
   const KvSsdStats before = cluster.GetStats();
-  sim::Nanoseconds latest_finish = start;
-  bool failed = false;
-
-  std::vector<Bytes> values(num_shards, Bytes(spec.value_size, 0x5A));
-  std::vector<Bytes> gots(num_shards);
-
-  // The engine orders stream turns by each shard's LOCAL time on a scratch
-  // clock; the shards themselves keep their own clocks. Shards share no
-  // simulated resources, so the interleaving affects only host-side append
-  // order (deterministic either way) — but it mirrors how a real multi-
-  // device host drains completions in global time order.
-  sim::VirtualClock scratch;
-  scratch.SetTime(start);
-  sim::EventEngine engine(&scratch);
-  engine.Reserve(2u * num_shards + 4u);
-  std::function<void(std::uint32_t, std::size_t)> run_op =
-      [&](std::uint32_t s, std::size_t pos) {
-        if (failed) return;
-        const MixedOp& op = ops[stream[s][pos]];
-        const std::string key = SpecKeyName(spec, op.key_index);
-        KvSsd& dev = cluster.shard(s);
-        const sim::Nanoseconds op_start = dev.Now();
-        Status st = Status::Ok();
-        if (op.is_get) {
-          st = dev.GetInto(key, &gots[s]);
-        } else {
-          StampValue(&values[s], op.key_index);
-          st = dev.Put(key, ByteSpan(values[s]));
-          result.requested_value_bytes += values[s].size();
-        }
-        if (!st.ok()) {
-          result.workload += " [FAILED: " + st.ToString() + "]";
-          failed = true;
-          return;
-        }
-        result.latency_ns.Record(dev.Now() - op_start);
-        latest_finish = std::max(latest_finish, dev.Now());
-        if (pos + 1 < stream[s].size()) {
-          engine.Schedule(dev.Now(), [&run_op, s, pos] { run_op(s, pos + 1); });
-        }
-      };
-  for (std::uint32_t s = 0; s < num_shards; ++s) {
-    if (stream[s].empty()) continue;
-    const std::uint32_t shard = s;
-    engine.Schedule(start, [&run_op, shard] { run_op(shard, 0); });
-  }
-  engine.RunUntilIdle();
-
+  RunResult result = RunLanes(lanes, stream, start);
   // Hand the router a consistent timeline: the run ends when the slowest
   // shard finishes.
   cluster.SyncClockToShards();
-
-  result.elapsed_ns = latest_finish - start;
   result.delta = StatsDelta(cluster.GetStats(), before);
   result.delta.elapsed_ns = result.elapsed_ns;
   return result;
 }
 
-// --- Tenant blends ----------------------------------------------------------
-
-std::vector<std::uint16_t> DrawTenantInterleave(const TenantBlendSpec& spec) {
-  std::uint64_t total = 0;
-  std::vector<std::uint64_t> remaining(spec.tenants.size(), 0);
-  for (std::size_t t = 0; t < spec.tenants.size(); ++t) {
-    remaining[t] = spec.tenants[t].ops;
-    total += remaining[t];
-  }
-  std::vector<std::uint16_t> order;
-  order.reserve(total);
-  Xoshiro256 rng(spec.seed);
-  while (total > 0) {
-    // Weighted draw over REMAINING budgets: pick the tenant owning the
-    // `pick`-th undrawn op. Keeps the blend's mix ratio steady through the
-    // whole run instead of front-loading the heavy tenant.
-    std::uint64_t pick = rng() % total;
-    for (std::uint16_t t = 0; t < remaining.size(); ++t) {
-      if (pick < remaining[t]) {
-        order.push_back(t);
-        --remaining[t];
-        --total;
-        break;
-      }
-      pick -= remaining[t];
-    }
-  }
-  return order;
+Status PreloadMixedKeys(KvStore& store, const MixedWorkloadSpec& spec) {
+  BANDSLIM_RETURN_IF_ERROR(RunSerial(store, PreloadStream(spec)).status);
+  return store.Flush();
 }
 
 Status PreloadTenantBlend(cluster::KvCluster& cluster,
                           const TenantBlendSpec& spec) {
-  // Harness-driven direct shard traffic: PUT each key on its owner shard,
-  // bypassing the router, so the preload is NOT charged to any tenant — it
-  // lands in the attribution plane's untagged residual, exactly like any
-  // other background/setup work.
-  for (const MixedWorkloadSpec& tenant : spec.tenants) {
-    Bytes value(tenant.value_size, 0x5A);
-    for (std::uint64_t i = 0; i < tenant.num_keys; ++i) {
-      StampValue(&value, i);
-      const std::string key = SpecKeyName(tenant, i);
-      BANDSLIM_RETURN_IF_ERROR(
-          cluster.shard(cluster.ShardOf(key)).Put(key, ByteSpan(value)));
-    }
-  }
-  cluster.SyncClockToShards();
+  // Harness-driven direct shard traffic: the preload is NOT charged to any
+  // tenant — it lands in the attribution plane's untagged residual, exactly
+  // like any other background/setup work.
+  BANDSLIM_RETURN_IF_ERROR(RunParallel(cluster, PreloadStream(spec)).status);
   return cluster.Flush();
-}
-
-BlendRunResult RunTenantBlendWorkload(cluster::KvCluster& cluster,
-                                      const TenantBlendSpec& spec,
-                                      const std::string& config_label) {
-  BlendRunResult result;
-  result.workload = config_label;
-  result.tenants.resize(spec.tenants.size());
-
-  // Each tenant consumes its OWN canonical op sequence in order; the
-  // interleave only decides whose turn the next router slot is.
-  std::vector<std::vector<MixedOp>> ops(spec.tenants.size());
-  std::vector<std::size_t> cursor(spec.tenants.size(), 0);
-  for (std::size_t t = 0; t < spec.tenants.size(); ++t) {
-    ops[t] = DrawMixedOps(spec.tenants[t]);
-  }
-  const std::vector<std::uint16_t> order = DrawTenantInterleave(spec);
-
-  std::vector<Bytes> values;
-  values.reserve(spec.tenants.size());
-  for (const MixedWorkloadSpec& tenant : spec.tenants) {
-    values.emplace_back(tenant.value_size, 0x5A);
-  }
-  Bytes got;
-
-  const sim::Nanoseconds start = cluster.Now();
-  for (const std::uint16_t t : order) {
-    const MixedOp& op = ops[t][cursor[t]++];
-    const std::string key = SpecKeyName(spec.tenants[t], op.key_index);
-    KvStore& surface = cluster.Tenant(t);
-    const sim::Nanoseconds op_start = cluster.Now();
-    Status st = Status::Ok();
-    if (op.is_get) {
-      st = surface.GetInto(key, &got);
-    } else {
-      StampValue(&values[t], op.key_index);
-      st = surface.Put(key, ByteSpan(values[t]));
-      result.tenants[t].requested_value_bytes += values[t].size();
-    }
-    result.tenants[t].ops += 1;
-    if (st.code() == StatusCode::kBusy) {
-      // QoS shed: the admission throttle rejected the command. Count it and
-      // move on — that back-pressure IS the scenario a blend exercises.
-      result.tenants[t].shed += 1;
-    } else if (!st.ok()) {
-      result.workload += " [FAILED: " + st.ToString() + "]";
-      break;
-    }
-    result.tenants[t].latency_ns.Record(cluster.Now() - op_start);
-  }
-
-  result.elapsed_ns = cluster.Now() - start;
-  return result;
 }
 
 }  // namespace bandslim::workload

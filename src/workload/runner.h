@@ -1,30 +1,52 @@
-// Workload runner: drives any KvStore (bare KvSsd, sharded KvCluster, or
-// the conventional HostKvs stack) through a workload spec on the virtual
-// clock, collecting the per-op latency histogram and the counter deltas the
-// paper's figures are built from.
+// Workload executors: run an OpStream (workload/op_stream.h) against any
+// topology on the virtual clock, collecting the per-op latency histogram,
+// the per-tenant op accounting and the counter deltas the paper's figures
+// are built from. There are exactly two:
+//   * RunSerial   — ops issue back-to-back on the targets' own timeline;
+//   * RunParallel — the stream is split into lanes (the queue pairs of one
+//                   device, or the shards of a cluster), each lane a closed
+//                   loop in its own time frame, interleaved on an
+//                   EventEngine by (local time, sequence).
+// Both apply the same outcome rules: a GET of a missing key is a miss, a
+// kBusy rejection is a per-tenant shed, and any other non-OK status stops
+// the run and is reported in RunResult::status.
 #pragma once
 
-#include <string>
+#include <span>
 
 #include "cluster/kv_cluster.h"
+#include "common/status.h"
 #include "core/kv_store.h"
 #include "core/kvssd.h"
 #include "stats/histogram.h"
-#include "workload/workloads.h"
+#include "workload/op_stream.h"
 
 namespace bandslim::workload {
 
-struct RunResult {
-  std::string workload;
-  std::string config;
+// Op accounting for one tenant (or, in RunResult, the whole run). `ops`
+// counts completed ops: OK, GET miss, or shed; the latency histogram and
+// requested bytes cover exactly those.
+struct OpTally {
   std::uint64_t ops = 0;
-  std::uint64_t requested_value_bytes = 0;
-  sim::Nanoseconds elapsed_ns = 0;
+  std::uint64_t gets = 0;     // Of `ops`; PUTs are ops - gets - deletes.
+  std::uint64_t deletes = 0;  // Of `ops`.
+  std::uint64_t misses = 0;   // GETs that found no key.
+  std::uint64_t shed = 0;     // kBusy admission rejections.
+  std::uint64_t requested_value_bytes = 0;  // PUT payload bytes.
   stats::Histogram latency_ns;
+};
 
+struct RunResult : OpTally {
+  // OK when the whole stream ran; otherwise the status that stopped it
+  // (the failing op is not counted).
+  Status status;
+  sim::Nanoseconds elapsed_ns = 0;
   // Counter deltas across the run.
   KvSsdStats delta;
+  // Per-tenant breakdown, indexed by Op::tenant; the base tally is its sum.
+  std::vector<OpTally> tenants;
 
+  bool ok() const { return status.ok(); }
   double MeanResponseUs() const { return latency_ns.Mean() / 1000.0; }
   double P99ResponseUs() const { return latency_ns.Percentile(99) / 1000.0; }
   double KopsPerSec() const {
@@ -53,90 +75,38 @@ struct RunResult {
   }
 };
 
-// Subtracts counters (after - before).
+// Subtracts every counter (after - before), elapsed_ns included.
 KvSsdStats StatsDelta(const KvSsdStats& after, const KvSsdStats& before);
 
-// Issues `spec.ops` PUTs. Value contents are a cheap deterministic pattern
-// (benches measure transfer/packing, not data entropy). Topology-neutral:
-// accepts anything behind the KvStore interface.
-RunResult RunPutWorkload(KvStore& store, const WorkloadSpec& spec,
-                         const std::string& config_label);
+// Serial executor: op i issues on targets[op.tenant] once op i-1 has
+// completed. elapsed_ns and delta are read from targets[0], so every target
+// must share one timeline and counter space — one store, or the tenant
+// facades of one cluster (cluster.Tenant(t)), whose QoS credits, tracer
+// tenant stamps and attribution plane then see the real tenant. An op whose
+// tenant has no target stops the run with kInvalidArgument.
+RunResult RunSerial(std::span<KvStore* const> targets, const OpStream& stream);
+RunResult RunSerial(KvStore& store, const OpStream& stream);
 
-// Issues the same PUT sequence sharded across `num_streams` NVMe queue
-// pairs (op i goes to stream i % num_streams; the device must be opened
-// with num_queues >= num_streams). Each stream advances in its own time
-// frame; the event engine interleaves streams deterministically by
-// (time, sequence) and the transport's parallel arbitration plus the NAND
-// channel/way scheduler decide how much of the work overlaps. elapsed_ns
-// is the latest stream finish time. With num_streams == 1 the run is
-// op-for-op identical to RunPutWorkload (see tests/figure_anchor_test).
-RunResult RunShardedPutWorkload(KvSsd& ssd, const WorkloadSpec& spec,
-                                std::uint16_t num_streams,
-                                const std::string& config_label);
+// Multi-stream executor over the queue pairs of one device: op i issues on
+// queue pair i % num_queues (the device must be opened with num_queues >=
+// that; queue 0 is the device's own driver) with parallel arbitration on,
+// so the transport and the NAND channel/way scheduler decide how much of
+// the work overlaps. elapsed_ns is the latest lane finish. With one queue
+// the run is op-for-op identical to RunSerial.
+RunResult RunParallel(KvSsd& ssd, const OpStream& stream,
+                      std::uint16_t num_queues);
 
-// --- Mixed read/write workloads over a preloaded key space -----------------
+// Multi-stream executor over the shards of a cluster: each op issues on its
+// owner shard directly (bypassing the router), every shard starting in the
+// router's frame. elapsed_ns is the latest shard finish minus that common
+// dispatch time — the open-loop N-client view the shard scaling ablation
+// measures — and the router clock is synced to it afterwards. With one
+// shard the run is op-for-op identical to RunSerial on the cluster.
+RunResult RunParallel(cluster::KvCluster& cluster, const OpStream& stream);
 
-// A GET/PUT mix over `num_keys` preloaded keys; the knob set the shard
-// scaling ablation sweeps. Key popularity is either uniform or Zipfian
-// (YCSB request distribution). Fully deterministic for a given spec.
-struct MixedWorkloadSpec {
-  std::string name = "mixed";
-  std::uint64_t ops = 0;
-  std::uint64_t num_keys = 4096;   // Preloaded key-space size.
-  std::size_t value_size = 128;
-  std::uint32_t get_permille = 500;  // GET share per mille; the rest update.
-  bool zipfian = false;
-  double zipf_theta = 0.99;
-  std::uint64_t seed = 1;
-  // Prepended to every MixedKeyName — disjoint prefixes give tenants in a
-  // blend disjoint key spaces (and steer which hash ranges they heat up).
-  // "" (the default) reproduces the historical key names byte-for-byte.
-  std::string key_prefix;
-};
-
-// The canonical key name for key-space index `i` ("k" + 8 hex digits).
-std::string MixedKeyName(std::uint64_t index);
-
-// PUTs every key of the spec's key space once (serially, through the
-// store's normal path) so the mixed run's GETs always hit.
+// Serially PUTs every key of the spec's key space through the store's
+// normal path so the mixed run's GETs always hit, then flushes.
 Status PreloadMixedKeys(KvStore& store, const MixedWorkloadSpec& spec);
-
-// Serial mixed run: ops issue back-to-back on the store's own timeline.
-// On a KvCluster this is the router's serial path (each op waits for its
-// owner shard) — the closed-loop single-client view.
-RunResult RunMixedWorkload(KvStore& store, const MixedWorkloadSpec& spec,
-                           const std::string& config_label);
-
-// Parallel mixed run against a cluster: the SAME op sequence is pre-drawn,
-// partitioned by owner shard, and each shard executes its sub-sequence as
-// an independent closed-loop stream in its own time frame; the event
-// engine interleaves streams deterministically by (local time, sequence).
-// elapsed_ns is the latest shard finish minus the common dispatch time —
-// the open-loop N-client view the shard scaling ablation measures. With
-// num_shards == 1 the run is op-for-op identical to RunMixedWorkload on
-// the same cluster (one stream, no interleaving).
-RunResult RunClusterMixedWorkload(cluster::KvCluster& cluster,
-                                  const MixedWorkloadSpec& spec,
-                                  const std::string& config_label);
-
-// --- Tenant blends: several mixed workloads interleaved on one cluster -----
-
-// One mixed spec per cluster tenant (index-paired with ClusterConfig's
-// tenants). Give the specs disjoint key_prefix values so tenants own
-// disjoint key spaces.
-struct TenantBlendSpec {
-  std::vector<MixedWorkloadSpec> tenants;
-  // Seed for the interleaving draw (which tenant issues the next op) —
-  // independent of each tenant's own op-sequence seed.
-  std::uint64_t seed = 7;
-};
-
-// The serial interleaving order: element i names the tenant that issues the
-// i-th client op. Drawn weighted by each tenant's REMAINING op budget, so a
-// 10:1 blend stays 10:1 throughout the run, deterministically for a given
-// seed. Exposed so the pinned-seed regression test can assert blends stay
-// reproducible across refactors.
-std::vector<std::uint16_t> DrawTenantInterleave(const TenantBlendSpec& spec);
 
 // Preloads every tenant's key space by PUTting each key directly on its
 // owner shard (bypassing the router, so the setup work stays UNTAGGED in
@@ -144,30 +114,5 @@ std::vector<std::uint16_t> DrawTenantInterleave(const TenantBlendSpec& spec);
 // router clock and flushes.
 Status PreloadTenantBlend(cluster::KvCluster& cluster,
                           const TenantBlendSpec& spec);
-
-// Per-tenant outcome of a blend run. `ops` counts client ops issued
-// (including shed ones); `shed` counts the kBusy rejections among them —
-// sheds are the QoS mechanism working, not a workload failure.
-struct TenantRunResult {
-  std::uint64_t ops = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t requested_value_bytes = 0;
-  stats::Histogram latency_ns;
-};
-
-struct BlendRunResult {
-  std::string workload;  // Carries " [FAILED: ...]" on a non-kBusy error.
-  sim::Nanoseconds elapsed_ns = 0;
-  std::vector<TenantRunResult> tenants;
-};
-
-// Serial blend run: client ops issue back-to-back on the router timeline in
-// DrawTenantInterleave order, each through its tenant's KvStore facade
-// (cluster.Tenant(t)), so QoS credits, tracer tenant stamps, and the
-// attribution plane all see the real tenant. kBusy is counted and skipped;
-// any other failure aborts the run.
-BlendRunResult RunTenantBlendWorkload(cluster::KvCluster& cluster,
-                                      const TenantBlendSpec& spec,
-                                      const std::string& config_label);
 
 }  // namespace bandslim::workload

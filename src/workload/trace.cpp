@@ -1,15 +1,23 @@
 #include "workload/trace.h"
 
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
-
-#include "workload/value_gen.h"
+#include <vector>
 
 namespace bandslim::workload {
 
 namespace {
 constexpr char kHexDigits[] = "0123456789abcdef";
+
+// Strict positive decimal. from_chars rejects a sign, overflow and trailing
+// characters, where operator>> would wrap "-1" to 4294967295.
+bool ParseSize(const std::string& text, std::uint32_t* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end && *out > 0;
+}
 }  // namespace
 
 std::string HexEncode(const std::string& raw) {
@@ -41,103 +49,54 @@ Result<std::string> HexDecode(const std::string& hex) {
   return out;
 }
 
-void WriteTrace(const Trace& trace, std::ostream& out) {
-  for (const TraceRecord& r : trace) {
-    switch (r.op) {
-      case TraceOp::kPut:
-        out << "put " << HexEncode(r.key) << ' ' << r.value_size << '\n';
+void WriteTrace(const OpStream& trace, std::ostream& out) {
+  for (const Op& op : trace) {
+    switch (op.kind) {
+      case OpKind::kPut:
+        out << "put " << HexEncode(op.key) << ' ' << op.value_size << '\n';
         break;
-      case TraceOp::kGet:
-        out << "get " << HexEncode(r.key) << '\n';
+      case OpKind::kGet:
+        out << "get " << HexEncode(op.key) << '\n';
         break;
-      case TraceOp::kDelete:
-        out << "del " << HexEncode(r.key) << '\n';
+      case OpKind::kDelete:
+        out << "del " << HexEncode(op.key) << '\n';
         break;
     }
   }
 }
 
-Result<Trace> ReadTrace(std::istream& in) {
-  Trace trace;
+Result<OpStream> ReadTrace(std::istream& in) {
+  OpStream trace;
   std::string line;
   std::size_t lineno = 0;
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty() || line[0] == '#') continue;
+    const auto corrupt = [&](const std::string& what) {
+      return Status::Corruption(what + ", line " + std::to_string(lineno));
+    };
     std::istringstream ls(line);
-    std::string op;
-    std::string hexkey;
-    ls >> op >> hexkey;
-    if (ls.fail()) {
-      return Status::Corruption("trace line " + std::to_string(lineno));
-    }
-    auto key = HexDecode(hexkey);
-    if (!key.ok()) return key.status();
-    TraceRecord record;
-    record.key = std::move(key).value();
-    if (op == "put") {
-      ls >> record.value_size;
-      if (ls.fail() || record.value_size == 0) {
-        return Status::Corruption("bad put size, line " + std::to_string(lineno));
+    std::vector<std::string> tokens;
+    for (std::string token; ls >> token;) tokens.push_back(std::move(token));
+    if (tokens.size() < 2) return corrupt("truncated trace op");
+    Op op;
+    if (tokens[0] == "put") {
+      if (tokens.size() != 3 || !ParseSize(tokens[2], &op.value_size)) {
+        return corrupt("bad put size");
       }
-      record.op = TraceOp::kPut;
-    } else if (op == "get") {
-      record.op = TraceOp::kGet;
-    } else if (op == "del") {
-      record.op = TraceOp::kDelete;
+    } else if (tokens[0] == "get" || tokens[0] == "del") {
+      if (tokens.size() != 2) return corrupt("trailing tokens");
+      op.kind = tokens[0] == "get" ? OpKind::kGet : OpKind::kDelete;
     } else {
-      return Status::Corruption("unknown op '" + op + "', line " +
-                                std::to_string(lineno));
+      return corrupt("unknown op '" + tokens[0] + "'");
     }
-    trace.push_back(std::move(record));
+    auto key = HexDecode(tokens[1]);
+    if (!key.ok()) return corrupt("bad hex key");
+    op.key = std::move(key).value();
+    op.stamp = trace.size();
+    trace.push_back(std::move(op));
   }
   return trace;
-}
-
-Trace TraceFromSpec(const WorkloadSpec& spec) {
-  Trace trace;
-  trace.reserve(spec.ops);
-  Xoshiro256 rng(spec.seed);
-  spec.keys->Reset();
-  for (std::uint64_t i = 0; i < spec.ops; ++i) {
-    trace.push_back({TraceOp::kPut, spec.keys->Next(),
-                     static_cast<std::uint32_t>(spec.sizes->Next(rng))});
-  }
-  return trace;
-}
-
-Result<ReplayResult> ReplayTrace(KvSsd& ssd, const Trace& trace) {
-  ReplayResult result;
-  std::size_t max_size = 0;
-  for (const TraceRecord& r : trace) {
-    max_size = std::max<std::size_t>(max_size, r.value_size);
-  }
-  Bytes value(max_size, 0xA5);
-  const sim::Nanoseconds start = ssd.clock().Now();
-  for (const TraceRecord& r : trace) {
-    switch (r.op) {
-      case TraceOp::kPut:
-        BANDSLIM_RETURN_IF_ERROR(
-            ssd.Put(r.key, ByteSpan(value).subspan(0, r.value_size)));
-        ++result.puts;
-        break;
-      case TraceOp::kGet: {
-        auto v = ssd.Get(r.key);
-        if (!v.ok()) {
-          if (!v.status().IsNotFound()) return v.status();
-          ++result.get_misses;
-        }
-        ++result.gets;
-        break;
-      }
-      case TraceOp::kDelete:
-        BANDSLIM_RETURN_IF_ERROR(ssd.Delete(r.key));
-        ++result.deletes;
-        break;
-    }
-  }
-  result.elapsed_ns = ssd.clock().Now() - start;
-  return result;
 }
 
 }  // namespace bandslim::workload

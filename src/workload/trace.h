@@ -1,51 +1,26 @@
-// Operation traces: a plain-text format for recording and replaying KV
-// operation streams (one op per line: `put <hexkey> <size>`,
-// `get <hexkey>`, `del <hexkey>`), so runs can be captured from generators
-// or external tools and replayed bit-identically against any device
-// configuration.
+// Operation traces: a plain-text format for recording and replaying op
+// streams (one op per line: `put <hexkey> <size>`, `get <hexkey>`,
+// `del <hexkey>`), so runs can be captured from generators or external
+// tools and replayed bit-identically against any device configuration.
+// A parsed trace IS an OpStream: run it with any executor in runner.h.
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
-#include "core/kvssd.h"
-#include "workload/workloads.h"
+#include "workload/op_stream.h"
 
 namespace bandslim::workload {
 
-enum class TraceOp : std::uint8_t { kPut, kGet, kDelete };
-
-struct TraceRecord {
-  TraceOp op = TraceOp::kPut;
-  std::string key;
-  std::uint32_t value_size = 0;  // PUT only.
-};
-
-using Trace = std::vector<TraceRecord>;
-
 // Serialization. Keys are hex-encoded (they may contain arbitrary bytes).
-void WriteTrace(const Trace& trace, std::ostream& out);
-Result<Trace> ReadTrace(std::istream& in);
+// Stamps, tenants and fills are not recorded: ReadTrace applies the
+// PUT-spec payload rule (fill 0xA5, stamp = op index), so replaying a
+// written PutStream issues exactly the bytes the direct run issues.
+void WriteTrace(const OpStream& trace, std::ostream& out);
+Result<OpStream> ReadTrace(std::istream& in);
 
 std::string HexEncode(const std::string& raw);
 Result<std::string> HexDecode(const std::string& hex);
-
-// Captures `spec` as a PUT trace without touching a device.
-Trace TraceFromSpec(const WorkloadSpec& spec);
-
-struct ReplayResult {
-  std::uint64_t puts = 0;
-  std::uint64_t gets = 0;
-  std::uint64_t deletes = 0;
-  std::uint64_t get_misses = 0;
-  sim::Nanoseconds elapsed_ns = 0;
-};
-
-// Replays a trace against a device. PUT payloads are deterministic pattern
-// bytes of the recorded size.
-Result<ReplayResult> ReplayTrace(KvSsd& ssd, const Trace& trace);
 
 }  // namespace bandslim::workload

@@ -29,7 +29,7 @@ workload::RunResult RunSweep(driver::TransferMethod method,
                         std::size_t value_size, std::uint64_t ops) {
   auto ssd = KvSsd::Open(BenchOptions(method, policy, nand_io)).value();
   auto spec = workload::MakeWorkloadA(value_size, ops);
-  return workload::RunPutWorkload(*ssd, spec, "anchor");
+  return workload::RunSerial(*ssd, workload::PutStream(spec));
 }
 
 using driver::TransferMethod;

@@ -304,14 +304,14 @@ CampaignExports RunFourShardCampaign() {
   EXPECT_TRUE(workload::PreloadMixedKeys(*fleet, spec).ok());
   // Serial mixed phase (router timeline), then batch traffic, then the
   // parallel per-shard phase, then a flush barrier.
-  (void)workload::RunMixedWorkload(*fleet, spec, "serial");
+  (void)workload::RunSerial(*fleet, workload::MixedStream(spec));
   std::vector<KvStore::KvPair> batch;
   for (std::uint64_t i = 0; i < 64; ++i) {
     batch.push_back({workload::MixedKeyName(i), ValueFor(i, 300)});
   }
   EXPECT_TRUE(fleet->PutBatch(batch).ok());
   spec.zipfian = true;
-  (void)workload::RunClusterMixedWorkload(*fleet, spec, "parallel");
+  (void)workload::RunParallel(*fleet, workload::MixedStream(spec));
   EXPECT_TRUE(fleet->Flush().ok());
 
   CampaignExports out;
@@ -425,12 +425,12 @@ TEST(KvClusterTest, ParallelRunnerMatchesSerialOnOneShard) {
   auto serial = KvCluster::Open(TestCluster(1)).value();
   ASSERT_TRUE(workload::PreloadMixedKeys(*serial, spec).ok());
   const workload::RunResult a =
-      workload::RunMixedWorkload(*serial, spec, "serial");
+      workload::RunSerial(*serial, workload::MixedStream(spec));
 
   auto parallel = KvCluster::Open(TestCluster(1)).value();
   ASSERT_TRUE(workload::PreloadMixedKeys(*parallel, spec).ok());
   const workload::RunResult b =
-      workload::RunClusterMixedWorkload(*parallel, spec, "parallel");
+      workload::RunParallel(*parallel, workload::MixedStream(spec));
 
   // One stream == the serial loop: identical virtual time and counters.
   EXPECT_EQ(a.elapsed_ns, b.elapsed_ns);
@@ -449,11 +449,11 @@ TEST(KvClusterTest, FourShardParallelMixedBeatsOneShard) {
 
   auto one = KvCluster::Open(TestCluster(1)).value();
   ASSERT_TRUE(workload::PreloadMixedKeys(*one, spec).ok());
-  const auto r1 = workload::RunClusterMixedWorkload(*one, spec, "n1");
+  const auto r1 = workload::RunParallel(*one, workload::MixedStream(spec));
 
   auto four = KvCluster::Open(TestCluster(4)).value();
   ASSERT_TRUE(workload::PreloadMixedKeys(*four, spec).ok());
-  const auto r4 = workload::RunClusterMixedWorkload(*four, spec, "n4");
+  const auto r4 = workload::RunParallel(*four, workload::MixedStream(spec));
 
   ASSERT_GT(r1.elapsed_ns, 0);
   ASSERT_GT(r4.elapsed_ns, 0);

@@ -30,7 +30,7 @@ KvSsdOptions Options(TransferMethod method, PackingPolicy policy, bool nand) {
 workload::RunResult RunSpec(workload::WorkloadSpec spec, TransferMethod method,
                             PackingPolicy policy, bool nand) {
   auto ssd = KvSsd::Open(Options(method, policy, nand)).value();
-  return workload::RunPutWorkload(*ssd, spec, "anchor");
+  return workload::RunSerial(*ssd, workload::PutStream(spec));
 }
 
 constexpr std::uint64_t kOps = 20000;
@@ -200,9 +200,9 @@ TEST(Figure12Anchors, AllPackingMinimizesNandWrites) {
 
 // ---- Multi-queue equivalence ----------------------------------------------
 
-// The sharded runner with one stream and the synchronous NAND path must
-// reproduce RunPutWorkload exactly — the figure anchors above are measured
-// through RunPutWorkload, so this pins that the multi-queue machinery is
+// The multi-stream executor with one queue lane and the synchronous NAND
+// path must reproduce the serial executor exactly — the figure anchors
+// above are measured through RunSerial, so this pins that the multi-queue machinery is
 // timing-invisible when not engaged.
 TEST(MultiQueueEquivalence, OneStreamShardedMatchesSequentialExactly) {
   for (auto make : {workload::MakeWorkloadB, workload::MakeWorkloadM}) {
@@ -210,15 +210,17 @@ TEST(MultiQueueEquivalence, OneStreamShardedMatchesSequentialExactly) {
                                        PackingPolicy::kAll, true))
                        .value();
     const auto seq =
-        workload::RunPutWorkload(*seq_ssd, make(kOps, 7), "seq");
+        workload::RunSerial(*seq_ssd, workload::PutStream(make(kOps, 7)));
 
     auto sharded_ssd = KvSsd::Open(Options(TransferMethod::kAdaptive,
                                            PackingPolicy::kAll, true))
                            .value();
-    const auto sharded = workload::RunShardedPutWorkload(
-        *sharded_ssd, make(kOps, 7), 1, "sharded");
+    const auto sharded = workload::RunParallel(
+        *sharded_ssd, workload::PutStream(make(kOps, 7)), 1);
 
-    ASSERT_EQ(seq.workload, sharded.workload);
+    ASSERT_TRUE(seq.ok()) << seq.status.ToString();
+    ASSERT_TRUE(sharded.ok()) << sharded.status.ToString();
+    EXPECT_EQ(seq.ops, sharded.ops);
     EXPECT_EQ(seq.elapsed_ns, sharded.elapsed_ns);
     EXPECT_EQ(seq.requested_value_bytes, sharded.requested_value_bytes);
     EXPECT_EQ(seq.latency_ns.count(), sharded.latency_ns.count());

@@ -29,8 +29,8 @@ KvSsdOptions ParallelOptions(std::uint16_t num_queues) {
 
 workload::RunResult RunSharded(std::uint16_t streams) {
   auto ssd = KvSsd::Open(ParallelOptions(streams)).value();
-  return workload::RunShardedPutWorkload(*ssd, workload::MakeWorkloadB(kOps),
-                                         streams, "parallel");
+  return workload::RunParallel(
+      *ssd, workload::PutStream(workload::MakeWorkloadB(kOps)), streams);
 }
 
 void ExpectIdentical(const KvSsdStats& a, const KvSsdStats& b) {
@@ -57,7 +57,10 @@ void ExpectIdentical(const KvSsdStats& a, const KvSsdStats& b) {
 TEST(ParallelEngineTest, FourQueueRunsAreDeterministic) {
   const workload::RunResult a = RunSharded(4);
   const workload::RunResult b = RunSharded(4);
-  ASSERT_EQ(a.workload, b.workload);  // No silent [FAILED] divergence.
+  // No silent failure divergence.
+  ASSERT_TRUE(a.ok()) << a.status.ToString();
+  ASSERT_TRUE(b.ok()) << b.status.ToString();
+  EXPECT_EQ(a.ops, b.ops);
   EXPECT_EQ(a.elapsed_ns, b.elapsed_ns);
   EXPECT_EQ(a.requested_value_bytes, b.requested_value_bytes);
   EXPECT_EQ(a.latency_ns.count(), b.latency_ns.count());
@@ -77,8 +80,8 @@ TEST(ParallelEngineTest, FourQueuesBeatSyncSingleQueueBy2_5x) {
   sync.geometry.pages_per_block = 64;
   sync.retain_payloads = false;
   auto sync_ssd = KvSsd::Open(sync).value();
-  const workload::RunResult base = workload::RunPutWorkload(
-      *sync_ssd, workload::MakeWorkloadB(kOps), "sync");
+  const workload::RunResult base = workload::RunSerial(
+      *sync_ssd, workload::PutStream(workload::MakeWorkloadB(kOps)));
 
   const workload::RunResult parallel = RunSharded(4);
   ASSERT_EQ(parallel.ops, base.ops);

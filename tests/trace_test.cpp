@@ -23,23 +23,26 @@ TEST(HexTest, RejectsBadInput) {
 }
 
 TEST(TraceTest, WriteReadRoundTrip) {
-  Trace trace = {
-      {TraceOp::kPut, std::string("\x01\x02", 2), 100},
-      {TraceOp::kGet, "key2", 0},
-      {TraceOp::kDelete, "key3", 0},
-      {TraceOp::kPut, "key4", 8192},
+  OpStream trace = {
+      {OpKind::kPut, std::string("\x01\x02", 2), 100},
+      {OpKind::kGet, "key2", 0},
+      {OpKind::kDelete, "key3", 0},
+      {OpKind::kPut, "key4", 8192},
   };
   std::stringstream ss;
   WriteTrace(trace, ss);
   auto back = ReadTrace(ss);
   ASSERT_TRUE(back.ok());
   ASSERT_EQ(back.value().size(), 4u);
-  EXPECT_EQ(back.value()[0].op, TraceOp::kPut);
+  EXPECT_EQ(back.value()[0].kind, OpKind::kPut);
   EXPECT_EQ(back.value()[0].key, trace[0].key);
   EXPECT_EQ(back.value()[0].value_size, 100u);
-  EXPECT_EQ(back.value()[1].op, TraceOp::kGet);
-  EXPECT_EQ(back.value()[2].op, TraceOp::kDelete);
+  EXPECT_EQ(back.value()[1].kind, OpKind::kGet);
+  EXPECT_EQ(back.value()[2].kind, OpKind::kDelete);
   EXPECT_EQ(back.value()[3].value_size, 8192u);
+  // Parsed ops carry the PUT-spec payload rule: stamp = op index.
+  EXPECT_EQ(back.value()[3].stamp, 3u);
+  EXPECT_EQ(back.value()[3].fill, kPutFill);
 }
 
 TEST(TraceTest, SkipsCommentsAndBlankLines) {
@@ -63,11 +66,22 @@ TEST(TraceTest, RejectsMalformedLines) {
     std::stringstream ss("put 616 10\n");  // Odd hex key.
     EXPECT_FALSE(ReadTrace(ss).ok());
   }
+  // A negative size must not wrap to 4294967295, and no line may carry
+  // extra tokens. Each is Corruption naming the line.
+  for (const char* bad : {"put 61 -1", "put 61 5 junk", "get 61 77",
+                          "del 61 x", "put 61 99999999999", "put 61 5x"}) {
+    std::stringstream ss(std::string("# header\nput 61 5\n") + bad + "\n");
+    const auto trace = ReadTrace(ss);
+    ASSERT_FALSE(trace.ok()) << bad;
+    EXPECT_EQ(trace.status().code(), StatusCode::kCorruption) << bad;
+    EXPECT_NE(trace.status().ToString().find("line 3"), std::string::npos)
+        << bad << ": " << trace.status().ToString();
+  }
 }
 
-TEST(TraceTest, TraceFromSpecIsDeterministic) {
-  auto t1 = TraceFromSpec(MakeWorkloadM(100, 9));
-  auto t2 = TraceFromSpec(MakeWorkloadM(100, 9));
+TEST(TraceTest, PutStreamIsDeterministic) {
+  auto t1 = PutStream(MakeWorkloadM(100, 9));
+  auto t2 = PutStream(MakeWorkloadM(100, 9));
   ASSERT_EQ(t1.size(), 100u);
   for (std::size_t i = 0; i < t1.size(); ++i) {
     EXPECT_EQ(t1[i].key, t2[i].key);
@@ -83,21 +97,21 @@ TEST(TraceTest, ReplayAgainstDevice) {
   o.geometry.pages_per_block = 32;
   auto ssd = KvSsd::Open(o).value();
 
-  Trace trace = {
-      {TraceOp::kPut, "alpha", 64},
-      {TraceOp::kPut, "beta", 2048},
-      {TraceOp::kGet, "alpha", 0},
-      {TraceOp::kGet, "missing", 0},
-      {TraceOp::kDelete, "alpha", 0},
-      {TraceOp::kGet, "alpha", 0},
+  OpStream trace = {
+      {OpKind::kPut, "alpha", 64},
+      {OpKind::kPut, "beta", 2048},
+      {OpKind::kGet, "alpha", 0},
+      {OpKind::kGet, "missing", 0},
+      {OpKind::kDelete, "alpha", 0},
+      {OpKind::kGet, "alpha", 0},
   };
-  auto result = ReplayTrace(*ssd, trace);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result.value().puts, 2u);
-  EXPECT_EQ(result.value().gets, 3u);
-  EXPECT_EQ(result.value().get_misses, 2u);  // "missing" + deleted "alpha".
-  EXPECT_EQ(result.value().deletes, 1u);
-  EXPECT_GT(result.value().elapsed_ns, 0u);
+  const RunResult result = RunSerial(*ssd, trace);
+  ASSERT_TRUE(result.ok()) << result.status.ToString();
+  EXPECT_EQ(result.ops - result.gets - result.deletes, 2u);  // PUTs.
+  EXPECT_EQ(result.gets, 3u);
+  EXPECT_EQ(result.misses, 2u);  // "missing" + deleted "alpha".
+  EXPECT_EQ(result.deletes, 1u);
+  EXPECT_GT(result.elapsed_ns, 0u);
   // Device state reflects the trace.
   EXPECT_TRUE(ssd->Get("beta").ok());
   EXPECT_TRUE(ssd->Get("alpha").status().IsNotFound());
@@ -110,8 +124,7 @@ TEST(TraceTest, SpecTraceReplayMatchesRunner) {
     KvSsdOptions o;
     o.retain_payloads = false;
     auto ssd = KvSsd::Open(o).value();
-    auto spec = MakeWorkloadM(500, 4);
-    RunPutWorkload(*ssd, spec, "x");
+    RunSerial(*ssd, PutStream(MakeWorkloadM(500, 4)));
     auto s = ssd->GetStats();
     return std::make_pair(s.pcie_h2d_bytes, s.commands_submitted);
   };
@@ -119,8 +132,9 @@ TEST(TraceTest, SpecTraceReplayMatchesRunner) {
     KvSsdOptions o;
     o.retain_payloads = false;
     auto ssd = KvSsd::Open(o).value();
-    auto trace = TraceFromSpec(MakeWorkloadM(500, 4));
-    ReplayTrace(*ssd, trace);
+    std::stringstream file;
+    WriteTrace(PutStream(MakeWorkloadM(500, 4)), file);
+    RunSerial(*ssd, ReadTrace(file).value());
     auto s = ssd->GetStats();
     return std::make_pair(s.pcie_h2d_bytes, s.commands_submitted);
   };

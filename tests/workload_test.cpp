@@ -143,7 +143,7 @@ TEST(RunnerTest, CollectsLatencyAndDeltas) {
   auto ssd = KvSsd::Open(o).value();
 
   auto spec = MakeWorkloadA(32, 200);
-  auto result = RunPutWorkload(*ssd, spec, "test");
+  auto result = RunSerial(*ssd, PutStream(spec));
   EXPECT_EQ(result.ops, 200u);
   EXPECT_EQ(result.latency_ns.count(), 200u);
   EXPECT_EQ(result.requested_value_bytes, 200u * 32u);
@@ -201,7 +201,7 @@ TEST(ZipfianTest, ThetaZeroIsNearUniform) {
 }
 
 TEST(KeyGenTest, UniformDrawChiSquareBounded) {
-  // Goodness of fit for the uniform key draw the mixed runner uses
+  // Goodness of fit for the uniform key draw the mixed stream uses
   // (rng() % num_keys): 64 cells, chi-square against the flat expectation.
   // 82.53 is the 95th percentile of chi-square with 63 degrees of freedom;
   // the pinned seeds all sit well under it.
