@@ -8,7 +8,14 @@
 # same commands into bench/golden/ and says so in its description.
 # abl_queue_scaling is not gated: it prints a host wall-clock column.
 #
-# Usage: ci/golden_check.sh <build-dir>   (Release build; ~15 s)
+# Export oracle: the --export files of timeline_report --ops=2000 (plain
+# and --control), fleet_timeline --ops=2000 and tenant_slo_report
+# --ops=3000 are regenerated and checked against the SHA-256 digests in
+# bench/golden/exports.sha256 (the files total ~66 MB, so only their
+# digests are committed). scrape_check validates their schema; this gate
+# catches a renderer that changes a single byte.
+#
+# Usage: ci/golden_check.sh <build-dir>   (Release build; ~20 s)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,8 +38,22 @@ done
 cmp "${golden}/abl_shard_scaling.csv" "${out}/abl_shard_scaling.csv" ||
   failed=1
 
+exports="${out}/exports"
+mkdir -p "${exports}"
+"${build_dir}/bench/timeline_report" --ops=2000 \
+  --export="${exports}/timeline" > /dev/null
+"${build_dir}/bench/timeline_report" --ops=2000 --control \
+  --export="${exports}/control" > /dev/null
+"${build_dir}/bench/fleet_timeline" --ops=2000 \
+  --export="${exports}/fleet" > /dev/null
+"${build_dir}/bench/tenant_slo_report" --ops=3000 \
+  --export="${exports}/tenant_slo" > /dev/null
+digests="$(pwd)/${golden}/exports.sha256"
+(cd "${exports}" && sha256sum --quiet -c "${digests}") || failed=1
+
 if [ "${failed}" -ne 0 ]; then
-  echo "figure golden outputs differ from ${golden}/ (see cmp above)" >&2
+  echo "golden outputs differ from ${golden}/ (see cmp/sha256sum above)" >&2
   exit 1
 fi
-echo "figure golden outputs: all byte-identical to ${golden}/"
+echo "golden outputs: figures byte-identical to ${golden}/," \
+  "export digests match ${golden}/exports.sha256"

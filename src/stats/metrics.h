@@ -80,9 +80,17 @@ class MetricsRegistry {
   // Empty histograms are included (count = 0).
   std::map<std::string, HistogramSnapshot> SnapshotHistograms() const;
 
-  // Full bucket snapshot of every histogram, sorted by name. The telemetry
-  // sampler diffs consecutive snapshots to build per-interval histograms.
+  // Full bucket snapshot of every histogram, sorted by name.
   std::map<std::string, HistogramBuckets> SnapshotHistogramBuckets() const;
+
+  // Read-only views of the live counters and histograms, in name order.
+  // Observers that sample every entry (the telemetry series plans) resolve
+  // each entry once and then read it in place: entries are never erased
+  // and never move, so size() only grows and element pointers stay valid.
+  using CounterMap = std::map<std::string, Counter, std::less<>>;
+  using HistogramMap = std::map<std::string, Histogram, std::less<>>;
+  const CounterMap& counters() const { return counters_; }
+  const HistogramMap& histograms() const { return histograms_; }
 
   void ResetAll();
 
@@ -91,8 +99,8 @@ class MetricsRegistry {
 
  private:
   // std::less<> enables find(string_view) without a temporary std::string.
-  std::map<std::string, Counter, std::less<>> counters_;
-  std::map<std::string, Histogram, std::less<>> histograms_;
+  CounterMap counters_;
+  HistogramMap histograms_;
 };
 
 }  // namespace bandslim::stats

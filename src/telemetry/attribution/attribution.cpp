@@ -1,8 +1,8 @@
 #include "telemetry/attribution/attribution.h"
 
 #include <algorithm>
-#include <sstream>
 
+#include "telemetry/text_out.h"
 #include "telemetry/timeline.h"
 
 namespace bandslim::telemetry::attribution {
@@ -67,6 +67,62 @@ WatchdogRule HotRangeRule(std::uint64_t share_permille, std::uint32_t n,
                       WatchdogRule::Cmp::kAtLeast, share_permille, n, clear_n};
 }
 
+struct AttributionPlane::SeriesPlan {
+  struct Tenant {
+    explicit Tenant(std::size_t index) {
+      const std::string base = "tenant" + std::to_string(index);
+      const auto slot = [&](const char* suffix) {
+        return SeriesSlot(base + suffix);
+      };
+      ops = slot(".ops");
+      delta_ops = slot(".delta.ops");
+      shed = slot(".shed");
+      delta_shed = slot(".delta.shed");
+      errors = slot(".errors");
+      requested_bytes = slot(".requested_bytes");
+      dev_ops = slot(".dev.ops");
+      delta_dev_ops = slot(".delta.dev.ops");
+      value_bytes = slot(".value_bytes");
+      delta_value_bytes = slot(".delta.value_bytes");
+      h2d_bytes = slot(".pcie.h2d_bytes");
+      delta_h2d_bytes = slot(".delta.pcie.h2d_bytes");
+      pages = slot(".nand.pages_programmed");
+      delta_pages = slot(".delta.nand.pages_programmed");
+      rate_ops = slot(".rate.ops_per_sec_milli");
+      rate_taf = slot(".rate.taf_milli");
+      total_taf = slot(".total.taf_milli");
+      p50 = slot(".p50");
+      p95 = slot(".p95");
+      p99 = slot(".p99");
+      lifetime_p99 = slot(".lifetime.p99");
+      slo_good = slot(".slo.good");
+      slo_bad = slot(".slo.bad");
+      slo_delta_bad = slot(".slo.delta.bad");
+      burn_fast = slot(".slo.burn_fast_milli");
+      burn_slow = slot(".slo.burn_slow_milli");
+      budget_spent = slot(".slo.budget_spent_permille");
+    }
+    SeriesSlot ops, delta_ops, shed, delta_shed, errors, requested_bytes,
+        dev_ops, delta_dev_ops, value_bytes, delta_value_bytes, h2d_bytes,
+        delta_h2d_bytes, pages, delta_pages, rate_ops, rate_taf, total_taf,
+        p50, p95, p99, lifetime_p99, slo_good, slo_bad, slo_delta_bad,
+        burn_fast, burn_slow, budget_spent;
+  };
+
+  std::vector<Tenant> tenants;  // Grown on first use.
+  SeriesSlot untagged_dev_ops{"untagged.dev.ops"},
+      untagged_delta_dev_ops{"untagged.delta.dev.ops"},
+      untagged_value_bytes{"untagged.value_bytes"},
+      untagged_delta_value_bytes{"untagged.delta.value_bytes"},
+      untagged_h2d_bytes{"untagged.pcie.h2d_bytes"},
+      untagged_delta_h2d_bytes{"untagged.delta.pcie.h2d_bytes"},
+      untagged_pages{"untagged.nand.pages_programmed"},
+      untagged_delta_pages{"untagged.delta.nand.pages_programmed"};
+  SeriesSlot heat_touches{"heat.touches"}, heat_weight{"heat.weight"},
+      heat_max_share{"heat.max_share_permille"},
+      heat_hot_range{"heat.hot_range"};
+};
+
 AttributionPlane::AttributionPlane(const AttributionConfig& config)
     : config_(config) {
   if (config_.heat_fanout == 0) config_.heat_fanout = 1;
@@ -75,6 +131,8 @@ AttributionPlane::AttributionPlane(const AttributionConfig& config)
   }
   heat_.assign(config_.heat_fanout, 0);
 }
+
+AttributionPlane::~AttributionPlane() = default;
 
 void AttributionPlane::Bind(
     const std::vector<stats::MetricsRegistry*>& shard_metrics,
@@ -188,16 +246,20 @@ void AttributionPlane::OnFleetSample(SampleBuilder& b,
   untagged_.value_bytes = totals.value_bytes - sums.value_bytes;
   untagged_.pcie_h2d_bytes = totals.pcie_h2d_bytes - sums.pcie_h2d_bytes;
   untagged_.nand_pages = totals.nand_pages - sums.nand_pages;
-  b.Set("untagged.dev.ops", untagged_.dev_ops);
-  b.Set("untagged.delta.dev.ops", untagged_.dev_ops - prev_untagged_.dev_ops);
-  b.Set("untagged.value_bytes", untagged_.value_bytes);
-  b.Set("untagged.delta.value_bytes",
+  // Built on the first sample, so a disabled plane allocates nothing.
+  if (plan_ == nullptr) plan_ = std::make_unique<SeriesPlan>();
+  SeriesPlan& plan = *plan_;
+  b.Set(plan.untagged_dev_ops, untagged_.dev_ops);
+  b.Set(plan.untagged_delta_dev_ops,
+        untagged_.dev_ops - prev_untagged_.dev_ops);
+  b.Set(plan.untagged_value_bytes, untagged_.value_bytes);
+  b.Set(plan.untagged_delta_value_bytes,
         untagged_.value_bytes - prev_untagged_.value_bytes);
-  b.Set("untagged.pcie.h2d_bytes", untagged_.pcie_h2d_bytes);
-  b.Set("untagged.delta.pcie.h2d_bytes",
+  b.Set(plan.untagged_h2d_bytes, untagged_.pcie_h2d_bytes);
+  b.Set(plan.untagged_delta_h2d_bytes,
         untagged_.pcie_h2d_bytes - prev_untagged_.pcie_h2d_bytes);
-  b.Set("untagged.nand.pages_programmed", untagged_.nand_pages);
-  b.Set("untagged.delta.nand.pages_programmed",
+  b.Set(plan.untagged_pages, untagged_.nand_pages);
+  b.Set(plan.untagged_delta_pages,
         untagged_.nand_pages - prev_untagged_.nand_pages);
   prev_untagged_ = untagged_;
 
@@ -205,40 +267,37 @@ void AttributionPlane::OnFleetSample(SampleBuilder& b,
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
     const TenantCharges& t = tenants_[i];
     const TenantCharges& p = prev_tenants_[i];
-    const std::string base = "tenant" + std::to_string(i);
-    b.Set(base + ".ops", t.ops);
-    b.Set(base + ".delta.ops", t.ops - p.ops);
-    b.Set(base + ".shed", t.shed_ops);
-    b.Set(base + ".delta.shed", t.shed_ops - p.shed_ops);
-    b.Set(base + ".errors", t.error_ops);
-    b.Set(base + ".requested_bytes", t.requested_bytes);
-    b.Set(base + ".dev.ops", t.dev_ops);
-    b.Set(base + ".delta.dev.ops", t.dev_ops - p.dev_ops);
-    b.Set(base + ".value_bytes", t.value_bytes);
-    b.Set(base + ".delta.value_bytes", t.value_bytes - p.value_bytes);
-    b.Set(base + ".pcie.h2d_bytes", t.pcie_h2d_bytes);
-    b.Set(base + ".delta.pcie.h2d_bytes",
-          t.pcie_h2d_bytes - p.pcie_h2d_bytes);
-    b.Set(base + ".nand.pages_programmed", t.nand_pages);
-    b.Set(base + ".delta.nand.pages_programmed", t.nand_pages - p.nand_pages);
-    b.Set(base + ".rate.ops_per_sec_milli",
-          PerSecondMilli(t.ops - p.ops, b.interval_ns()));
-    b.Set(base + ".rate.taf_milli",
-          RatioMilli(t.pcie_h2d_bytes - p.pcie_h2d_bytes,
-                   t.value_bytes - p.value_bytes));
-    b.Set(base + ".total.taf_milli",
-          RatioMilli(t.pcie_h2d_bytes, t.value_bytes));
+    SeriesPlan::Tenant& s = GrowTo(plan.tenants, i, [](std::size_t k) {
+      return SeriesPlan::Tenant(k);
+    });
+    b.Set(s.ops, t.ops);
+    b.Set(s.delta_ops, t.ops - p.ops);
+    b.Set(s.shed, t.shed_ops);
+    b.Set(s.delta_shed, t.shed_ops - p.shed_ops);
+    b.Set(s.errors, t.error_ops);
+    b.Set(s.requested_bytes, t.requested_bytes);
+    b.Set(s.dev_ops, t.dev_ops);
+    b.Set(s.delta_dev_ops, t.dev_ops - p.dev_ops);
+    b.Set(s.value_bytes, t.value_bytes);
+    b.Set(s.delta_value_bytes, t.value_bytes - p.value_bytes);
+    b.Set(s.h2d_bytes, t.pcie_h2d_bytes);
+    b.Set(s.delta_h2d_bytes, t.pcie_h2d_bytes - p.pcie_h2d_bytes);
+    b.Set(s.pages, t.nand_pages);
+    b.Set(s.delta_pages, t.nand_pages - p.nand_pages);
+    b.Set(s.rate_ops, PerSecondMilli(t.ops - p.ops, b.interval_ns()));
+    b.Set(s.rate_taf, RatioMilli(t.pcie_h2d_bytes - p.pcie_h2d_bytes,
+                                 t.value_bytes - p.value_bytes));
+    b.Set(s.total_taf, RatioMilli(t.pcie_h2d_bytes, t.value_bytes));
 
     // Interval latency percentiles from the tenant histogram's bucket delta
     // — same shared-boundary exactness as the fleet's merged percentiles.
-    const stats::HistogramBuckets cur{latency_[i].bucket_counts(),
-                                      latency_[i].count(), latency_[i].sum()};
-    const IntervalQuantiles q = QuantilesSince(cur, prev_latency_[i]);
-    b.Set(base + ".p50", q.p50);
-    b.Set(base + ".p95", q.p95);
-    b.Set(base + ".p99", q.p99);
-    b.Set(base + ".lifetime.p99", latency_[i].QuantilePermille(990));
-    prev_latency_[i] = cur;
+    const stats::Histogram* latency = &latency_[i];
+    const IntervalQuantiles q =
+        AdvanceQuantiles({&latency, 1}, &prev_latency_[i]);
+    b.Set(s.p50, q.p50);
+    b.Set(s.p95, q.p95);
+    b.Set(s.p99, q.p99);
+    b.Set(s.lifetime_p99, latency->QuantilePermille(990));
 
     // SLO ledger: advance the trailing windows by this interval's good/bad
     // deltas, then derive burn rates and lifetime budget spend.
@@ -266,12 +325,12 @@ void AttributionPlane::OnFleetSample(SampleBuilder& b,
     // lifetime budget is exactly exhausted.
     state.budget_spent_permille =
         t.ops == 0 ? 0 : t.bad_ops * 1000 * 1000 / (t.ops * allowed);
-    b.Set(base + ".slo.good", t.good_ops);
-    b.Set(base + ".slo.bad", t.bad_ops);
-    b.Set(base + ".slo.delta.bad", t.bad_ops - p.bad_ops);
-    b.Set(base + ".slo.burn_fast_milli", state.burn_fast_milli);
-    b.Set(base + ".slo.burn_slow_milli", state.burn_slow_milli);
-    b.Set(base + ".slo.budget_spent_permille", state.budget_spent_permille);
+    b.Set(s.slo_good, t.good_ops);
+    b.Set(s.slo_bad, t.bad_ops);
+    b.Set(s.slo_delta_bad, t.bad_ops - p.bad_ops);
+    b.Set(s.burn_fast, state.burn_fast_milli);
+    b.Set(s.burn_slow, state.burn_slow_milli);
+    b.Set(s.budget_spent, state.budget_spent_permille);
     prev_tenants_[i] = t;
   }
 
@@ -286,10 +345,10 @@ void AttributionPlane::OnFleetSample(SampleBuilder& b,
     }
   }
   heat_max_share_permille_ = total == 0 ? 0 : max_weight * 1000 / total;
-  b.Set("heat.touches", heat_touches_);
-  b.Set("heat.weight", total);
-  b.Set("heat.max_share_permille", heat_max_share_permille_);
-  b.Set("heat.hot_range", heat_hot_range_);
+  b.Set(plan.heat_touches, heat_touches_);
+  b.Set(plan.heat_weight, total);
+  b.Set(plan.heat_max_share, heat_max_share_permille_);
+  b.Set(plan.heat_hot_range, heat_hot_range_);
   for (std::uint64_t& w : heat_) {
     w = w * config_.heat_decay_keep_permille / 1000;
   }
@@ -297,7 +356,7 @@ void AttributionPlane::OnFleetSample(SampleBuilder& b,
 
 void AttributionPlane::AppendPrometheus(std::string* out,
                                         std::uint64_t ts_ms) const {
-  std::ostringstream os;
+  TextOut os(out);
   // Tenant-labeled block: one family per ledger column, every tenant plus
   // the untagged residual row where the column is a device charge.
   const auto family = [&](const char* name, const char* type,
@@ -350,12 +409,12 @@ void AttributionPlane::AppendPrometheus(std::string* out,
   os << "# TYPE bandslim_keyspace_hot_range gauge\n";
   os << "bandslim_keyspace_hot_range " << heat_hot_range_ << " " << ts_ms
      << "\n";
-  *out += os.str();
 }
 
 std::string AttributionPlane::SloJsonl() const {
   if (!config_.enabled || tenants_.empty()) return "";
-  std::ostringstream os;
+  std::string out;
+  TextOut os(&out);
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
     const TenantCharges& t = tenants_[i];
     const SloConfig& slo = slo_configs_[i];
@@ -377,7 +436,7 @@ std::string AttributionPlane::SloJsonl() const {
        << ",\"taf_milli\":" << RatioMilli(t.pcie_h2d_bytes, t.value_bytes)
        << "}\n";
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace bandslim::telemetry::attribution

@@ -41,6 +41,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -168,6 +169,7 @@ class AttributionPlane {
   };
 
   explicit AttributionPlane(const AttributionConfig& config);
+  ~AttributionPlane();
 
   bool enabled() const { return config_.enabled; }
   const AttributionConfig& config() const { return config_; }
@@ -226,6 +228,9 @@ class AttributionPlane {
   std::uint64_t heat_touches() const { return heat_touches_; }
 
  private:
+  // Every series OnFleetSample emits, resolved once (attribution.cpp).
+  struct SeriesPlan;
+
   struct CounterRefs {
     stats::Counter* ops = nullptr;
     stats::Counter* value_bytes = nullptr;
@@ -262,6 +267,8 @@ class AttributionPlane {
   std::uint64_t heat_touches_ = 0;   // Lifetime touch count (no decay).
   std::uint64_t heat_hot_range_ = 0;
   std::uint64_t heat_max_share_permille_ = 0;
+
+  std::unique_ptr<SeriesPlan> plan_;
 };
 
 }  // namespace bandslim::telemetry::attribution

@@ -1,38 +1,21 @@
 #include "telemetry/fleet.h"
 
 #include <algorithm>
-#include <map>
-#include <sstream>
+#include <array>
 #include <string>
 #include <utility>
 
 #include "telemetry/attribution/attribution.h"
+#include "telemetry/text_out.h"
 
 namespace bandslim::telemetry {
 
 namespace {
 
-// The registry mirrors PCIe bytes as one counter per traffic class
-// ("pcie.mmio.h2d_bytes" ... "pcie.completion.h2d_bytes"); their sum is the
-// link's host-to-device byte total, exactly as KvSsd::GetStats computes it.
-bool IsPcieH2dBytes(const std::string& name) {
-  constexpr std::string_view kPrefix = "pcie.", kSuffix = ".h2d_bytes";
-  return name.size() > kPrefix.size() + kSuffix.size() &&
-         name.starts_with(kPrefix) && name.ends_with(kSuffix);
-}
-
 constexpr char kOpLatencyHist[] = "trace.op.latency_ns";
 
-// summed_ marker for a series no shard reported this sample.
-constexpr std::uint64_t kAbsent = ~0ULL;
-
-void MergeInto(stats::HistogramBuckets* into,
-               const stats::HistogramBuckets& from) {
-  for (std::size_t b = 0; b < into->buckets.size(); ++b) {
-    into->buckets[b] += from.buckets[b];
-  }
-  into->count += from.count;
-  into->sum += from.sum;
+std::uint64_t Read(const stats::Counter* counter) {
+  return counter == nullptr ? 0 : counter->value();
 }
 
 }  // namespace
@@ -61,15 +44,78 @@ WatchdogRule StragglerShardRule(std::uint32_t n, std::uint32_t clear_n) {
                       WatchdogRule::Cmp::kAtLeast, 1, n, clear_n};
 }
 
+struct FleetAggregator::SeriesPlan {
+  // One shard's window inputs, looked up whenever the registry plan is
+  // rebuilt (null when the shard's registry lacks the name).
+  struct ShardRefs {
+    const stats::Counter* ops = nullptr;
+    const stats::Counter* value_bytes = nullptr;
+    std::array<const stats::Counter*, 4> h2d{};
+    const stats::Counter* pages = nullptr;
+    const stats::Histogram* op_latency = nullptr;
+  };
+  struct ShardSeries {
+    SeriesSlot ops, delta_ops, routed_keys, p99_ns;
+  };
+
+  void ResolveShards(const std::vector<const stats::MetricsRegistry*>& regs) {
+    const auto counter = [](const stats::MetricsRegistry* r,
+                            std::string_view name) -> const stats::Counter* {
+      const auto it = r->counters().find(name);
+      return it == r->counters().end() ? nullptr : &it->second;
+    };
+    refs.assign(regs.size(), ShardRefs{});
+    for (std::size_t i = 0; i < regs.size(); ++i) {
+      if (regs[i] == nullptr) continue;
+      ShardRefs& r = refs[i];
+      r.ops = counter(regs[i], "nvme.commands_submitted");
+      r.value_bytes = counter(regs[i], "controller.value_bytes_written");
+      r.h2d = {counter(regs[i], "pcie.mmio.h2d_bytes"),
+               counter(regs[i], "pcie.cmd_fetch.h2d_bytes"),
+               counter(regs[i], "pcie.dma_data.h2d_bytes"),
+               counter(regs[i], "pcie.completion.h2d_bytes")};
+      r.pages = counter(regs[i], "nand.pages_programmed");
+      const auto h = regs[i]->histograms().find(kOpLatencyHist);
+      if (h != regs[i]->histograms().end()) r.op_latency = &h->second;
+    }
+    op_latency = registry.histograms().size();
+    for (std::size_t h = 0; h < registry.histograms().size(); ++h) {
+      if (registry.histograms()[h].series.hist_name == kOpLatencyHist) {
+        op_latency = h;
+      }
+    }
+  }
+
+  RegistryPlan registry{/*lifetime=*/true};
+  std::vector<ShardRefs> refs;
+  // Index of trace.op.latency_ns in registry.histograms(); size() if none.
+  std::size_t op_latency = 0;
+  std::vector<ShardSeries> shards;  // Grown on first use.
+
+  SeriesSlot fleet_shards{"fleet.shards"}, d_ops{"delta.ops"},
+      d_vb{"delta.value_bytes"}, d_h2d{"delta.pcie.h2d_bytes"},
+      d_pages{"delta.nand.pages_programmed"},
+      rate_ops{"rate.ops_per_sec_milli"}, rate_taf{"rate.taf_milli"},
+      total_taf{"total.taf_milli"},
+      imbalance{"fleet.imbalance.ops_max_over_mean_milli"},
+      p99_skew{"fleet.skew.p99_max_over_fleet_milli"},
+      ring_skew{"fleet.ring.skew_permille"},
+      stalled{"fleet.straggler.stalled_shards"};
+};
+
 FleetAggregator::FleetAggregator(const sim::VirtualClock* router_clock,
                                  const TimelineConfig& config)
     : Timeline(router_clock, config, "bandslim_fleet_samples_total",
                "Fleet samples emitted by the cluster aggregator.") {}
 
+FleetAggregator::~FleetAggregator() = default;
+
 void FleetAggregator::Bind(std::vector<ShardSource> shards,
                            const std::vector<std::uint64_t>* routed_keys,
                            std::vector<std::uint64_t> expected_share_permille) {
   shards_ = std::move(shards);
+  registries_.clear();
+  for (const ShardSource& src : shards_) registries_.push_back(src.metrics);
   routed_keys_ = routed_keys;
   expected_share_permille_ = std::move(expected_share_permille);
   windows_.assign(shards_.size(), ShardWindow{});
@@ -79,91 +125,47 @@ void FleetAggregator::Bind(std::vector<ShardSource> shards,
 }
 
 void FleetAggregator::Collect(SampleBuilder& b) {
+  // Built on the first sample, so a disabled aggregator allocates nothing.
+  if (plan_ == nullptr) plan_ = std::make_unique<SeriesPlan>();
+  SeriesPlan& p = *plan_;
+  if (p.registry.Sync(registries_)) p.ResolveShards(registries_);
+
   // --- Per-shard reads: one instant, one pass ----------------------------
   // Every shard's counters are read while the routed op that crossed the
   // boundary is complete on its device, so the summed cluster series and
   // the per-shard windows describe the same cut — the reconciliation
   // invariant (fleet delta == sum of shard deltas) is exact by construction.
-  // Sums accumulate by id; a name this timeline has not seen yet is held
-  // back by name, so new series are interned in name order.
   const std::size_t n = shards_.size();
-  summed_.assign(series().size(), kAbsent);
-  merged_hist_.assign(histogram_names().size(), stats::HistogramBuckets{});
-  std::map<std::string, std::uint64_t> new_counters;
-  std::map<std::string, stats::HistogramBuckets> new_hists;
   std::uint64_t max_shard_p99 = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const ShardSource& src = shards_[i];
+    const SeriesPlan::ShardRefs& r = p.refs[i];
     ShardWindow& w = windows_[i];
     w.p99_ns = 0;
-    if (src.metrics != nullptr) {
-      for (const auto& [name, value] : src.metrics->SnapshotCounters()) {
-        const std::int64_t id = series().Find(name);
-        if (id < 0) {
-          new_counters[name] += value;
-          continue;
-        }
-        std::uint64_t& sum = summed_[static_cast<std::size_t>(id)];
-        sum = (sum == kAbsent ? 0 : sum) + value;
-      }
-      for (const auto& [name, cur] :
-           src.metrics->SnapshotHistogramBuckets()) {
-        if (cur.count == 0) continue;
-        const std::int64_t id = histogram_names().Find(name);
-        MergeInto(id < 0 ? &new_hists[name]
-                         : &merged_hist_[static_cast<std::size_t>(id)],
-                  cur);
-        if (name == kOpLatencyHist) {
-          w.p99_ns = QuantilesSince(cur, last_shard_op_hist_[i]).p99;
-          max_shard_p99 = std::max(max_shard_p99, w.p99_ns);
-          last_shard_op_hist_[i] = cur;
-        }
-      }
-      w.ops = src.metrics->CounterValue("nvme.commands_submitted");
-      w.value_bytes =
-          src.metrics->CounterValue("controller.value_bytes_written");
-      w.pcie_h2d_bytes =
-          src.metrics->CounterValue("pcie.mmio.h2d_bytes") +
-          src.metrics->CounterValue("pcie.cmd_fetch.h2d_bytes") +
-          src.metrics->CounterValue("pcie.dma_data.h2d_bytes") +
-          src.metrics->CounterValue("pcie.completion.h2d_bytes");
-      w.nand_pages_programmed =
-          src.metrics->CounterValue("nand.pages_programmed");
+    if (r.op_latency != nullptr && r.op_latency->count() != 0) {
+      w.p99_ns =
+          AdvanceQuantiles({&r.op_latency, 1}, &last_shard_op_hist_[i]).p99;
+      max_shard_p99 = std::max(max_shard_p99, w.p99_ns);
     }
+    w.ops = Read(r.ops);
+    w.value_bytes = Read(r.value_bytes);
+    w.pcie_h2d_bytes =
+        Read(r.h2d[0]) + Read(r.h2d[1]) + Read(r.h2d[2]) + Read(r.h2d[3]);
+    w.nand_pages_programmed = Read(r.pages);
     w.delta_ops = w.ops - prev_shard_ops_[i];
     prev_shard_ops_[i] = w.ops;
     w.routed_keys = routed_keys_ != nullptr && i < routed_keys_->size()
                         ? (*routed_keys_)[i]
                         : 0;
-    w.shard_now_ns = src.clock != nullptr ? src.clock->Now() : 0;
+    w.shard_now_ns = shards_[i].clock != nullptr ? shards_[i].clock->Now() : 0;
   }
 
   // --- Cluster cumulative series: summed shard counters, verbatim names --
-  std::uint64_t cum_ops = 0, cum_vb = 0, cum_h2d = 0, cum_pages = 0;
-  std::uint64_t d_ops = 0, d_vb = 0, d_pages = 0, d_h2d = 0;
-  const auto counter = [&](const std::string& name, std::uint64_t value,
-                           std::uint64_t delta) {
-    if (name == "nvme.commands_submitted") {
-      cum_ops = value;
-      d_ops = delta;
-    } else if (name == "controller.value_bytes_written") {
-      cum_vb = value;
-      d_vb = delta;
-    } else if (name == "nand.pages_programmed") {
-      cum_pages = value;
-      d_pages = delta;
-    } else if (IsPcieH2dBytes(name)) {
-      cum_h2d += value;
-      d_h2d += delta;
-    }
-  };
-  for (std::uint32_t id = 0; id < summed_.size(); ++id) {
-    if (summed_[id] == kAbsent) continue;
-    counter(series().NameOf(id), summed_[id], b.Cumulative(id, summed_[id]));
-  }
-  for (const auto& [name, value] : new_counters) {
-    counter(name, value, b.Cumulative(name, value));
-  }
+  const RoleTotals totals = p.registry.EmitCounters(b);
+  const std::uint64_t d_ops = totals.Delta(CounterRole::kOps);
+  const std::uint64_t d_vb = totals.Delta(CounterRole::kValueBytes);
+  const std::uint64_t d_h2d = totals.Delta(CounterRole::kPcieH2dBytes);
+  const std::uint64_t cum_vb = totals.Cum(CounterRole::kValueBytes);
+  const std::uint64_t cum_h2d = totals.Cum(CounterRole::kPcieH2dBytes);
 
   // --- Merged-histogram percentiles ---------------------------------------
   // Interval series mirror the device sampler (<base>.p50/.p95/.p99 over
@@ -172,34 +174,26 @@ void FleetAggregator::Collect(SampleBuilder& b) {
   // the quantiles over the union of every shard's recordings, which the
   // fleet test asserts against a replayed union histogram.
   std::uint64_t fleet_p99 = 0;
-  const auto merged = [&](const std::string& name,
-                          const stats::HistogramBuckets& cur) {
-    const IntervalQuantiles q = b.Histogram(name, cur);
-    const std::string base = SampleBuilder::PercentileBase(name);
-    b.Set("lifetime." + base + ".p50",
-          stats::Histogram::QuantileFromBuckets(cur.buckets, cur.count, 500));
-    b.Set("lifetime." + base + ".p95",
-          stats::Histogram::QuantileFromBuckets(cur.buckets, cur.count, 950));
-    b.Set("lifetime." + base + ".p99",
-          stats::Histogram::QuantileFromBuckets(cur.buckets, cur.count, 990));
-    if (name == kOpLatencyHist) fleet_p99 = q.p99;
-  };
-  for (std::uint32_t id = 0; id < merged_hist_.size(); ++id) {
-    if (merged_hist_[id].count != 0) {
-      merged(histogram_names().NameOf(id), merged_hist_[id]);
-    }
+  std::vector<RegistryPlan::HistogramEntry>& hists = p.registry.histograms();
+  for (std::size_t h = 0; h < hists.size(); ++h) {
+    const IntervalQuantiles q = b.Histogram(hists[h].series, hists[h].live);
+    if (h == p.op_latency) fleet_p99 = q.p99;
   }
-  for (const auto& [name, cur] : new_hists) merged(name, cur);
 
   // --- Per-shard series and imbalance inputs ------------------------------
   std::uint64_t max_delta_ops = 0, stalled = 0, total_routed = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const ShardWindow& w = windows_[i];
-    const std::string base = "shard" + std::to_string(i);
-    b.Set(base + ".ops", w.ops);
-    b.Set(base + ".delta.ops", w.delta_ops);
-    b.Set(base + ".routed_keys", w.routed_keys);
-    b.Set(base + ".p99_ns", w.p99_ns);
+    SeriesPlan::ShardSeries& s = GrowTo(p.shards, i, [](std::size_t k) {
+      const std::string base = "shard" + std::to_string(k);
+      return SeriesPlan::ShardSeries{
+          SeriesSlot(base + ".ops"), SeriesSlot(base + ".delta.ops"),
+          SeriesSlot(base + ".routed_keys"), SeriesSlot(base + ".p99_ns")};
+    });
+    b.Set(s.ops, w.ops);
+    b.Set(s.delta_ops, w.delta_ops);
+    b.Set(s.routed_keys, w.routed_keys);
+    b.Set(s.p99_ns, w.p99_ns);
     max_delta_ops = std::max(max_delta_ops, w.delta_ops);
     if (w.delta_ops == 0) ++stalled;
     total_routed += w.routed_keys;
@@ -218,22 +212,21 @@ void FleetAggregator::Collect(SampleBuilder& b) {
   }
 
   // --- Fleet derived series and watchdog rule inputs ----------------------
-  b.Set("fleet.shards", n);
-  b.Set("delta.ops", d_ops);
-  b.Set("delta.value_bytes", d_vb);
-  b.Set("delta.pcie.h2d_bytes", d_h2d);
-  b.Set("delta.nand.pages_programmed", d_pages);
-  b.Set("rate.ops_per_sec_milli", PerSecondMilli(d_ops, b.interval_ns()));
-  b.Set("rate.taf_milli", RatioMilli(d_h2d, d_vb));
-  b.Set("total.taf_milli", RatioMilli(cum_h2d, cum_vb));
+  b.Set(p.fleet_shards, n);
+  b.Set(p.d_ops, d_ops);
+  b.Set(p.d_vb, d_vb);
+  b.Set(p.d_h2d, d_h2d);
+  b.Set(p.d_pages, totals.Delta(CounterRole::kPagesProgrammed));
+  b.Set(p.rate_ops, PerSecondMilli(d_ops, b.interval_ns()));
+  b.Set(p.rate_taf, RatioMilli(d_h2d, d_vb));
+  b.Set(p.total_taf, RatioMilli(cum_h2d, cum_vb));
   // max/mean x1000 == max * N * 1000 / total; 0 on an idle interval so the
   // imbalance rule never fires while the fleet is quiet.
-  b.Set("fleet.imbalance.ops_max_over_mean_milli",
-        d_ops == 0 ? 0 : max_delta_ops * n * kMilliScale / d_ops);
-  b.Set("fleet.skew.p99_max_over_fleet_milli",
+  b.Set(p.imbalance, d_ops == 0 ? 0 : max_delta_ops * n * kMilliScale / d_ops);
+  b.Set(p.p99_skew,
         fleet_p99 == 0 ? 0 : max_shard_p99 * kMilliScale / fleet_p99);
-  b.Set("fleet.ring.skew_permille", ring_skew);
-  b.Set("fleet.straggler.stalled_shards", d_ops > 0 ? stalled : 0);
+  b.Set(p.ring_skew, ring_skew);
+  b.Set(p.stalled, d_ops > 0 ? stalled : 0);
 
   // --- Tenant/key-space attribution series --------------------------------
   // Folded into THIS sample before the sort and the watchdog pass, so the
@@ -241,19 +234,19 @@ void FleetAggregator::Collect(SampleBuilder& b) {
   // every fleet rule, and the untagged residual reconciles against the
   // exact cumulative counters captured above.
   if (attribution_ != nullptr && attribution_->enabled()) {
-    attribution::AttributionPlane::FleetTotals totals;
-    totals.ops = cum_ops;
-    totals.value_bytes = cum_vb;
-    totals.pcie_h2d_bytes = cum_h2d;
-    totals.nand_pages = cum_pages;
-    attribution_->OnFleetSample(b, totals);
+    attribution::AttributionPlane::FleetTotals fleet_totals;
+    fleet_totals.ops = totals.Cum(CounterRole::kOps);
+    fleet_totals.value_bytes = cum_vb;
+    fleet_totals.pcie_h2d_bytes = cum_h2d;
+    fleet_totals.nand_pages = totals.Cum(CounterRole::kPagesProgrammed);
+    attribution_->OnFleetSample(b, fleet_totals);
   }
 }
 
 void FleetAggregator::AppendPrometheus(std::string* out,
                                        std::uint64_t ts_ms) const {
   if (windows_.empty()) return;
-  std::ostringstream os;
+  TextOut os(out);
   // Federated per-shard block: the same scrape carries every shard's view
   // under a `shard` label, so one endpoint serves the whole cluster.
   const auto family = [&](const char* name, const char* type, auto getter) {
@@ -277,14 +270,14 @@ void FleetAggregator::AppendPrometheus(std::string* out,
          [](const ShardWindow& w) { return w.routed_keys; });
   family("bandslim_shard_p99_ns", "gauge",
          [](const ShardWindow& w) { return w.p99_ns; });
-  *out += os.str();
   if (attribution_ != nullptr && attribution_->enabled()) {
     attribution_->AppendPrometheus(out, ts_ms);
   }
 }
 
 std::string FleetAggregator::ShardsJsonl() const {
-  std::ostringstream os;
+  std::string out;
+  TextOut os(&out);
   const sim::Nanoseconds t = samples().empty() ? 0 : samples().back().t_ns;
   std::uint64_t total_routed = 0;
   for (const ShardWindow& w : windows_) total_routed += w.routed_keys;
@@ -303,7 +296,7 @@ std::string FleetAggregator::ShardsJsonl() const {
        << ",\"expected_share_permille\":" << expected
        << ",\"actual_share_permille\":" << actual << "}\n";
   }
-  return os.str();
+  return out;
 }
 
 void FleetAggregator::AppendHealthz(std::string* doc) const {

@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -93,6 +94,7 @@ class FleetAggregator : public Timeline {
 
   FleetAggregator(const sim::VirtualClock* router_clock,
                   const TimelineConfig& config);
+  ~FleetAggregator() override;
 
   // Binds the shard observation points; anchors the interval grid at the
   // router clock's current time on first call. `routed_keys` points at the
@@ -123,6 +125,9 @@ class FleetAggregator : public Timeline {
   }
 
  private:
+  // Every series this aggregator emits, resolved once (fleet.cpp).
+  struct SeriesPlan;
+
   void Collect(SampleBuilder& b) override;
   // Federated per-shard block plus the attribution plane's tenant families.
   void AppendPrometheus(std::string* out, std::uint64_t ts_ms) const override;
@@ -130,16 +135,14 @@ class FleetAggregator : public Timeline {
   void AppendRoutes(std::vector<Route>* routes) const override;
 
   std::vector<ShardSource> shards_;
+  std::vector<const stats::MetricsRegistry*> registries_;  // One per shard.
   const std::vector<std::uint64_t>* routed_keys_ = nullptr;
   std::vector<std::uint64_t> expected_share_permille_;
 
   std::vector<ShardWindow> windows_;
   std::vector<std::uint64_t> prev_shard_ops_;
   std::vector<stats::HistogramBuckets> last_shard_op_hist_;
-  // Scratch rebuilt each sample: shard counters summed by series id, and
-  // shard histogram buckets merged by histogram id (histogram_names()).
-  std::vector<std::uint64_t> summed_;
-  std::vector<stats::HistogramBuckets> merged_hist_;
+  std::unique_ptr<SeriesPlan> plan_;
 
   attribution::AttributionPlane* attribution_ = nullptr;
 };

@@ -61,13 +61,9 @@ struct Sample {
   // events this sample itself caused — watchdog alerts — sort after it.
   std::uint64_t events_before = 0;
 
-  // Sorted by series id (the sampler appends in interning order, which is
-  // ascending by construction; Value() relies on it).
+  // Sorted by series id (the timeline gathers them in id order; Value()
+  // relies on it).
   std::vector<std::pair<std::uint32_t, std::uint64_t>> values;
-
-  void Set(std::uint32_t series, std::uint64_t value) {
-    values.emplace_back(series, value);
-  }
 
   // Value of `series` in this sample; `fallback` when absent.
   std::uint64_t Value(std::uint32_t series, std::uint64_t fallback = 0) const {

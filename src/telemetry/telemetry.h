@@ -11,6 +11,8 @@
 // host-level op.
 #pragma once
 
+#include <memory>
+
 #include "buffer/page_buffer.h"
 #include "ftl/ftl.h"
 #include "nand/nand_flash.h"
@@ -41,6 +43,8 @@ class Sampler : public Timeline {
   };
 
   Sampler(const sim::VirtualClock* clock, const TimelineConfig& config);
+  Sampler(Sampler&&) noexcept;
+  ~Sampler() override;
 
   // (Re)binds the observation points; the first bind anchors the interval
   // grid at the current virtual time.
@@ -50,9 +54,13 @@ class Sampler : public Timeline {
   }
 
  private:
+  // Every series this sampler emits, resolved once (telemetry.cpp).
+  struct SeriesPlan;
+
   void Collect(SampleBuilder& b) override;
 
   Sources src_;
+  std::unique_ptr<SeriesPlan> plan_;
 };
 
 }  // namespace bandslim::telemetry

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <map>
-#include <sstream>
 #include <utility>
+
+#include "telemetry/text_out.h"
 
 namespace bandslim::telemetry {
 
@@ -31,68 +32,200 @@ std::string SanitizeMetricName(const std::string& name) {
 
 }  // namespace
 
-IntervalQuantiles QuantilesSince(const stats::HistogramBuckets& cur,
-                                 const stats::HistogramBuckets& last) {
-  stats::Histogram::BucketArray delta{};
-  for (std::size_t b = 0; b < delta.size(); ++b) {
-    delta[b] = cur.buckets[b] - last.buckets[b];
+IntervalQuantiles AdvanceQuantiles(
+    std::span<const stats::Histogram* const> live,
+    stats::HistogramBuckets* last) {
+  std::uint64_t count = 0, sum = 0;
+  for (const stats::Histogram* h : live) {
+    count += h->count();
+    sum += h->sum();
   }
   IntervalQuantiles q;
-  q.count = cur.count - last.count;
-  q.sum = cur.sum - last.sum;
+  if (count == last->count && sum == last->sum) return q;
+  stats::Histogram::BucketArray delta;
+  for (std::size_t b = 0; b < delta.size(); ++b) {
+    std::uint64_t cur = 0;
+    for (const stats::Histogram* h : live) cur += h->bucket_counts()[b];
+    delta[b] = cur - last->buckets[b];
+    last->buckets[b] = cur;
+  }
+  q.count = count - last->count;
+  q.sum = sum - last->sum;
+  last->count = count;
+  last->sum = sum;
   q.p50 = stats::Histogram::QuantileFromBuckets(delta, q.count, 500);
   q.p95 = stats::Histogram::QuantileFromBuckets(delta, q.count, 950);
   q.p99 = stats::Histogram::QuantileFromBuckets(delta, q.count, 990);
   return q;
 }
 
-// --- SampleBuilder -----------------------------------------------------------
+// --- Series slots and plans --------------------------------------------------
 
-void SampleBuilder::Set(const std::string& name, std::uint64_t value) {
-  sample_->Set(timeline_->series_.Intern(name), value);
-}
+namespace {
 
-std::uint64_t SampleBuilder::Cumulative(const std::string& name,
-                                        std::uint64_t value) {
-  return Cumulative(timeline_->series_.Intern(name), value);
-}
-
-std::uint64_t SampleBuilder::Cumulative(std::uint32_t id,
-                                        std::uint64_t value) {
-  sample_->Set(id, value);
-  return value - PreviousOf(id);
-}
-
-std::uint64_t SampleBuilder::Previous(const std::string& name) const {
-  const std::int64_t id = timeline_->series_.Find(name);
-  return id < 0 ? 0 : PreviousOf(static_cast<std::uint32_t>(id));
-}
-
-std::string SampleBuilder::PercentileBase(const std::string& hist_name) {
+std::string PercentileBase(const std::string& hist_name) {
   for (const std::string_view suffix : {".latency_ns", "_ns"}) {
-    if (hist_name.size() > suffix.size() &&
-        hist_name.compare(hist_name.size() - suffix.size(), suffix.size(),
-                          suffix) == 0) {
+    if (hist_name.size() > suffix.size() && hist_name.ends_with(suffix)) {
       return hist_name.substr(0, hist_name.size() - suffix.size());
     }
   }
   return hist_name;
 }
 
-IntervalQuantiles SampleBuilder::Histogram(const std::string& hist_name,
-                                           const stats::HistogramBuckets& cur) {
-  const std::uint32_t slot = timeline_->hist_names_.Intern(hist_name);
-  std::vector<stats::HistogramBuckets>& last = timeline_->last_hist_;
-  if (slot >= last.size()) last.resize(slot + 1);
-  const IntervalQuantiles q = QuantilesSince(cur, last[slot]);
-  last[slot] = cur;
-  const std::string base = PercentileBase(hist_name);
-  Set("hist." + base + ".count", cur.count);
-  Set("delta." + base + ".count", q.count);
-  Set("delta." + base + ".sum", q.sum);
-  Set(base + ".p50", q.p50);
-  Set(base + ".p95", q.p95);
-  Set(base + ".p99", q.p99);
+CounterRole RoleOf(std::string_view name) {
+  static constexpr std::pair<std::string_view, CounterRole> kRoles[] = {
+      {"nvme.commands_submitted", CounterRole::kOps},
+      {"controller.value_bytes_written", CounterRole::kValueBytes},
+      {"nand.pages_programmed", CounterRole::kPagesProgrammed},
+      {"nvme.timeouts", CounterRole::kTimeouts},
+      {"nvme.retries", CounterRole::kRetries},
+      {"nand.program_failures", CounterRole::kProgramFailures},
+      {"nand.ecc_corrections", CounterRole::kEccCorrections},
+      {"lsm.memtable_stalls", CounterRole::kMemtableStalls},
+      {"lsm.compactions", CounterRole::kCompactions},
+      {"lsm.compaction_bytes_written", CounterRole::kCompactionBytes},
+  };
+  for (const auto& [role_name, role] : kRoles) {
+    if (name == role_name) return role;
+  }
+  // The registry mirrors PCIe bytes as one counter per traffic class
+  // ("pcie.mmio.h2d_bytes" ... "pcie.completion.h2d_bytes"); their sum is
+  // the link's host-to-device byte total, as KvSsd::GetStats computes it.
+  constexpr std::string_view kPrefix = "pcie.", kSuffix = ".h2d_bytes";
+  if (name.size() > kPrefix.size() + kSuffix.size() &&
+      name.starts_with(kPrefix) && name.ends_with(kSuffix)) {
+    return CounterRole::kPcieH2dBytes;
+  }
+  return CounterRole::kNone;
+}
+
+}  // namespace
+
+HistogramSeries::HistogramSeries(const std::string& name, bool with_lifetime)
+    : hist_name(name), lifetime(with_lifetime) {
+  const std::string base = PercentileBase(name);
+  count = SeriesSlot("hist." + base + ".count");
+  delta_count = SeriesSlot("delta." + base + ".count");
+  delta_sum = SeriesSlot("delta." + base + ".sum");
+  p50 = SeriesSlot(base + ".p50");
+  p95 = SeriesSlot(base + ".p95");
+  p99 = SeriesSlot(base + ".p99");
+  if (lifetime) {
+    lifetime_p50 = SeriesSlot("lifetime." + base + ".p50");
+    lifetime_p95 = SeriesSlot("lifetime." + base + ".p95");
+    lifetime_p99 = SeriesSlot("lifetime." + base + ".p99");
+  }
+}
+
+bool RegistryPlan::Sync(
+    std::span<const stats::MetricsRegistry* const> registries) {
+  bool same = registries.size() == bound_.size();
+  for (std::size_t i = 0; same && i < registries.size(); ++i) {
+    const stats::MetricsRegistry* r = registries[i];
+    same = r == bound_[i] &&
+           (r == nullptr ||
+            (r->counters().size() == sizes_[i].first &&
+             r->histograms().size() == sizes_[i].second));
+  }
+  if (same) return false;
+
+  bound_.assign(registries.begin(), registries.end());
+  sizes_.clear();
+  std::map<std::string_view, std::vector<const stats::Counter*>> counters;
+  std::map<std::string_view, std::vector<const stats::Histogram*>> histograms;
+  for (const stats::MetricsRegistry* r : bound_) {
+    if (r == nullptr) {
+      sizes_.emplace_back(0, 0);
+      continue;
+    }
+    sizes_.emplace_back(r->counters().size(), r->histograms().size());
+    for (const auto& [name, c] : r->counters()) counters[name].push_back(&c);
+    for (const auto& [name, h] : r->histograms()) {
+      histograms[name].push_back(&h);
+    }
+  }
+  counters_.clear();
+  for (auto& [name, live] : counters) {
+    counters_.push_back(
+        {SeriesSlot(std::string(name)), RoleOf(name), std::move(live)});
+  }
+  histograms_.clear();
+  for (auto& [name, live] : histograms) {
+    histograms_.push_back(
+        {HistogramSeries(std::string(name), lifetime_), std::move(live)});
+  }
+  return true;
+}
+
+RoleTotals RegistryPlan::EmitCounters(SampleBuilder& b) {
+  RoleTotals totals;
+  for (CounterEntry& e : counters_) {
+    std::uint64_t value = 0;
+    for (const stats::Counter* c : e.live) value += c->value();
+    const std::uint64_t delta = b.Cumulative(e.series, value);
+    const auto role = static_cast<std::size_t>(e.role);
+    totals.cum[role] += value;
+    totals.delta[role] += delta;
+  }
+  return totals;
+}
+
+// --- SampleBuilder -----------------------------------------------------------
+
+std::uint32_t SampleBuilder::Intern(const std::string& name) {
+  const std::uint32_t id = timeline_->series_.Intern(name);
+  const std::size_t n = timeline_->series_.size();
+  for (DenseValues* d : {&timeline_->building_, &timeline_->previous_}) {
+    d->value.resize(n, 0);
+    d->stamp.resize(n, 0);
+  }
+  return id;
+}
+
+std::uint64_t SampleBuilder::Previous(SeriesSlot& slot) const {
+  if (slot.id == SeriesSlot::kUnresolved) {
+    const std::int64_t id = timeline_->series_.Find(slot.name);
+    if (id < 0) return 0;
+    slot.id = static_cast<std::uint32_t>(id);
+  }
+  return PreviousOf(slot.id);
+}
+
+IntervalQuantiles SampleBuilder::Histogram(
+    HistogramSeries& h, std::span<const stats::Histogram* const> live) {
+  std::uint64_t count = 0;
+  for (const stats::Histogram* hist : live) count += hist->count();
+  if (count == 0) return {};
+  if (h.state == SeriesSlot::kUnresolved) {
+    h.state = timeline_->hist_names_.Intern(h.hist_name);
+    if (h.state >= timeline_->last_hist_.size()) {
+      timeline_->last_hist_.resize(h.state + 1);
+    }
+  }
+  stats::HistogramBuckets& state = timeline_->last_hist_[h.state];
+  const IntervalQuantiles q = AdvanceQuantiles(live, &state);
+  Set(h.count, state.count);
+  Set(h.delta_count, q.count);
+  Set(h.delta_sum, q.sum);
+  Set(h.p50, q.p50);
+  Set(h.p95, q.p95);
+  Set(h.p99, q.p99);
+  if (h.lifetime) {
+    IntervalQuantiles& life = h.lifetime_q;
+    if (life.count != state.count || life.sum != state.sum) {
+      life.count = state.count;
+      life.sum = state.sum;
+      life.p50 = stats::Histogram::QuantileFromBuckets(state.buckets,
+                                                       state.count, 500);
+      life.p95 = stats::Histogram::QuantileFromBuckets(state.buckets,
+                                                       state.count, 950);
+      life.p99 = stats::Histogram::QuantileFromBuckets(state.buckets,
+                                                       state.count, 990);
+    }
+    Set(h.lifetime_p50, life.p50);
+    Set(h.lifetime_p95, life.p95);
+    Set(h.lifetime_p99, life.p99);
+  }
   return q;
 }
 
@@ -164,15 +297,21 @@ void Timeline::TakeSample(sim::Nanoseconds stamp) {
   s.t_ns = stamp;
   s.interval_ns = stamp - last_sample_ns_;
   s.seq = next_seq_++;
-  SampleBuilder builder(this, &s,
-                        samples_.empty() ? nullptr : &samples_.back());
+  const Sample* prev = samples_.empty() ? nullptr : &samples_.back();
+  SampleBuilder builder(this, &s, &building_,
+                        prev == nullptr ? nullptr : &previous_);
   Collect(builder);
 
-  // Series ids are assigned in first-appearance order; a series created
-  // mid-run lands mid-snapshot with a high id, so restore id order for
-  // Sample::Value()'s binary search.
-  std::sort(s.values.begin(), s.values.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Gather the values in id order (Sample::Value()'s binary search relies
+  // on it). Sources emit the same series sample after sample, so the
+  // previous sample's width sizes the vector exactly.
+  if (prev != nullptr) s.values.reserve(prev->values.size());
+  for (std::uint32_t id = 0; id < building_.stamp.size(); ++id) {
+    if (building_.stamp[id] == s.seq + 1) {
+      s.values.emplace_back(id, building_.value[id]);
+    }
+  }
+  std::swap(building_, previous_);
 
   // Events emitted from here on (watchdog alerts) belong *after* this
   // sample in the timeline; the exporters use this to break timestamp ties.
@@ -199,18 +338,30 @@ void Timeline::TakeSample(sim::Nanoseconds stamp) {
 // --- Timeline: exports and publication ---------------------------------------
 
 std::string Timeline::ToPrometheusText() const {
-  std::ostringstream os;
+  std::string out;
+  TextOut os(&out);
   os << "# HELP " << samples_metric_ << " " << samples_help_ << "\n";
   os << "# TYPE " << samples_metric_ << " counter\n";
   os << samples_metric_ << " " << next_seq_ << "\n";
   if (!samples_.empty()) {
     const Sample& last = samples_.back();
     const std::uint64_t ts_ms = last.t_ns / sim::kMillisecond;
-    // Stable order: sort the latest sample's series by name.
-    std::map<std::string, std::uint64_t> by_name;
+    // Stable order: the latest sample's series sorted by sanitized name; of
+    // two series that sanitize alike, the lower id is kept.
+    std::vector<std::pair<std::string, std::uint64_t>> by_name;
+    by_name.reserve(last.values.size());
     for (const auto& [id, value] : last.values) {
-      by_name.emplace(SanitizeMetricName(series_.NameOf(id)), value);
+      by_name.emplace_back(SanitizeMetricName(series_.NameOf(id)), value);
     }
+    std::stable_sort(by_name.begin(), by_name.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    by_name.erase(std::unique(by_name.begin(), by_name.end(),
+                              [](const auto& a, const auto& b) {
+                                return a.first == b.first;
+                              }),
+                  by_name.end());
     for (const auto& [name, value] : by_name) {
       os << "# TYPE bandslim_" << name << " gauge\n";
       os << "bandslim_" << name << " " << value << " " << ts_ms << "\n";
@@ -226,7 +377,6 @@ std::string Timeline::ToPrometheusText() const {
        << SanitizeMetricName(watchdog_.rules()[i].name) << "\"} "
        << watchdog_.states()[i].fired << "\n";
   }
-  std::string out = os.str();
   if (!samples_.empty()) {
     AppendPrometheus(&out, samples_.back().t_ns / sim::kMillisecond);
   }
@@ -234,9 +384,29 @@ std::string Timeline::ToPrometheusText() const {
 }
 
 std::string Timeline::ToJsonl() const {
-  std::ostringstream os;
   const auto& events = event_log_.records();
   const auto& rules = watchdog_.rules();
+
+  // One pre-quoted `,"name":` key per series id (the first value of a
+  // sample skips the comma).
+  std::vector<std::string> keys;
+  keys.reserve(series_.size());
+  std::size_t key_bytes = 0;
+  for (std::uint32_t id = 0; id < series_.size(); ++id) {
+    keys.push_back(",\"" + series_.NameOf(id) + "\":");
+    key_bytes += keys.back().size();
+  }
+  // Render into one buffer sized up front: a key plus at most 20 digits per
+  // value, and generous fixed parts per line.
+  const std::size_t per_value =
+      (keys.empty() ? 0 : key_bytes / keys.size()) + 20;
+  std::size_t estimate = events.size() * 160;
+  for (const Sample& s : samples_) {
+    estimate += 96 + s.values.size() * per_value;
+  }
+  std::string out;
+  out.reserve(estimate);
+  TextOut os(&out);
 
   const auto emit_event = [&](const EventRecord& e) {
     os << "{\"kind\":\"event\",\"t_ns\":" << e.t_ns << ",\"seq\":" << e.seq
@@ -253,9 +423,8 @@ std::string Timeline::ToJsonl() const {
        << ",\"interval_ns\":" << s.interval_ns << ",\"values\":{";
     bool first = true;
     for (const auto& [id, value] : s.values) {
-      if (!first) os << ",";
+      os << std::string_view(keys[id]).substr(first ? 1 : 0) << value;
       first = false;
-      os << "\"" << series_.NameOf(id) << "\":" << value;
     }
     os << "}}\n";
   };
@@ -277,7 +446,7 @@ std::string Timeline::ToJsonl() const {
       emit_sample(samples_[si++]);
     }
   }
-  return os.str();
+  return out;
 }
 
 void Timeline::PublishSnapshot() {

@@ -20,9 +20,11 @@
 //    single branch per Poll().
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -112,9 +114,8 @@ inline std::uint64_t RatioMilli(std::uint64_t numer, std::uint64_t denom) {
   return denom == 0 ? 0 : numer * kMilliScale / denom;
 }
 
-// Quantiles of the recordings between two cumulative snapshots of one
-// histogram. Log buckets share boundaries, so this is exact for merged
-// (summed) buckets too; an empty interval yields zeros.
+// Recordings of one histogram over one interval; an empty interval yields
+// zeros.
 struct IntervalQuantiles {
   std::uint64_t count = 0;
   std::uint64_t sum = 0;
@@ -122,45 +123,196 @@ struct IntervalQuantiles {
   std::uint64_t p95 = 0;
   std::uint64_t p99 = 0;
 };
-IntervalQuantiles QuantilesSince(const stats::HistogramBuckets& cur,
-                                 const stats::HistogramBuckets& last);
+// Interval quantiles of the recordings in `live` — summed bucket-wise when
+// there are several; log buckets share boundaries, so this is exact for
+// merged shards — since `*last`, which then advances to their cumulative
+// state. Counts are monotone, so when neither count nor sum moved the
+// interval is empty: the bucket diff and the quantile scans are skipped.
+IntervalQuantiles AdvanceQuantiles(
+    std::span<const stats::Histogram* const> live,
+    stats::HistogramBuckets* last);
+
+// A series name resolved to its id on first emission. A source's plan keeps
+// one slot per series, so each name is built once and interned at the call
+// point that first emits it: ids stay in first-appearance order, and every
+// later emission is one branch. A slot belongs to the timeline that first
+// resolved it.
+struct SeriesSlot {
+  static constexpr std::uint32_t kUnresolved = ~0u;
+  SeriesSlot() = default;
+  explicit SeriesSlot(std::string series_name) : name(std::move(series_name)) {}
+  std::string name;
+  std::uint32_t id = kUnresolved;
+};
+
+// The interval series SampleBuilder::Histogram emits for one histogram,
+// named after its <base>: the name drops a ".latency_ns" or "_ns" suffix
+// ("trace.op.put.latency_ns" -> "trace.op.put").
+struct HistogramSeries {
+  // `lifetime` adds lifetime.<base>.p50/.p95/.p99 over the cumulative
+  // buckets (the fleet's merged percentiles).
+  HistogramSeries(const std::string& hist_name, bool lifetime);
+
+  std::string hist_name;
+  SeriesSlot count, delta_count, delta_sum, p50, p95, p99;
+  bool lifetime;
+  SeriesSlot lifetime_p50, lifetime_p95, lifetime_p99;
+  // Lifetime quantiles with the cumulative count and sum they were taken
+  // at; recomputed when either moves (~0 = not yet taken).
+  IntervalQuantiles lifetime_q{~0ULL, ~0ULL};
+  // Index of this histogram's cumulative state in the timeline.
+  std::uint32_t state = SeriesSlot::kUnresolved;
+};
 
 class Timeline;
 
-// Write access to the sample under construction, handed to Collect().
+// One sample's values indexed by series id, sized to the series table.
+// stamp[id] is 1 + the seq of the sample that last wrote value[id] (0 =
+// never), so values of older samples read as absent without clearing.
+struct DenseValues {
+  std::vector<std::uint64_t> value;
+  std::vector<std::uint64_t> stamp;
+};
+
+// Write access to the sample under construction, handed to Collect(). A
+// source sets each series at most once per sample (a second Set
+// overwrites).
 class SampleBuilder {
  public:
   sim::Nanoseconds interval_ns() const { return sample_->interval_ns; }
 
-  void Set(const std::string& name, std::uint64_t value);
+  void Set(SeriesSlot& slot, std::uint64_t value) {
+    Put(Resolve(slot), value);
+  }
   // Records a cumulative series and returns its delta since the previous
   // sample (whose value reads 0 before the first one).
-  std::uint64_t Cumulative(const std::string& name, std::uint64_t value);
-  std::uint64_t Cumulative(std::uint32_t id, std::uint64_t value);
-  // Value `name` had in the previous sample (0 when absent).
-  std::uint64_t Previous(const std::string& name) const;
-  // Interval series of a cumulative histogram: hist.<base>.count,
-  // delta.<base>.count/.sum and <base>.p50/.p95/.p99 against the state this
-  // timeline saw at its previous call for `hist_name`. <base> drops a
-  // ".latency_ns" or "_ns" suffix ("trace.op.put.latency_ns" ->
-  // "trace.op.put").
-  IntervalQuantiles Histogram(const std::string& hist_name,
-                              const stats::HistogramBuckets& cur);
-  // The <base> Histogram() names its series after.
-  static std::string PercentileBase(const std::string& hist_name);
+  std::uint64_t Cumulative(SeriesSlot& slot, std::uint64_t value) {
+    const std::uint32_t id = Resolve(slot);
+    Put(id, value);
+    return value - PreviousOf(id);
+  }
+  // Value the slot's series had in the previous sample (0 when absent).
+  // Looks the name up without interning it.
+  std::uint64_t Previous(SeriesSlot& slot) const;
+  // Interval series of the histogram `live` sums (one per registry that
+  // carries it): hist.<base>.count, delta.<base>.count/.sum and
+  // <base>.p50/.p95/.p99 against the state this timeline kept for it at its
+  // previous call, plus the lifetime series when asked for. A histogram
+  // that has never recorded a value emits nothing.
+  IntervalQuantiles Histogram(HistogramSeries& series,
+                              std::span<const stats::Histogram* const> live);
 
  private:
   friend class Timeline;
-  SampleBuilder(Timeline* timeline, Sample* sample, const Sample* prev)
-      : timeline_(timeline), sample_(sample), prev_(prev) {}
+  // `previous` is null before the first sample.
+  SampleBuilder(Timeline* timeline, const Sample* sample,
+                DenseValues* building, const DenseValues* previous)
+      : timeline_(timeline),
+        sample_(sample),
+        building_(building),
+        previous_(previous),
+        stamp_(sample->seq + 1) {}
+  std::uint32_t Resolve(SeriesSlot& slot) {
+    if (slot.id == SeriesSlot::kUnresolved) slot.id = Intern(slot.name);
+    return slot.id;
+  }
+  // Interns `name` and sizes the dense values to the grown table.
+  std::uint32_t Intern(const std::string& name);
+  void Put(std::uint32_t id, std::uint64_t value) {
+    building_->value[id] = value;
+    building_->stamp[id] = stamp_;
+  }
   std::uint64_t PreviousOf(std::uint32_t id) const {
-    return prev_ == nullptr ? 0 : prev_->Value(id);
+    return previous_ != nullptr && previous_->stamp[id] == stamp_ - 1
+               ? previous_->value[id]
+               : 0;
   }
 
   Timeline* timeline_;
-  Sample* sample_;
-  const Sample* prev_;
+  const Sample* sample_;
+  DenseValues* building_;
+  const DenseValues* previous_;
+  std::uint64_t stamp_;
 };
+
+// Registry counters a source derives series from beyond the verbatim
+// mirror: the delta.* and rate.* series and the fleet's reconciliation
+// totals.
+enum class CounterRole : std::uint8_t {
+  kNone,
+  kOps,              // nvme.commands_submitted
+  kValueBytes,       // controller.value_bytes_written
+  kPagesProgrammed,  // nand.pages_programmed
+  kPcieH2dBytes,     // pcie.<class>.h2d_bytes, summed over the classes
+  kTimeouts,         // nvme.timeouts
+  kRetries,          // nvme.retries
+  kProgramFailures,  // nand.program_failures
+  kEccCorrections,   // nand.ecc_corrections
+  kMemtableStalls,   // lsm.memtable_stalls
+  kCompactions,      // lsm.compactions
+  kCompactionBytes,  // lsm.compaction_bytes_written
+  kCount,
+};
+
+// Cumulative values and interval deltas of the role counters of one sample.
+struct RoleTotals {
+  std::array<std::uint64_t, static_cast<std::size_t>(CounterRole::kCount)>
+      cum{}, delta{};
+  std::uint64_t Cum(CounterRole role) const {
+    return cum[static_cast<std::size_t>(role)];
+  }
+  std::uint64_t Delta(CounterRole role) const {
+    return delta[static_cast<std::size_t>(role)];
+  }
+};
+
+// The counters and histograms of one or more metrics registries — a device,
+// or every shard of a fleet — resolved to series once (DESIGN.md 2.4): the
+// union of their names in name order, each entry holding its series slots,
+// its role and the live objects that carry it. Sync() rebuilds the entries
+// only when a registry grew or the set was re-bound; every other sample
+// reads the live values in place.
+class RegistryPlan {
+ public:
+  struct CounterEntry {
+    SeriesSlot series;
+    CounterRole role = CounterRole::kNone;
+    std::vector<const stats::Counter*> live;
+  };
+  struct HistogramEntry {
+    HistogramSeries series;
+    std::vector<const stats::Histogram*> live;
+  };
+
+  // `lifetime`: histogram entries also emit their lifetime quantiles.
+  explicit RegistryPlan(bool lifetime) : lifetime_(lifetime) {}
+
+  // Rebuilds the entries when `registries` (null entries allowed) differs
+  // from the set they were built from or one of them grew; true when it
+  // did.
+  bool Sync(std::span<const stats::MetricsRegistry* const> registries);
+  // Emits every counter verbatim as a cumulative series (summed over the
+  // registries that carry it) and totals the role counters.
+  RoleTotals EmitCounters(SampleBuilder& b);
+  std::vector<HistogramEntry>& histograms() { return histograms_; }
+
+ private:
+  bool lifetime_;
+  std::vector<const stats::MetricsRegistry*> bound_;
+  // (counters, histograms) of each bound registry when the entries were
+  // built: registries only grow, so equal sizes mean equal names.
+  std::vector<std::pair<std::size_t, std::size_t>> sizes_;
+  std::vector<CounterEntry> counters_;
+  std::vector<HistogramEntry> histograms_;
+};
+
+// Element `i` of `v`, appending make(index) for every missing index first:
+// per-queue, per-channel and per-level series grow on first use.
+template <typename T, typename Make>
+T& GrowTo(std::vector<T>& v, std::size_t i, Make make) {
+  while (v.size() <= i) v.push_back(make(v.size()));
+  return v[i];
+}
 
 class Timeline {
  public:
@@ -219,8 +371,6 @@ class Timeline {
   // Anchors the interval grid at the clock's current time; later calls are
   // no-ops. Sources call this from their Bind().
   void Anchor();
-  // Histograms Histogram() has seen, by name; ids are dense.
-  const SeriesTable& histogram_names() const { return hist_names_; }
 
   // Reads the source's inputs into the sample being built.
   virtual void Collect(SampleBuilder& b) = 0;
@@ -249,9 +399,13 @@ class Timeline {
   Watchdog watchdog_;
   SeriesTable series_;
   std::deque<Sample> samples_;
+  // The sample under construction and the latest sample, by series id;
+  // swapped after every sample.
+  DenseValues building_, previous_;
 
   // Cumulative buckets of every histogram at its previous Histogram() call,
-  // indexed by the histogram's id in hist_names_.
+  // indexed by the histogram's id in hist_names_. Kept by name, so a
+  // rebuilt plan or a re-bound source picks its state back up.
   SeriesTable hist_names_;
   std::vector<stats::HistogramBuckets> last_hist_;
 

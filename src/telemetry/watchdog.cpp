@@ -66,12 +66,18 @@ bool Holds(WatchdogRule::Cmp cmp, std::uint64_t value,
 
 void Watchdog::Evaluate(const Sample& sample, const SeriesTable& table,
                         EventLog* log) {
+  if (table.size() != table_size_seen_) {
+    table_size_seen_ = table.size();
+    for (std::size_t i = 0; i < rules_.size(); ++i) {
+      if (series_ids_[i] < 0) series_ids_[i] = table.Find(rules_[i].series);
+    }
+  }
   for (std::size_t i = 0; i < rules_.size(); ++i) {
     const WatchdogRule& rule = rules_[i];
     AlertState& state = states_[i];
     // A series the sampler has never produced reads as 0 — this keeps rules
     // like zero-op stall meaningful from the very first sample.
-    const std::int64_t id = table.Find(rule.series);
+    const std::int64_t id = series_ids_[i];
     const std::uint64_t value =
         id < 0 ? 0 : sample.Value(static_cast<std::uint32_t>(id));
 

@@ -106,9 +106,13 @@ struct AlertState {
 class Watchdog {
  public:
   explicit Watchdog(std::vector<WatchdogRule> rules)
-      : rules_(std::move(rules)), states_(rules_.size()) {}
+      : rules_(std::move(rules)),
+        states_(rules_.size()),
+        series_ids_(rules_.size(), -1) {}
 
   // Evaluates every rule against `sample`; fires append to `log` (optional).
+  // `table` must be the same table on every call: each rule's series id is
+  // resolved in it once, when the series first appears.
   void Evaluate(const Sample& sample, const SeriesTable& table,
                 EventLog* log);
 
@@ -124,6 +128,10 @@ class Watchdog {
  private:
   std::vector<WatchdogRule> rules_;
   std::vector<AlertState> states_;
+  // Id of each rule's series, -1 until it appears; looked up again only
+  // when the table has grown since the last attempt.
+  std::vector<std::int64_t> series_ids_;
+  std::size_t table_size_seen_ = 0;
   std::uint64_t total_fired_ = 0;
   std::uint64_t total_cleared_ = 0;
 };

@@ -402,7 +402,263 @@ TEST_F(SamplerUnitTest, HistogramWithNoRecordsEmitsNoSeries) {
   }
 }
 
+// Series names of each sample line of `jsonl`, in rendered order.
+std::vector<std::vector<std::string>> SampleKeys(const std::string& jsonl) {
+  std::vector<std::vector<std::string>> lines;
+  constexpr std::string_view kValues = "\"values\":{";
+  for (std::size_t pos = jsonl.find(kValues); pos != std::string::npos;
+       pos = jsonl.find(kValues, pos)) {
+    pos += kValues.size();
+    const std::size_t end = jsonl.find('}', pos);
+    std::vector<std::string> keys;
+    while (pos < end) {
+      const std::size_t open = jsonl.find('"', pos);
+      if (open > end) break;
+      const std::size_t close = jsonl.find('"', open + 1);
+      keys.push_back(jsonl.substr(open + 1, close - open - 1));
+      pos = close + 1;
+    }
+    lines.push_back(std::move(keys));
+  }
+  return lines;
+}
+
+std::vector<std::string> Concat(std::vector<std::string> a,
+                                const std::vector<std::string>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+// The golden runs never grow a registry mid-run, so this is the coverage of
+// the plan-rebuild path. A series that first appears mid-run takes the next
+// id when it first appears and keeps its place in every later sample line;
+// a re-Bind onto a second registry keeps every id, and each histogram's
+// interval state carries over by name.
+TEST_F(SamplerUnitTest, SeriesAddedMidRunKeepFirstAppearanceOrder) {
+  Make();
+  stats::Counter* ops = metrics_.GetCounter("nvme.commands_submitted");
+  stats::Histogram* put = metrics_.GetHistogram("trace.op.put.latency_ns");
+  const auto step = [&] {
+    clock_.Advance(sim::kMillisecond);
+    Poll();
+  };
+  const auto next_ids = [&] {
+    std::vector<std::int64_t> ids;
+    for (Timeline* t : planes_) {
+      ids.push_back(static_cast<std::int64_t>(t->series().size()));
+    }
+    return ids;
+  };
+
+  ops->Add(2);
+  step();  // Sample 1.
+  ops->Add(1);
+  step();  // Sample 2.
+
+  // A counter created after sample 2 is interned at sample 3.
+  std::vector<std::int64_t> next = next_ids();
+  metrics_.GetCounter("controller.value_bytes_written")->Add(100);
+  step();
+  for (std::size_t p = 0; p < planes_.size(); ++p) {
+    const Timeline* t = planes_[p];
+    SCOPED_TRACE(Name(t));
+    EXPECT_EQ(t->series().Find("controller.value_bytes_written"), next[p]);
+    EXPECT_EQ(t->series().size(), static_cast<std::size_t>(next[p] + 1));
+    EXPECT_EQ(t->Latest("controller.value_bytes_written"), 100u);
+    EXPECT_EQ(t->Latest("delta.value_bytes"), 100u);
+    EXPECT_EQ(t->Latest("delta.ops"), 0u);
+  }
+
+  // A histogram registered up front that first records at sample 4.
+  next = next_ids();
+  put->Record(100);
+  step();
+  const std::vector<std::string> hist_keys = {
+      "hist.trace.op.put.count", "delta.trace.op.put.count",
+      "delta.trace.op.put.sum",  "trace.op.put.p50",
+      "trace.op.put.p95",        "trace.op.put.p99"};
+  const std::vector<std::string> lifetime_keys = {
+      "lifetime.trace.op.put.p50", "lifetime.trace.op.put.p95",
+      "lifetime.trace.op.put.p99"};
+  for (std::size_t p = 0; p < planes_.size(); ++p) {
+    const Timeline* t = planes_[p];
+    SCOPED_TRACE(Name(t));
+    for (std::size_t k = 0; k < hist_keys.size(); ++k) {
+      EXPECT_EQ(t->series().Find(hist_keys[k]),
+                next[p] + static_cast<std::int64_t>(k));
+    }
+    EXPECT_EQ(t->Latest("hist.trace.op.put.count"), 1u);
+    EXPECT_EQ(t->Latest("delta.trace.op.put.sum"), 100u);
+  }
+  EXPECT_EQ(fleet_->series().Find("lifetime.trace.op.put.p50"),
+            next[1] + static_cast<std::int64_t>(hist_keys.size()));
+
+  // Re-bind both planes onto a second registry: one new counter that sorts
+  // first, one shared counter, the histogram with two more recordings, and
+  // no controller.value_bytes_written.
+  stats::MetricsRegistry other;
+  other.GetCounter("aaa.first")->Add(7);
+  other.GetCounter("nvme.commands_submitted")->Add(50);
+  stats::Histogram* other_put = other.GetHistogram("trace.op.put.latency_ns");
+  for (int i = 0; i < 3; ++i) other_put->Record(100);
+  Sampler::Sources src;
+  src.metrics = &other;
+  sampler_->Bind(src);
+  fleet_->Bind({{&other, &clock_}}, nullptr, {});
+  next = next_ids();
+  step();
+  for (std::size_t p = 0; p < planes_.size(); ++p) {
+    const Timeline* t = planes_[p];
+    SCOPED_TRACE(Name(t));
+    EXPECT_EQ(t->series().Find("aaa.first"), next[p]);
+    EXPECT_EQ(t->Latest("aaa.first"), 7u);
+    EXPECT_EQ(t->Latest("nvme.commands_submitted"), 50u);
+    EXPECT_EQ(t->Latest("delta.ops"), 47u);
+    EXPECT_EQ(t->Latest("controller.value_bytes_written"), 0u);
+    EXPECT_EQ(t->Latest("hist.trace.op.put.count"), 3u);
+    EXPECT_EQ(t->Latest("delta.trace.op.put.count"), 2u);
+  }
+
+  // Exact key order of every sample line: ids in first-appearance order.
+  const std::vector<std::string> device_first = {
+      "nvme.commands_submitted",
+      "delta.ops",
+      "delta.pcie.h2d_bytes",
+      "delta.pcie.d2h_bytes",
+      "delta.value_bytes",
+      "delta.nand.pages_programmed",
+      "delta.nvme.timeouts",
+      "delta.nvme.retries",
+      "delta.nand.program_failures",
+      "delta.nand.ecc_corrections",
+      "delta.lsm.memtable_stalls",
+      "delta.lsm.compactions",
+      "delta.lsm.compaction_bytes_written",
+      "rate.ops_per_sec_milli",
+      "rate.pcie.h2d_bytes_per_sec",
+      "rate.pcie.d2h_bytes_per_sec",
+      "rate.taf_milli",
+      "rate.waf_milli",
+      "total.taf_milli",
+      "total.waf_milli"};
+  const std::vector<std::string> fleet_first = {
+      "nvme.commands_submitted",
+      "shard0.ops",
+      "shard0.delta.ops",
+      "shard0.routed_keys",
+      "shard0.p99_ns",
+      "fleet.shards",
+      "delta.ops",
+      "delta.value_bytes",
+      "delta.pcie.h2d_bytes",
+      "delta.nand.pages_programmed",
+      "rate.ops_per_sec_milli",
+      "rate.taf_milli",
+      "total.taf_milli",
+      "fleet.imbalance.ops_max_over_mean_milli",
+      "fleet.skew.p99_max_over_fleet_milli",
+      "fleet.ring.skew_permille",
+      "fleet.straggler.stalled_shards"};
+  for (std::size_t p = 0; p < planes_.size(); ++p) {
+    const Timeline* t = planes_[p];
+    SCOPED_TRACE(Name(t));
+    const std::vector<std::string>& first = p == 0 ? device_first : fleet_first;
+    const std::vector<std::string> with_vb =
+        Concat(first, {"controller.value_bytes_written"});
+    const std::vector<std::string> with_hist =
+        Concat(Concat(with_vb, hist_keys),
+               p == 0 ? std::vector<std::string>{} : lifetime_keys);
+    const std::vector<std::string> rebound =
+        Concat(Concat(Concat(first, hist_keys),
+                      p == 0 ? std::vector<std::string>{} : lifetime_keys),
+               {"aaa.first"});
+    const auto lines = SampleKeys(ToJsonl(*t));
+    ASSERT_EQ(lines.size(), 5u);
+    EXPECT_EQ(lines[0], first);
+    EXPECT_EQ(lines[1], first);
+    EXPECT_EQ(lines[2], with_vb);
+    EXPECT_EQ(lines[3], with_hist);
+    EXPECT_EQ(lines[4], rebound);
+  }
+}
+
 // ------------------- Export ordering and snapshot publishing ----------------
+
+// A timeline whose one source sets a fixed list of series.
+class FixedTimeline : public Timeline {
+ public:
+  FixedTimeline(const sim::VirtualClock* clock, const TimelineConfig& config,
+                const std::vector<std::pair<std::string, std::uint64_t>>& set)
+      : Timeline(clock, config, "test_samples_total", "Samples.") {
+    for (const auto& [name, value] : set) {
+      slots_.emplace_back(name);
+      values_.push_back(value);
+    }
+    Anchor();
+  }
+
+ private:
+  void Collect(SampleBuilder& b) override {
+    for (std::size_t i = 0; i < slots_.size(); ++i) b.Set(slots_[i], values_[i]);
+  }
+
+  std::vector<SeriesSlot> slots_;
+  std::vector<std::uint64_t> values_;
+};
+
+// Exact export bytes of a hand-built timeline: extreme values, names the
+// Prometheus sanitizer rewrites (and two that sanitize alike: the lower id
+// wins), an alert event naming its rule, one whose rule index is out of
+// range (no "rule" member), and a device event stamped at the sample's
+// boundary (sorts before the sample) next to the alert the sample raised
+// (sorts after it).
+TEST(TimelineRenderTest, ExactJsonlAndPrometheusBytes) {
+  sim::VirtualClock clock;
+  TimelineConfig cfg;
+  cfg.enabled = true;
+  cfg.sample_interval_ns = sim::kMillisecond;
+  cfg.rules = {WatchdogRule{"zero_is_zero", "zero",
+                            WatchdogRule::Cmp::kEqual, 0, 1}};
+  FixedTimeline t(&clock, cfg,
+                  {{"zero", 0},
+                   {"max-value.x", ~0ULL},
+                   {"1st", 42},
+                   {"dup.name", 1},
+                   {"dup_name", 2}});
+  clock.Advance(500'000);
+  t.event_log().Emit(EventType::kAlert, /*a=*/99, /*b=*/5);
+  clock.Advance(500'000);
+  t.event_log().Emit(EventType::kTimeout, /*a=*/7, /*b=*/1, /*tenant=*/2);
+  t.Poll();
+
+  EXPECT_EQ(
+      t.ToJsonl(),
+      "{\"kind\":\"event\",\"t_ns\":500000,\"seq\":0,\"type\":\"alert\","
+      "\"a\":99,\"b\":5,\"tenant\":0}\n"
+      "{\"kind\":\"event\",\"t_ns\":1000000,\"seq\":1,\"type\":\"timeout\","
+      "\"a\":7,\"b\":1,\"tenant\":2}\n"
+      "{\"kind\":\"sample\",\"t_ns\":1000000,\"seq\":0,\"interval_ns\":1000000,"
+      "\"values\":{\"zero\":0,\"max-value.x\":18446744073709551615,\"1st\":42,"
+      "\"dup.name\":1,\"dup_name\":2}}\n"
+      "{\"kind\":\"event\",\"t_ns\":1000000,\"seq\":2,\"type\":\"alert\","
+      "\"rule\":\"zero_is_zero\",\"a\":0,\"b\":0,\"tenant\":0}\n");
+  EXPECT_EQ(t.ToPrometheusText(),
+            "# HELP test_samples_total Samples.\n"
+            "# TYPE test_samples_total counter\n"
+            "test_samples_total 1\n"
+            "# TYPE bandslim__1st gauge\n"
+            "bandslim__1st 42 1\n"
+            "# TYPE bandslim_dup_name gauge\n"
+            "bandslim_dup_name 1 1\n"
+            "# TYPE bandslim_max_value_x gauge\n"
+            "bandslim_max_value_x 18446744073709551615 1\n"
+            "# TYPE bandslim_zero gauge\n"
+            "bandslim_zero 0 1\n"
+            "# HELP bandslim_watchdog_alerts_total Edge-triggered watchdog "
+            "rule fires.\n"
+            "# TYPE bandslim_watchdog_alerts_total counter\n"
+            "bandslim_watchdog_alerts_total{rule=\"zero_is_zero\"} 1\n");
+}
 
 TEST_F(SamplerUnitTest, EventAtSampleBoundaryOrdersBeforeSampleAlertAfter) {
   TimelineConfig cfg;
