@@ -1,505 +1,193 @@
-// Timeline report: the paper's rates-over-time view, produced from telemetry
-// alone. Replays a fig08/fig11-style PUT workload (piggyback transfer, All
-// packing, NAND on) whose value size shifts mid-run, so throughput, PCIe
-// traffic, and the TAF/WAF curves visibly change shape, then prints the
-// timeline and cross-checks every derived series against the device's final
-// counters:
+// Timeline report: the paper's rates-over-time view, produced from
+// telemetry alone. Runs one observability scenario (bench/scenarios.h),
+// prints its table, and writes and serves its export documents:
 //
-//   1. Reconciliation — per-interval deltas telescoped over all samples must
-//      equal GetStats() exactly (ops, H2D/D2H bytes, NAND pages, value
-//      bytes), and the per-interval latency-histogram deltas must telescope
-//      to the lifetime histogram (count, sum, and the terminal cumulative
-//      hist.* series).
-//   2. Determinism — the whole run is executed twice; the Prometheus, JSONL
-//      and CSV exports must be byte-identical. The live scrape server is
-//      attached to pass 1 only, so the byte-compare doubles as proof the
-//      server cannot perturb simulated outcomes.
-//   3. Watchdog — zero alerts on the clean run (including the LSM rules);
-//      with --faults (a command-drop storm) the retry-storm rule must fire,
-//      and the compaction storm (a deliberately undersized LSM config) must
-//      fire compaction-debt-budget, level-0-pileup, and memtable-stall.
-//   4. Scrape — with --serve=PORT, GET /metrics and /timeline.jsonl over the
-//      wire must byte-match the in-process exports at the same sample seq.
+//   --scenario=device   PUTs whose value size steps 64 B -> 2 KiB (default)
+//   --scenario=control  device, then the closed-loop control storm
+//   --scenario=fleet    a 4-shard cluster under the fleet aggregator
+//   --scenario=tenant   two tenants under the attribution plane
+//   --ops=N             scenario size
+//   --export=PREFIX     writes each document to PREFIX<suffix>: .prom,
+//                       .jsonl, plus .csv (device), .control.csv and
+//                       .actuations.csv (control), .shards.jsonl (fleet) or
+//                       .slo.jsonl (tenant)
+//   --serve=PORT        serves the primary run's documents over HTTP
+//                       (0 = ephemeral port)
+//   --serve-hold=MS     with --serve and --export: writes the resolved port
+//                       to PREFIX.port, then keeps serving until that file
+//                       is deleted or MS elapse (ci/scrape_check.sh)
 //
-// Any violation prints CHECK FAILED and exits nonzero, making this bench a
-// CI gate (ci/verify.sh). --export=PREFIX writes PREFIX.prom / .jsonl / .csv.
-// --serve=PORT (0 = ephemeral) starts the HTTP exporter; with --export, the
-// resolved port is written to PREFIX.port and --serve-hold=MS keeps the
-// server up until the port file is deleted (or MS elapses), so an external
-// scraper (curl/promtool in CI) can hit the live endpoint.
+// The bench asserts no invariant: tests/scenario_test runs the same
+// scenarios and holds reconciliation, byte identity, observer neutrality,
+// storm alerts and the control bounds. It exits nonzero on a bad flag, a
+// run whose documents it exports stopping early, or a failed write.
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
-#include <map>
 #include <thread>
 
 #include "bench_util.h"
+#include "control/control_loop.h"
+#include "scenarios.h"
+#include "telemetry/attribution/attribution.h"
 #include "telemetry/export.h"
+#include "telemetry/fleet.h"
 #include "telemetry/http_exporter.h"
-#include "workload/value_gen.h"
 
 using namespace bandslim;
 using namespace bandslim::bench;
 
 namespace {
 
-int failures = 0;
+constexpr const char* kUsage =
+    "usage: timeline_report [--scenario=device|control|fleet|tenant] "
+    "[--ops=N] [--export=PREFIX] [--serve=PORT [--serve-hold=MS]]\n"
+    "  --serve-hold needs both --serve and --export\n";
 
-void Check(bool ok, const char* what, std::uint64_t got, std::uint64_t want) {
-  if (ok) {
-    std::printf("CHECK ok: %-44s %llu\n", what,
-                static_cast<unsigned long long>(got));
-  } else {
-    std::fprintf(stderr, "CHECK FAILED: %s: got %llu want %llu\n", what,
-                 static_cast<unsigned long long>(got),
-                 static_cast<unsigned long long>(want));
-    ++failures;
-  }
-}
-
-std::uint64_t AlertFires(const DeviceSnapshot& snap, const char* rule) {
-  for (const auto& alert : snap.alerts) {
-    if (alert.rule == rule) return alert.fired;
-  }
-  return 0;
-}
-
-// Per-channel busy permille columns are the heatmap's raw data (the bench
-// geometry has 4 channels).
-const std::vector<std::string> kCsvSeries = {
-    "delta.ops",
-    "rate.ops_per_sec_milli",
-    "rate.pcie.h2d_bytes_per_sec",
-    "rate.taf_milli",
-    "rate.waf_milli",
-    "total.taf_milli",
-    "gauge.ftl.free_blocks",
-    "gauge.buffer.resident_bytes",
-    "gauge.lsm.memtable_bytes",
-    "gauge.lsm.compaction_debt_bytes",
-    "trace.op.put.p50",
-    "trace.op.put.p99",
-    "gauge.nand.ch0.busy_permille",
-    "gauge.nand.ch1.busy_permille",
-    "gauge.nand.ch2.busy_permille",
-    "gauge.nand.ch3.busy_permille",
-};
-
-struct RunOutput {
-  std::string prom, jsonl, csv;
-  KvSsdStats stats;
-  std::uint64_t alerts_fired = 0;
-  std::uint64_t timeout_events = 0;
-};
-
-KvSsdOptions ReportOptions(bool faults) {
-  KvSsdOptions o = DefaultBenchOptions();
-  o.driver.method = driver::TransferMethod::kPiggyback;
-  o.buffer.policy = buffer::PackingPolicy::kAll;
-  o.trace.enabled = true;  // Feeds the per-op latency percentile series.
-  o.telemetry.enabled = true;
-  o.telemetry.sample_interval_ns = 50 * sim::kMicrosecond;
-  // Clean runs must stay silent on every rule; the fault storm trips the
-  // retry rule on the first interval containing a resubmission, and the
-  // compaction storm (separate, undersized config) trips the LSM rules.
-  o.telemetry.rules = {
-      telemetry::RetryStormRule(/*retries=*/1, /*n=*/1),
-      telemetry::ZeroOpStallRule(/*n=*/10),
-      telemetry::CompactionDebtRule(/*budget_bytes=*/2048, /*n=*/1),
-      telemetry::L0PileupRule(/*tables=*/4, /*n=*/1),
-      telemetry::MemtableStallRule(/*stalls=*/1, /*n=*/1),
-  };
-  if (faults) o.fault.command_drop_rate = 0.1;
-  return o;
-}
-
-// The workload: ops/2 small values (fig08's fine-grained regime), then ops/2
-// at 2 KiB (approaching the crossover), so every over-time curve has a step.
-// `server` non-null attaches the live scrape endpoint to this run and
-// self-scrapes it afterwards.
-RunOutput RunTimeline(std::uint64_t ops, bool faults,
-                      telemetry::HttpExporter* server = nullptr) {
-  auto ssd = KvSsd::Open(ReportOptions(faults)).value();
-  if (server != nullptr) ssd->Hooks().sampler->SetSink(server);
-  std::uint64_t put_errors = 0;
-  for (std::uint64_t i = 0; i < ops; ++i) {
-    const std::size_t size = i < ops / 2 ? 64 : 2048;
-    Bytes value = workload::MakeValue(size, 11, i);
-    // Under the drop storm a command can exhaust its retries; that surfaced
-    // timeout IS the scenario the watchdog watches, not a harness failure.
-    if (!ssd->Put("tl" + std::to_string(i), ByteSpan(value)).ok()) {
-      ++put_errors;
-    }
-  }
-  const bool flushed = ssd->Flush().ok();
-  if (!faults && (put_errors != 0 || !flushed)) {
-    std::fprintf(stderr, "CHECK FAILED: clean run rejected %llu PUT(s)%s\n",
-                 static_cast<unsigned long long>(put_errors),
-                 flushed ? "" : " and the flush");
-    ++failures;
-  }
-  if (faults && put_errors != 0) {
-    std::printf("fault storm surfaced %llu host-visible PUT timeout(s)\n",
-                static_cast<unsigned long long>(put_errors));
-  }
-  ssd->Hooks().sampler->Finalize();
-
-  RunOutput out;
-  const telemetry::Sampler& t = ssd->telemetry();
-  out.prom = telemetry::ToPrometheusText(t);
-  out.jsonl = telemetry::ToJsonl(t);
-  out.csv = telemetry::ToTimeSeriesCsv(t, kCsvSeries);
-  out.stats = ssd->GetStats();
-  out.timeout_events = t.event_log().count(telemetry::EventType::kTimeout);
-  for (const auto& alert : ssd->InspectDevice().alerts) {
-    out.alerts_fired += alert.fired;
-  }
-
-  // Reconciliation: deltas telescope to the final counters (the closing
-  // sample is stamped at run end, so nothing falls off either edge).
-  Check(t.dropped_samples() == 0, "no samples dropped", t.dropped_samples(),
-        0);
-  Check(SumSeries(t, "delta.ops") == out.stats.commands_submitted,
-        "sum(delta.ops) == commands_submitted",
-        SumSeries(t, "delta.ops"), out.stats.commands_submitted);
-  Check(SumSeries(t, "delta.pcie.h2d_bytes") == out.stats.pcie_h2d_bytes,
-        "sum(delta.pcie.h2d_bytes) == pcie_h2d_bytes",
-        SumSeries(t, "delta.pcie.h2d_bytes"), out.stats.pcie_h2d_bytes);
-  Check(SumSeries(t, "delta.pcie.d2h_bytes") == out.stats.pcie_d2h_bytes,
-        "sum(delta.pcie.d2h_bytes) == pcie_d2h_bytes",
-        SumSeries(t, "delta.pcie.d2h_bytes"), out.stats.pcie_d2h_bytes);
-  Check(SumSeries(t, "delta.nand.pages_programmed") ==
-            out.stats.nand_pages_programmed,
-        "sum(delta.nand.pages) == nand_pages_programmed",
-        SumSeries(t, "delta.nand.pages_programmed"),
-        out.stats.nand_pages_programmed);
-  Check(SumSeries(t, "delta.value_bytes") == out.stats.value_bytes_written,
-        "sum(delta.value_bytes) == value_bytes_written",
-        SumSeries(t, "delta.value_bytes"), out.stats.value_bytes_written);
-  Check(t.Latest("pcie.h2d_bytes") == out.stats.pcie_h2d_bytes,
-        "last sample cumulative == pcie_h2d_bytes",
-        t.Latest("pcie.h2d_bytes"), out.stats.pcie_h2d_bytes);
-
-  // Percentile pipeline reconciliation: the per-interval histogram deltas
-  // must telescope to the lifetime PUT-latency histogram, and the cumulative
-  // hist.* series must land on the same lifetime count.
-  const auto hists = ssd->metrics().SnapshotHistograms();
-  const auto put_hist = hists.find("trace.op.put.latency_ns");
-  if (put_hist == hists.end()) {
-    std::fprintf(stderr,
-                 "CHECK FAILED: trace.op.put.latency_ns histogram missing\n");
-    ++failures;
-  } else {
-    Check(SumSeries(t, "delta.trace.op.put.count") == put_hist->second.count,
-          "sum(delta.put.count) == lifetime hist count",
-          SumSeries(t, "delta.trace.op.put.count"), put_hist->second.count);
-    Check(SumSeries(t, "delta.trace.op.put.sum") == put_hist->second.sum,
-          "sum(delta.put.sum) == lifetime hist sum",
-          SumSeries(t, "delta.trace.op.put.sum"), put_hist->second.sum);
-    Check(t.Latest("hist.trace.op.put.count") == put_hist->second.count,
-          "last hist.put.count == lifetime hist count",
-          t.Latest("hist.trace.op.put.count"), put_hist->second.count);
-    // The closing interval can contain zero PUTs (the trailing Flush), in
-    // which case its percentile is legitimately 0 — assert over the run.
-    Check(MaxSeries(t, "trace.op.put.p50") > 0, "some interval put p50 nonzero",
-          MaxSeries(t, "trace.op.put.p50"), 1);
-  }
-
-  // Self-scrape: the bytes served over the wire at the final published
-  // sample must equal the file export taken at the same point.
-  if (server != nullptr) {
-    const auto metrics = telemetry::HttpGet(server->port(), "/metrics");
-    Check(metrics.ok() && metrics.value() == out.prom,
-          "GET /metrics byte-matches ToPrometheusText",
-          metrics.ok() ? metrics.value().size() : 0, out.prom.size());
-    const auto jsonl = telemetry::HttpGet(server->port(), "/timeline.jsonl");
-    Check(jsonl.ok() && jsonl.value() == out.jsonl,
-          "GET /timeline.jsonl byte-matches ToJsonl",
-          jsonl.ok() ? jsonl.value().size() : 0, out.jsonl.size());
-    const auto health = telemetry::HttpGet(server->port(), "/healthz");
-    Check(health.ok() &&
-              health.value().find("\"status\":\"ok\"") != std::string::npos,
-          "GET /healthz reports ok", health.ok() ? 1 : 0, 1);
-    const auto missing = telemetry::HttpGet(server->port(), "/nope");
-    Check(!missing.ok(), "GET /nope returns an HTTP error", missing.ok(), 0);
-    Check(server->requests_served() >= 4, "server counted the scrapes",
-          server->requests_served(), 4);
-  }
-
-  // The timeline table, printed from the samples alone.
-  if (!faults) {
-    const auto& samples = t.samples();
-    std::printf("\n%9s %9s %10s %8s %8s %9s %9s %10s\n", "t_ms", "kops/s",
-                "H2D MB/s", "TAF", "WAF", "p50 us", "p99 us", "free_blk");
-    const std::size_t stride = std::max<std::size_t>(1, samples.size() / 12);
-    for (std::size_t i = 0; i < samples.size();
-         i = (i + stride < samples.size() || i + 1 == samples.size())
-                 ? i + stride
-                 : samples.size() - 1) {
-      const telemetry::Sample& s = samples[i];
-      const auto val = [&](const char* name) -> std::uint64_t {
-        const std::int64_t id = t.series().Find(name);
-        return id < 0 ? 0 : s.Value(static_cast<std::uint32_t>(id));
-      };
-      std::printf("%9.2f %9.1f %10.1f %8.2f %8.2f %9.2f %9.2f %10llu\n",
-                  static_cast<double>(s.t_ns) / 1e6,
-                  static_cast<double>(val("rate.ops_per_sec_milli")) / 1e6,
-                  static_cast<double>(val("rate.pcie.h2d_bytes_per_sec")) /
-                      1e6,
-                  static_cast<double>(val("rate.taf_milli")) / 1e3,
-                  static_cast<double>(val("rate.waf_milli")) / 1e3,
-                  static_cast<double>(val("trace.op.put.p50")) / 1e3,
-                  static_cast<double>(val("trace.op.put.p99")) / 1e3,
-                  static_cast<unsigned long long>(
-                      val("gauge.ftl.free_blocks")));
-      if (i + 1 == samples.size()) break;
-    }
-    std::printf("samples=%zu events=%llu\n\n", samples.size(),
-                static_cast<unsigned long long>(
-                    t.event_log().total_emitted()));
-  }
-  return out;
-}
-
-// Compaction storm: an LSM sized far below the workload (tiny MemTable, L0
-// trigger past 100 runs, L1 target of 1 KiB) so flushes stall behind a full
-// L0, the eventual L0 compaction floods L1 well past its target, and the
-// 64-pass MaybeCompact budget leaves visible compaction debt at sample
-// points. All three LSM watchdog rules must fire, with the compaction and
-// stall events in the log to explain them.
-void RunCompactionStorm(std::uint64_t ops) {
-  KvSsdOptions o = ReportOptions(/*faults=*/false);
-  o.lsm.memtable_limit_bytes = 512;
-  o.lsm.l0_compaction_trigger = 128;
-  o.lsm.level_base_bytes = 1024;
-  // Encoded reference entries are ~20 B, so a 128-run L0 flood splits into
-  // ~100 output tables — more than one 64-pass MaybeCompact can drain, which
-  // is what leaves compaction debt standing at sample points.
-  o.lsm.sstable_target_bytes = 128;
-  o.lsm.max_levels = 3;
-  auto ssd = KvSsd::Open(o).value();
-  for (std::uint64_t i = 0; i < ops; ++i) {
-    Bytes value = workload::MakeValue(64, 13, i);
-    if (!ssd->Put("cs" + std::to_string(i), ByteSpan(value)).ok()) {
-      std::fprintf(stderr, "CHECK FAILED: storm PUT %llu rejected\n",
-                   static_cast<unsigned long long>(i));
-      ++failures;
-      return;
-    }
-  }
-  if (!ssd->Flush().ok()) {
-    std::fprintf(stderr, "CHECK FAILED: storm flush rejected\n");
-    ++failures;
-  }
-  ssd->Hooks().sampler->Finalize();
-
-  const DeviceSnapshot snap = ssd->InspectDevice();
-  const telemetry::Sampler& t = ssd->telemetry();
-  Check(AlertFires(snap, "compaction_debt_over_budget") >= 1,
-        "storm fires compaction-debt-budget rule",
-        AlertFires(snap, "compaction_debt_over_budget"), 1);
-  Check(AlertFires(snap, "l0_pileup") >= 1, "storm fires level-0-pileup rule",
-        AlertFires(snap, "l0_pileup"), 1);
-  Check(AlertFires(snap, "memtable_stall") >= 1,
-        "storm fires memtable-stall rule", AlertFires(snap, "memtable_stall"),
-        1);
-  Check(t.event_log().count(telemetry::EventType::kCompactionStart) >= 1,
-        "compaction_start events logged",
-        t.event_log().count(telemetry::EventType::kCompactionStart), 1);
-  Check(t.event_log().count(telemetry::EventType::kCompactionEnd) >= 1,
-        "compaction_end events logged",
-        t.event_log().count(telemetry::EventType::kCompactionEnd), 1);
-  Check(t.event_log().count(telemetry::EventType::kMemtableStall) >= 1,
-        "memtable_stall events logged",
-        t.event_log().count(telemetry::EventType::kMemtableStall), 1);
-  // Reconciliation against introspection: the closing sample's L0 gauge is
-  // the same table count Inspect() reports, and the telescoped stall deltas
-  // equal the stall events (one event per stall).
-  Check(!snap.lsm_levels.empty() &&
-            t.Latest("gauge.lsm.l0.tables") == snap.lsm_levels[0].tables,
-        "last gauge.lsm.l0.tables == Inspect()",
-        t.Latest("gauge.lsm.l0.tables"),
-        snap.lsm_levels.empty() ? 0 : snap.lsm_levels[0].tables);
-  Check(SumSeries(t, "delta.lsm.memtable_stalls") ==
-            t.event_log().count(telemetry::EventType::kMemtableStall),
-        "sum(delta.memtable_stalls) == stall events",
-        SumSeries(t, "delta.lsm.memtable_stalls"),
-        t.event_log().count(telemetry::EventType::kMemtableStall));
-}
-
-// ----------------------- closed-loop control storm -------------------------
-// The --control section: the same deliberately undersized LSM, run (a)
-// uncontrolled, (b) with the null policy (controller built, every knob off —
-// must be byte-identical to (a)), and (c) with the storm policy (paced
-// compaction + flush admission + GC pacing + SQ credits). Uncontrolled, the
-// L0 trigger of 2 makes almost every flush a stall and the inline merge
-// cascade spikes per-interval p99; controlled, the per-tick CompactStep
-// keeps L0 drained and flush deferral spaces the flushes out, so stalls
-// never persist and the worst interval stays bounded.
-
-std::vector<std::uint64_t> SeriesVec(const telemetry::Sampler& t,
-                                     const std::string& name) {
-  const std::int64_t id = t.series().Find(name);
-  std::vector<std::uint64_t> out;
-  out.reserve(t.samples().size());
-  for (const telemetry::Sample& s : t.samples()) {
-    out.push_back(id < 0 ? 0 : s.Value(static_cast<std::uint32_t>(id)));
-  }
-  return out;
-}
-
-std::uint64_t MaxStreak(const std::vector<std::uint64_t>& v) {
-  std::uint64_t best = 0, run = 0;
-  for (std::uint64_t x : v) {
-    run = x > 0 ? run + 1 : 0;
-    best = std::max(best, run);
-  }
-  return best;
-}
-
-KvSsdOptions ControlStormOptions() {
-  KvSsdOptions o = ReportOptions(/*faults=*/false);
-  o.lsm.memtable_limit_bytes = 512;
-  // Trigger 2: a flush landing on ANY standing L0 run counts as a stall, so
-  // the uncontrolled run stalls nearly every flush — the regime the
-  // controller has to dig the device out of.
-  o.lsm.l0_compaction_trigger = 2;
-  o.lsm.level_base_bytes = 1024;
-  o.lsm.sstable_target_bytes = 128;
-  o.lsm.max_levels = 3;
-  o.telemetry.rules.push_back(
-      telemetry::FreeBlocksLowRule(/*blocks=*/4, /*n=*/1));
-  return o;
-}
-
-control::ControlPolicy StormControlPolicy() {
-  control::ControlPolicy p;
-  p.enabled = true;
-  p.gc.enabled = true;  // Defaults: pace below 8 free, escalate at 5.
-  p.flush.enabled = true;
-  p.flush.l0_pace_runs = 1;  // Drain every standing L0 run each tick.
-  p.admission.enabled = true;
-  p.admission.credits_per_tick = 256;  // Sheds only under gross overload.
-  return p;
-}
-
-struct StormRun {
-  std::string prom, jsonl, csv;
-  std::vector<std::uint64_t> t_ns, p50, p95, p99, stalls;
-  std::uint64_t max_stall_streak = 0;
-  std::uint64_t worst_p99 = 0;
-  std::uint64_t free_low_fires = 0;
-  std::uint64_t stall_fires = 0;
-  std::uint64_t busy_sheds = 0;
-  std::uint64_t actuation_count = 0;
-  std::string actuations_csv;
-  // t_ns -> actuations recorded at that control tick.
-  std::map<std::uint64_t, std::uint64_t> actuations_at;
-};
-
-StormRun RunControlStorm(std::uint64_t ops,
-                         const control::ControlPolicy& policy) {
-  KvSsdOptions o = ControlStormOptions();
-  o.control = policy;
-  auto ssd = KvSsd::Open(o).value();
-  for (std::uint64_t i = 0; i < ops; ++i) {
-    Bytes value = workload::MakeValue(64, 13, i);
-    Status st = ssd->Put("st" + std::to_string(i), ByteSpan(value));
-    // Admission control may shed under overload; kBusy is retryable by
-    // contract (the shed already charged the backoff wait).
-    while (st.IsBusy()) {
-      st = ssd->Put("st" + std::to_string(i), ByteSpan(value));
-    }
-    if (!st.ok()) {
-      std::fprintf(stderr, "CHECK FAILED: control storm PUT %llu: %s\n",
-                   static_cast<unsigned long long>(i),
-                   st.ToString().c_str());
-      ++failures;
-      break;
-    }
-  }
-  if (!ssd->Flush().ok()) {
-    std::fprintf(stderr, "CHECK FAILED: control storm flush rejected\n");
-    ++failures;
-  }
-  ssd->Hooks().sampler->Finalize();
-
-  StormRun run;
-  const telemetry::Sampler& t = ssd->telemetry();
-  run.prom = telemetry::ToPrometheusText(t);
-  run.jsonl = telemetry::ToJsonl(t);
-  run.csv = telemetry::ToTimeSeriesCsv(t, kCsvSeries);
-  for (const telemetry::Sample& s : t.samples()) run.t_ns.push_back(s.t_ns);
-  run.p50 = SeriesVec(t, "trace.op.put.p50");
-  run.p95 = SeriesVec(t, "trace.op.put.p95");
-  run.p99 = SeriesVec(t, "trace.op.put.p99");
-  run.stalls = SeriesVec(t, "delta.lsm.memtable_stalls");
-  run.max_stall_streak = MaxStreak(run.stalls);
-  run.worst_p99 = MaxSeries(t, "trace.op.put.p99");
-  const DeviceSnapshot snap = ssd->InspectDevice();
-  run.free_low_fires = AlertFires(snap, "free_blocks_low");
-  run.stall_fires = AlertFires(snap, "memtable_stall");
-  run.busy_sheds = ssd->Hooks().transport->busy_rejections();
-  if (ssd->control() != nullptr) {
-    run.actuation_count = ssd->control()->actuation_count();
-    run.actuations_csv = ssd->control()->ActuationsCsv();
-    for (const auto& rec : ssd->control()->actuations()) {
-      ++run.actuations_at[static_cast<std::uint64_t>(rec.t_ns)];
-    }
-  }
-  return run;
-}
-
-// Side-by-side per-interval percentiles (aligned by sample index; each side
-// keeps its own timestamps — the runs advance virtual time differently).
-std::string SideBySideCsv(const StormRun& unc, const StormRun& ctl) {
-  std::string out =
-      "idx,unc_t_ns,unc_p50,unc_p95,unc_p99,unc_stalls,"
-      "ctl_t_ns,ctl_p50,ctl_p95,ctl_p99,ctl_stalls,ctl_actuations\n";
-  const std::size_t rows = std::max(unc.t_ns.size(), ctl.t_ns.size());
-  const auto cell = [](const std::vector<std::uint64_t>& v, std::size_t i) {
-    return i < v.size() ? std::to_string(v[i]) : std::string();
-  };
-  for (std::size_t i = 0; i < rows; ++i) {
-    out += std::to_string(i);
-    for (const auto* v : {&unc.t_ns, &unc.p50, &unc.p95, &unc.p99,
-                          &unc.stalls, &ctl.t_ns, &ctl.p50, &ctl.p95,
-                          &ctl.p99, &ctl.stalls}) {
-      out += ',';
-      out += cell(*v, i);
-    }
-    out += ',';
-    if (i < ctl.t_ns.size()) {
-      const auto it = ctl.actuations_at.find(ctl.t_ns[i]);
-      out += std::to_string(it == ctl.actuations_at.end() ? 0 : it->second);
-    }
-    out += '\n';
-  }
-  return out;
-}
-
-void WriteFile(const std::string& path, const std::string& content) {
+// Checks the stream after the write and the close, so a short or failed
+// write is reported, not just a failed open.
+bool WriteFile(const std::string& path, const std::string& body) {
   std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "CHECK FAILED: cannot write %s\n", path.c_str());
-    ++failures;
-    return;
+  out << body;
+  out.close();
+  if (!out) std::fprintf(stderr, "timeline_report: cannot write %s\n",
+                         path.c_str());
+  return static_cast<bool>(out);
+}
+
+// Prints about 12 evenly spaced samples plus the last one.
+template <typename Row>
+void PrintRows(const telemetry::Timeline& t, Row row) {
+  const auto& samples = t.samples();
+  const std::size_t stride = std::max<std::size_t>(1, samples.size() / 12);
+  for (std::size_t i = 0; i < samples.size(); i += stride) {
+    row(samples[i]);
+    if (i + stride >= samples.size() && i + 1 < samples.size()) {
+      row(samples.back());
+    }
   }
-  out << content;
+  std::printf("samples=%zu events=%llu\n\n", samples.size(),
+              static_cast<unsigned long long>(t.event_log().total_emitted()));
+}
+
+void PrintDevice(const DeviceScenario& s) {
+  const telemetry::Sampler& t = s.clean.ssd->telemetry();
+  std::printf("\n%9s %9s %10s %8s %8s %9s %9s %10s\n", "t_ms", "kops/s",
+              "H2D MB/s", "TAF", "WAF", "p50 us", "p99 us", "free_blk");
+  PrintRows(t, [&](const telemetry::Sample& x) {
+    const auto val = [&](const char* name) {
+      return static_cast<double>(telemetry::SampleValue(t, x, name));
+    };
+    std::printf("%9.2f %9.1f %10.1f %8.2f %8.2f %9.2f %9.2f %10.0f\n",
+                static_cast<double>(x.t_ns) / 1e6,
+                val("rate.ops_per_sec_milli") / 1e6,
+                val("rate.pcie.h2d_bytes_per_sec") / 1e6,
+                val("rate.taf_milli") / 1e3, val("rate.waf_milli") / 1e3,
+                val("trace.op.put.p50") / 1e3, val("trace.op.put.p99") / 1e3,
+                val("gauge.ftl.free_blocks"));
+  });
+  std::printf("fault storm: %llu retry-storm fire(s), %llu host-visible PUT "
+              "timeout(s)\ncompaction storm: %llu LSM rule fire(s)\n",
+              static_cast<unsigned long long>(
+                  AlertFires(s.fault.ssd->InspectDevice().alerts, "retry_storm")),
+              static_cast<unsigned long long>(s.fault.failed_ops),
+              static_cast<unsigned long long>(
+                  TotalFires(s.compaction.ssd->InspectDevice().alerts)));
+}
+
+void PrintControl(const ControlScenario& s) {
+  const KvSsd& unc = *s.uncontrolled.ssd;
+  const KvSsd& ctl = *s.controlled.ssd;
+  const auto fires = [](const KvSsd& ssd) {
+    return static_cast<unsigned long long>(
+        AlertFires(ssd.InspectDevice().alerts, "memtable_stall"));
+  };
+  const auto worst_p99 = [](const KvSsd& ssd) {
+    return static_cast<unsigned long long>(
+        telemetry::MaxSeries(ssd.telemetry(), "trace.op.put.p99"));
+  };
+  std::printf(
+      "control storm: worst p99 %llu -> %llu ns, stall streak %llu -> %llu "
+      "intervals, stall fires %llu -> %llu, %llu actuations, %llu sheds\n",
+      worst_p99(unc), worst_p99(ctl),
+      static_cast<unsigned long long>(StallStreak(unc)),
+      static_cast<unsigned long long>(StallStreak(ctl)), fires(unc),
+      fires(ctl),
+      static_cast<unsigned long long>(ctl.control()->actuation_count()),
+      static_cast<unsigned long long>(
+          s.controlled.ssd->Hooks().transport->busy_rejections()));
+}
+
+void PrintFleet(const FleetScenario& s) {
+  const telemetry::FleetAggregator& agg = s.uniform.cluster->fleet();
+  std::printf("\n%9s %9s %7s %8s %8s %8s  %s\n", "t_ms", "kops/s", "d.ops",
+              "max/mean", "skew", "stalled", "shard delta ops");
+  PrintRows(agg, [&](const telemetry::Sample& x) {
+    const auto val = [&](const std::string& name) {
+      return telemetry::SampleValue(agg, x, name);
+    };
+    std::printf("%9.2f %9.1f %7llu %8.3f %7llu%% %8llu  [",
+                static_cast<double>(x.t_ns) / 1e6,
+                static_cast<double>(val("rate.ops_per_sec_milli")) / 1e6,
+                static_cast<unsigned long long>(val("delta.ops")),
+                static_cast<double>(
+                    val("fleet.imbalance.ops_max_over_mean_milli")) / 1e3,
+                static_cast<unsigned long long>(
+                    val("fleet.ring.skew_permille") / 10),
+                static_cast<unsigned long long>(
+                    val("fleet.straggler.stalled_shards")));
+    for (std::uint32_t sh = 0; sh < kFleetShards; ++sh) {
+      std::printf("%s%llu", sh == 0 ? "" : " ",
+                  static_cast<unsigned long long>(
+                      val("shard" + std::to_string(sh) + ".delta.ops")));
+    }
+    std::printf("]\n");
+  });
+  std::printf("hot-shard run: %llu fleet rule fire(s)\n",
+              static_cast<unsigned long long>(
+                  TotalFires(s.hot.cluster->Inspect().alerts)));
+}
+
+// "budget" is lifetime error-budget spend in permille (1000 = exhausted).
+void PrintTenants(const char* title, const cluster::KvCluster& fleet) {
+  const auto& plane = fleet.attribution();
+  std::printf("\n%-10s %8s %6s %10s %12s %10s %10s %8s   (%s)\n", "tenant",
+              "ops", "shed", "p99_us", "dev_bytes", "burn_fast", "burn_slow",
+              "budget", title);
+  for (std::size_t t = 0; t < plane.num_tenants(); ++t) {
+    const auto& c = plane.tenant_charges(t);
+    const auto& slo = plane.slo_state(t);
+    std::printf("%-10s %8llu %6llu %10.1f %12llu %9.2fx %9.2fx %6llupm\n",
+                plane.tenant_name(t).c_str(),
+                static_cast<unsigned long long>(c.ops),
+                static_cast<unsigned long long>(c.shed_ops),
+                static_cast<double>(
+                    plane.tenant_latency(t).QuantilePermille(990)) / 1e3,
+                static_cast<unsigned long long>(c.pcie_h2d_bytes),
+                static_cast<double>(slo.burn_fast_milli) / 1e3,
+                static_cast<double>(slo.burn_slow_milli) / 1e3,
+                static_cast<unsigned long long>(slo.budget_spent_permille));
+  }
+  std::printf("%-10s %8s %6s %10s %12llu   alerts fired: %llu\n", "untagged",
+              "-", "-", "-",
+              static_cast<unsigned long long>(plane.untagged().pcie_h2d_bytes),
+              static_cast<unsigned long long>(
+                  TotalFires(fleet.Inspect().alerts)));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  BenchArgs args = ParseArgs(argc, argv, /*default_ops=*/20000);
-  std::string export_prefix;
+  std::string scenario = "device", export_prefix;
   bool serve = false;
   std::uint16_t serve_port = 0;
   std::uint64_t serve_hold_ms = 0;
-  bool control_mode = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--export=", 9) == 0) {
+    if (std::strncmp(argv[i], "--scenario=", 11) == 0) {
+      scenario = argv[i] + 11;
+    } else if (std::strncmp(argv[i], "--export=", 9) == 0) {
       export_prefix = argv[i] + 9;
     } else if (std::strncmp(argv[i], "--serve=", 8) == 0) {
       serve = true;
@@ -507,137 +195,90 @@ int main(int argc, char** argv) {
           static_cast<std::uint16_t>(std::strtoul(argv[i] + 8, nullptr, 10));
     } else if (std::strncmp(argv[i], "--serve-hold=", 13) == 0) {
       serve_hold_ms = std::strtoull(argv[i] + 13, nullptr, 10);
-    } else if (std::strcmp(argv[i], "--control") == 0) {
-      control_mode = true;
     }
   }
-  PrintPlatform("Timeline report: telemetry over virtual time",
-                ReportOptions(false), args);
+  const bool device = scenario == "device" || scenario == "control";
+  if ((!device && scenario != "fleet" && scenario != "tenant") ||
+      (serve_hold_ms > 0 && (!serve || export_prefix.empty()))) {
+    std::fprintf(stderr, "%s", kUsage);
+    return 2;
+  }
+  const BenchArgs args = ParseArgs(
+      argc, argv, device ? 20000 : scenario == "fleet" ? 6000 : 3000);
+  PrintPlatform(("Timeline report: " + scenario + " scenario").c_str(),
+                device ? DeviceOptions(false) : FleetOptions(true).shard,
+                args);
 
   telemetry::HttpExporter server;
   if (serve) {
     const Status started = server.Start(serve_port);
     if (!started.ok()) {
-      std::fprintf(stderr, "CHECK FAILED: --serve: %s\n",
+      std::fprintf(stderr, "timeline_report: --serve: %s\n",
                    started.message().c_str());
       return 1;
     }
     std::printf("serving /metrics on http://127.0.0.1:%u\n", server.port());
   }
+  telemetry::SnapshotSink* sink = serve ? &server : nullptr;
 
-  std::printf("\n--- clean run (pass 1%s) ---\n",
-              serve ? ", live scrape attached" : "");
-  RunOutput a = RunTimeline(args.ops, /*faults=*/false,
-                            serve ? &server : nullptr);
-  std::printf("--- clean run (pass 2: determinism, no server) ---\n");
-  RunOutput b = RunTimeline(args.ops, /*faults=*/false);
-  Check(a.prom == b.prom, "double-run Prometheus byte-identical",
-        a.prom.size(), b.prom.size());
-  Check(a.jsonl == b.jsonl, "double-run JSONL byte-identical",
-        a.jsonl.size(), b.jsonl.size());
-  Check(a.csv == b.csv, "double-run CSV byte-identical", a.csv.size(),
-        b.csv.size());
-  Check(a.alerts_fired == 0, "clean run raises no alerts", a.alerts_fired, 0);
-
-  std::printf("--- fault storm (command drops) ---\n");
-  RunOutput f = RunTimeline(args.ops / 4, /*faults=*/true);
-  Check(f.alerts_fired >= 1, "fault storm fires the retry-storm rule",
-        f.alerts_fired, 1);
-  Check(f.timeout_events >= 1, "timeout events logged under faults",
-        f.timeout_events, 1);
-
-  std::printf("--- compaction storm (undersized LSM) ---\n");
-  RunCompactionStorm(std::max<std::uint64_t>(args.ops, 2000));
-
-  if (control_mode) {
-    const std::uint64_t storm_ops = std::max<std::uint64_t>(args.ops, 2000);
-    std::printf("\n--- control storm: uncontrolled baseline ---\n");
-    StormRun unc = RunControlStorm(storm_ops, control::ControlPolicy{});
-
-    std::printf("--- control storm: null policy (every knob off) ---\n");
-    control::ControlPolicy null_policy;
-    null_policy.enabled = true;  // Controller built and ticked, zero knobs.
-    StormRun nul = RunControlStorm(storm_ops, null_policy);
-    Check(nul.prom == unc.prom, "null policy Prometheus byte-identical",
-          nul.prom.size(), unc.prom.size());
-    Check(nul.jsonl == unc.jsonl, "null policy JSONL byte-identical",
-          nul.jsonl.size(), unc.jsonl.size());
-    Check(nul.csv == unc.csv, "null policy CSV byte-identical",
-          nul.csv.size(), unc.csv.size());
-    Check(nul.actuation_count == 0, "null policy actuates nothing",
-          nul.actuation_count, 0);
-
-    std::printf("--- control storm: controlled (paced GC + flush admission) "
-                "---\n");
-    StormRun ctl = RunControlStorm(storm_ops, StormControlPolicy());
-    StormRun ctl2 = RunControlStorm(storm_ops, StormControlPolicy());
-    Check(ctl.actuations_csv == ctl2.actuations_csv,
-          "double-run actuation log byte-identical",
-          ctl.actuations_csv.size(), ctl2.actuations_csv.size());
-    Check(ctl.actuation_count >= 1, "controller actuated at least once",
-          ctl.actuation_count, 1);
-    // The trigger-2 LSM makes nearly every uncontrolled flush a stall (the
-    // memtable-stall rule re-fires all run long); controlled, stalls must
-    // never persist past 2 consecutive intervals — the ISSUE's bound.
-    Check(unc.stall_fires > 2, "uncontrolled memtable-stall fires repeatedly",
-          unc.stall_fires, 3);
-    Check(ctl.max_stall_streak <= 2,
-          "controlled stall streak bounded (<=2 intervals)",
-          ctl.max_stall_streak, 2);
-    Check(ctl.worst_p99 < unc.worst_p99,
-          "controlled worst-interval p99 below uncontrolled", ctl.worst_p99,
-          unc.worst_p99);
-    Check(ctl.free_low_fires == 0, "controlled run keeps free-block headroom",
-          ctl.free_low_fires, 0);
-    std::printf(
-        "control storm: worst p99 %llu -> %llu ns, stall streak %llu -> %llu "
-        "intervals, stall fires %llu -> %llu, %llu actuations, %llu sheds\n",
-        static_cast<unsigned long long>(unc.worst_p99),
-        static_cast<unsigned long long>(ctl.worst_p99),
-        static_cast<unsigned long long>(unc.max_stall_streak),
-        static_cast<unsigned long long>(ctl.max_stall_streak),
-        static_cast<unsigned long long>(unc.stall_fires),
-        static_cast<unsigned long long>(ctl.stall_fires),
-        static_cast<unsigned long long>(ctl.actuation_count),
-        static_cast<unsigned long long>(ctl.busy_sheds));
-    if (!export_prefix.empty()) {
-      WriteFile(export_prefix + ".control.csv", SideBySideCsv(unc, ctl));
-      WriteFile(export_prefix + ".actuations.csv", ctl.actuations_csv);
-      std::printf("exported %s.control.csv and %s.actuations.csv\n",
-                  export_prefix.c_str(), export_prefix.c_str());
+  Documents docs;
+  std::uint64_t failed_ops = 0;  // Of the runs whose documents are exported.
+  if (device) {
+    const DeviceScenario s = RunDevice(args.ops, sink);
+    PrintDevice(s);
+    docs = s.docs;
+    failed_ops = s.clean.failed_ops;
+    if (scenario == "control") {
+      const ControlScenario c = RunControl(args.ops);
+      PrintControl(c);
+      docs.insert(docs.end(), c.docs.begin(), c.docs.end());
+      failed_ops += c.uncontrolled.failed_ops + c.controlled.failed_ops;
     }
+  } else if (scenario == "fleet") {
+    const FleetScenario s = RunFleet(args.ops, sink);
+    PrintFleet(s);
+    docs = s.docs;
+    failed_ops = s.uniform.failed_ops;
+  } else {
+    const TenantScenario s = RunTenant(args.ops, sink);
+    PrintTenants("clean blend", *s.clean.cluster);
+    PrintTenants("noisy-neighbor storm", *s.storm.cluster);
+    docs = s.docs;
+    failed_ops = s.clean.failed_ops;
+  }
+  int rc = 0;
+  if (failed_ops != 0) {
+    std::fprintf(stderr, "timeline_report: %llu op(s) of an exported run "
+                 "failed\n", static_cast<unsigned long long>(failed_ops));
+    rc = 1;
   }
 
-  if (!export_prefix.empty()) {
-    WriteFile(export_prefix + ".prom", a.prom);
-    WriteFile(export_prefix + ".jsonl", a.jsonl);
-    WriteFile(export_prefix + ".csv", a.csv);
-    std::printf("exported %s.{prom,jsonl,csv}\n", export_prefix.c_str());
+  for (const Document& doc : docs) {
+    if (export_prefix.empty()) break;
+    if (WriteFile(export_prefix + doc.suffix, doc.body)) {
+      std::printf("exported %s%s\n", export_prefix.c_str(), doc.suffix.c_str());
+    } else {
+      rc = 1;
+    }
   }
 
   // Hold the server up for an external scraper: publish the resolved port,
   // then wait (wall-clock; virtual time is finished) until the scraper
   // deletes the port file or the hold expires.
-  if (serve && serve_hold_ms > 0 && !export_prefix.empty()) {
-    const std::string port_path = export_prefix + ".port";
-    WriteFile(port_path, std::to_string(server.port()) + "\n");
+  const std::string port_path = export_prefix + ".port";
+  if (rc == 0 && serve_hold_ms > 0) {
+    if (!WriteFile(port_path, std::to_string(server.port()) + "\n")) return 1;
     std::printf("holding server up to %llu ms (delete %s to release)\n",
                 static_cast<unsigned long long>(serve_hold_ms),
                 port_path.c_str());
     std::fflush(stdout);
-    std::uint64_t waited_ms = 0;
-    while (waited_ms < serve_hold_ms && ::access(port_path.c_str(), F_OK) == 0) {
+    for (std::uint64_t waited_ms = 0;
+         waited_ms < serve_hold_ms && ::access(port_path.c_str(), F_OK) == 0;
+         waited_ms += 50) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      waited_ms += 50;
     }
     std::remove(port_path.c_str());
   }
   server.Stop();
-
-  if (failures != 0) {
-    std::fprintf(stderr, "\ntimeline_report: %d check(s) FAILED\n", failures);
-    return 1;
-  }
-  std::printf("\ntimeline_report: all checks passed\n");
-  return 0;
+  return rc;
 }

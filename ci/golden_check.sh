@@ -8,12 +8,12 @@
 # same commands into bench/golden/ and says so in its description.
 # abl_queue_scaling is not gated: it prints a host wall-clock column.
 #
-# Export oracle: the --export files of timeline_report --ops=2000 (plain
-# and --control), fleet_timeline --ops=2000 and tenant_slo_report
-# --ops=3000 are regenerated and checked against the SHA-256 digests in
+# Export oracle: the 14 --export files of timeline_report's scenarios
+# (device and control at --ops=2000, fleet at --ops=2000, tenant at
+# --ops=3000) are regenerated and checked against the SHA-256 digests in
 # bench/golden/exports.sha256 (the files total ~66 MB, so only their
 # digests are committed). scrape_check validates their schema; this gate
-# catches a renderer that changes a single byte.
+# catches a renderer or scenario workload that changes a single byte.
 #
 # Usage: ci/golden_check.sh <build-dir>   (Release build; ~20 s)
 set -euo pipefail
@@ -40,13 +40,11 @@ cmp "${golden}/abl_shard_scaling.csv" "${out}/abl_shard_scaling.csv" ||
 
 exports="${out}/exports"
 mkdir -p "${exports}"
-"${build_dir}/bench/timeline_report" --ops=2000 \
-  --export="${exports}/timeline" > /dev/null
-"${build_dir}/bench/timeline_report" --ops=2000 --control \
-  --export="${exports}/control" > /dev/null
-"${build_dir}/bench/fleet_timeline" --ops=2000 \
-  --export="${exports}/fleet" > /dev/null
-"${build_dir}/bench/tenant_slo_report" --ops=3000 \
+bench="${build_dir}/bench/timeline_report"
+"${bench}" --scenario=device --ops=2000 --export="${exports}/timeline" > /dev/null
+"${bench}" --scenario=control --ops=2000 --export="${exports}/control" > /dev/null
+"${bench}" --scenario=fleet --ops=2000 --export="${exports}/fleet" > /dev/null
+"${bench}" --scenario=tenant --ops=3000 \
   --export="${exports}/tenant_slo" > /dev/null
 digests="$(pwd)/${golden}/exports.sha256"
 (cd "${exports}" && sha256sum --quiet -c "${digests}") || failed=1

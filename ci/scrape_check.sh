@@ -1,18 +1,19 @@
 #!/usr/bin/env bash
-# Live-scrape gate for the timeline benches (timeline_report, fleet_timeline,
-# tenant_slo_report). Each bench enforces its own invariants and exits
-# nonzero on violation; this check additionally scrapes its HTTP endpoint
-# from a real external client (curl), byte-compares every route against the
-# bench's file export, and validates each document's format.
+# Live-scrape gate for bench/timeline_report: runs one scenario with its
+# HTTP exporter up, scrapes every route from a real external client
+# (curl), byte-compares each against the scenario's file export, and
+# validates each document's format. The telemetry invariants themselves
+# are asserted by tests/scenario_test in ctest.
 #
-# Usage: ci/scrape_check.sh <bench> <prefix> <ops> <route>...
-#   e.g. ci/scrape_check.sh build/bench/fleet_timeline build/fleet 2000 \
-#          /metrics /timeline.jsonl /shards.jsonl
-# The bench runs with --export=<prefix> --serve=0: it writes the exports,
-# then <prefix>.port, and holds the server up until that file is deleted.
-# Route /metrics maps to <prefix>.prom, /timeline.jsonl to <prefix>.jsonl,
-# and any other /X.jsonl to <prefix>.X.jsonl. ci/verify.sh sources this
-# file; the CI workflow runs it directly.
+# Usage: ci/scrape_check.sh <bench> <scenario> <prefix> <ops> <route>...
+#   e.g. ci/scrape_check.sh build/bench/timeline_report fleet build/fleet \
+#          2000 /metrics /timeline.jsonl /shards.jsonl
+# The bench runs with --scenario=<scenario> --export=<prefix> --serve=0: it
+# writes the exports, then <prefix>.port, and holds the server up until
+# that file is deleted. Route /metrics maps to <prefix>.prom,
+# /timeline.jsonl to <prefix>.jsonl, and any other /X.jsonl to
+# <prefix>.X.jsonl. ci/verify.sh sources this file; the CI workflow runs
+# it directly.
 
 # Export file of `route` under `prefix`.
 scrape_file() {
@@ -96,14 +97,13 @@ jq_check() {
 }
 
 scrape_check() {
-  local bench="$1" prefix="$2" ops="$3"
-  shift 3
-  local name
-  name="$(basename "${bench}")"
+  local bench="$1" scenario="$2" prefix="$3" ops="$4"
+  shift 4
+  local name="${scenario} scenario"
   echo "=== scrape check: ${name} --ops=${ops} ($*) ==="
   rm -f "${prefix}.port"
-  "${bench}" --ops="${ops}" --export="${prefix}" --serve=0 \
-    --serve-hold=30000 &
+  "${bench}" --scenario="${scenario}" --ops="${ops}" --export="${prefix}" \
+    --serve=0 --serve-hold=30000 &
   local bench_pid=$! waited=0
   while [ ! -f "${prefix}.port" ]; do
     if ! kill -0 "${bench_pid}" 2> /dev/null; then

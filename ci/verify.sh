@@ -47,39 +47,37 @@ trace_export() {
   fi
 }
 
-# Timeline benches: each enforces its own invariants (telemetry
-# reconciliation and watchdog storms, fleet aggregation exactness and
-# shard-imbalance rules, tenant attribution reconciliation and burn-rate
-# rules, double-run byte identity, observer neutrality) and exits nonzero on
-# violation; scrape_check (ci/scrape_check.sh) then scrapes each live
-# endpoint with curl, byte-compares every route against the file exports,
-# and validates the exposition and JSONL formats.
+# Timeline scrapes: bench/timeline_report runs each observability
+# scenario with its HTTP exporter up; scrape_check (ci/scrape_check.sh)
+# scrapes every route with curl, byte-compares it against the file
+# exports, and validates the exposition and JSONL formats. The telemetry
+# invariants (reconciliation, double-run byte identity, observer
+# neutrality, storm alerts) are asserted by tests/scenario_test in ctest.
 source ci/scrape_check.sh
 timeline_scrapes() {
   local build_dir="$1" fleet_ops="$2" tenant_ops="$3"
-  scrape_check "${build_dir}/bench/timeline_report" "${build_dir}/timeline" \
-    2000 /metrics /timeline.jsonl
-  scrape_check "${build_dir}/bench/fleet_timeline" "${build_dir}/fleet" \
-    "${fleet_ops}" /metrics /timeline.jsonl /shards.jsonl
-  scrape_check "${build_dir}/bench/tenant_slo_report" \
-    "${build_dir}/tenant_slo" "${tenant_ops}" /metrics /timeline.jsonl \
-    /slo.jsonl
+  local bench="${build_dir}/bench/timeline_report"
+  scrape_check "${bench}" device "${build_dir}/timeline" 2000 \
+    /metrics /timeline.jsonl
+  scrape_check "${bench}" fleet "${build_dir}/fleet" "${fleet_ops}" \
+    /metrics /timeline.jsonl /shards.jsonl
+  scrape_check "${bench}" tenant "${build_dir}/tenant_slo" "${tenant_ops}" \
+    /metrics /timeline.jsonl /slo.jsonl
 }
 
-# Closed-loop control storm: the bench replays the undersized-LSM storm
-# three ways — uncontrolled, null policy (controller built with every knob
-# off; exports must byte-match the uncontrolled run), and controlled — and
-# exits nonzero unless the controlled run bounds the stall streak (<= 2
-# consecutive intervals), beats the uncontrolled worst-interval p99, never
-# fires free-blocks-low, and produces a byte-identical actuation log across
-# a double run. The GC-headroom demo does the same for the FTL knob under
-# 1 % program failures. Here we additionally sanity-check the side-by-side
-# CSV's shape.
+# Closed-loop control storm: timeline_report's control scenario writes the
+# side-by-side per-interval CSV (uncontrolled vs controlled) and the
+# actuation log; here we check their shape. The control bounds (stall
+# streak <= 2 intervals, better worst-interval p99, free-blocks-low silent,
+# null policy byte-identical, deterministic actuation log) are asserted by
+# tests/scenario_test. The fault_campaign GC-headroom demo gates the GC
+# knob under 1 % program failures and exits nonzero on violation.
 control_storm() {
   local build_dir="$1"
   echo "=== verify pass: control storm (${build_dir}) ==="
   local out="${build_dir}/control"
-  "${build_dir}/bench/timeline_report" --ops=2000 --control --export="${out}"
+  "${build_dir}/bench/timeline_report" --scenario=control --ops=2000 \
+    --export="${out}"
   awk -F, '
     NR == 1 { cols = NF; if (cols != 12) { print "bad header: " NF " cols"; exit 1 } next }
     NF != cols { print "ragged row " NR; exit 1 }
@@ -126,8 +124,8 @@ shard_scaling() {
   echo "shard scaling: N=1 identity + 4-shard speedup gates passed, CSV well-formed"
 }
 
-# New code must use Inspect()/Hooks(): calling a [[deprecated]] accessor is a
-# build error in CI, so the legacy API can only shrink.
+# -Werror=deprecated-declarations: the legacy KvSsd accessors are gone, and
+# a [[deprecated]] declaration can never be called from new code.
 run_pass release "${prefix}-release" \
   -DCMAKE_BUILD_TYPE=Release \
   -DCMAKE_CXX_FLAGS="-Werror=deprecated-declarations"
@@ -135,11 +133,11 @@ run_pass release "${prefix}-release" \
 trace_export "${prefix}-release"
 timeline_scrapes "${prefix}-release" 2000 3000
 control_storm "${prefix}-release"
-sim_speed_gate "${prefix}-release"
 shard_scaling "${prefix}-release"
 # Figure oracle: the seven fig* stdouts and the shard-scaling CSV must
-# byte-match bench/golden/. Release only — the goldens are the Release
-# figures, and the sanitized build would spend minutes re-deriving them.
+# byte-match bench/golden/, and the scenario exports their digests. Release
+# only — the goldens are the Release figures, and the sanitized build
+# would spend minutes re-deriving them.
 ci/golden_check.sh "${prefix}-release"
 
 run_pass asan-ubsan "${prefix}-asan" \
@@ -152,5 +150,9 @@ trace_export "${prefix}-asan"
 timeline_scrapes "${prefix}-asan" 1200 1500
 control_storm "${prefix}-asan"
 shard_scaling "${prefix}-asan" 1500
+
+# Last, so a slow or noisy host cannot stop the gates above from running;
+# a failing gate still fails the script.
+sim_speed_gate "${prefix}-release"
 
 echo "=== verify: all passes green ==="

@@ -15,8 +15,9 @@
 // /timeline.jsonl, burn-rate rules ride the existing hysteresis engine and
 // surface in StoreSnapshot::alerts).
 //
-// Attribution invariants (asserted by tests/attribution_test and enforced
-// by bench/tenant_slo_report exiting nonzero):
+// Attribution invariants (asserted by tests/attribution_test and, on the
+// tenant scenario bench/timeline_report exports, by
+// ScenarioTest.TenantReconcilesRepeatsAndExposesNoisyNeighbor):
 //  * Exact reconciliation. Tenant device charges are before/after reads of
 //    the owner shard's live counters around each routed op; the untagged
 //    bucket is the residual against the summed fleet counters at the sample

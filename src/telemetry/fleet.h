@@ -4,8 +4,9 @@
 // renders a cluster-wide timeline next to the shards' own per-device
 // samplers.
 //
-// Aggregation invariants (asserted by tests/fleet_test and enforced by
-// bench/fleet_timeline exiting nonzero):
+// Aggregation invariants (asserted by tests/fleet_test and, on the fleet
+// scenario bench/timeline_report exports, by
+// ScenarioTest.FleetReconcilesRepeatsAndFiresHotShardRules):
 //  * Exact reconciliation. A cluster cumulative series is the plain sum of
 //    the shard counters read at one instant, so every per-interval fleet
 //    delta equals the sum of the per-shard deltas over the same interval,
