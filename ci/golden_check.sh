@@ -8,6 +8,13 @@
 # same commands into bench/golden/ and says so in its description.
 # abl_queue_scaling is not gated: it prints a host wall-clock column.
 #
+# LSM oracle: the figures barely reach deep compaction, so three more
+# stdouts pin the LSM paths. examples/db_bench --workload=M --ops=500000
+# (paper workload M) writes 4,131 LSM pages through flushes and every
+# level's compaction; bench/abl_range_scan drives NewIterator through
+# SEEK/NEXT; bench/abl_vlog_gc drives the vLog GC's ForEachLive scan.
+# Like the figures, they print only modeled numbers.
+#
 # Export oracle: the 14 --export files of timeline_report's scenarios
 # (device and control at --ops=2000, fleet at --ops=2000, tenant at
 # --ops=3000) are regenerated and checked against the SHA-256 digests in
@@ -15,7 +22,7 @@
 # digests are committed). scrape_check validates their schema; this gate
 # catches a renderer or scenario workload that changes a single byte.
 #
-# Usage: ci/golden_check.sh <build-dir>   (Release build; ~20 s)
+# Usage: ci/golden_check.sh <build-dir>   (Release build; ~25 s)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,6 +40,13 @@ for bench in fig03_pcie_amplification fig04_nand_amplification \
   "${build_dir}/bench/${bench}" > "${out}/${bench}.stdout"
   cmp "${golden}/${bench}.stdout" "${out}/${bench}.stdout" || failed=1
 done
+for bench in abl_range_scan abl_vlog_gc; do
+  "${build_dir}/bench/${bench}" > "${out}/${bench}.stdout"
+  cmp "${golden}/${bench}.stdout" "${out}/${bench}.stdout" || failed=1
+done
+"${build_dir}/examples/db_bench" --workload=M --ops=500000 \
+  > "${out}/db_bench_M.stdout"
+cmp "${golden}/db_bench_M.stdout" "${out}/db_bench_M.stdout" || failed=1
 "${build_dir}/bench/abl_shard_scaling" --ops=6000 \
   --csv="${out}/abl_shard_scaling.csv" > /dev/null
 cmp "${golden}/abl_shard_scaling.csv" "${out}/abl_shard_scaling.csv" ||
@@ -53,5 +67,5 @@ if [ "${failed}" -ne 0 ]; then
   echo "golden outputs differ from ${golden}/ (see cmp/sha256sum above)" >&2
   exit 1
 fi
-echo "golden outputs: figures byte-identical to ${golden}/," \
+echo "golden outputs: figures and LSM stdouts byte-identical to ${golden}/," \
   "export digests match ${golden}/exports.sha256"

@@ -4,65 +4,45 @@
 
 namespace bandslim::lsm {
 
-std::vector<SSTableEntry> MergeRuns(
-    const std::vector<const std::vector<SSTableEntry>*>& runs,
-    bool drop_tombstones) {
-  // Heap element: (key, run priority, index within run). Lower priority
-  // number = newer run = wins on equal keys.
+Status MergeRuns(const std::vector<MergeInput>& inputs, bool drop_tombstones,
+                 const std::function<Status(const SSTableEntry&)>& sink) {
   struct Cursor {
-    std::size_t run;
+    std::size_t input;
     std::size_t index;
   };
-  auto key_of = [&](const Cursor& c) -> const std::string& {
-    return (*runs[c.run])[c.index].key;
+  auto entry_of = [&](const Cursor& c) -> const SSTableEntry& {
+    return (*inputs[c.input].run)[c.index];
   };
+  // Min-heap on (key, age, input): the newest version of a key pops first.
   auto greater = [&](const Cursor& a, const Cursor& b) {
-    const std::string& ka = key_of(a);
-    const std::string& kb = key_of(b);
-    if (ka != kb) return ka > kb;
-    return a.run > b.run;  // Newer run (smaller index) pops first.
+    const int order = entry_of(a).key.compare(entry_of(b).key);
+    if (order != 0) return order > 0;
+    const std::uint32_t age_a = inputs[a.input].age;
+    const std::uint32_t age_b = inputs[b.input].age;
+    return age_a != age_b ? age_a > age_b : a.input > b.input;
   };
   std::priority_queue<Cursor, std::vector<Cursor>, decltype(greater)> heap(greater);
-  for (std::size_t r = 0; r < runs.size(); ++r) {
-    if (!runs[r]->empty()) heap.push({r, 0});
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    if (!inputs[i].run->empty()) heap.push({i, 0});
   }
 
-  std::vector<SSTableEntry> merged;
-  std::string last_key;
-  bool have_last = false;
+  // Inputs outlive the merge, so the last key is tracked by pointer.
+  const std::string* last_key = nullptr;
   while (!heap.empty()) {
-    Cursor c = heap.top();
+    const Cursor c = heap.top();
     heap.pop();
-    const SSTableEntry& e = (*runs[c.run])[c.index];
-    if (!have_last || e.key != last_key) {
-      if (!(drop_tombstones && e.ref.tombstone)) merged.push_back(e);
-      last_key = e.key;
-      have_last = true;
+    const SSTableEntry& e = entry_of(c);
+    if (last_key == nullptr || e.key != *last_key) {
+      if (!(drop_tombstones && e.ref.tombstone)) {
+        BANDSLIM_RETURN_IF_ERROR(sink(e));
+      }
+      last_key = &e.key;
     }
-    if (c.index + 1 < runs[c.run]->size()) {
-      heap.push({c.run, c.index + 1});
+    if (c.index + 1 < inputs[c.input].run->size()) {
+      heap.push({c.input, c.index + 1});
     }
   }
-  return merged;
-}
-
-std::vector<std::vector<SSTableEntry>> SplitRun(std::vector<SSTableEntry> merged,
-                                                std::uint64_t target_bytes) {
-  std::vector<std::vector<SSTableEntry>> out;
-  std::vector<SSTableEntry> current;
-  std::uint64_t bytes = 0;
-  for (SSTableEntry& e : merged) {
-    const std::uint64_t sz = EncodedEntrySize(e);
-    if (!current.empty() && bytes + sz > target_bytes) {
-      out.push_back(std::move(current));
-      current.clear();
-      bytes = 0;
-    }
-    bytes += sz;
-    current.push_back(std::move(e));
-  }
-  if (!current.empty()) out.push_back(std::move(current));
-  return out;
+  return Status::Ok();
 }
 
 }  // namespace bandslim::lsm

@@ -1,25 +1,31 @@
-// Merge machinery for LSM compaction. Runs are merged with newest-first
-// precedence; shadowed entries are dropped and tombstones are elided only
-// when merging into the bottom-most populated level (no older data can be
-// resurrected). Thanks to key-value separation only references move —
-// values stay put in the vLog (Section 2.1).
+// Merge machinery for LSM compaction and iteration. Sorted inputs are
+// merged in one streaming pass with newest-first precedence; shadowed
+// entries are dropped and tombstones are elided only when merging into the
+// bottom-most populated level (no older data can be resurrected). Thanks to
+// key-value separation only references move — values stay put in the vLog
+// (Section 2.1).
 #pragma once
 
+#include <cstdint>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "lsm/sstable.h"
 
 namespace bandslim::lsm {
 
-// `runs` are sorted entry vectors ordered newest first; each run has unique
-// keys. Returns the merged, sorted, deduplicated run.
-std::vector<SSTableEntry> MergeRuns(
-    const std::vector<const std::vector<SSTableEntry>*>& runs,
-    bool drop_tombstones);
+// One sorted input with unique keys. On equal keys the lower `age` (newer)
+// wins; inputs that never share a key, such as one level's disjoint
+// tables, may share an age.
+struct MergeInput {
+  std::shared_ptr<const std::vector<SSTableEntry>> run;
+  std::uint32_t age = 0;
+};
 
-// Splits a merged run into output tables of at most `target_bytes` of
-// serialized size each (entries are never split).
-std::vector<std::vector<SSTableEntry>> SplitRun(
-    std::vector<SSTableEntry> merged, std::uint64_t target_bytes);
+// Streams the merge of `inputs` into `sink` in key order, one entry per
+// key. Stops at, and returns, the first error `sink` returns.
+Status MergeRuns(const std::vector<MergeInput>& inputs, bool drop_tombstones,
+                 const std::function<Status(const SSTableEntry&)>& sink);
 
 }  // namespace bandslim::lsm

@@ -1,7 +1,7 @@
 #include "lsm/lsm_tree.h"
 
 #include <algorithm>
-#include <cassert>
+#include <optional>
 
 namespace bandslim::lsm {
 
@@ -68,18 +68,6 @@ Status LsmTree::Put(const std::string& key, const ValueRef& ref) {
     return Status::InvalidArgument("key must be 1..16 bytes");
   }
   mem_.Put(key, ref);
-  if (mem_.approximate_bytes() >=
-      config_.memtable_limit_bytes + flush_deferral_bytes_) {
-    return FlushMemTable();
-  }
-  return Status::Ok();
-}
-
-Status LsmTree::Delete(const std::string& key) {
-  if (key.empty() || key.size() > kMaxKeySize) {
-    return Status::InvalidArgument("key must be 1..16 bytes");
-  }
-  mem_.Delete(key);
   if (mem_.approximate_bytes() >=
       config_.memtable_limit_bytes + flush_deferral_bytes_) {
     return FlushMemTable();
@@ -175,15 +163,16 @@ Result<ValueRef> LsmTree::Get(const std::string& key) {
   return Status::NotFound();
 }
 
-Result<std::shared_ptr<const std::vector<SSTableEntry>>> LsmTree::Load(
-    Table& table) {
+Status LsmTree::Load(Table& table, std::uint32_t age,
+                     std::vector<MergeInput>* inputs) {
   if (table.cache == nullptr) {
     auto entries = ReadSSTable(ftl_, table.meta);
     if (!entries.ok()) return entries.status();
     table.cache = std::make_shared<const std::vector<SSTableEntry>>(
         std::move(entries).value());
   }
-  return table.cache;
+  inputs->push_back({table.cache, age});
+  return Status::Ok();
 }
 
 Status LsmTree::FlushMemTable() {
@@ -201,22 +190,16 @@ Status LsmTree::FlushMemTable() {
                        mem_.approximate_bytes(), levels_[0].size());
     }
   }
-  std::vector<SSTableEntry> entries;
-  entries.reserve(mem_.entry_count());
-  for (auto it = mem_.Begin(); it.Valid(); it.Next()) {
-    entries.push_back({it.key(), it.ref()});
+  TableWriter writer(ftl_, next_table_id_++, next_lpn_);
+  Status status = Status::Ok();
+  for (auto it = mem_.Begin(); it.Valid() && status.ok(); it.Next()) {
+    status = writer.Add({it.key(), it.ref()});
   }
-  auto meta = WriteSSTable(ftl_, next_table_id_++, next_lpn_, entries);
-  if (!meta.ok()) {
+  if (status.ok()) status = Install(&writer, 0);
+  if (!status.ok()) {
     flush_in_progress_ = false;
-    return meta.status();
+    return status;
   }
-  next_lpn_ += meta.value().page_count;
-  Table table;
-  table.meta = meta.value();
-  table.cache =
-      std::make_shared<const std::vector<SSTableEntry>>(std::move(entries));
-  levels_[0].push_back(std::move(table));
   mem_.Clear();
   ++memtable_flushes_;
   flush_counter_->Increment();
@@ -234,22 +217,25 @@ std::uint64_t LsmTree::LevelBytes(int level) const {
 }
 
 std::uint64_t LsmTree::TargetBytes(int level) const {
+  if (level == 0) return 0;
   double target = static_cast<double>(config_.level_base_bytes);
   for (int l = 1; l < level; ++l) target *= config_.level_size_ratio;
   return static_cast<std::uint64_t>(target);
 }
 
+bool LsmTree::LevelDue(int level, std::size_t l0_runs) const {
+  const auto& tables = levels_[static_cast<std::size_t>(level)];
+  if (level == 0) return tables.size() >= l0_runs;
+  return !tables.empty() && LevelBytes(level) > TargetBytes(level);
+}
+
 std::uint64_t LsmTree::CompactionDebtBytes() const {
   std::uint64_t debt = 0;
-  if (levels_[0].size() >=
-      static_cast<std::size_t>(config_.l0_compaction_trigger)) {
-    debt += LevelBytes(0);
-  }
-  for (int level = 1; level + 1 < config_.max_levels; ++level) {
-    if (levels_[static_cast<std::size_t>(level)].empty()) continue;
-    const std::uint64_t bytes = LevelBytes(level);
-    const std::uint64_t target = TargetBytes(level);
-    if (bytes > target) debt += bytes - target;
+  for (int level = 0; level + 1 < config_.max_levels; ++level) {
+    if (LevelDue(level,
+                 static_cast<std::size_t>(config_.l0_compaction_trigger))) {
+      debt += LevelBytes(level) - TargetBytes(level);
+    }
   }
   return debt;
 }
@@ -262,12 +248,11 @@ bool LsmTree::TargetIsBottomMost(int target_level) const {
   return true;
 }
 
-Status LsmTree::DropTable(const Table& table) {
+void LsmTree::DropTable(const Table& table) {
   InvalidatePages(table.meta);
   // Do NOT trim yet: the last durable manifest may still reference this
   // table; a power cycle would otherwise resurrect dangling entries.
   pending_drops_.push_back(table.meta);
-  return Status::Ok();
 }
 
 Status LsmTree::TrimPendingDrops() {
@@ -280,129 +265,96 @@ Status LsmTree::TrimPendingDrops() {
   return Status::Ok();
 }
 
-Status LsmTree::WriteMerged(std::vector<SSTableEntry> merged, int target_level,
-                            std::uint64_t* bytes_written) {
-  auto& target = levels_[static_cast<std::size_t>(target_level)];
-  for (auto& out : SplitRun(std::move(merged), config_.sstable_target_bytes)) {
-    auto meta = WriteSSTable(ftl_, next_table_id_++, next_lpn_, out);
-    if (!meta.ok()) return meta.status();
-    if (bytes_written != nullptr) *bytes_written += meta.value().encoded_bytes;
-    next_lpn_ += meta.value().page_count;
-    Table table;
-    table.meta = meta.value();
-    table.cache =
-        std::make_shared<const std::vector<SSTableEntry>>(std::move(out));
-    auto pos = std::lower_bound(target.begin(), target.end(), table.meta.min_key,
-                                [](const Table& t, const std::string& k) {
-                                  return t.meta.min_key < k;
-                                });
-    target.insert(pos, std::move(table));
-  }
+Status LsmTree::Install(TableWriter* writer, int level) {
+  auto meta = writer->Finish();
+  if (!meta.ok()) return meta.status();
+  next_lpn_ += meta.value().page_count;
+  Table table{std::move(meta).value(),
+              std::make_shared<const std::vector<SSTableEntry>>(
+                  std::move(writer->entries()))};
+  auto& tables = levels_[static_cast<std::size_t>(level)];
+  auto pos = level == 0
+                 ? tables.end()
+                 : std::lower_bound(tables.begin(), tables.end(),
+                                    table.meta.min_key,
+                                    [](const Table& t, const std::string& k) {
+                                      return t.meta.min_key < k;
+                                    });
+  tables.insert(pos, std::move(table));
   return Status::Ok();
 }
 
-Status LsmTree::CompactL0() {
-  auto& l0 = levels_[0];
-  if (l0.empty()) return Status::Ok();
-  compaction_in_progress_ = true;
-  if (event_log_ != nullptr) {
-    event_log_->Emit(telemetry::EventType::kCompactionStart, 0, l0.size());
-  }
-  std::string lo = l0.front().meta.min_key;
-  std::string hi = l0.front().meta.max_key;
-  for (const Table& t : l0) {
-    lo = std::min(lo, t.meta.min_key);
-    hi = std::max(hi, t.meta.max_key);
-  }
-
-  std::vector<const std::vector<SSTableEntry>*> runs;
-  std::vector<std::shared_ptr<const std::vector<SSTableEntry>>> keepalive;
-  // Newest L0 run first.
-  for (auto it = l0.rbegin(); it != l0.rend(); ++it) {
-    auto run = Load(*it);
-    if (!run.ok()) return run.status();
-    keepalive.push_back(run.value());
-    runs.push_back(keepalive.back().get());
-  }
-  // Overlapping L1 tables form one older, disjoint run.
-  auto& l1 = levels_[1];
-  std::vector<SSTableEntry> l1_run;
-  std::vector<std::size_t> l1_consumed;
-  for (std::size_t i = 0; i < l1.size(); ++i) {
-    if (!l1[i].meta.Overlaps(lo, hi)) continue;
-    auto run = Load(l1[i]);
-    if (!run.ok()) return run.status();
-    l1_run.insert(l1_run.end(), run.value()->begin(), run.value()->end());
-    l1_consumed.push_back(i);
-  }
-  if (!l1_run.empty()) runs.push_back(&l1_run);
-
-  std::vector<SSTableEntry> merged = MergeRuns(runs, TargetIsBottomMost(1));
-
-  for (const Table& t : l0) BANDSLIM_RETURN_IF_ERROR(DropTable(t));
-  l0.clear();
-  for (auto it = l1_consumed.rbegin(); it != l1_consumed.rend(); ++it) {
-    BANDSLIM_RETURN_IF_ERROR(DropTable(l1[*it]));
-    l1.erase(l1.begin() + static_cast<std::ptrdiff_t>(*it));
-  }
-  std::uint64_t bytes_written = 0;
-  if (!merged.empty()) {
-    BANDSLIM_RETURN_IF_ERROR(WriteMerged(std::move(merged), 1, &bytes_written));
-  }
-  ++compactions_run_;
-  compaction_counter_->Increment();
-  compaction_bytes_written_ += bytes_written;
-  compaction_bytes_counter_->Add(bytes_written);
-  if (event_log_ != nullptr) {
-    event_log_->Emit(telemetry::EventType::kCompactionEnd, 0, bytes_written);
-  }
-  compaction_in_progress_ = false;
-  return Status::Ok();
-}
-
-Status LsmTree::CompactLevel(int level) {
+Status LsmTree::Compact(int level) {
   auto& src = levels_[static_cast<std::size_t>(level)];
   if (src.empty()) return Status::Ok();
+  // Cleared on every return, the error paths included.
+  struct InProgress {
+    bool* flag;
+    ~InProgress() { *flag = false; }
+  } in_progress{&compaction_in_progress_};
   compaction_in_progress_ = true;
   if (event_log_ != nullptr) {
     event_log_->Emit(telemetry::EventType::kCompactionStart,
                      static_cast<std::uint64_t>(level), src.size());
   }
-  // Victim: first table (simple deterministic rotation — tables re-enter
-  // sorted by key, so repeated picks sweep the key space).
-  Table victim = std::move(src.front());
-  src.erase(src.begin());
+  // L0 runs overlap, so all of L0 goes down at once. A deeper level sends
+  // its first table: a deterministic rotation, since outputs re-enter in
+  // key order and repeated picks sweep the key space.
+  const std::size_t victims = level == 0 ? src.size() : 1;
+  std::string lo = src.front().meta.min_key;
+  std::string hi = src.front().meta.max_key;
+  for (std::size_t i = 1; i < victims; ++i) {
+    lo = std::min(lo, src[i].meta.min_key);
+    hi = std::max(hi, src[i].meta.max_key);
+  }
 
-  auto victim_run = Load(victim);
-  if (!victim_run.ok()) return victim_run.status();
-
+  // Every input is loaded before the layout changes, so a failed read
+  // leaves the tree as it was. Victims go newest first; the next level's
+  // tables are disjoint and share the oldest age.
+  std::vector<MergeInput> inputs;
+  for (std::size_t i = victims; i-- > 0;) {
+    BANDSLIM_RETURN_IF_ERROR(
+        Load(src[i], static_cast<std::uint32_t>(victims - 1 - i), &inputs));
+  }
   auto& next = levels_[static_cast<std::size_t>(level) + 1];
-  std::vector<SSTableEntry> next_run;
   std::vector<std::size_t> consumed;
   for (std::size_t i = 0; i < next.size(); ++i) {
-    if (!next[i].meta.Overlaps(victim.meta.min_key, victim.meta.max_key)) continue;
-    auto run = Load(next[i]);
-    if (!run.ok()) return run.status();
-    next_run.insert(next_run.end(), run.value()->begin(), run.value()->end());
+    if (!next[i].meta.Overlaps(lo, hi)) continue;
+    BANDSLIM_RETURN_IF_ERROR(
+        Load(next[i], static_cast<std::uint32_t>(victims), &inputs));
     consumed.push_back(i);
   }
 
-  std::vector<const std::vector<SSTableEntry>*> runs;
-  runs.push_back(victim_run.value().get());
-  if (!next_run.empty()) runs.push_back(&next_run);
-  std::vector<SSTableEntry> merged =
-      MergeRuns(runs, TargetIsBottomMost(level + 1));
-
-  BANDSLIM_RETURN_IF_ERROR(DropTable(victim));
+  for (std::size_t i = 0; i < victims; ++i) DropTable(src[i]);
+  src.erase(src.begin(), src.begin() + static_cast<std::ptrdiff_t>(victims));
   for (auto it = consumed.rbegin(); it != consumed.rend(); ++it) {
-    BANDSLIM_RETURN_IF_ERROR(DropTable(next[*it]));
+    DropTable(next[*it]);
     next.erase(next.begin() + static_cast<std::ptrdiff_t>(*it));
   }
+
+  // A program failure from here on returns with the inputs dropped; the
+  // durable manifest still names them, as trims wait for a Checkpoint().
+  const int target = level + 1;
+  std::optional<TableWriter> out;
   std::uint64_t bytes_written = 0;
-  if (!merged.empty()) {
-    BANDSLIM_RETURN_IF_ERROR(
-        WriteMerged(std::move(merged), level + 1, &bytes_written));
-  }
+  auto install = [&] {
+    bytes_written += out->encoded_bytes();
+    return Install(&*out, target);
+  };
+  Status status = MergeRuns(
+      inputs, TargetIsBottomMost(target), [&](const SSTableEntry& e) {
+        // A new table starts where the next entry would take this one past
+        // the target size.
+        if (out && out->encoded_bytes() + EncodedEntrySize(e) >
+                       config_.sstable_target_bytes) {
+          BANDSLIM_RETURN_IF_ERROR(install());
+          out.reset();
+        }
+        if (!out) out.emplace(ftl_, next_table_id_++, next_lpn_);
+        return out->Add(e);
+      });
+  if (status.ok() && out) status = install();
+  BANDSLIM_RETURN_IF_ERROR(status);
   ++compactions_run_;
   compaction_counter_->Increment();
   compaction_bytes_written_ += bytes_written;
@@ -411,24 +363,18 @@ Status LsmTree::CompactLevel(int level) {
     event_log_->Emit(telemetry::EventType::kCompactionEnd,
                      static_cast<std::uint64_t>(level), bytes_written);
   }
-  compaction_in_progress_ = false;
   return Status::Ok();
 }
 
 Status LsmTree::MaybeCompact() {
+  const auto l0_trigger =
+      static_cast<std::size_t>(config_.l0_compaction_trigger);
   for (int pass = 0; pass < 64; ++pass) {
     bool did_work = false;
-    if (levels_[0].size() >=
-        static_cast<std::size_t>(config_.l0_compaction_trigger)) {
-      BANDSLIM_RETURN_IF_ERROR(CompactL0());
+    for (int level = 0; level + 1 < config_.max_levels; ++level) {
+      if (!LevelDue(level, l0_trigger)) continue;
+      BANDSLIM_RETURN_IF_ERROR(Compact(level));
       did_work = true;
-    }
-    for (int level = 1; level + 1 < config_.max_levels; ++level) {
-      if (!levels_[static_cast<std::size_t>(level)].empty() &&
-          LevelBytes(level) > TargetBytes(level)) {
-        BANDSLIM_RETURN_IF_ERROR(CompactLevel(level));
-        did_work = true;
-      }
     }
     if (!did_work) return Status::Ok();
   }
@@ -436,17 +382,10 @@ Status LsmTree::MaybeCompact() {
 }
 
 Result<bool> LsmTree::CompactStep(std::size_t l0_min_runs) {
-  if (l0_min_runs < 1) l0_min_runs = 1;
-  if (levels_[0].size() >= l0_min_runs) {
-    BANDSLIM_RETURN_IF_ERROR(CompactL0());
+  for (int level = 0; level + 1 < config_.max_levels; ++level) {
+    if (!LevelDue(level, std::max<std::size_t>(l0_min_runs, 1))) continue;
+    BANDSLIM_RETURN_IF_ERROR(Compact(level));
     return true;
-  }
-  for (int level = 1; level + 1 < config_.max_levels; ++level) {
-    if (!levels_[static_cast<std::size_t>(level)].empty() &&
-        LevelBytes(level) > TargetBytes(level)) {
-      BANDSLIM_RETURN_IF_ERROR(CompactLevel(level));
-      return true;
-    }
   }
   return false;
 }
@@ -523,37 +462,30 @@ Result<std::uint64_t> LsmTree::Restore() {
 }
 
 Result<std::unique_ptr<LsmTree::Iterator>> LsmTree::NewIterator() {
-  // Materialize a merged snapshot: MemTable (newest), then L0 newest-first,
-  // then each deeper level as one disjoint run.
-  std::vector<SSTableEntry> mem_run;
-  mem_run.reserve(mem_.entry_count());
+  // Snapshot merge: the MemTable (newest), then L0 newest first, then one
+  // age per deeper level (its tables are disjoint).
+  auto mem_run = std::make_shared<std::vector<SSTableEntry>>();
+  mem_run->reserve(mem_.entry_count());
   for (auto it = mem_.Begin(); it.Valid(); it.Next()) {
-    mem_run.push_back({it.key(), it.ref()});
+    mem_run->push_back({it.key(), it.ref()});
   }
-  std::vector<const std::vector<SSTableEntry>*> runs;
-  std::vector<std::shared_ptr<const std::vector<SSTableEntry>>> keepalive;
-  std::vector<std::vector<SSTableEntry>> level_runs;
-  runs.push_back(&mem_run);
+  std::vector<MergeInput> inputs = {{std::move(mem_run), 0}};
+  std::uint32_t age = 0;
   for (auto it = levels_[0].rbegin(); it != levels_[0].rend(); ++it) {
-    auto run = Load(*it);
-    if (!run.ok()) return run.status();
-    keepalive.push_back(run.value());
-    runs.push_back(keepalive.back().get());
+    BANDSLIM_RETURN_IF_ERROR(Load(*it, ++age, &inputs));
   }
-  level_runs.reserve(levels_.size());
   for (std::size_t level = 1; level < levels_.size(); ++level) {
-    std::vector<SSTableEntry> concat;
+    ++age;
     for (Table& t : levels_[level]) {
-      auto run = Load(t);
-      if (!run.ok()) return run.status();
-      concat.insert(concat.end(), run.value()->begin(), run.value()->end());
+      BANDSLIM_RETURN_IF_ERROR(Load(t, age, &inputs));
     }
-    if (!concat.empty()) level_runs.push_back(std::move(concat));
   }
-  for (const auto& r : level_runs) runs.push_back(&r);
-
   auto iter = std::unique_ptr<Iterator>(new Iterator());
-  iter->entries_ = MergeRuns(runs, /*drop_tombstones=*/true);
+  BANDSLIM_RETURN_IF_ERROR(
+      MergeRuns(inputs, /*drop_tombstones=*/true, [&](const SSTableEntry& e) {
+        iter->entries_.push_back(e);
+        return Status::Ok();
+      }));
   return iter;
 }
 

@@ -48,7 +48,8 @@ class LsmTree {
           LsmConfig config = {}, telemetry::EventLog* event_log = nullptr);
 
   Status Put(const std::string& key, const ValueRef& ref);
-  Status Delete(const std::string& key);
+  // Puts a tombstone.
+  Status Delete(const std::string& key) { return Put(key, {0, 0, true}); }
   // NotFound covers both absent and tombstoned keys.
   Result<ValueRef> Get(const std::string& key);
 
@@ -88,6 +89,9 @@ class LsmTree {
   std::size_t memtable_bytes() const { return mem_.approximate_bytes(); }
   int level_count() const { return static_cast<int>(levels_.size()); }
   std::size_t TableCount(int level) const { return levels_[static_cast<std::size_t>(level)].size(); }
+  const SSTableMeta& table_meta(int level, std::size_t index) const {
+    return levels_[static_cast<std::size_t>(level)][index].meta;
+  }
   std::uint64_t LevelBytes(int level) const;
   std::uint64_t compactions_run() const { return compactions_run_; }
   std::uint64_t memtable_flushes() const { return memtable_flushes_; }
@@ -136,7 +140,9 @@ class LsmTree {
     std::shared_ptr<const std::vector<SSTableEntry>> cache;
   };
 
-  Result<std::shared_ptr<const std::vector<SSTableEntry>>> Load(Table& table);
+  // Appends `table`'s entries to `inputs` as one merge input of `age`,
+  // reading the table from NAND unless it is cached.
+  Status Load(Table& table, std::uint32_t age, std::vector<MergeInput>* inputs);
   // Point lookup within one table: bloom -> fence keys -> one page read
   // (served from the page cache when possible). nullptr = not in table.
   Result<const ValueRef*> FindInTable(Table& table, const std::string& key,
@@ -149,16 +155,18 @@ class LsmTree {
   // trimming earlier would break power-cycle recovery.
   Status TrimPendingDrops();
   Status MaybeCompact();
-  Status CompactL0();
-  Status CompactLevel(int level);
-  // Merges `runs` (newest first) into `target_level`, replacing the tables
-  // listed in `consumed` (level, index pairs sorted for removal).
-  // `bytes_written` (optional) accumulates the encoded bytes of every
-  // SSTable produced.
-  Status WriteMerged(std::vector<SSTableEntry> merged, int target_level,
-                     std::uint64_t* bytes_written = nullptr);
+  // Whether `level` owes a compaction: L0 once it holds `l0_runs` runs, a
+  // deeper level once it is nonempty and over its target size.
+  bool LevelDue(int level, std::size_t l0_runs) const;
+  // Merges `level`'s victims — all of L0, or a deeper level's first table —
+  // with the overlapping tables of the next level into that level.
+  Status Compact(int level);
+  // Finishes `writer` and inserts its table into `level`: L0 in age order,
+  // deeper levels in key order.
+  Status Install(TableWriter* writer, int level);
   bool TargetIsBottomMost(int target_level) const;
-  Status DropTable(const Table& table);
+  void DropTable(const Table& table);
+  // Level size target; zero for L0, which owes all its bytes once due.
   std::uint64_t TargetBytes(int level) const;
 
   ftl::PageFtl* ftl_;

@@ -72,48 +72,55 @@ int SSTableMeta::PageForKey(const std::string& key) const {
   return static_cast<int>(it - fence_keys.begin()) - 1;
 }
 
-Result<SSTableMeta> WriteSSTable(ftl::PageFtl* ftl, std::uint64_t id,
-                                 std::uint64_t first_lpn,
-                                 const std::vector<SSTableEntry>& entries) {
-  if (entries.empty()) {
-    return Status::InvalidArgument("empty SSTable");
-  }
-  SSTableMeta meta;
-  meta.id = id;
-  meta.first_lpn = first_lpn;
-  meta.entry_count = static_cast<std::uint32_t>(entries.size());
-  meta.min_key = entries.front().key;
-  meta.max_key = entries.back().key;
-  meta.bloom = BloomFilter(entries.size());
+TableWriter::TableWriter(ftl::PageFtl* ftl, std::uint64_t id,
+                         std::uint64_t first_lpn)
+    : ftl_(ftl) {
+  meta_.id = id;
+  meta_.first_lpn = first_lpn;
+}
 
-  Bytes page;
-  std::size_t i = 0;
-  std::uint32_t page_index = 0;
-  while (i < entries.size()) {
-    page.clear();
-    PutU32(&page, kSSTableMagic);
-    PutU32(&page, 0);  // Entry count, patched below (u32 keeps codec shared).
-    std::uint32_t in_page = 0;
-    meta.fence_keys.push_back(entries[i].key);
-    while (i < entries.size() &&
-           page.size() + EncodedEntrySize(entries[i]) <= kNandPageSize) {
-      EncodeEntry(&page, entries[i]);
-      meta.bloom.Add(entries[i].key);
-      meta.encoded_bytes += EncodedEntrySize(entries[i]);
-      ++in_page;
-      ++i;
-    }
-    for (int b = 0; b < 4; ++b) {
-      page[4 + static_cast<std::size_t>(b)] =
-          static_cast<std::uint8_t>(in_page >> (8 * b));
-    }
-    // SSTable pages are always retained: compaction must read them back.
-    BANDSLIM_RETURN_IF_ERROR(ftl->Write(first_lpn + page_index, ByteSpan(page),
-                                        ftl::Stream::kLsm, /*retain=*/true));
-    ++page_index;
+Status TableWriter::Add(SSTableEntry entry) {
+  const std::uint64_t size = EncodedEntrySize(entry);
+  if (in_page_ > 0 && page_.size() + size > kNandPageSize) {
+    BANDSLIM_RETURN_IF_ERROR(ProgramPage());
   }
-  meta.page_count = page_index;
-  return meta;
+  if (in_page_ == 0) {
+    PutU32(&page_, kSSTableMagic);
+    // Entry count, patched on program (u32 keeps the codec shared).
+    PutU32(&page_, 0);
+    meta_.fence_keys.push_back(entry.key);
+  }
+  EncodeEntry(&page_, entry);
+  ++in_page_;
+  meta_.encoded_bytes += size;
+  entries_.push_back(std::move(entry));
+  return Status::Ok();
+}
+
+Status TableWriter::ProgramPage() {
+  for (int b = 0; b < 4; ++b) {
+    page_[4 + static_cast<std::size_t>(b)] =
+        static_cast<std::uint8_t>(in_page_ >> (8 * b));
+  }
+  // SSTable pages are always retained: compaction must read them back.
+  BANDSLIM_RETURN_IF_ERROR(ftl_->Write(meta_.first_lpn + meta_.page_count,
+                                       ByteSpan(page_), ftl::Stream::kLsm,
+                                       /*retain=*/true));
+  ++meta_.page_count;
+  page_.clear();
+  in_page_ = 0;
+  return Status::Ok();
+}
+
+Result<SSTableMeta> TableWriter::Finish() {
+  if (entries_.empty()) return Status::InvalidArgument("empty SSTable");
+  BANDSLIM_RETURN_IF_ERROR(ProgramPage());
+  meta_.entry_count = static_cast<std::uint32_t>(entries_.size());
+  meta_.min_key = entries_.front().key;
+  meta_.max_key = entries_.back().key;
+  meta_.bloom = BloomFilter(entries_.size());
+  for (const SSTableEntry& e : entries_) meta_.bloom.Add(e.key);
+  return std::move(meta_);
 }
 
 namespace {

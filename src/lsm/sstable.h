@@ -53,11 +53,33 @@ struct SSTableMeta {
 
 inline constexpr std::uint32_t kSSTableMagic = 0x42534C4D;  // "BSLM"
 
-// Serializes `entries` (must be sorted, unique keys) page-aligned starting
-// at `first_lpn`. Charges one NAND program per page.
-Result<SSTableMeta> WriteSSTable(ftl::PageFtl* ftl, std::uint64_t id,
-                                 std::uint64_t first_lpn,
-                                 const std::vector<SSTableEntry>& entries);
+// Streams sorted, unique-key entries into one SSTable starting at
+// `first_lpn` — the only code that programs SSTable pages. Add() programs
+// the current page (one NAND program) as soon as the next entry does not
+// fit; Finish() programs the last page and builds the bloom filter.
+class TableWriter {
+ public:
+  TableWriter(ftl::PageFtl* ftl, std::uint64_t id, std::uint64_t first_lpn);
+
+  Status Add(SSTableEntry entry);
+  // Fails on an empty table. The writer is spent afterwards, apart from
+  // entries().
+  Result<SSTableMeta> Finish();
+
+  // Serialized size so far (the table-cut metric).
+  std::uint64_t encoded_bytes() const { return meta_.encoded_bytes; }
+  // Every entry added, in order: the finished table's DRAM cache.
+  std::vector<SSTableEntry>& entries() { return entries_; }
+
+ private:
+  Status ProgramPage();
+
+  ftl::PageFtl* ftl_;
+  SSTableMeta meta_;
+  std::vector<SSTableEntry> entries_;
+  Bytes page_;
+  std::uint32_t in_page_ = 0;
+};
 
 // Reads a table back, charging one NAND read per page.
 Result<std::vector<SSTableEntry>> ReadSSTable(ftl::PageFtl* ftl,

@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "fault/fault_plan.h"
 #include "lsm/compaction.h"
 #include "lsm/lsm_tree.h"
 #include "lsm/memtable.h"
@@ -115,6 +116,23 @@ class SSTableTest : public ::testing::Test {
   ftl::PageFtl ftl_;
 };
 
+// FNV-1a over everything fed to it.
+struct Digest {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void Add(const void* data, std::size_t n) {
+    const auto* p = static_cast<const std::uint8_t*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void Add(std::uint64_t v) { Add(&v, sizeof v); }
+  void Add(const std::string& s) {
+    Add(s.size());
+    Add(s.data(), s.size());
+  }
+};
+
 std::vector<SSTableEntry> MakeEntries(int n, int salt = 0) {
   std::vector<SSTableEntry> entries;
   for (int i = 0; i < n; ++i) {
@@ -127,9 +145,20 @@ std::vector<SSTableEntry> MakeEntries(int n, int salt = 0) {
   return entries;
 }
 
+// Streams `entries` through one TableWriter.
+Result<SSTableMeta> WriteTable(ftl::PageFtl* ftl, std::uint64_t id,
+                               std::uint64_t first_lpn,
+                               const std::vector<SSTableEntry>& entries) {
+  TableWriter writer(ftl, id, first_lpn);
+  for (const SSTableEntry& e : entries) {
+    BANDSLIM_RETURN_IF_ERROR(writer.Add(e));
+  }
+  return writer.Finish();
+}
+
 TEST_F(SSTableTest, WriteReadRoundTrip) {
   auto entries = MakeEntries(1000);
-  auto meta = WriteSSTable(&ftl_, 1, kLsmLpnBase, entries);
+  auto meta = WriteTable(&ftl_, 1, kLsmLpnBase, entries);
   ASSERT_TRUE(meta.ok()) << meta.status().ToString();
   EXPECT_EQ(meta.value().entry_count, 1000u);
   EXPECT_EQ(meta.value().min_key, "k000000");
@@ -149,16 +178,27 @@ TEST_F(SSTableTest, WriteReadRoundTrip) {
 
 TEST_F(SSTableTest, MultiPageTable) {
   auto entries = MakeEntries(3000);  // ~66 KB > 4 pages.
-  auto meta = WriteSSTable(&ftl_, 2, kLsmLpnBase, entries);
+  auto meta = WriteTable(&ftl_, 2, kLsmLpnBase, entries);
   ASSERT_TRUE(meta.ok());
   EXPECT_GE(meta.value().page_count, 4u);
   auto back = ReadSSTable(&ftl_, meta.value());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().size(), 3000u);
+  // The page encoder's bytes, pinned.
+  Digest d;
+  Bytes page(kNandPageSize);
+  for (std::uint32_t p = 0; p < meta.value().page_count; ++p) {
+    ASSERT_TRUE(ftl_.Read(kLsmLpnBase + p, MutByteSpan(page)).ok());
+    d.Add(page.data(), page.size());
+  }
+  d.Add(meta.value().bloom.bits().data(), meta.value().bloom.bits().size());
+  for (const std::string& fence : meta.value().fence_keys) d.Add(fence);
+  EXPECT_EQ(d.h, 0x23b494a415038258ULL);
 }
 
 TEST_F(SSTableTest, EmptyTableRejected) {
-  EXPECT_FALSE(WriteSSTable(&ftl_, 3, kLsmLpnBase, {}).ok());
+  TableWriter writer(&ftl_, 3, kLsmLpnBase);
+  EXPECT_FALSE(writer.Finish().ok());
 }
 
 TEST_F(SSTableTest, OverlapPredicate) {
@@ -174,10 +214,27 @@ TEST_F(SSTableTest, OverlapPredicate) {
 
 // --------------------------- Merge machinery -------------------------------
 
+// Collects the streamed merge of `runs`, given newest first.
+std::vector<SSTableEntry> Merge(std::vector<std::vector<SSTableEntry>> runs,
+                                bool drop_tombstones) {
+  std::vector<MergeInput> inputs;
+  for (auto& run : runs) {
+    inputs.push_back(
+        {std::make_shared<const std::vector<SSTableEntry>>(std::move(run)),
+         static_cast<std::uint32_t>(inputs.size())});
+  }
+  std::vector<SSTableEntry> merged;
+  EXPECT_TRUE(MergeRuns(inputs, drop_tombstones, [&](const SSTableEntry& e) {
+                merged.push_back(e);
+                return Status::Ok();
+              }).ok());
+  return merged;
+}
+
 TEST(MergeTest, NewestRunWins) {
   std::vector<SSTableEntry> newer = {{"a", {1, 1, false}}, {"c", {3, 1, false}}};
   std::vector<SSTableEntry> older = {{"a", {9, 9, false}}, {"b", {2, 1, false}}};
-  auto merged = MergeRuns({&newer, &older}, false);
+  auto merged = Merge({newer, older}, false);
   ASSERT_EQ(merged.size(), 3u);
   EXPECT_EQ(merged[0].key, "a");
   EXPECT_EQ(merged[0].ref.addr, 1u);  // From the newer run.
@@ -188,26 +245,11 @@ TEST(MergeTest, NewestRunWins) {
 TEST(MergeTest, TombstonesDroppedOnlyWhenAsked) {
   std::vector<SSTableEntry> newer = {{"a", {0, 0, true}}};
   std::vector<SSTableEntry> older = {{"a", {9, 9, false}}};
-  auto kept = MergeRuns({&newer, &older}, false);
+  auto kept = Merge({newer, older}, false);
   ASSERT_EQ(kept.size(), 1u);
   EXPECT_TRUE(kept[0].ref.tombstone);
-  auto dropped = MergeRuns({&newer, &older}, true);
+  auto dropped = Merge({newer, older}, true);
   EXPECT_TRUE(dropped.empty());
-}
-
-TEST(MergeTest, SplitRunRespectsTargetBytes) {
-  auto entries = MakeEntries(1000);
-  for (auto& e : entries) e.ref.tombstone = false;
-  auto splits = SplitRun(entries, 4096);
-  EXPECT_GT(splits.size(), 1u);
-  std::size_t total = 0;
-  for (const auto& part : splits) {
-    std::uint64_t bytes = 0;
-    for (const auto& e : part) bytes += EncodedEntrySize(e);
-    EXPECT_LE(bytes, 4096u);
-    total += part.size();
-  }
-  EXPECT_EQ(total, 1000u);
 }
 
 // --------------------------- LsmTree ---------------------------------------
@@ -215,7 +257,7 @@ TEST(MergeTest, SplitRunRespectsTargetBytes) {
 class LsmTreeTest : public ::testing::Test {
  protected:
   LsmTreeTest()
-      : nand_(Geometry(), &clock_, &cost_, &metrics_),
+      : nand_(Geometry(), &clock_, &cost_, &metrics_, &faults_),
         ftl_(&nand_, &metrics_),
         lsm_(&ftl_, &metrics_, Config()) {}
 
@@ -245,6 +287,8 @@ class LsmTreeTest : public ::testing::Test {
   sim::VirtualClock clock_;
   sim::CostModel cost_;
   stats::MetricsRegistry metrics_;
+  // Inert until a test assigns a plan with triggers.
+  fault::FaultPlan faults_;
   nand::NandFlash nand_;
   ftl::PageFtl ftl_;
   LsmTree lsm_;
@@ -267,6 +311,31 @@ TEST_F(LsmTreeTest, PutGetThroughFlushesAndCompactions) {
     EXPECT_EQ(ref.value().addr, addr) << key;
   }
   EXPECT_TRUE(lsm_.Get(Key(99999)).status().IsNotFound());
+}
+
+TEST_F(LsmTreeTest, CompactionCutsTablesAtTargetBytes) {
+  LsmConfig config = Config();
+  config.sstable_target_bytes = 4096;
+  LsmTree tree(&ftl_, &metrics_, config);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(tree.Put(Key(i), {static_cast<std::uint64_t>(i), 4, false}).ok());
+  }
+  ASSERT_TRUE(tree.FlushMemTable().ok());
+  ASSERT_GT(tree.compactions_run(), 0u);
+  // Every key was put once, so every entry lives in exactly one table.
+  std::size_t entries = 0;
+  std::size_t cut_tables = 0;
+  for (int l = 0; l < tree.level_count(); ++l) {
+    for (std::size_t t = 0; t < tree.TableCount(l); ++t) {
+      const SSTableMeta& meta = tree.table_meta(l, t);
+      entries += meta.entry_count;
+      if (l == 0) continue;
+      EXPECT_LE(meta.encoded_bytes, 4096u) << l << "/" << t;
+      ++cut_tables;
+    }
+  }
+  EXPECT_GT(cut_tables, 1u);
+  EXPECT_EQ(entries, 1000u);
 }
 
 TEST_F(LsmTreeTest, DeleteShadowsOlderVersions) {
@@ -385,7 +454,7 @@ TEST_F(LsmTreeTest, CompactionTrimsOldTablesAfterCheckpoint) {
 
 TEST_F(SSTableTest, PagesAreSelfContained) {
   auto entries = MakeEntries(3000);  // Spans several pages.
-  auto meta = WriteSSTable(&ftl_, 10, kLsmLpnBase + 100, entries);
+  auto meta = WriteTable(&ftl_, 10, kLsmLpnBase + 100, entries);
   ASSERT_TRUE(meta.ok());
   ASSERT_GT(meta.value().page_count, 1u);
   ASSERT_EQ(meta.value().fence_keys.size(), meta.value().page_count);
@@ -404,7 +473,7 @@ TEST_F(SSTableTest, PagesAreSelfContained) {
 
 TEST_F(SSTableTest, PageForKeyFindsUniqueCandidate) {
   auto entries = MakeEntries(3000);
-  auto meta = WriteSSTable(&ftl_, 11, kLsmLpnBase + 200, entries);
+  auto meta = WriteTable(&ftl_, 11, kLsmLpnBase + 200, entries);
   ASSERT_TRUE(meta.ok());
   // Every entry's key maps to the page that actually contains it.
   for (std::size_t i = 0; i < entries.size(); i += 97) {
@@ -632,6 +701,109 @@ TEST_F(LsmTreeTest, PendingTrimTablesDropsToZeroAfterCheckpoint) {
   EXPECT_GT(lsm_.pending_trim_tables(), 0u);
   ASSERT_TRUE(lsm_.Checkpoint(0).ok());
   EXPECT_EQ(lsm_.pending_trim_tables(), 0u);
+}
+
+// ----------------------- Compaction contract -------------------------------
+
+TEST_F(LsmTreeTest, CompactionStreamDigestIsPinned) {
+  // A seeded Put/Delete/CompactStep/Checkpoint stream deep enough to
+  // reach L3 with the tiny config. The digest covers every byte the tree
+  // leaves on NAND, the manifest, the iterator's view and the clock, so
+  // any change to what compaction writes (or when) moves it.
+  Xoshiro256 rng(0xD16E57);
+  for (int i = 0; i < 36000; ++i) {
+    const std::uint64_t r = rng.Below(100);
+    const std::string key = Key(static_cast<int>(rng.Below(16000)));
+    if (r < 80) {
+      ASSERT_TRUE(lsm_.Put(key, {rng() >> 20, 8, false}).ok());
+    } else if (r < 90) {
+      ASSERT_TRUE(lsm_.Delete(key).ok());
+    } else if (r < 99) {
+      ASSERT_TRUE(lsm_.CompactStep(rng.Below(4)).ok());
+    } else {
+      ASSERT_TRUE(lsm_.Checkpoint(static_cast<std::uint64_t>(i)).ok());
+    }
+  }
+  ASSERT_TRUE(lsm_.Checkpoint(7).ok());
+  ASSERT_GT(lsm_.TableCount(3), 0u);
+
+  EXPECT_EQ(clock_.Now(), 1912400000u);
+  Digest d;
+  d.Add(lsm_.compactions_run());
+  d.Add(lsm_.compaction_bytes_written());
+  d.Add(clock_.Now());
+  auto iter = lsm_.NewIterator();
+  ASSERT_TRUE(iter.ok());
+  for (auto& it = *iter.value(); it.Valid(); it.Next()) {
+    d.Add(it.key());
+    d.Add(it.ref().addr);
+    d.Add(it.ref().size);
+  }
+  Bytes page(kNandPageSize);
+  const std::uint64_t programs = metrics_.CounterValue("ftl.programs.lsm");
+  std::uint64_t mapped = 0;
+  for (std::uint64_t lpn = kLsmLpnBase; lpn < kLsmLpnBase + programs; ++lpn) {
+    if (!ftl_.IsMapped(lpn)) continue;
+    ASSERT_TRUE(ftl_.Read(lpn, MutByteSpan(page)).ok()) << lpn;
+    d.Add(lpn);
+    d.Add(page.data(), page.size());
+    ++mapped;
+  }
+  for (std::uint64_t lpn = kManifestLpn; ftl_.IsMapped(lpn); ++lpn) {
+    ASSERT_TRUE(ftl_.Read(lpn, MutByteSpan(page)).ok()) << lpn;
+    d.Add(lpn);
+    d.Add(page.data(), page.size());
+  }
+  // Recorded with the two-function, whole-run compactor: the streaming
+  // path must leave every byte and every virtual nanosecond unchanged.
+  EXPECT_EQ(lsm_.compactions_run(), 905u);
+  EXPECT_EQ(lsm_.compaction_bytes_written(), 21818192u);
+  EXPECT_EQ(mapped, 41u);
+  EXPECT_EQ(d.h, 0xca8c1abe24c25467ULL);
+}
+
+TEST_F(LsmTreeTest, FailedCompactionReadKeepsTheVictim) {
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(lsm_.Put(Key(i), {static_cast<std::uint64_t>(i), 4, false}).ok());
+  }
+  ASSERT_TRUE(lsm_.Checkpoint(0).ok());
+  // A restored tree holds no table caches, and an L1 target this small
+  // makes L1 due: CompactStep must read its victim from NAND.
+  LsmConfig config = Config();
+  config.level_base_bytes = 1024;
+  LsmTree tree(&ftl_, &metrics_, config);
+  ASSERT_TRUE(tree.Restore().ok());
+  ASSERT_EQ(tree.TableCount(0), 0u);
+  std::vector<std::size_t> layout;
+  for (int l = 0; l < tree.level_count(); ++l) layout.push_back(tree.TableCount(l));
+  ASSERT_GT(layout[1], 0u);
+
+  fault::FaultConfig fail_next_read;
+  fail_next_read.triggers = {{fault::FaultSite::kNandRead, 0}};
+  faults_ = fault::FaultPlan(fail_next_read);
+  auto step = tree.CompactStep(1);
+  ASSERT_FALSE(step.ok());
+  EXPECT_EQ(step.status().code(), StatusCode::kMediaError);
+  EXPECT_FALSE(tree.compaction_in_progress());
+  for (int l = 0; l < tree.level_count(); ++l) {
+    EXPECT_EQ(tree.TableCount(l), layout[static_cast<std::size_t>(l)]) << l;
+  }
+  for (int i = 0; i < 3000; ++i) {
+    auto ref = tree.Get(Key(i));
+    ASSERT_TRUE(ref.ok()) << Key(i);
+    EXPECT_EQ(ref.value().addr, static_cast<std::uint64_t>(i));
+  }
+
+  faults_ = fault::FaultPlan();
+  auto retry = tree.CompactStep(1);
+  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+  EXPECT_TRUE(retry.value());
+  EXPECT_FALSE(tree.compaction_in_progress());
+  for (int i = 0; i < 3000; ++i) {
+    auto ref = tree.Get(Key(i));
+    ASSERT_TRUE(ref.ok()) << Key(i);
+    EXPECT_EQ(ref.value().addr, static_cast<std::uint64_t>(i));
+  }
 }
 
 }  // namespace
