@@ -15,6 +15,12 @@
 # SEEK/NEXT; bench/abl_vlog_gc drives the vLog GC's ForEachLive scan.
 # Like the figures, they print only modeled numbers.
 #
+# KvStore oracle: examples/quickstart runs Get, GetBatch, Delete and
+# Inspect through a KvStore& on a bare KvSsd and on a 4-shard KvCluster,
+# so its stdout pins the routed point and batch paths and the
+# convenience wrappers over GetInto and InspectInto. It prints only
+# modeled numbers too.
+#
 # Export oracle: the 14 --export files of timeline_report's scenarios
 # (device and control at --ops=2000, fleet at --ops=2000, tenant at
 # --ops=3000) are regenerated and checked against the SHA-256 digests in
@@ -47,6 +53,8 @@ done
 "${build_dir}/examples/db_bench" --workload=M --ops=500000 \
   > "${out}/db_bench_M.stdout"
 cmp "${golden}/db_bench_M.stdout" "${out}/db_bench_M.stdout" || failed=1
+"${build_dir}/examples/quickstart" > "${out}/quickstart.stdout"
+cmp "${golden}/quickstart.stdout" "${out}/quickstart.stdout" || failed=1
 "${build_dir}/bench/abl_shard_scaling" --ops=6000 \
   --csv="${out}/abl_shard_scaling.csv" > /dev/null
 cmp "${golden}/abl_shard_scaling.csv" "${out}/abl_shard_scaling.csv" ||
@@ -67,5 +75,5 @@ if [ "${failed}" -ne 0 ]; then
   echo "golden outputs differ from ${golden}/ (see cmp/sha256sum above)" >&2
   exit 1
 fi
-echo "golden outputs: figures and LSM stdouts byte-identical to ${golden}/," \
+echo "golden outputs: figures, LSM and quickstart stdouts byte-identical to ${golden}/," \
   "export digests match ${golden}/exports.sha256"

@@ -1,50 +1,190 @@
 #include "cluster/kv_cluster.h"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
 
 namespace bandslim::cluster {
 
 // ---------------------------------------------------------------------------
-// TenantView: a KvStore facade bound to one tenant index.
+// The op envelope: one shard call, one point-op path, one scatter/gather.
 // ---------------------------------------------------------------------------
 
-class KvCluster::TenantView : public KvStore {
+template <typename Serve>
+sim::Nanoseconds KvCluster::CallShard(std::uint32_t s, std::size_t tenant,
+                                      std::uint64_t client_op,
+                                      sim::Nanoseconds start, Serve&& serve) {
+  // The client-op and tenant stamps (t + 1, like shard tags) are plain
+  // trace stamps; the attribution bracket charges the counter deltas the
+  // shard accrues while serving to this tenant.
+  const bool tagged = tenant != kUntagged;
+  const bool charge = tagged && attribution_->enabled();
+  trace::Tracer* tracer = shard_tracers_[s];
+  tracer->SetClientOpContext(client_op);
+  tracer->SetTenantContext(tagged ? static_cast<std::uint16_t>(tenant + 1) : 0);
+  if (charge) attribution_->ChargeBegin(s);
+  shards_[s]->Hooks().clock->AdvanceTo(start);
+  serve();
+  tracer->ClearClientOpContext();
+  tracer->ClearTenantContext();
+  if (charge) attribution_->ChargeEnd(tenant, s);
+  return shards_[s]->Now();
+}
+
+void KvCluster::Complete(std::size_t tenant, sim::Nanoseconds start,
+                         sim::Nanoseconds finish, StatusCode code,
+                         std::uint64_t booked_bytes) {
+  clock_.SetTime(finish);
+  if (tenant != kUntagged && attribution_->enabled()) {
+    attribution_->RecordOp(tenant, finish - start, code, booked_bytes);
+  }
+  fleet_->Poll();
+}
+
+template <typename Op, typename Book>
+Status KvCluster::Route(std::size_t tenant, std::string_view key, Op&& op,
+                        Book&& book) {
+  MaybeRefillCredits();
+  const sim::Nanoseconds start = clock_.Now();
+  const std::uint32_t s = ring_.OwnerOf(key);
+  ++routed_keys_[s];
+  if (attribution_->enabled()) attribution_->TouchKey(ring_.HashKey(key));
+  Status status;
+  const sim::Nanoseconds finish =
+      CallShard(s, tenant, next_client_op_++, start,
+                [&] { status = op(*drivers_[s][tenant]); });
+  Complete(tenant, start, std::max(start, finish), status.code(),
+           book(status));
+  return status;
+}
+
+namespace {
+std::string_view KeyOf(const std::string& key) { return key; }
+std::string_view KeyOf(const KvStore::KvPair& kv) { return kv.key; }
+}  // namespace
+
+template <typename T, typename Serve, typename Book>
+Status KvCluster::Scatter(std::size_t tenant, std::span<const T> items,
+                          Serve&& serve, Book&& book) {
+  BANDSLIM_RETURN_IF_ERROR(driver::CheckBatch(items));
+  if (items.empty()) return Status::Ok();
+  MaybeRefillCredits();
+  const sim::Nanoseconds start = clock_.Now();
+  // Every shard-local sub-batch carries the same router client op, so a
+  // cross-shard batch can be reassembled from the per-shard traces.
+  const std::uint64_t client_op = next_client_op_++;
+  std::vector<std::vector<std::size_t>> origin(shards_.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const std::string_view key = KeyOf(items[i]);
+    const std::uint32_t s = ring_.OwnerOf(key);
+    ++routed_keys_[s];
+    if (attribution_->enabled()) attribution_->TouchKey(ring_.HashKey(key));
+    origin[s].push_back(i);
+  }
+  sim::Nanoseconds latest = start;
+  Status first_error;
+  std::uint32_t touched = 0;
+  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+    if (origin[s].empty()) continue;
+    ++touched;
+    ++batch_subops_;
+    // Sub-batches keep each record's relative request order.
+    std::vector<T> sub;
+    sub.reserve(origin[s].size());
+    for (const std::size_t i : origin[s]) sub.push_back(items[i]);
+    Status status;
+    latest = std::max(latest, CallShard(s, tenant, client_op, start, [&] {
+      status = serve(*drivers_[s][tenant], sub, std::span(origin[s]));
+    }));
+    if (first_error.ok()) first_error = status;
+  }
+  if (touched >= 2) ++cross_shard_batches_;
+  Complete(tenant, start, latest, first_error.code(), book(first_error));
+  return first_error;
+}
+
+// ---------------------------------------------------------------------------
+// TenantView: the KV ops, each one call into Route or Scatter.
+// ---------------------------------------------------------------------------
+
+class KvCluster::TenantView final : public KvStore {
  public:
   TenantView(KvCluster* cluster, std::size_t tenant)
       : cluster_(cluster), tenant_(tenant) {}
 
   using KvStore::Put;
   using KvStore::PutBatch;
+  // A PUT books its payload even when it is shed with kBusy.
   Status Put(std::string_view key, ByteSpan value) override {
-    return cluster_->DoPut(tenant_, key, value);
+    return cluster_->Route(
+        tenant_, key, [&](driver::KvDriver& d) { return d.Put(key, value); },
+        [&](const Status&) { return value.size(); });
   }
-  Result<Bytes> Get(std::string_view key) override {
-    return cluster_->DoGet(tenant_, key);
-  }
+  // A GET books the bytes it returned, only on success.
   Status GetInto(std::string_view key, Bytes* value) override {
-    return cluster_->DoGetInto(tenant_, key, value);
+    return cluster_->Route(
+        tenant_, key,
+        [&](driver::KvDriver& d) { return d.GetInto(key, value); },
+        [&](const Status& st) { return st.ok() ? value->size() : 0; });
   }
   Status Delete(std::string_view key) override {
-    return cluster_->DoDelete(tenant_, key);
+    return cluster_->Route(
+        tenant_, key, [&](driver::KvDriver& d) { return d.Delete(key); },
+        NoBytes);
   }
   Status PutBatch(std::span<const KvPair> batch) override {
-    return cluster_->DoPutBatch(tenant_, batch);
+    std::uint64_t payload_bytes = 0;
+    for (const KvPair& kv : batch) payload_bytes += kv.value.size();
+    return cluster_->Scatter(
+        tenant_, batch,
+        [](driver::KvDriver& d, const std::vector<KvPair>& sub,
+           std::span<const std::size_t>) { return d.PutBatch(sub); },
+        [&](const Status&) { return payload_bytes; });
   }
+  // Merges shard results back into REQUEST order (the KvStore contract);
+  // books the returned bytes only when the whole batch succeeds.
   Result<std::vector<BatchGetResult>> GetBatch(
       std::span<const std::string> keys) override {
-    return cluster_->DoGetBatch(tenant_, keys);
+    std::vector<BatchGetResult> merged(keys.size());
+    std::uint64_t returned_bytes = 0;
+    const Status status = cluster_->Scatter(
+        tenant_, keys,
+        [&](driver::KvDriver& d, const std::vector<std::string>& sub,
+            std::span<const std::size_t> origin) -> Status {
+          auto got = d.GetBatch(sub);
+          if (!got.ok()) return got.status();
+          if (got.value().size() != sub.size()) {
+            return Status::Corruption(
+                "shard GetBatch violated the one-result-per-key contract");
+          }
+          for (std::size_t j = 0; j < sub.size(); ++j) {
+            returned_bytes += got.value()[j].value.size();
+            merged[origin[j]] = std::move(got.value()[j]);
+          }
+          return Status::Ok();
+        },
+        [&](const Status& st) { return st.ok() ? returned_bytes : 0; });
+    if (!status.ok()) return status;
+    return merged;
   }
   Result<std::uint32_t> DeleteBatch(
       std::span<const std::string> keys) override {
-    return cluster_->DoDeleteBatch(tenant_, keys);
+    std::uint32_t removed = 0;
+    const Status status = cluster_->Scatter(
+        tenant_, keys,
+        [&](driver::KvDriver& d, const std::vector<std::string>& sub,
+            std::span<const std::size_t>) -> Status {
+          auto got = d.DeleteBatch(sub);
+          if (got.ok()) removed += got.value();
+          return got.status();
+        },
+        NoBytes);
+    if (!status.ok()) return status;
+    return removed;
   }
-  Status Flush() override { return cluster_->DoFlush(); }
+  Status Flush() override { return cluster_->Flush(); }
 
   // Observation is cluster-wide regardless of tenant: the fleet has one
   // timeline and one counter space.
-  StoreSnapshot Inspect() const override { return cluster_->Inspect(); }
   void InspectInto(StoreSnapshot* out) const override {
     cluster_->InspectInto(out);
   }
@@ -52,6 +192,8 @@ class KvCluster::TenantView : public KvStore {
   sim::Nanoseconds Now() const override { return cluster_->Now(); }
 
  private:
+  static std::uint64_t NoBytes(const Status&) { return 0; }
+
   KvCluster* cluster_;
   std::size_t tenant_;
 };
@@ -233,339 +375,47 @@ void KvCluster::MaybeRefillCredits() {
 }
 
 // ---------------------------------------------------------------------------
-// Serial ops: advance owner shard to router time, run, follow its finish.
+// Default-tenant KvStore surface
 // ---------------------------------------------------------------------------
 
-Status KvCluster::DoPut(std::size_t tenant, std::string_view key,
-                        ByteSpan value) {
-  MaybeRefillCredits();
-  const sim::Nanoseconds start = clock_.Now();
-  const std::uint32_t s = ring_.OwnerOf(key);
-  ++routed_keys_[s];
-  // Tenant trace stamp (t + 1, like shard tags) is always on; the
-  // attribution hooks bracket the op so the counter deltas the shard
-  // accrues while serving it are charged to this tenant.
-  const bool attr = attribution_->enabled();
-  shard_tracers_[s]->SetClientOpContext(next_client_op_++);
-  shard_tracers_[s]->SetTenantContext(static_cast<std::uint16_t>(tenant + 1));
-  if (attr) {
-    attribution_->TouchKey(ring_.HashKey(key));
-    attribution_->ChargeBegin(s);
-  }
-  shards_[s]->Hooks().clock->AdvanceTo(start);
-  const Status status = drivers_[s][tenant]->Put(key, value);
-  shard_tracers_[s]->ClearClientOpContext();
-  shard_tracers_[s]->ClearTenantContext();
-  clock_.SetTime(std::max(start, shards_[s]->Now()));
-  if (attr) {
-    attribution_->ChargeEnd(tenant, s);
-    attribution_->RecordOp(tenant, clock_.Now() - start, status.code(),
-                           value.size());
-  }
-  fleet_->Poll();
-  return status;
+Status KvCluster::Put(std::string_view key, ByteSpan value) {
+  return tenant_views_[0]->Put(key, value);
+}
+Status KvCluster::GetInto(std::string_view key, Bytes* value) {
+  return tenant_views_[0]->GetInto(key, value);
+}
+Status KvCluster::Delete(std::string_view key) {
+  return tenant_views_[0]->Delete(key);
+}
+Status KvCluster::PutBatch(std::span<const KvPair> batch) {
+  return tenant_views_[0]->PutBatch(batch);
+}
+Result<std::vector<KvCluster::BatchGetResult>> KvCluster::GetBatch(
+    std::span<const std::string> keys) {
+  return tenant_views_[0]->GetBatch(keys);
+}
+Result<std::uint32_t> KvCluster::DeleteBatch(
+    std::span<const std::string> keys) {
+  return tenant_views_[0]->DeleteBatch(keys);
 }
 
-Result<Bytes> KvCluster::DoGet(std::size_t tenant, std::string_view key) {
-  MaybeRefillCredits();
-  const sim::Nanoseconds start = clock_.Now();
-  const std::uint32_t s = ring_.OwnerOf(key);
-  ++routed_keys_[s];
-  const bool attr = attribution_->enabled();
-  shard_tracers_[s]->SetClientOpContext(next_client_op_++);
-  shard_tracers_[s]->SetTenantContext(static_cast<std::uint16_t>(tenant + 1));
-  if (attr) {
-    attribution_->TouchKey(ring_.HashKey(key));
-    attribution_->ChargeBegin(s);
-  }
-  shards_[s]->Hooks().clock->AdvanceTo(start);
-  auto got = drivers_[s][tenant]->Get(key);
-  shard_tracers_[s]->ClearClientOpContext();
-  shard_tracers_[s]->ClearTenantContext();
-  clock_.SetTime(std::max(start, shards_[s]->Now()));
-  if (attr) {
-    attribution_->ChargeEnd(tenant, s);
-    attribution_->RecordOp(tenant, clock_.Now() - start, got.status().code(),
-                           got.ok() ? got.value().size() : 0);
-  }
-  fleet_->Poll();
-  return got;
-}
-
-Status KvCluster::DoGetInto(std::size_t tenant, std::string_view key,
-                            Bytes* value) {
-  MaybeRefillCredits();
-  const sim::Nanoseconds start = clock_.Now();
-  const std::uint32_t s = ring_.OwnerOf(key);
-  ++routed_keys_[s];
-  const bool attr = attribution_->enabled();
-  shard_tracers_[s]->SetClientOpContext(next_client_op_++);
-  shard_tracers_[s]->SetTenantContext(static_cast<std::uint16_t>(tenant + 1));
-  if (attr) {
-    attribution_->TouchKey(ring_.HashKey(key));
-    attribution_->ChargeBegin(s);
-  }
-  shards_[s]->Hooks().clock->AdvanceTo(start);
-  const Status status = drivers_[s][tenant]->GetInto(key, value);
-  shard_tracers_[s]->ClearClientOpContext();
-  shard_tracers_[s]->ClearTenantContext();
-  clock_.SetTime(std::max(start, shards_[s]->Now()));
-  if (attr) {
-    attribution_->ChargeEnd(tenant, s);
-    attribution_->RecordOp(tenant, clock_.Now() - start, status.code(),
-                           status.ok() ? value->size() : 0);
-  }
-  fleet_->Poll();
-  return status;
-}
-
-Status KvCluster::DoDelete(std::size_t tenant, std::string_view key) {
-  MaybeRefillCredits();
-  const sim::Nanoseconds start = clock_.Now();
-  const std::uint32_t s = ring_.OwnerOf(key);
-  ++routed_keys_[s];
-  const bool attr = attribution_->enabled();
-  shard_tracers_[s]->SetClientOpContext(next_client_op_++);
-  shard_tracers_[s]->SetTenantContext(static_cast<std::uint16_t>(tenant + 1));
-  if (attr) {
-    attribution_->TouchKey(ring_.HashKey(key));
-    attribution_->ChargeBegin(s);
-  }
-  shards_[s]->Hooks().clock->AdvanceTo(start);
-  const Status status = drivers_[s][tenant]->Delete(key);
-  shard_tracers_[s]->ClearClientOpContext();
-  shard_tracers_[s]->ClearTenantContext();
-  clock_.SetTime(std::max(start, shards_[s]->Now()));
-  if (attr) {
-    attribution_->ChargeEnd(tenant, s);
-    attribution_->RecordOp(tenant, clock_.Now() - start, status.code(), 0);
-  }
-  fleet_->Poll();
-  return status;
-}
-
-// ---------------------------------------------------------------------------
-// Batch ops: scatter by owner shard from one dispatch time, gather to the
-// max finish. Sub-batches preserve each record's relative order, and
-// GetBatch merges shard results back into REQUEST order (the KvStore
-// contract) via the recorded origin indices.
-// ---------------------------------------------------------------------------
-
-Status KvCluster::DoPutBatch(std::size_t tenant,
-                             std::span<const KvPair> batch) {
-  if (batch.empty()) return Status::Ok();
-  MaybeRefillCredits();
-  const sim::Nanoseconds start = clock_.Now();
-  const std::uint64_t client_op = next_client_op_++;
-  const bool attr = attribution_->enabled();
-  std::uint64_t payload_bytes = 0;
-  std::vector<std::vector<KvPair>> groups(shards_.size());
-  for (const KvPair& kv : batch) {
-    const std::uint32_t s = ring_.OwnerOf(kv.key);
-    ++routed_keys_[s];
-    if (attr) attribution_->TouchKey(ring_.HashKey(kv.key));
-    payload_bytes += kv.value.size();
-    groups[s].push_back(kv);
-  }
-  sim::Nanoseconds latest = start;
-  Status first_error = Status::Ok();
-  std::uint32_t touched = 0;
-  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-    if (groups[s].empty()) continue;
-    ++touched;
-    ++batch_subops_;
-    // Every shard-local sub-batch carries the same router client op, so a
-    // cross-shard batch can be reassembled from the per-shard traces.
-    shard_tracers_[s]->SetClientOpContext(client_op);
-    shard_tracers_[s]->SetTenantContext(
-        static_cast<std::uint16_t>(tenant + 1));
-    if (attr) attribution_->ChargeBegin(s);
-    shards_[s]->Hooks().clock->AdvanceTo(start);
-    const Status status = drivers_[s][tenant]->PutBatch(groups[s]);
-    shard_tracers_[s]->ClearClientOpContext();
-    shard_tracers_[s]->ClearTenantContext();
-    if (attr) attribution_->ChargeEnd(tenant, s);
-    if (!status.ok() && first_error.ok()) first_error = status;
-    latest = std::max(latest, shards_[s]->Now());
-  }
-  if (touched >= 2) ++cross_shard_batches_;
-  clock_.SetTime(latest);
-  if (attr) {
-    // One client-visible op: its latency is the gather (slowest shard).
-    attribution_->RecordOp(tenant, latest - start, first_error.code(),
-                           payload_bytes);
-  }
-  fleet_->Poll();
-  return first_error;
-}
-
-Result<std::vector<KvCluster::BatchGetResult>> KvCluster::DoGetBatch(
-    std::size_t tenant, std::span<const std::string> keys) {
-  std::vector<BatchGetResult> merged(keys.size());
-  if (keys.empty()) return merged;
-  MaybeRefillCredits();
-  const sim::Nanoseconds start = clock_.Now();
-  const std::uint64_t client_op = next_client_op_++;
-  const bool attr = attribution_->enabled();
-  std::vector<std::vector<std::string>> sub(shards_.size());
-  std::vector<std::vector<std::size_t>> origin(shards_.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const std::uint32_t s = ring_.OwnerOf(keys[i]);
-    ++routed_keys_[s];
-    if (attr) attribution_->TouchKey(ring_.HashKey(keys[i]));
-    sub[s].push_back(keys[i]);
-    origin[s].push_back(i);
-  }
-  sim::Nanoseconds latest = start;
-  std::uint32_t touched = 0;
-  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-    if (sub[s].empty()) continue;
-    ++touched;
-    ++batch_subops_;
-    shard_tracers_[s]->SetClientOpContext(client_op);
-    shard_tracers_[s]->SetTenantContext(
-        static_cast<std::uint16_t>(tenant + 1));
-    if (attr) attribution_->ChargeBegin(s);
-    shards_[s]->Hooks().clock->AdvanceTo(start);
-    auto got = drivers_[s][tenant]->GetBatch(sub[s]);
-    shard_tracers_[s]->ClearClientOpContext();
-    shard_tracers_[s]->ClearTenantContext();
-    if (attr) attribution_->ChargeEnd(tenant, s);
-    latest = std::max(latest, shards_[s]->Now());
-    if (!got.ok()) {
-      clock_.SetTime(latest);
-      if (attr) {
-        attribution_->RecordOp(tenant, latest - start, got.status().code(),
-                               0);
-      }
-      fleet_->Poll();
-      return got.status();
-    }
-    std::vector<BatchGetResult>& results = got.value();
-    if (results.size() != sub[s].size()) {
-      clock_.SetTime(latest);
-      if (attr) {
-        attribution_->RecordOp(tenant, latest - start,
-                               StatusCode::kCorruption, 0);
-      }
-      fleet_->Poll();
-      return Status::Corruption(
-          "shard GetBatch violated the one-result-per-key contract");
-    }
-    // Un-scatter: results[j] answers sub[s][j], which was request slot
-    // origin[s][j]. Origin slots are unique by construction.
-    for (std::size_t j = 0; j < results.size(); ++j) {
-      merged[origin[s][j]] = std::move(results[j]);
-    }
-  }
-  if (touched >= 2) ++cross_shard_batches_;
-  clock_.SetTime(latest);
-  if (attr) {
-    std::uint64_t returned_bytes = 0;
-    for (const BatchGetResult& r : merged) returned_bytes += r.value.size();
-    attribution_->RecordOp(tenant, latest - start, StatusCode::kOk,
-                           returned_bytes);
-  }
-  fleet_->Poll();
-  return merged;
-}
-
-Result<std::uint32_t> KvCluster::DoDeleteBatch(
-    std::size_t tenant, std::span<const std::string> keys) {
-  if (keys.empty()) return std::uint32_t{0};
-  MaybeRefillCredits();
-  const sim::Nanoseconds start = clock_.Now();
-  const std::uint64_t client_op = next_client_op_++;
-  const bool attr = attribution_->enabled();
-  std::vector<std::vector<std::string>> sub(shards_.size());
-  for (const std::string& key : keys) {
-    const std::uint32_t s = ring_.OwnerOf(key);
-    ++routed_keys_[s];
-    if (attr) attribution_->TouchKey(ring_.HashKey(key));
-    sub[s].push_back(key);
-  }
-  sim::Nanoseconds latest = start;
-  std::uint32_t removed = 0;
-  std::uint32_t touched = 0;
-  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-    if (sub[s].empty()) continue;
-    ++touched;
-    ++batch_subops_;
-    shard_tracers_[s]->SetClientOpContext(client_op);
-    shard_tracers_[s]->SetTenantContext(
-        static_cast<std::uint16_t>(tenant + 1));
-    if (attr) attribution_->ChargeBegin(s);
-    shards_[s]->Hooks().clock->AdvanceTo(start);
-    auto got = drivers_[s][tenant]->DeleteBatch(sub[s]);
-    shard_tracers_[s]->ClearClientOpContext();
-    shard_tracers_[s]->ClearTenantContext();
-    if (attr) attribution_->ChargeEnd(tenant, s);
-    latest = std::max(latest, shards_[s]->Now());
-    if (!got.ok()) {
-      clock_.SetTime(latest);
-      if (attr) {
-        attribution_->RecordOp(tenant, latest - start, got.status().code(),
-                               0);
-      }
-      fleet_->Poll();
-      return got.status();
-    }
-    removed += got.value();
-  }
-  if (touched >= 2) ++cross_shard_batches_;
-  clock_.SetTime(latest);
-  if (attr) {
-    attribution_->RecordOp(tenant, latest - start, StatusCode::kOk, 0);
-  }
-  fleet_->Poll();
-  return removed;
-}
-
-Status KvCluster::DoFlush() {
+Status KvCluster::Flush() {
   // Flush is fleet-wide maintenance, not tenant traffic: it stays untagged,
   // so its device work lands in the attribution plane's untagged residual.
   const sim::Nanoseconds start = clock_.Now();
   const std::uint64_t client_op = next_client_op_++;
   sim::Nanoseconds latest = start;
-  Status first_error = Status::Ok();
+  Status first_error;
   for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-    KvSsd& dev = *shards_[s];
-    shard_tracers_[s]->SetClientOpContext(client_op);
-    dev.Hooks().clock->AdvanceTo(start);
-    const Status status = dev.Flush();
-    shard_tracers_[s]->ClearClientOpContext();
-    if (!status.ok() && first_error.ok()) first_error = status;
-    latest = std::max(latest, dev.Now());
+    Status status;
+    latest = std::max(latest, CallShard(s, kUntagged, client_op, start, [&] {
+      status = shards_[s]->Flush();
+    }));
+    if (first_error.ok()) first_error = status;
   }
-  clock_.SetTime(latest);
-  fleet_->Poll();
+  Complete(kUntagged, start, latest, first_error.code(), 0);
   return first_error;
 }
-
-// ---------------------------------------------------------------------------
-// Default-tenant KvStore surface
-// ---------------------------------------------------------------------------
-
-Status KvCluster::Put(std::string_view key, ByteSpan value) {
-  return DoPut(0, key, value);
-}
-Result<Bytes> KvCluster::Get(std::string_view key) { return DoGet(0, key); }
-Status KvCluster::GetInto(std::string_view key, Bytes* value) {
-  return DoGetInto(0, key, value);
-}
-Status KvCluster::Delete(std::string_view key) { return DoDelete(0, key); }
-Status KvCluster::PutBatch(std::span<const KvPair> batch) {
-  return DoPutBatch(0, batch);
-}
-Result<std::vector<KvCluster::BatchGetResult>> KvCluster::GetBatch(
-    std::span<const std::string> keys) {
-  return DoGetBatch(0, keys);
-}
-Result<std::uint32_t> KvCluster::DeleteBatch(
-    std::span<const std::string> keys) {
-  return DoDeleteBatch(0, keys);
-}
-Status KvCluster::Flush() { return DoFlush(); }
 
 // ---------------------------------------------------------------------------
 // Observation
@@ -578,12 +428,6 @@ KvSsdStats KvCluster::GetStats() const {
     AccumulateStats(&total, dev->GetStats());
   }
   return total;
-}
-
-StoreSnapshot KvCluster::Inspect() const {
-  StoreSnapshot store;
-  InspectInto(&store);
-  return store;
 }
 
 void KvCluster::InspectInto(StoreSnapshot* out) const {

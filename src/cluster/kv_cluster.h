@@ -8,15 +8,22 @@
 //
 // Time-frame semantics (all virtual, fully deterministic):
 //   * The cluster owns a router clock — the client-visible timeline.
-//   * A serial op (Put/Get/Delete) first pulls the owner shard's clock
-//     FORWARD to the router time (AdvanceTo; router time is monotone, so
-//     shard clocks never move backward), runs the op on that shard, then
-//     sets the router clock to the shard's finish time.
-//   * A batch op scatters: every touched shard is advanced to the same
+//   * One shard call is the only place the router touches a shard for a
+//     client op. It stamps the shard's tracer with the router client op and
+//     tenant, brackets the tenant's attribution charge, and pulls the shard
+//     clock FORWARD to the dispatch time (AdvanceTo; router time is
+//     monotone, so shard clocks never move backward) before the shard runs.
+//   * A point op (Put/GetInto/Delete) routes to the key's owner shard and
+//     sets the router clock to that shard's finish time.
+//   * A batch op scatters: every touched shard is served from the same
 //     dispatch time T, sub-batches run in their shards' own time frames,
 //     and the router clock gathers to the MAX finish — the client sees the
 //     slowest shard, exactly like a host issuing the sub-batches to N
-//     devices at once and waiting for all completions.
+//     devices at once and waiting for all completions. A failing shard
+//     does not stop the others: every touched shard is served and the
+//     first error in shard order is returned. A crashed shard costs its
+//     command timeout, so the gather waits that long. A malformed batch is
+//     rejected before any key is routed.
 //   * With num_shards == 1 every AdvanceTo is a no-op and every gather is
 //     the shard's own finish, so a 1-shard cluster is bit-identical in
 //     virtual time and device counters to a bare KvSsd fed the same ops.
@@ -95,7 +102,6 @@ class KvCluster : public KvStore {
   using KvStore::Put;
   using KvStore::PutBatch;
   Status Put(std::string_view key, ByteSpan value) override;
-  Result<Bytes> Get(std::string_view key) override;
   Status GetInto(std::string_view key, Bytes* value) override;
   Status Delete(std::string_view key) override;
   Status PutBatch(std::span<const KvPair> batch) override;
@@ -106,7 +112,6 @@ class KvCluster : public KvStore {
 
   // Aggregated snapshot: summed stats + one DeviceSnapshot per shard (in
   // shard-index order) + router-level batch/QoS accounting + fleet alerts.
-  StoreSnapshot Inspect() const override;
   // Allocation-free in steady state: reuses `out`'s per-shard snapshots,
   // counter maps and alert strings, so a sampling loop can call this every
   // interval without touching the heap.
@@ -165,30 +170,44 @@ class KvCluster : public KvStore {
   }
 
  private:
-  // Per-tenant KvStore facade; forwards every op with its tenant index.
+  // Per-tenant KvStore facade. Every client op runs as a tenant view op;
+  // tenant 0's view backs the cluster's own KvStore surface.
   class TenantView;
+  // Stands in for a tenant index on fleet-wide maintenance (Flush): no
+  // tenant stamp, no attribution charge.
+  static constexpr std::size_t kUntagged = ~std::size_t{0};
 
   explicit KvCluster(const ClusterConfig& config);
   Status Assemble();
 
-  driver::KvDriver* DriverFor(std::uint32_t shard, std::size_t tenant) {
-    return drivers_[shard][tenant];
-  }
   // Lazily refills admission credits for every elapsed window boundary.
   void MaybeRefillCredits();
 
-  // The op core, parameterized by tenant. Each applies the time-frame
-  // semantics documented above.
-  Status DoPut(std::size_t tenant, std::string_view key, ByteSpan value);
-  Result<Bytes> DoGet(std::size_t tenant, std::string_view key);
-  Status DoGetInto(std::size_t tenant, std::string_view key, Bytes* value);
-  Status DoDelete(std::size_t tenant, std::string_view key);
-  Status DoPutBatch(std::size_t tenant, std::span<const KvPair> batch);
-  Result<std::vector<BatchGetResult>> DoGetBatch(
-      std::size_t tenant, std::span<const std::string> keys);
-  Result<std::uint32_t> DoDeleteBatch(std::size_t tenant,
-                                      std::span<const std::string> keys);
-  Status DoFlush();
+  // The one place the router touches a shard for a client op: stamps shard
+  // `s`'s tracer with `client_op` and the tenant, brackets the tenant's
+  // attribution charge, pulls the shard clock up to `start` and runs
+  // `serve`. Returns the shard's finish time. Parallel shard lanes would
+  // put their epoch barrier here.
+  template <typename Serve>
+  sim::Nanoseconds CallShard(std::uint32_t s, std::size_t tenant,
+                             std::uint64_t client_op, sim::Nanoseconds start,
+                             Serve&& serve);
+  // Point op: runs `op(driver)` on the key's owner shard for `tenant`.
+  // `book(status)` gives the bytes the op books with the attribution plane.
+  template <typename Op, typename Book>
+  Status Route(std::size_t tenant, std::string_view key, Op&& op, Book&& book);
+  // Batch op: rejects a malformed batch before routing, splits the rest by
+  // owner shard, serves every touched shard from one start time with
+  // `serve(driver, sub_batch, request_indices)`, gathers the router clock
+  // to the slowest shard and returns the first error in shard order.
+  template <typename T, typename Serve, typename Book>
+  Status Scatter(std::size_t tenant, std::span<const T> items, Serve&& serve,
+                 Book&& book);
+  // Closes a client op: the router clock gathers to `finish`, a tenant op
+  // is booked with the attribution plane, and the fleet polls.
+  void Complete(std::size_t tenant, sim::Nanoseconds start,
+                sim::Nanoseconds finish, StatusCode code,
+                std::uint64_t booked_bytes);
 
   ClusterConfig config_;
   HashRing ring_;

@@ -12,7 +12,14 @@
 // interface is the KV data path plus observation; device maintenance
 // (power cycling, fault arming, queue drivers) stays on the concrete types.
 //
+// Each operation has one virtual; Put(string_view), the initializer_list
+// PutBatch, Get and Inspect are non-virtual conveniences over Put, PutBatch,
+// GetInto and InspectInto.
+//
 // Contracts every implementation must honor:
+//   * Keys are 1..16 bytes and values non-empty. A batch with one malformed
+//     record is rejected whole with kInvalidArgument on every topology:
+//     no record lands, no shard is touched, no counter moves.
 //   * GetBatch returns EXACTLY one result per requested key, in request
 //     order — even when keys land on different shards of a cluster and the
 //     per-shard sub-batches complete in a different order. Absent keys are
@@ -83,9 +90,13 @@ class KvStore {
                ByteSpan(reinterpret_cast<const std::uint8_t*>(value.data()),
                         value.size()));
   }
-  virtual Result<Bytes> Get(std::string_view key) = 0;
   // Allocation-free GET: fills `*value` in place, reusing its capacity.
   virtual Status GetInto(std::string_view key, Bytes* value) = 0;
+  Result<Bytes> Get(std::string_view key) {
+    Bytes value;
+    BANDSLIM_RETURN_IF_ERROR(GetInto(key, &value));
+    return value;
+  }
   virtual Status Delete(std::string_view key) = 0;
 
   // Host-side batching (Dotori/KV-CSD style, Section 1). A cluster splits
@@ -106,13 +117,16 @@ class KvStore {
   virtual Status Flush() = 0;
 
   // --- Introspection -------------------------------------------------------
-  // One-call observation point aggregating every backing device.
-  virtual StoreSnapshot Inspect() const = 0;
-  // In-place variant for sampling loops: refills `*out`, reusing its
-  // vectors, maps and strings. Concrete stores override this to be
-  // allocation-free in steady state (no structural change since the last
-  // call); the default falls back to a full Inspect() copy.
-  virtual void InspectInto(StoreSnapshot* out) const { *out = Inspect(); }
+  // One-call observation point aggregating every backing device. Fills
+  // `*out` in place, reusing its vectors, maps and strings, so a sampling
+  // loop that calls it every interval is allocation-free in steady state
+  // (no structural change since the last call).
+  virtual void InspectInto(StoreSnapshot* out) const = 0;
+  StoreSnapshot Inspect() const {
+    StoreSnapshot snapshot;
+    InspectInto(&snapshot);
+    return snapshot;
+  }
   // Summed counter block (cheaper than Inspect when only counters matter).
   virtual KvSsdStats GetStats() const = 0;
   // The store's client-visible virtual time.

@@ -124,8 +124,6 @@ Result<std::uint32_t> KvSsd::DeleteBatch(std::span<const std::string> keys) {
   return driver_->DeleteBatch(keys);
 }
 
-Result<Bytes> KvSsd::Get(std::string_view key) { return driver_->Get(key); }
-
 Status KvSsd::GetInto(std::string_view key, Bytes* value) {
   return driver_->GetInto(key, value);
 }
@@ -253,12 +251,6 @@ KvSsdStats KvSsd::GetStats() const {
   s.recovery_runs = c("kvssd.recovery_runs");
   s.recovery_replayed_refs = c("kvssd.recovery_replayed_refs");
   return s;
-}
-
-StoreSnapshot KvSsd::Inspect() const {
-  StoreSnapshot store;
-  InspectInto(&store);
-  return store;
 }
 
 void KvSsd::InspectInto(StoreSnapshot* out) const {

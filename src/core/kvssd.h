@@ -105,7 +105,6 @@ class KvSsd : public KvStore {
   // Bulk DELETE: removes every present key (absent keys are skipped, not an
   // error) and returns how many were actually removed.
   Result<std::uint32_t> DeleteBatch(std::span<const std::string> keys) override;
-  Result<Bytes> Get(std::string_view key) override;
   // Allocation-free GET: fills `*value` in place, reusing its capacity
   // (see driver::KvDriver::GetInto).
   Status GetInto(std::string_view key, Bytes* value) override;
@@ -143,7 +142,6 @@ class KvSsd : public KvStore {
   void InspectDeviceInto(DeviceSnapshot* out) const;
   // KvStore view of the same data: a one-shard StoreSnapshot wrapping
   // InspectDevice(), so topology-neutral callers aggregate uniformly.
-  StoreSnapshot Inspect() const override;
   void InspectInto(StoreSnapshot* out) const override;
   KvSsdStats GetStats() const override;
   sim::Nanoseconds Now() const override { return clock_.Now(); }

@@ -14,13 +14,61 @@ using nvme::Opcode;
 
 namespace {
 
-// A key already validated to 1..16 bytes, viewed as bytes without copying
-// through a temporary std::string.
-ByteSpan KeySpan(std::string_view key) {
-  return {reinterpret_cast<const std::uint8_t*>(key.data()), key.size()};
+// A command with `opcode` on namespace 1.
+NvmeCommand MakeCommand(Opcode opcode) {
+  NvmeCommand cmd;
+  cmd.set_opcode(opcode);
+  cmd.set_nsid(1);
+  return cmd;
+}
+
+// A keyed command. The key passed CheckKey (or is SEEK's empty start), and
+// is viewed as bytes without copying through a temporary std::string.
+NvmeCommand KeyCommand(Opcode opcode, std::string_view key) {
+  NvmeCommand cmd = MakeCommand(opcode);
+  cmd.set_key({reinterpret_cast<const std::uint8_t*>(key.data()), key.size()});
+  return cmd;
+}
+
+// The bulk-key request shared by GetBatch and DeleteBatch, repeated per
+// key: [u8 klen][key].
+Bytes EncodeKeyBatch(std::span<const std::string> keys) {
+  Bytes payload;
+  for (const std::string& key : keys) {
+    payload.push_back(static_cast<std::uint8_t>(key.size()));
+    payload.insert(payload.end(), key.begin(), key.end());
+  }
+  return payload;
 }
 
 }  // namespace
+
+Status CheckKey(std::string_view key) {
+  if (key.empty() || key.size() > kMaxKeySize) {
+    return Status::InvalidArgument("key must be 1..16 bytes");
+  }
+  return Status::Ok();
+}
+
+Status CheckRecord(std::string_view key, ByteSpan value) {
+  BANDSLIM_RETURN_IF_ERROR(CheckKey(key));
+  if (value.empty()) {
+    return Status::InvalidArgument("empty values are not supported");
+  }
+  return Status::Ok();
+}
+
+Status CheckBatch(std::span<const KvDriver::KvPair> batch) {
+  for (const KvDriver::KvPair& kv : batch) {
+    BANDSLIM_RETURN_IF_ERROR(CheckRecord(kv.key, ByteSpan(kv.value)));
+  }
+  return Status::Ok();
+}
+
+Status CheckBatch(std::span<const std::string> keys) {
+  for (const std::string& key : keys) BANDSLIM_RETURN_IF_ERROR(CheckKey(key));
+  return Status::Ok();
+}
 
 const char* MethodName(TransferMethod method) {
   switch (method) {
@@ -40,6 +88,15 @@ KvDriver::KvDriver(nvme::NvmeTransport* transport, nvme::HostMemory* host,
   cmd_scratch_.reserve(16);
   completion_scratch_.reserve(16);
   page_scratch_.reserve(8);
+}
+
+template <typename Body>
+auto KvDriver::Traced(trace::OpType type, std::uint64_t payload_bytes,
+                      Body&& body) {
+  trace::OpScope op(tracer_, type, config_.queue_id, payload_bytes);
+  auto result = body();
+  op.set_ok(result.ok());
+  return result;
 }
 
 Status KvDriver::StatusFromCq(const CqEntry& cqe) {
@@ -87,25 +144,13 @@ KvDriver::Decision KvDriver::Decide(std::uint64_t size) const {
   return Decision::kPrp;
 }
 
-NvmeCommand KvDriver::MakeWriteCommand(std::string_view key,
-                                       std::uint32_t value_size) const {
-  NvmeCommand cmd;
-  cmd.set_opcode(Opcode::kKvWrite);
-  cmd.set_nsid(1);
-  cmd.set_key(KeySpan(key));
-  cmd.set_value_size(value_size);
-  return cmd;
-}
-
 void KvDriver::AppendTrailingCommands(ByteSpan rest,
                                       std::vector<NvmeCommand>* out) {
   std::size_t off = 0;
   while (off < rest.size()) {
     const std::size_t n =
         std::min(kTransferCmdPiggybackCapacity, rest.size() - off);
-    NvmeCommand cmd;
-    cmd.set_opcode(Opcode::kKvTransfer);
-    cmd.set_nsid(1);
+    NvmeCommand cmd = MakeCommand(Opcode::kKvTransfer);
     nvme::codec::SetTransferPayload(cmd, rest.subspan(off, n));
     off += n;
     cmd.set_final_fragment(off == rest.size());
@@ -136,7 +181,8 @@ Status KvDriver::SendPipelined(NvmeCommand head, ByteSpan rest) {
 }
 
 Status KvDriver::PutPiggyback(std::string_view key, ByteSpan value) {
-  NvmeCommand cmd = MakeWriteCommand(key, static_cast<std::uint32_t>(value.size()));
+  NvmeCommand cmd = KeyCommand(Opcode::kKvWrite, key);
+  cmd.set_value_size(static_cast<std::uint32_t>(value.size()));
   const std::size_t head =
       std::min(kWriteCmdPiggybackCapacity, value.size());
   nvme::codec::SetWritePiggyback(cmd, value.subspan(0, head));
@@ -155,7 +201,8 @@ Status KvDriver::PutPrp(std::string_view key, ByteSpan value) {
   const std::size_t pages = CeilDiv(value.size(), kMemPageSize);
   host_->AllocatePagesInto(pages, &page_scratch_);
   BANDSLIM_RETURN_IF_ERROR(host_->WriteToPages(page_scratch_, value));
-  NvmeCommand cmd = MakeWriteCommand(key, static_cast<std::uint32_t>(value.size()));
+  NvmeCommand cmd = KeyCommand(Opcode::kKvWrite, key);
+  cmd.set_value_size(static_cast<std::uint32_t>(value.size()));
   cmd.set_final_fragment(true);
   nvme::codec::SetPrpPointers(cmd, nvme::PrpList(page_scratch_));
   Status st = StatusFromCq(transport_->Submit(config_.queue_id, cmd));
@@ -169,7 +216,8 @@ Status KvDriver::PutHybrid(std::string_view key, ByteSpan value) {
   host_->AllocatePagesInto(prp_bytes / kMemPageSize, &page_scratch_);
   BANDSLIM_RETURN_IF_ERROR(
       host_->WriteToPages(page_scratch_, value.subspan(0, prp_bytes)));
-  NvmeCommand cmd = MakeWriteCommand(key, static_cast<std::uint32_t>(value.size()));
+  NvmeCommand cmd = KeyCommand(Opcode::kKvWrite, key);
+  cmd.set_value_size(static_cast<std::uint32_t>(value.size()));
   cmd.set_final_fragment(false);
   nvme::codec::SetPrpPointers(cmd, nvme::PrpList(page_scratch_));
   Status st;
@@ -184,50 +232,31 @@ Status KvDriver::PutHybrid(std::string_view key, ByteSpan value) {
 }
 
 Status KvDriver::Put(std::string_view key, ByteSpan value) {
-  trace::OpScope op(tracer_, trace::OpType::kPut, config_.queue_id,
-                    value.size());
-  const Status st = PutImpl(key, value);
-  op.set_ok(st.ok());
-  return st;
-}
-
-Status KvDriver::PutImpl(std::string_view key, ByteSpan value) {
-  if (key.empty() || key.size() > kMaxKeySize) {
-    return Status::InvalidArgument("key must be 1..16 bytes");
-  }
-  if (value.empty()) {
-    return Status::InvalidArgument("empty values are not supported");
-  }
-  ++puts_issued_;
-  switch (Decide(value.size())) {
-    case Decision::kPiggyback: return PutPiggyback(key, value);
-    case Decision::kPrp: return PutPrp(key, value);
-    case Decision::kHybrid: return PutHybrid(key, value);
-  }
-  return Status::InvalidArgument("unreachable");
+  return Traced(trace::OpType::kPut, value.size(), [&] {
+    BANDSLIM_RETURN_IF_ERROR(CheckRecord(key, value));
+    ++puts_issued_;
+    switch (Decide(value.size())) {
+      case Decision::kPiggyback: return PutPiggyback(key, value);
+      case Decision::kPrp: return PutPrp(key, value);
+      case Decision::kHybrid: return PutHybrid(key, value);
+    }
+    return Status::InvalidArgument("unreachable");
+  });
 }
 
 Status KvDriver::PutBatch(std::span<const KvPair> batch) {
   std::uint64_t payload_bytes = 0;
   for (const KvPair& kv : batch) payload_bytes += kv.value.size();
-  trace::OpScope op(tracer_, trace::OpType::kPutBatch, config_.queue_id,
-                    payload_bytes);
-  const Status st = PutBatchImpl(batch);
-  op.set_ok(st.ok());
-  return st;
+  return Traced(trace::OpType::kPutBatch, payload_bytes,
+                [&] { return PutBatchImpl(batch); });
 }
 
 Status KvDriver::PutBatchImpl(std::span<const KvPair> batch) {
   if (batch.empty()) return Status::Ok();
+  BANDSLIM_RETURN_IF_ERROR(CheckBatch(batch));
   // Wire format, repeated per record: [u8 klen][key][u32 vsize][value].
   Bytes payload;
   for (const KvPair& kv : batch) {
-    if (kv.key.empty() || kv.key.size() > kMaxKeySize) {
-      return Status::InvalidArgument("key must be 1..16 bytes");
-    }
-    if (kv.value.empty()) {
-      return Status::InvalidArgument("empty values are not supported");
-    }
     payload.push_back(static_cast<std::uint8_t>(kv.key.size()));
     payload.insert(payload.end(), kv.key.begin(), kv.key.end());
     const auto vsize = static_cast<std::uint32_t>(kv.value.size());
@@ -238,9 +267,7 @@ Status KvDriver::PutBatchImpl(std::span<const KvPair> batch) {
   }
   auto ids = host_->AllocatePages(CeilDiv(payload.size(), kMemPageSize));
   BANDSLIM_RETURN_IF_ERROR(host_->WriteToPages(ids, ByteSpan(payload)));
-  NvmeCommand cmd;
-  cmd.set_opcode(Opcode::kKvBulkWrite);
-  cmd.set_nsid(1);
+  NvmeCommand cmd = MakeCommand(Opcode::kKvBulkWrite);
   cmd.set_value_size(static_cast<std::uint32_t>(payload.size()));
   cmd.set_final_fragment(true);
   nvme::codec::SetPrpPointers(cmd, nvme::PrpList(ids));
@@ -276,34 +303,18 @@ Result<std::uint32_t> KvDriver::SubmitRead(NvmeCommand cmd, Bytes* payload,
   return Status::IoError("receive buffer negotiation failed");
 }
 
-Result<Bytes> KvDriver::EncodeKeyBatch(std::span<const std::string> keys) {
-  // Wire format, repeated per key: [u8 klen][key].
-  Bytes payload;
-  for (const std::string& key : keys) {
-    if (key.empty() || key.size() > kMaxKeySize) {
-      return Status::InvalidArgument("key must be 1..16 bytes");
-    }
-    payload.push_back(static_cast<std::uint8_t>(key.size()));
-    payload.insert(payload.end(), key.begin(), key.end());
-  }
-  return payload;
-}
-
 Result<std::vector<KvDriver::BatchGetResult>> KvDriver::GetBatch(
     std::span<const std::string> keys) {
-  trace::OpScope op(tracer_, trace::OpType::kGetBatch, config_.queue_id);
-  auto result = GetBatchImpl(keys);
-  op.set_ok(result.ok());
-  return result;
+  return Traced(trace::OpType::kGetBatch, 0,
+                [&] { return GetBatchImpl(keys); });
 }
 
 Result<std::vector<KvDriver::BatchGetResult>> KvDriver::GetBatchImpl(
     std::span<const std::string> keys) {
   std::vector<BatchGetResult> results;
   if (keys.empty()) return results;
-  auto request = EncodeKeyBatch(keys);
-  if (!request.ok()) return request.status();
-  const Bytes& req = request.value();
+  BANDSLIM_RETURN_IF_ERROR(CheckBatch(keys));
+  const Bytes req = EncodeKeyBatch(keys);
 
   // The PRP buffer is used in both directions: the device fetches the key
   // list from it, then overwrites it with the response. Renegotiate its
@@ -316,9 +327,7 @@ Result<std::vector<KvDriver::BatchGetResult>> KvDriver::GetBatchImpl(
       host_->FreePages(ids);
       return st;
     }
-    NvmeCommand cmd;
-    cmd.set_opcode(Opcode::kKvBulkRead);
-    cmd.set_nsid(1);
+    NvmeCommand cmd = MakeCommand(Opcode::kKvBulkRead);
     cmd.set_value_size(static_cast<std::uint32_t>(req.size()));
     nvme::codec::SetPrpPointers(cmd, nvme::PrpList(ids));
     const CqEntry cqe = transport_->Submit(config_.queue_id, cmd);
@@ -363,27 +372,22 @@ Result<std::vector<KvDriver::BatchGetResult>> KvDriver::GetBatchImpl(
 }
 
 Result<std::uint32_t> KvDriver::DeleteBatch(std::span<const std::string> keys) {
-  trace::OpScope op(tracer_, trace::OpType::kDeleteBatch, config_.queue_id);
-  auto result = DeleteBatchImpl(keys);
-  op.set_ok(result.ok());
-  return result;
+  return Traced(trace::OpType::kDeleteBatch, 0,
+                [&] { return DeleteBatchImpl(keys); });
 }
 
 Result<std::uint32_t> KvDriver::DeleteBatchImpl(
     std::span<const std::string> keys) {
   if (keys.empty()) return 0u;
-  auto request = EncodeKeyBatch(keys);
-  if (!request.ok()) return request.status();
-  const Bytes& req = request.value();
+  BANDSLIM_RETURN_IF_ERROR(CheckBatch(keys));
+  const Bytes req = EncodeKeyBatch(keys);
   auto ids = host_->AllocatePages(CeilDiv(req.size(), kMemPageSize));
   Status st = host_->WriteToPages(ids, ByteSpan(req));
   if (!st.ok()) {
     host_->FreePages(ids);
     return st;
   }
-  NvmeCommand cmd;
-  cmd.set_opcode(Opcode::kKvBulkDelete);
-  cmd.set_nsid(1);
+  NvmeCommand cmd = MakeCommand(Opcode::kKvBulkDelete);
   cmd.set_value_size(static_cast<std::uint32_t>(req.size()));
   nvme::codec::SetPrpPointers(cmd, nvme::PrpList(ids));
   const CqEntry cqe = transport_->Submit(config_.queue_id, cmd);
@@ -392,93 +396,59 @@ Result<std::uint32_t> KvDriver::DeleteBatchImpl(
   return cqe.result;
 }
 
-Result<Bytes> KvDriver::Get(std::string_view key) {
-  trace::OpScope op(tracer_, trace::OpType::kGet, config_.queue_id);
-  Bytes payload;
-  const Status st = GetIntoImpl(key, &payload);
-  op.set_ok(st.ok());
-  if (!st.ok()) return st;
-  return payload;
-}
-
 Status KvDriver::GetInto(std::string_view key, Bytes* value) {
-  trace::OpScope op(tracer_, trace::OpType::kGet, config_.queue_id);
-  const Status st = GetIntoImpl(key, value);
-  op.set_ok(st.ok());
-  return st;
+  return Traced(trace::OpType::kGet, 0, [&] {
+    BANDSLIM_RETURN_IF_ERROR(CheckKey(key));
+    return SubmitRead(KeyCommand(Opcode::kKvRead, key), value).status();
+  });
 }
 
-Status KvDriver::GetIntoImpl(std::string_view key, Bytes* value) {
-  if (key.empty() || key.size() > kMaxKeySize) {
-    return Status::InvalidArgument("key must be 1..16 bytes");
-  }
-  NvmeCommand cmd;
-  cmd.set_opcode(Opcode::kKvRead);
-  cmd.set_nsid(1);
-  cmd.set_key(KeySpan(key));
-  auto size = SubmitRead(std::move(cmd), value);
-  if (!size.ok()) return size.status();
-  return Status::Ok();
+Result<Bytes> KvDriver::Get(std::string_view key) {
+  Bytes value;
+  BANDSLIM_RETURN_IF_ERROR(GetInto(key, &value));
+  return value;
 }
 
 Status KvDriver::Delete(std::string_view key) {
-  trace::OpScope op(tracer_, trace::OpType::kDelete, config_.queue_id);
-  NvmeCommand cmd;
-  cmd.set_opcode(Opcode::kKvDelete);
-  cmd.set_nsid(1);
-  cmd.set_key(KeySpan(key));
-  const Status st = StatusFromCq(transport_->Submit(config_.queue_id, cmd));
-  op.set_ok(st.ok());
-  return st;
+  return Traced(trace::OpType::kDelete, 0, [&] {
+    BANDSLIM_RETURN_IF_ERROR(CheckKey(key));
+    return StatusFromCq(transport_->Submit(
+        config_.queue_id, KeyCommand(Opcode::kKvDelete, key)));
+  });
 }
 
 Result<std::uint32_t> KvDriver::Exists(std::string_view key) {
-  trace::OpScope op(tracer_, trace::OpType::kExists, config_.queue_id);
-  NvmeCommand cmd;
-  cmd.set_opcode(Opcode::kKvExists);
-  cmd.set_nsid(1);
-  cmd.set_key(KeySpan(key));
-  const CqEntry cqe = transport_->Submit(config_.queue_id, cmd);
-  const Status st = StatusFromCq(cqe);
-  op.set_ok(st.ok());
-  BANDSLIM_RETURN_IF_ERROR(st);
-  return cqe.result;
+  return Traced(trace::OpType::kExists, 0, [&]() -> Result<std::uint32_t> {
+    BANDSLIM_RETURN_IF_ERROR(CheckKey(key));
+    const CqEntry cqe = transport_->Submit(
+        config_.queue_id, KeyCommand(Opcode::kKvExists, key));
+    BANDSLIM_RETURN_IF_ERROR(StatusFromCq(cqe));
+    return cqe.result;
+  });
 }
 
 Status KvDriver::Flush() {
-  trace::OpScope op(tracer_, trace::OpType::kFlush, config_.queue_id);
-  NvmeCommand cmd;
-  cmd.set_opcode(Opcode::kKvFlush);
-  cmd.set_nsid(1);
-  const Status st = StatusFromCq(transport_->Submit(config_.queue_id, cmd));
-  op.set_ok(st.ok());
-  return st;
+  return Traced(trace::OpType::kFlush, 0, [&] {
+    return StatusFromCq(
+        transport_->Submit(config_.queue_id, MakeCommand(Opcode::kKvFlush)));
+  });
 }
 
 Result<KvDriver::Iterator> KvDriver::Seek(std::string_view from) {
-  trace::OpScope op(tracer_, trace::OpType::kSeek, config_.queue_id);
-  auto result = SeekImpl(from);
-  op.set_ok(result.ok());
-  return result;
-}
-
-Result<KvDriver::Iterator> KvDriver::SeekImpl(std::string_view from) {
-  NvmeCommand cmd;
-  cmd.set_opcode(Opcode::kKvIterSeek);
-  cmd.set_nsid(1);
-  cmd.set_key(KeySpan(from));
-  const CqEntry cqe = transport_->Submit(config_.queue_id, cmd);
-  BANDSLIM_RETURN_IF_ERROR(StatusFromCq(cqe));
-  Iterator iter(this, cqe.result);
-  BANDSLIM_RETURN_IF_ERROR(iter.Next());
-  return iter;
+  return Traced(trace::OpType::kSeek, 0, [&]() -> Result<Iterator> {
+    if (!from.empty()) BANDSLIM_RETURN_IF_ERROR(CheckKey(from));
+    const CqEntry cqe = transport_->Submit(
+        config_.queue_id, KeyCommand(Opcode::kKvIterSeek, from));
+    BANDSLIM_RETURN_IF_ERROR(StatusFromCq(cqe));
+    Iterator iter(this, cqe.result);
+    BANDSLIM_RETURN_IF_ERROR(iter.Next());
+    return iter;
+  });
 }
 
 Status KvDriver::Iterator::FetchBatch() {
   if (exhausted_) return Status::Ok();
-  NvmeCommand cmd;
-  cmd.set_opcode(Opcode::kKvIterNextBatch);
-  cmd.set_nsid(1);
+  NvmeCommand cmd = MakeCommand(Opcode::kKvIterNextBatch);
   cmd.set_iter_handle(handle_);
   Bytes payload;
   auto bytes = driver_->SubmitRead(std::move(cmd), &payload,
@@ -537,9 +507,7 @@ void KvDriver::Iterator::Close() {
   if (driver_ == nullptr) return;
   trace::OpScope op(driver_->tracer_, trace::OpType::kOther,
                     driver_->config_.queue_id);
-  NvmeCommand cmd;
-  cmd.set_opcode(Opcode::kKvIterClose);
-  cmd.set_nsid(1);
+  NvmeCommand cmd = MakeCommand(Opcode::kKvIterClose);
   cmd.set_iter_handle(handle_);
   driver_->transport_->Submit(driver_->config_.queue_id, cmd);
   driver_ = nullptr;

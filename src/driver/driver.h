@@ -89,11 +89,11 @@ class KvDriver {
   // returns how many were actually removed.
   Result<std::uint32_t> DeleteBatch(std::span<const std::string> keys);
 
-  Result<Bytes> Get(std::string_view key);
-  // Allocation-free variant: fills `*value` in place, reusing its capacity.
-  // Steady-state GET loops call this with a long-lived buffer so the host
-  // side performs zero heap allocations per op (DESIGN.md §2.6).
+  // Fills `*value` in place, reusing its capacity. Steady-state GET loops
+  // call this with a long-lived buffer so the host side performs zero heap
+  // allocations per op (DESIGN.md §2.6).
   Status GetInto(std::string_view key, Bytes* value);
+  Result<Bytes> Get(std::string_view key);
   Status Delete(std::string_view key);
   // Returns the value size if present.
   Result<std::uint32_t> Exists(std::string_view key);
@@ -133,7 +133,8 @@ class KvDriver {
     Bytes value_;
     std::deque<std::pair<std::string, Bytes>> pending_;
   };
-  // Positions at the first key >= `from` and fetches it.
+  // Positions at the first key >= `from` and fetches it; `from` may be
+  // empty to scan from the first key.
   Result<Iterator> Seek(std::string_view from);
 
   std::uint64_t puts_issued() const { return puts_issued_; }
@@ -151,21 +152,17 @@ class KvDriver {
   std::uint32_t threshold2() const { return config_.threshold2; }
 
  private:
-  Status PutImpl(std::string_view key, ByteSpan value);
+  // Runs `body` as one traced host op: the one place an op scope opens
+  // (iterator Next/Close aside) and records the op's outcome.
+  template <typename Body>
+  auto Traced(trace::OpType type, std::uint64_t payload_bytes, Body&& body);
   Status PutBatchImpl(std::span<const KvPair> batch);
   Result<std::vector<BatchGetResult>> GetBatchImpl(
       std::span<const std::string> keys);
   Result<std::uint32_t> DeleteBatchImpl(std::span<const std::string> keys);
-  Status GetIntoImpl(std::string_view key, Bytes* value);
-  Result<KvDriver::Iterator> SeekImpl(std::string_view from);
-  // Encodes the bulk-key request ([u8 klen][key]*) shared by GetBatch and
-  // DeleteBatch; fails on malformed keys.
-  static Result<Bytes> EncodeKeyBatch(std::span<const std::string> keys);
   Status PutPiggyback(std::string_view key, ByteSpan value);
   Status PutPrp(std::string_view key, ByteSpan value);
   Status PutHybrid(std::string_view key, ByteSpan value);
-  nvme::NvmeCommand MakeWriteCommand(std::string_view key,
-                                     std::uint32_t value_size) const;
   static void AppendTrailingCommands(ByteSpan rest,
                                      std::vector<nvme::NvmeCommand>* out);
   Status SendTrailing(ByteSpan rest);
@@ -190,5 +187,14 @@ class KvDriver {
   std::vector<nvme::CqEntry> completion_scratch_;
   std::vector<nvme::PageId> page_scratch_;
 };
+
+// The KV record rule, stated once for every topology: keys are 1..16 bytes
+// and values non-empty. Every keyed command checks it before a command is
+// built, and every store checks a whole batch before touching any record,
+// so a malformed batch is rejected all-or-nothing with kInvalidArgument.
+Status CheckKey(std::string_view key);
+Status CheckRecord(std::string_view key, ByteSpan value);
+Status CheckBatch(std::span<const KvDriver::KvPair> batch);
+Status CheckBatch(std::span<const std::string> keys);
 
 }  // namespace bandslim::driver

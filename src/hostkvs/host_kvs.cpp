@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <utility>
 
 #include "lsm/sstable.h"
 
@@ -58,12 +57,7 @@ Status HostKvs::SyncTail() {
 }
 
 Status HostKvs::Put(std::string_view key, ByteSpan value) {
-  if (key.empty() || key.size() > kMaxKeySize) {
-    return Status::InvalidArgument("key must be 1..16 bytes");
-  }
-  if (value.empty()) {
-    return Status::InvalidArgument("empty values are not supported");
-  }
+  BANDSLIM_RETURN_IF_ERROR(driver::CheckRecord(key, value));
   // write() into the page cache: one kernel crossing + user-copy.
   ChargeKernelPath();
   const std::uint64_t staging_base = RoundDownPow2(synced_until_, kMemPageSize);
@@ -102,10 +96,12 @@ Status HostKvs::Put(std::string_view key, ByteSpan value) {
   return Status::Ok();
 }
 
-Result<Bytes> HostKvs::Get(std::string_view key) {
+Status HostKvs::GetInto(std::string_view key, Bytes* value) {
+  BANDSLIM_RETURN_IF_ERROR(driver::CheckKey(key));
   const lsm::ValueRef* ref = index_.Get(std::string(key));
   if (ref == nullptr || ref->tombstone) return Status::NotFound();
-  Bytes out(ref->size);
+  Bytes& out = *value;
+  out.resize(ref->size);
   const std::uint64_t staging_base = RoundDownPow2(synced_until_, kMemPageSize);
   std::uint64_t addr = ref->addr;
   std::size_t done = 0;
@@ -131,13 +127,11 @@ Result<Bytes> HostKvs::Get(std::string_view key) {
     const std::uint64_t off = addr - staging_base;
     std::memcpy(out.data() + done, staging_.data() + off, out.size() - done);
   }
-  return out;
+  return Status::Ok();
 }
 
 Status HostKvs::Delete(std::string_view key) {
-  if (key.empty() || key.size() > kMaxKeySize) {
-    return Status::InvalidArgument("key must be 1..16 bytes");
-  }
+  BANDSLIM_RETURN_IF_ERROR(driver::CheckKey(key));
   ChargeKernelPath();
   Bytes record;
   record.push_back(static_cast<std::uint8_t>(key.size()));
@@ -175,17 +169,12 @@ Status HostKvs::Flush() {
   return ssd_->FlushCache();
 }
 
-Status HostKvs::GetInto(std::string_view key, Bytes* value) {
-  auto got = Get(key);
-  if (!got.ok()) return got.status();
-  *value = std::move(got).value();
-  return Status::Ok();
-}
-
 // Each batch record walks the full kernel path on its own — there is no
 // bulk command a block SSD understands. That per-record syscall tax is the
 // conventional-stack baseline the KV-SSD batch ops are measured against.
+// Every record is checked before the first one lands, as on the KV-SSD.
 Status HostKvs::PutBatch(std::span<const KvPair> batch) {
+  BANDSLIM_RETURN_IF_ERROR(driver::CheckBatch(batch));
   for (const KvPair& kv : batch) {
     BANDSLIM_RETURN_IF_ERROR(Put(kv.key, ByteSpan(kv.value)));
   }
@@ -194,20 +183,18 @@ Status HostKvs::PutBatch(std::span<const KvPair> batch) {
 
 Result<std::vector<HostKvs::BatchGetResult>> HostKvs::GetBatch(
     std::span<const std::string> keys) {
+  BANDSLIM_RETURN_IF_ERROR(driver::CheckBatch(keys));
   std::vector<BatchGetResult> results(keys.size());
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    auto got = Get(keys[i]);
-    if (got.ok()) {
-      results[i].found = true;
-      results[i].value = std::move(got).value();
-    } else if (!got.status().IsNotFound()) {
-      return got.status();
-    }
+    const Status st = GetInto(keys[i], &results[i].value);
+    results[i].found = st.ok();
+    if (!st.ok() && !st.IsNotFound()) return st;
   }
   return results;
 }
 
 Result<std::uint32_t> HostKvs::DeleteBatch(std::span<const std::string> keys) {
+  BANDSLIM_RETURN_IF_ERROR(driver::CheckBatch(keys));
   std::uint32_t removed = 0;
   for (const std::string& key : keys) {
     const lsm::ValueRef* ref = index_.Get(key);
@@ -224,12 +211,6 @@ KvSsdStats HostKvs::GetStats() const {
   s.values_written = puts_issued_;
   s.value_bytes_written = value_bytes_written_;
   return s;
-}
-
-StoreSnapshot HostKvs::Inspect() const {
-  StoreSnapshot store;
-  InspectInto(&store);
-  return store;
 }
 
 void HostKvs::InspectInto(StoreSnapshot* out) const {

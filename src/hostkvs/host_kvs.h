@@ -43,7 +43,6 @@ class HostKvs : public KvStore {
   using KvStore::Put;
   using KvStore::PutBatch;
   Status Put(std::string_view key, ByteSpan value) override;
-  Result<Bytes> Get(std::string_view key) override;
   Status GetInto(std::string_view key, Bytes* value) override;
   Status Delete(std::string_view key) override;
   Status PutBatch(std::span<const KvPair> batch) override;
@@ -56,12 +55,11 @@ class HostKvs : public KvStore {
 
   // KvStore introspection. The conventional stack reports what it can
   // observe from the host: kernel/block counters (via the registry dump),
-  // values written, and the block device's clock.
-  StoreSnapshot Inspect() const override;
-  // In-place variant, allocation-free in steady state (mirrors the KvSsd /
-  // KvCluster contract): refills `*out` reusing its one-shard snapshot and
-  // counter map, so fleet-style sampling loops can poll the conventional
-  // stack on the same terms as the KV-SSD topologies.
+  // values written, and the block device's clock. Allocation-free in steady
+  // state (mirrors the KvSsd / KvCluster contract): refills `*out` reusing
+  // its one-shard snapshot and counter map, so fleet-style sampling loops
+  // can poll the conventional stack on the same terms as the KV-SSD
+  // topologies.
   void InspectInto(StoreSnapshot* out) const override;
   KvSsdStats GetStats() const override;
   sim::Nanoseconds Now() const override { return clock_->Now(); }

@@ -6,8 +6,11 @@
 // aggregation invariants of the StoreSnapshot.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "control/control_loop.h"
 #include "core/kvssd.h"
 #include "telemetry/export.h"
+#include "trace/trace.h"
 #include "workload/runner.h"
 
 namespace bandslim::cluster {
@@ -460,6 +464,193 @@ TEST(KvClusterTest, FourShardParallelMixedBeatsOneShard) {
   const double speedup = static_cast<double>(r1.elapsed_ns) /
                          static_cast<double>(r4.elapsed_ns);
   EXPECT_GE(speedup, 3.0) << "4-shard mixed speedup " << speedup;
+}
+
+// --- Router contract for a crashed shard ------------------------------------
+
+TEST(KvClusterTest, CrashedShardFailsEveryBatchOpWhileHealthyShardsServe) {
+  ClusterConfig cc = TestCluster(4);
+  cc.fleet.enabled = true;
+  cc.attribution.enabled = true;
+  auto fleet = KvCluster::Open(cc).value();
+  std::vector<std::string> keys;
+  std::vector<KvStore::KvPair> batch;
+  std::vector<std::uint32_t> owned(fleet->num_shards(), 0);
+  for (std::uint64_t i = 0; i < 32; ++i) {
+    keys.push_back("crash" + std::to_string(i));
+    batch.push_back({keys.back(), ValueFor(i)});
+    ++owned[fleet->ShardOf(keys.back())];
+  }
+  for (const std::uint32_t n : owned) ASSERT_GT(n, 0u);
+  ASSERT_TRUE(fleet->PutBatch(batch).ok());
+  fleet->shard(1).CrashAt(fleet->Now());
+
+  const std::pair<const char*, std::function<Status(KvStore&)>> ops[] = {
+      {"PutBatch", [&](KvStore& s) { return s.PutBatch(batch); }},
+      {"GetBatch", [&](KvStore& s) { return s.GetBatch(keys).status(); }},
+      {"DeleteBatch", [&](KvStore& s) { return s.DeleteBatch(keys).status(); }},
+  };
+  for (const auto& [name, op] : ops) {
+    SCOPED_TRACE(name);
+    const StoreSnapshot before = fleet->Inspect();
+    const auto charges = fleet->attribution().tenant_charges(0);
+    const sim::Nanoseconds start = fleet->Now();
+    EXPECT_EQ(op(*fleet).code(), StatusCode::kTimedOut);
+
+    // Every healthy shard served its sub-batch; the crashed one cost its
+    // command timeout, and the router gathered to that slowest shard.
+    const StoreSnapshot after = fleet->Inspect();
+    sim::Nanoseconds slowest = 0;
+    for (std::uint32_t s = 0; s < fleet->num_shards(); ++s) {
+      slowest = std::max(slowest, fleet->shard(s).Now());
+      if (s == 1) continue;
+      EXPECT_GT(after.shards[s].stats.commands_submitted,
+                before.shards[s].stats.commands_submitted)
+          << "shard " << s;
+    }
+    EXPECT_EQ(after.cross_shard_batches, before.cross_shard_batches + 1);
+    EXPECT_EQ(after.batch_subops, before.batch_subops + 4);
+    EXPECT_EQ(fleet->Now(), slowest);
+    EXPECT_GE(fleet->Now(), start + cc.shard.fault.command_timeout_ns);
+    // One client op, booked as an error.
+    EXPECT_EQ(fleet->attribution().tenant_charges(0).ops, charges.ops + 1);
+    EXPECT_EQ(fleet->attribution().tenant_charges(0).error_ops,
+              charges.error_ops + 1);
+  }
+}
+
+// --- Routed op stream pinned -------------------------------------------------
+
+// FNV-1a over everything a routed op stream leaves behind.
+struct Digest {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void Add(const void* data, std::size_t n) {
+    const auto* p = static_cast<const std::uint8_t*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void Add(std::uint64_t v) { Add(&v, sizeof v); }
+  void Add(std::string_view s) {
+    Add(s.size());
+    Add(s.data(), s.size());
+  }
+  void Add(const Bytes& b) {
+    Add(b.size());
+    Add(b.data(), b.size());
+  }
+};
+
+// Short keys and 16-byte keys (past the short-string buffer) alike; ids at
+// or above kWritten are never written, so GETs and deletes also miss.
+std::string RoutedKey(std::uint64_t id) {
+  std::string key = std::to_string(id);
+  if (id % 3 != 0) return key.insert(0, "r");
+  key.insert(0, 16 - key.size(), '0');
+  return key.replace(0, 3, "rk-");
+}
+
+TEST(KvClusterTest, RoutedStreamDigestIsPinned) {
+  // Tenant 0 is metered and issues only point ops, so some of its PUTs (and
+  // GETs) are shed with kBusy; tenant 1 is unmetered and also issues every
+  // batch op. Fleet, attribution and tracing are all on, so the digest
+  // covers every per-op bracket the router applies.
+  ClusterConfig cc = TestCluster(4);
+  cc.shard.trace.enabled = true;
+  TenantConfig metered{"metered", 1, 2, 4000};
+  TenantConfig bulk{"bulk", 0, 0, 2000};
+  cc.tenants = {metered, bulk};
+  cc.qos_refill_window_ns = 300 * sim::kMicrosecond;
+  cc.fleet.enabled = true;
+  cc.fleet.sample_interval_ns = 50 * sim::kMicrosecond;
+  cc.attribution.enabled = true;
+  auto fleet = KvCluster::Open(cc).value();
+
+  constexpr std::uint64_t kWritten = 96;
+  Xoshiro256 rng(0x5EED0019);
+  Digest d;
+  std::uint64_t busy = 0;
+  Bytes got;
+  for (std::uint64_t i = 0; i < 1200; ++i) {
+    const std::size_t t = rng.Below(2);
+    KvStore& view = fleet->Tenant(t);
+    const std::uint64_t r = rng.Below(100);
+    const std::string key = RoutedKey(rng.Below(kWritten + 24));
+    Status st;
+    if (r < 40) {
+      const std::size_t size = 8 + rng.Below(r < 30 ? 300 : 9000);
+      st = view.Put(RoutedKey(rng.Below(kWritten)), ByteSpan(ValueFor(i, size)));
+    } else if (r < 60) {
+      st = view.GetInto(key, &got);
+      if (st.ok()) d.Add(got);
+    } else if (r < 70) {
+      auto value = view.Get(key);
+      st = value.status();
+      if (value.ok()) d.Add(value.value());
+    } else if (r < 76 || t == 0) {
+      st = view.Delete(key);
+    } else {
+      const std::size_t n = 1 + rng.Below(12);
+      std::vector<std::string> keys;
+      for (std::size_t j = 0; j < n; ++j) {
+        keys.push_back(RoutedKey(rng.Below(kWritten + 24)));
+      }
+      if (r < 86) {
+        std::vector<KvStore::KvPair> batch;
+        for (std::size_t j = 0; j < n; ++j) {
+          batch.push_back({RoutedKey(rng.Below(kWritten)),
+                           ValueFor(i + j, 8 + rng.Below(600))});
+        }
+        st = view.PutBatch(batch);
+      } else if (r < 96) {
+        auto bulk_got = view.GetBatch(keys);
+        st = bulk_got.status();
+        if (bulk_got.ok()) {
+          for (const auto& res : bulk_got.value()) {
+            d.Add(res.found ? 1u : 0u);
+            d.Add(res.value);
+          }
+        }
+      } else {
+        auto removed = view.DeleteBatch(keys);
+        st = removed.status();
+        if (removed.ok()) d.Add(removed.value());
+      }
+    }
+    if (st.IsBusy()) ++busy;
+    d.Add(static_cast<std::uint64_t>(st.code()));
+    if (i % 400 == 399) {
+      ASSERT_TRUE(fleet->Flush().ok());
+    }
+  }
+  ASSERT_TRUE(fleet->Flush().ok());
+  fleet->fleet().Finalize();
+  ASSERT_GT(busy, 0u);
+
+  d.Add(fleet->Now());
+  for (std::uint32_t s = 0; s < fleet->num_shards(); ++s) {
+    const KvSsdStats stats = fleet->shard(s).GetStats();
+    d.Add(stats.elapsed_ns);
+    for (const auto counter : kStatsCounters) d.Add(stats.*counter);
+  }
+  const StoreSnapshot snap = fleet->Inspect();
+  d.Add(snap.batch_subops);
+  d.Add(snap.cross_shard_batches);
+  d.Add(snap.qos_refill_windows);
+  for (const std::uint64_t routed : fleet->routed_keys()) d.Add(routed);
+  d.Add(fleet->fleet().ToPrometheusText());
+  d.Add(fleet->fleet().ToJsonl());
+  d.Add(fleet->attribution().SloJsonl());
+  for (std::uint32_t s = 0; s < fleet->num_shards(); ++s) {
+    d.Add(trace::ToBreakdownCsv(fleet->shard(s).tracer()));
+    d.Add(trace::ToChromeTraceJson(fleet->shard(s).tracer()));
+  }
+  // Recorded before the router's per-op brackets were merged into one
+  // shard-call path: the merge must leave every byte unchanged.
+  EXPECT_EQ(busy, 87u);
+  EXPECT_EQ(fleet->Now(), 67312850u);
+  EXPECT_EQ(d.h, 0x684ac2a6c4bbbcd2ULL);
 }
 
 TEST(KvClusterTest, OpenRejectsInvalidConfigs) {

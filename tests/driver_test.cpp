@@ -130,6 +130,26 @@ TEST(DriverTest, KeyValidation) {
   EXPECT_FALSE(ssd->Put(std::string(17, 'k'), ByteSpan(v)).ok());
   EXPECT_FALSE(ssd->Put("ok", ByteSpan()).ok());
   EXPECT_FALSE(ssd->Get("").ok());
+
+  // Every keyed command checks the key before building a command: a 20-byte
+  // key must not reach the device as its 16-byte prefix.
+  const std::string k16(16, 'k');
+  const std::string k20 = k16 + "XYZW";
+  ASSERT_TRUE(ssd->Put(k16, ByteSpan(v)).ok());
+  EXPECT_EQ(ssd->Put(k20, ByteSpan(v)).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ssd->Get(k20).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ssd->Exists(k20).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ssd->Delete(k20).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ssd->Delete("").code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ssd->Seek(k20).status().code(), StatusCode::kInvalidArgument);
+  auto kept = ssd->Get(k16);
+  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+  EXPECT_EQ(kept.value(), v);
+  // A scan may still start from the empty key.
+  auto scan = ssd->Seek("");
+  ASSERT_TRUE(scan.ok());
+  ASSERT_TRUE(scan.value().Valid());
+  EXPECT_EQ(scan.value().key(), k16);
 }
 
 TEST(DriverTest, DeleteAndExists) {

@@ -55,7 +55,6 @@ class RecordingStore : public KvStore {
   Status Put(std::string_view key, ByteSpan value) override {
     return inner_.Put(key, value);
   }
-  Result<Bytes> Get(std::string_view key) override { return inner_.Get(key); }
   Status GetInto(std::string_view key, Bytes* value) override {
     const Status st = inner_.GetInto(key, value);
     gets.push_back(st.ok() ? std::optional<Bytes>(*value) : std::nullopt);
@@ -74,7 +73,9 @@ class RecordingStore : public KvStore {
     return inner_.DeleteBatch(keys);
   }
   Status Flush() override { return inner_.Flush(); }
-  StoreSnapshot Inspect() const override { return inner_.Inspect(); }
+  void InspectInto(StoreSnapshot* out) const override {
+    inner_.InspectInto(out);
+  }
   KvSsdStats GetStats() const override { return inner_.GetStats(); }
   sim::Nanoseconds Now() const override { return inner_.Now(); }
 
@@ -265,6 +266,82 @@ TEST(OpStreamTest, StatsDeltaCoversEveryCounterUnderFaults) {
   AccumulateStats(&sum, r.delta);
   for (const auto counter : kStatsCounters) {
     EXPECT_EQ(sum.*counter, after.*counter);
+  }
+}
+
+// The conventional stack on a block SSD, assembled for one test.
+struct HostStack {
+  HostStack() : block(Geometry(), &clock, &cost, &link, &metrics),
+                host(&block, &clock, &cost, &metrics) {}
+  static nand::NandGeometry Geometry() {
+    nand::NandGeometry g;
+    g.channels = 2;
+    g.ways = 2;
+    g.blocks_per_die = 128;
+    g.pages_per_block = 32;
+    return g;
+  }
+  sim::VirtualClock clock;
+  sim::CostModel cost;
+  pcie::PcieLink link;
+  stats::MetricsRegistry metrics;
+  blockdev::BlockSsd block;
+  hostkvs::HostKvs host;
+};
+
+// KvStore contract: a batch with one malformed record (a key outside 1..16
+// bytes, or an empty value) is rejected whole with kInvalidArgument on every
+// topology — no record lands, no shard is touched, no counter moves.
+TEST(KvStoreContractTest, MalformedBatchIsRejectedWholeOnEveryTopology) {
+  std::vector<std::string> good;
+  for (int i = 0; i < 8; ++i) good.push_back("mal" + std::to_string(i));
+  const std::string long_key(20, 'x');
+  struct Malformed {
+    const char* name;
+    std::string key;
+    Bytes value;
+  };
+  const Malformed cases[] = {{"20-byte key", long_key, Bytes(8, 1)},
+                             {"empty key", "", Bytes(8, 1)},
+                             {"empty value", "mal9", Bytes()}};
+  enum class BatchOp { kPut, kGet, kDelete };
+
+  for (const Malformed& bad : cases) {
+    for (const BatchOp kind : {BatchOp::kPut, BatchOp::kGet, BatchOp::kDelete}) {
+      // An empty value only malforms a PUT record.
+      if (kind != BatchOp::kPut && bad.value.empty()) continue;
+      auto device = KvSsd::Open(SmallOptions()).value();
+      auto four = cluster::KvCluster::Open(Cluster(4)).value();
+      HostStack stack;
+      const std::pair<const char*, KvStore*> stores[] = {
+          {"KvSsd", device.get()}, {"KvCluster", four.get()},
+          {"HostKvs", &stack.host}};
+      for (const auto& [name, store] : stores) {
+        SCOPED_TRACE(std::string(name) + ", " + bad.name + ", op " +
+                     std::to_string(static_cast<int>(kind)));
+        for (const std::string& key : good) {
+          ASSERT_TRUE(store->Put(key, ByteSpan(Bytes(32, 0xA0))).ok());
+        }
+        std::vector<KvStore::KvPair> batch;
+        for (const std::string& key : good) batch.push_back({key, Bytes(48, 0xB0)});
+        batch.push_back({bad.key, bad.value});
+        std::vector<std::string> keys = good;
+        keys.push_back(bad.key);
+        const KvSsdStats before = store->GetStats();
+
+        Status st;
+        if (kind == BatchOp::kPut) st = store->PutBatch(batch);
+        if (kind == BatchOp::kGet) st = store->GetBatch(keys).status();
+        if (kind == BatchOp::kDelete) st = store->DeleteBatch(keys).status();
+        EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+        ExpectSameCounters(store->GetStats(), before);
+        for (const std::string& key : good) {
+          auto value = store->Get(key);
+          ASSERT_TRUE(value.ok()) << key;
+          EXPECT_EQ(value.value(), Bytes(32, 0xA0)) << key;
+        }
+      }
+    }
   }
 }
 
