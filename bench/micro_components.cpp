@@ -1,16 +1,18 @@
 // google-benchmark microbenchmarks for the hot components: command codec,
-// skiplist MemTable, NAND page buffer packing, SSTable serialization, and
-// the telemetry plane's per-sample and export costs.
+// skiplist MemTable, NAND page buffer packing, SSTable serialization, the
+// compaction merge, and the telemetry plane's per-sample and export costs.
 // These measure *simulator* (wall-clock) performance, not modeled device
 // time — they exist to keep the simulation itself fast.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "buffer/page_buffer.h"
 #include "core/kvssd.h"
+#include "lsm/compaction.h"
 #include "lsm/memtable.h"
 #include "lsm/sstable.h"
 #include "nvme/command.h"
@@ -44,16 +46,29 @@ void BM_CommandPiggybackDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_CommandPiggybackDecode);
 
+// Keys as the device LSM holds them, generated up front so the loops
+// time the MemTable, not the key generator.
+std::vector<lsm::InlineKey> HashKeys(std::uint32_t seed, std::size_t n) {
+  workload::UniqueHashKeyGenerator gen(seed);
+  std::vector<lsm::InlineKey> keys;
+  keys.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) keys.emplace_back(gen.Next());
+  return keys;
+}
+
 void BM_MemTableInsert(benchmark::State& state) {
+  constexpr std::size_t kFill = 100000;
   lsm::MemTable mem(1);
-  workload::UniqueHashKeyGenerator keys(7);
+  const std::vector<lsm::InlineKey> keys = HashKeys(7, kFill);
+  std::size_t i = 0;
   for (auto _ : state) {
-    if (mem.entry_count() >= 100000) {
+    if (i == kFill) {
       state.PauseTiming();
       mem.Clear();
+      i = 0;
       state.ResumeTiming();
     }
-    mem.Put(keys.Next(), lsm::ValueRef{1, 1, false});
+    mem.Put(keys[i++], lsm::ValueRef{1, 1, false});
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -61,11 +76,9 @@ BENCHMARK(BM_MemTableInsert);
 
 void BM_MemTableLookup(benchmark::State& state) {
   lsm::MemTable mem(1);
-  workload::UniqueHashKeyGenerator keys(7);
-  std::vector<std::string> inserted;
-  for (int i = 0; i < 100000; ++i) {
-    inserted.push_back(keys.Next());
-    mem.Put(inserted.back(), lsm::ValueRef{1, 1, false});
+  const std::vector<lsm::InlineKey> inserted = HashKeys(7, 100000);
+  for (const lsm::InlineKey& key : inserted) {
+    mem.Put(key, lsm::ValueRef{1, 1, false});
   }
   std::size_t i = 0;
   for (auto _ : state) {
@@ -115,6 +128,79 @@ void BM_SSTableEncodeDecode(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1000);
 }
 BENCHMARK(BM_SSTableEncodeDecode);
+
+// One L0 -> L1 compaction's host cost: the streaming merge of four
+// overlapping runs of ~55k 4-byte keys (a 1 MiB MemTable flush's worth
+// each, as on paper workload M), newest first, cut into 1 MiB tables
+// through TableWriter over an in-memory NAND/FTL. The device is rebuilt
+// untimed for every merge so the FTL never fills.
+void BM_CompactionMerge(benchmark::State& state) {
+  constexpr int kRuns = 4;
+  constexpr std::uint32_t kRunEntries = 55000;
+  constexpr std::uint64_t kTableBytes = 1 << 20;
+  Xoshiro256 rng(17);
+  std::vector<lsm::MergeInput> inputs;
+  for (int r = 0; r < kRuns; ++r) {
+    // Every other key of a 2x key space: the runs overlap about half.
+    std::vector<lsm::SSTableEntry> run;
+    for (std::uint32_t k = 0; run.size() < kRunEntries; ++k) {
+      if (rng.Below(2) != 0) continue;
+      const std::uint32_t be = __builtin_bswap32(k);
+      run.push_back({std::string(reinterpret_cast<const char*>(&be), 4),
+                     lsm::ValueRef{rng() >> 24, 24, false}});
+    }
+    inputs.push_back(
+        {std::make_shared<const std::vector<lsm::SSTableEntry>>(std::move(run)),
+         static_cast<std::uint32_t>(r)});
+  }
+  nand::NandGeometry geometry;
+  geometry.channels = 2;
+  geometry.ways = 2;
+  geometry.blocks_per_die = 64;
+  geometry.pages_per_block = 64;
+  std::uint64_t entries = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    sim::VirtualClock clock;
+    sim::CostModel cost;
+    stats::MetricsRegistry metrics;
+    auto nand = std::make_unique<nand::NandFlash>(geometry, &clock, &cost, &metrics);
+    auto ftl = std::make_unique<ftl::PageFtl>(nand.get(), &metrics);
+    state.ResumeTiming();
+    std::optional<lsm::TableWriter> out;
+    std::uint64_t id = 1;
+    std::uint64_t lpn = 0;
+    auto finish = [&] {
+      auto meta = out->Finish();
+      if (!meta.ok()) return meta.status();
+      lpn += meta.value().page_count;
+      out.reset();
+      return Status::Ok();
+    };
+    Status st = lsm::MergeRuns(
+        inputs, /*drop_tombstones=*/false, [&](const lsm::SSTableEntry& e) {
+          if (out && out->encoded_bytes() + lsm::EncodedEntrySize(e) >
+                         kTableBytes) {
+            BANDSLIM_RETURN_IF_ERROR(finish());
+          }
+          if (!out) out.emplace(ftl.get(), id++, lpn);
+          ++entries;
+          return out->Add(e);
+        });
+    if (st.ok() && out) st = finish();
+    if (!st.ok()) {
+      state.SkipWithError("merge failed");
+      break;
+    }
+    benchmark::DoNotOptimize(lpn);
+    state.PauseTiming();
+    ftl.reset();
+    nand.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(entries));
+}
+BENCHMARK(BM_CompactionMerge)->Unit(benchmark::kMillisecond);
 
 void BM_KeyGeneration(benchmark::State& state) {
   workload::UniqueHashKeyGenerator gen(9);

@@ -29,6 +29,11 @@ CqStatus CqStatusFromStatus(const Status& st) {
   }
 }
 
+// A key copied out of a command, as the LSM API takes it.
+std::string_view KeyView(const std::uint8_t* data, std::size_t len) {
+  return {reinterpret_cast<const char*>(data), len};
+}
+
 }  // namespace
 
 KvController::KvController(sim::VirtualClock* clock, const sim::CostModel* cost,
@@ -169,8 +174,7 @@ CqEntry KvController::HandleBulkWrite(const NvmeCommand& cmd) {
     if (klen == 0 || klen > kMaxKeySize || off + klen + 4 > payload_size) {
       return CqEntry{0, 0, CqStatus::kInvalidField};
     }
-    const std::string key(reinterpret_cast<const char*>(&bulk_staging_[off]),
-                          klen);
+    const std::string_view key = KeyView(&bulk_staging_[off], klen);
     off += klen;
     std::uint32_t vsize = 0;
     for (int i = 0; i < 4; ++i) {
@@ -371,8 +375,7 @@ CqEntry KvController::FinishWrite(PendingWrite& op) {
                                    : vlog_->buffer().PackPiggybacked(op.staged);
   if (!addr.ok()) return FailOp(CqStatusFromStatus(addr.status()));
 
-  key_scratch_.assign(reinterpret_cast<const char*>(op.key.data()), op.key_len);
-  Status st = lsm_->Put(key_scratch_,
+  Status st = lsm_->Put(KeyView(op.key.data(), op.key_len),
                         lsm::ValueRef{addr.value(), op.value_size, false});
   if (!st.ok()) return FailOp(CqStatusFromStatus(st));
 
@@ -388,8 +391,7 @@ CqEntry KvController::HandleRead(const NvmeCommand& cmd) {
   clock_->Advance(cost_->dev_kvs_ns);
   std::array<std::uint8_t, kMaxKeySize> key_buf;
   const std::size_t key_len = cmd.CopyKeyTo({key_buf.data(), key_buf.size()});
-  key_scratch_.assign(reinterpret_cast<const char*>(key_buf.data()), key_len);
-  auto ref = lsm_->Get(key_scratch_);
+  auto ref = lsm_->Get(KeyView(key_buf.data(), key_len));
   if (!ref.ok()) {
     return ref.status().IsNotFound() ? FailOp(CqStatus::kNotFound)
                                      : FailOp(CqStatus::kInternalError);
@@ -418,8 +420,9 @@ CqEntry KvController::HandleDelete(const NvmeCommand& cmd) {
   clock_->Advance(cost_->dev_kvs_ns);
   std::array<std::uint8_t, kMaxKeySize> key_buf;
   const std::size_t key_len = cmd.CopyKeyTo({key_buf.data(), key_buf.size()});
-  key_scratch_.assign(reinterpret_cast<const char*>(key_buf.data()), key_len);
-  if (!lsm_->Delete(key_scratch_).ok()) return FailOp(CqStatus::kInternalError);
+  if (!lsm_->Delete(KeyView(key_buf.data(), key_len)).ok()) {
+    return FailOp(CqStatus::kInternalError);
+  }
   return CqEntry{};
 }
 
@@ -428,8 +431,7 @@ CqEntry KvController::HandleExists(const NvmeCommand& cmd) {
   clock_->Advance(cost_->dev_kvs_ns);
   std::array<std::uint8_t, kMaxKeySize> key_buf;
   const std::size_t key_len = cmd.CopyKeyTo({key_buf.data(), key_buf.size()});
-  key_scratch_.assign(reinterpret_cast<const char*>(key_buf.data()), key_len);
-  auto ref = lsm_->Get(key_scratch_);
+  auto ref = lsm_->Get(KeyView(key_buf.data(), key_len));
   if (!ref.ok()) return FailOp(CqStatus::kNotFound);
   return CqEntry{ref.value().size, 0, CqStatus::kSuccess};
 }
@@ -441,8 +443,7 @@ CqEntry KvController::HandleIterSeek(const NvmeCommand& cmd) {
   if (!iter.ok()) return FailOp(CqStatus::kInternalError);
   std::array<std::uint8_t, kMaxKeySize> key_buf;
   const std::size_t key_len = cmd.CopyKeyTo({key_buf.data(), key_buf.size()});
-  iter.value()->Seek(
-      std::string(reinterpret_cast<const char*>(key_buf.data()), key_len));
+  iter.value()->Seek(KeyView(key_buf.data(), key_len));
   const std::uint32_t id = next_iterator_id_++;
   iterators_[id] = std::move(iter).value();
   return CqEntry{id, 0, CqStatus::kSuccess};
@@ -457,7 +458,7 @@ CqEntry KvController::HandleIterNext(const NvmeCommand& cmd) {
   if (!iter.Valid()) return CqEntry{0, 0, CqStatus::kIteratorExhausted};
 
   // Record format shipped to the host: [u8 key_len][key][u32 vsize][value].
-  const std::string& key = iter.key();
+  const std::string_view key = iter.key();
   const lsm::ValueRef& ref = iter.ref();
   const std::size_t needed = 1 + key.size() + 4 + ref.size;
   if (cmd.prp.DmaBytes() < needed) {
@@ -497,7 +498,7 @@ CqEntry KvController::HandleIterNextBatch(const NvmeCommand& cmd) {
   std::size_t off = 0;
   std::uint32_t records = 0;
   while (iter.Valid()) {
-    const std::string& key = iter.key();
+    const std::string_view key = iter.key();
     const lsm::ValueRef& ref = iter.ref();
     const std::size_t needed = 1 + key.size() + 4 + ref.size;
     if (off + needed > capacity) break;
@@ -596,7 +597,7 @@ Result<std::uint64_t> KvController::CollectVlogSegment() {
     return -1;
   };
   BANDSLIM_RETURN_IF_ERROR(lsm_->ForEachLive(
-      [&](const std::string&, const lsm::ValueRef& ref) {
+      [&](std::string_view, const lsm::ValueRef& ref) {
         const int seg = segment_of(ref.addr);
         if (seg >= 0) live_bytes[static_cast<std::size_t>(seg)] += ref.size;
       }));
@@ -626,7 +627,7 @@ Result<std::uint64_t> KvController::CollectVlogSegment() {
   // straddler's tail would corrupt it.
   std::vector<std::pair<std::string, lsm::ValueRef>> live;
   BANDSLIM_RETURN_IF_ERROR(lsm_->ForEachLive(
-      [&](const std::string& key, const lsm::ValueRef& ref) {
+      [&](std::string_view key, const lsm::ValueRef& ref) {
         if (ref.addr < hi && ref.addr + ref.size > lo) {
           live.emplace_back(key, ref);
         }

@@ -129,7 +129,6 @@ class KvController : public nvme::DeviceHandler {
   Bytes nand_off_scratch_;  // DMA landing zone when persistence is disabled.
   Bytes bulk_staging_;      // Unpack area for host-side-batched payloads.
   Bytes bounce_scratch_;    // Read-response staging (see Bounce()).
-  std::string key_scratch_;  // LSM key view recycled across commands.
 
   std::unordered_map<std::uint32_t, std::unique_ptr<lsm::LsmTree::Iterator>>
       iterators_;

@@ -193,10 +193,11 @@ Status KvSsd::Recover() {
   std::uint64_t live_refs = 0;
   Status torn = Status::Ok();
   BANDSLIM_RETURN_IF_ERROR(
-      lsm_->ForEachLive([&](const std::string& key, const lsm::ValueRef& ref) {
+      lsm_->ForEachLive([&](std::string_view key, const lsm::ValueRef& ref) {
         ++live_refs;
         if (ref.addr + ref.size > durable_end) {
-          torn = Status::Corruption("torn value reference for key " + key);
+          torn = Status::Corruption("torn value reference for key " +
+                                    std::string(key));
         }
       }));
   BANDSLIM_RETURN_IF_ERROR(torn);

@@ -72,7 +72,7 @@ Status HostKvs::Put(std::string_view key, ByteSpan value) {
   record.insert(record.end(), value.begin(), value.end());
   staging_.insert(staging_.end(), record.begin(), record.end());
   vlog_tail_ += record.size();
-  index_.Put(std::string(key), lsm::ValueRef{value_addr, vsize, false});
+  index_.Put(key, lsm::ValueRef{value_addr, vsize, false});
   ++puts_issued_;
   value_bytes_written_ += value.size();
 
@@ -98,7 +98,7 @@ Status HostKvs::Put(std::string_view key, ByteSpan value) {
 
 Status HostKvs::GetInto(std::string_view key, Bytes* value) {
   BANDSLIM_RETURN_IF_ERROR(driver::CheckKey(key));
-  const lsm::ValueRef* ref = index_.Get(std::string(key));
+  const lsm::ValueRef* ref = index_.Get(key);
   if (ref == nullptr || ref->tombstone) return Status::NotFound();
   Bytes& out = *value;
   out.resize(ref->size);
@@ -141,7 +141,7 @@ Status HostKvs::Delete(std::string_view key) {
   }
   staging_.insert(staging_.end(), record.begin(), record.end());
   vlog_tail_ += record.size();
-  index_.Delete(std::string(key));
+  index_.Delete(key);
   if (config_.fsync_each_put) return SyncTail();
   return Status::Ok();
 }
@@ -153,7 +153,7 @@ Status HostKvs::Flush() {
   Bytes snapshot;
   lsm::PutU32(&snapshot, static_cast<std::uint32_t>(index_.entry_count()));
   for (auto it = index_.Begin(); it.Valid(); it.Next()) {
-    lsm::PutLengthPrefixed(&snapshot, it.key());
+    lsm::PutLengthPrefixed(&snapshot, it.key().view());
     lsm::PutU64(&snapshot, it.ref().addr);
     lsm::PutU32(&snapshot, it.ref().size);
     snapshot.push_back(it.ref().tombstone ? 1 : 0);

@@ -1,46 +1,63 @@
 #include "lsm/compaction.h"
 
-#include <queue>
+#include <algorithm>
 
 namespace bandslim::lsm {
 
 Status MergeRuns(const std::vector<MergeInput>& inputs, bool drop_tombstones,
                  const std::function<Status(const SSTableEntry&)>& sink) {
   struct Cursor {
-    std::size_t input;
-    std::size_t index;
-  };
-  auto entry_of = [&](const Cursor& c) -> const SSTableEntry& {
-    return (*inputs[c.input].run)[c.index];
+    const SSTableEntry* at;
+    const SSTableEntry* end;
+    std::uint32_t age;
+    std::uint32_t input;
   };
   // Min-heap on (key, age, input): the newest version of a key pops first.
-  auto greater = [&](const Cursor& a, const Cursor& b) {
-    const int order = entry_of(a).key.compare(entry_of(b).key);
-    if (order != 0) return order > 0;
-    const std::uint32_t age_a = inputs[a.input].age;
-    const std::uint32_t age_b = inputs[b.input].age;
-    return age_a != age_b ? age_a > age_b : a.input > b.input;
+  auto greater = [](const Cursor& a, const Cursor& b) {
+    if (const auto order = a.at->key <=> b.at->key; order != 0) return order > 0;
+    return a.age != b.age ? a.age > b.age : a.input > b.input;
   };
-  std::priority_queue<Cursor, std::vector<Cursor>, decltype(greater)> heap(greater);
+  std::vector<Cursor> heap;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    if (!inputs[i].run->empty()) heap.push({i, 0});
+    const std::vector<SSTableEntry>& run = *inputs[i].run;
+    if (!run.empty()) {
+      heap.push_back({run.data(), run.data() + run.size(), inputs[i].age,
+                      static_cast<std::uint32_t>(i)});
+    }
   }
+  std::make_heap(heap.begin(), heap.end(), greater);
+  // Restores the heap after its top cursor advanced: one sift-down, which
+  // stops at once while the same input keeps holding the smallest key.
+  auto sift_top = [&] {
+    const Cursor moved = heap.front();
+    std::size_t hole = 0;
+    for (std::size_t child = 1; child < heap.size(); child = 2 * hole + 1) {
+      if (child + 1 < heap.size() && greater(heap[child], heap[child + 1])) {
+        ++child;
+      }
+      if (!greater(moved, heap[child])) break;
+      heap[hole] = heap[child];
+      hole = child;
+    }
+    heap[hole] = moved;
+  };
 
   // Inputs outlive the merge, so the last key is tracked by pointer.
-  const std::string* last_key = nullptr;
+  const InlineKey* last_key = nullptr;
   while (!heap.empty()) {
-    const Cursor c = heap.top();
-    heap.pop();
-    const SSTableEntry& e = entry_of(c);
+    Cursor& top = heap.front();
+    const SSTableEntry& e = *top.at;
     if (last_key == nullptr || e.key != *last_key) {
       if (!(drop_tombstones && e.ref.tombstone)) {
         BANDSLIM_RETURN_IF_ERROR(sink(e));
       }
       last_key = &e.key;
     }
-    if (c.index + 1 < inputs[c.input].run->size()) {
-      heap.push({c.input, c.index + 1});
+    if (++top.at == top.end) {
+      top = heap.back();
+      heap.pop_back();
     }
+    if (!heap.empty()) sift_top();
   }
   return Status::Ok();
 }

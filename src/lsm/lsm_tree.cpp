@@ -63,7 +63,7 @@ LsmTree::LsmTree(ftl::PageFtl* ftl, stats::MetricsRegistry* metrics,
           metrics->GetCounter("lsm.compaction_bytes_written")),
       event_log_(event_log) {}
 
-Status LsmTree::Put(const std::string& key, const ValueRef& ref) {
+Status LsmTree::Put(std::string_view key, const ValueRef& ref) {
   if (key.empty() || key.size() > kMaxKeySize) {
     return Status::InvalidArgument("key must be 1..16 bytes");
   }
@@ -100,20 +100,22 @@ void LsmTree::InvalidatePages(const SSTableMeta& meta) {
 }
 
 Result<const ValueRef*> LsmTree::FindInTable(Table& table,
-                                             const std::string& key,
+                                             const InlineKey& key,
                                              ValueRef* storage) {
-  const SSTableMeta& meta = table.meta;
-  if (key < meta.min_key || meta.max_key < key) {
+  SSTableMeta& meta = table.meta;
+  const std::string_view key_view = key.view();
+  if (key_view < meta.min_key || meta.max_key < key_view) {
     return static_cast<const ValueRef*>(nullptr);
   }
-  if (!meta.bloom.MayContain(key)) {
+  if (table.cache != nullptr) EnsureFilter(&meta, *table.cache);
+  if (!meta.bloom.MayContain(key_view)) {
     bloom_skip_counter_->Increment();
     return static_cast<const ValueRef*>(nullptr);
   }
   auto search = [&](const std::vector<SSTableEntry>& entries) -> const ValueRef* {
     auto pos = std::lower_bound(
         entries.begin(), entries.end(), key,
-        [](const SSTableEntry& e, const std::string& k) { return e.key < k; });
+        [](const SSTableEntry& e, const InlineKey& k) { return e.key < k; });
     if (pos != entries.end() && pos->key == key) {
       *storage = pos->ref;
       return storage;
@@ -123,14 +125,16 @@ Result<const ValueRef*> LsmTree::FindInTable(Table& table,
   if (table.cache != nullptr) {
     return search(*table.cache);
   }
-  const int page = meta.PageForKey(key);
+  const int page = meta.PageForKey(key_view);
   if (page < 0) return static_cast<const ValueRef*>(nullptr);
   auto entries = LoadPage(meta, static_cast<std::uint32_t>(page));
   if (!entries.ok()) return entries.status();
   return search(*entries.value());
 }
 
-Result<ValueRef> LsmTree::Get(const std::string& key) {
+Result<ValueRef> LsmTree::Get(std::string_view key_view) {
+  if (key_view.size() > kMaxKeySize) return Status::NotFound();
+  const InlineKey key(key_view);
   if (const ValueRef* ref = mem_.Get(key)) {
     if (ref->tombstone) return Status::NotFound();
     return *ref;
@@ -151,8 +155,8 @@ Result<ValueRef> LsmTree::Get(const std::string& key) {
     auto& tables = levels_[level];
     auto t = std::partition_point(
         tables.begin(), tables.end(),
-        [&](const Table& tab) { return tab.meta.max_key < key; });
-    if (t == tables.end() || key < t->meta.min_key) continue;
+        [&](const Table& tab) { return tab.meta.max_key < key_view; });
+    if (t == tables.end() || key_view < t->meta.min_key) continue;
     auto found = FindInTable(*t, key, &storage);
     if (!found.ok()) return found.status();
     if (found.value() != nullptr) {
@@ -399,9 +403,12 @@ Status LsmTree::Checkpoint(std::uint64_t cookie) {
   PutU64(&stream, next_table_id_);
   PutU64(&stream, next_lpn_);
   PutU32(&stream, static_cast<std::uint32_t>(levels_.size()));
-  for (const auto& level : levels_) {
+  for (auto& level : levels_) {
     PutU32(&stream, static_cast<std::uint32_t>(level.size()));
-    for (const Table& t : level) EncodeMeta(&stream, t.meta);
+    for (Table& t : level) {
+      if (t.cache != nullptr) EnsureFilter(&t.meta, *t.cache);
+      EncodeMeta(&stream, t.meta);
+    }
   }
   const std::uint32_t pages =
       static_cast<std::uint32_t>(CeilDiv(stream.size(), kNandPageSize));
@@ -489,17 +496,17 @@ Result<std::unique_ptr<LsmTree::Iterator>> LsmTree::NewIterator() {
   return iter;
 }
 
-void LsmTree::Iterator::Seek(const std::string& target) {
+void LsmTree::Iterator::Seek(std::string_view target) {
   pos_ = static_cast<std::size_t>(
-      std::lower_bound(entries_.begin(), entries_.end(), target,
-                       [](const SSTableEntry& e, const std::string& k) {
+      std::lower_bound(entries_.begin(), entries_.end(), InlineKey(target),
+                       [](const SSTableEntry& e, const InlineKey& k) {
                          return e.key < k;
                        }) -
       entries_.begin());
 }
 
 Status LsmTree::ForEachLive(
-    const std::function<void(const std::string&, const ValueRef&)>& fn) {
+    const std::function<void(std::string_view, const ValueRef&)>& fn) {
   auto iter = NewIterator();
   if (!iter.ok()) return iter.status();
   for (auto& it = *iter.value(); it.Valid(); it.Next()) {

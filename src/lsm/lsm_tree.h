@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -47,11 +48,12 @@ class LsmTree {
   LsmTree(ftl::PageFtl* ftl, stats::MetricsRegistry* metrics,
           LsmConfig config = {}, telemetry::EventLog* event_log = nullptr);
 
-  Status Put(const std::string& key, const ValueRef& ref);
+  Status Put(std::string_view key, const ValueRef& ref);
   // Puts a tombstone.
-  Status Delete(const std::string& key) { return Put(key, {0, 0, true}); }
-  // NotFound covers both absent and tombstoned keys.
-  Result<ValueRef> Get(const std::string& key);
+  Status Delete(std::string_view key) { return Put(key, {0, 0, true}); }
+  // NotFound covers absent and tombstoned keys, and keys longer than
+  // kMaxKeySize (which no Put accepts).
+  Result<ValueRef> Get(std::string_view key);
 
   // Flushes the MemTable to an L0 SSTable (no-op when empty) and runs any
   // due compactions.
@@ -59,6 +61,7 @@ class LsmTree {
 
   // Persists the manifest (level layout + allocation cursors + an opaque
   // caller cookie, used for the vLog tail) after flushing the MemTable.
+  // Every table's filter is built first, as the manifest carries it.
   Status Checkpoint(std::uint64_t cookie);
   // Rebuilds the level layout from the manifest; returns the cookie.
   Result<std::uint64_t> Restore();
@@ -68,10 +71,12 @@ class LsmTree {
   class Iterator {
    public:
     bool Valid() const { return pos_ < entries_.size(); }
-    const std::string& key() const { return entries_[pos_].key; }
+    std::string_view key() const { return entries_[pos_].key.view(); }
     const ValueRef& ref() const { return entries_[pos_].ref; }
     void Next() { ++pos_; }
-    void Seek(const std::string& target);
+    // First entry >= `target`; a target longer than kMaxKeySize lands
+    // where it would in std::string order.
+    void Seek(std::string_view target);
 
    private:
     friend class LsmTree;
@@ -82,7 +87,7 @@ class LsmTree {
 
   // Visits every live entry (vLog GC liveness scan).
   Status ForEachLive(
-      const std::function<void(const std::string&, const ValueRef&)>& fn);
+      const std::function<void(std::string_view, const ValueRef&)>& fn);
 
   // --- introspection ---------------------------------------------------
   std::size_t memtable_entries() const { return mem_.entry_count(); }
@@ -143,9 +148,10 @@ class LsmTree {
   // Appends `table`'s entries to `inputs` as one merge input of `age`,
   // reading the table from NAND unless it is cached.
   Status Load(Table& table, std::uint32_t age, std::vector<MergeInput>* inputs);
-  // Point lookup within one table: bloom -> fence keys -> one page read
-  // (served from the page cache when possible). nullptr = not in table.
-  Result<const ValueRef*> FindInTable(Table& table, const std::string& key,
+  // Point lookup within one table: bloom (built on first use) -> fence
+  // keys -> one page read (served from the page cache when possible).
+  // nullptr = not in table.
+  Result<const ValueRef*> FindInTable(Table& table, const InlineKey& key,
                                       ValueRef* storage);
   Result<std::shared_ptr<const std::vector<SSTableEntry>>> LoadPage(
       const SSTableMeta& meta, std::uint32_t page_index);

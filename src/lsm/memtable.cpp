@@ -1,13 +1,19 @@
 #include "lsm/memtable.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
+#include <new>
+#include <string>
+#include <type_traits>
 
 namespace bandslim::lsm {
 
+static_assert(std::is_trivially_destructible_v<InlineKey> &&
+                  std::is_trivially_destructible_v<ValueRef>,
+              "Clear() rewinds the arena without running destructors");
+
 MemTable::MemTable(std::uint64_t seed) : rng_(seed) {
-  head_ = std::make_unique<Node>();  // Node::next zero-initializes.
+  blocks_.push_back(std::make_unique_for_overwrite<std::byte[]>(kArenaBlockBytes));
+  Clear();
 }
 
 int MemTable::RandomHeight() {
@@ -17,79 +23,82 @@ int MemTable::RandomHeight() {
   return height;
 }
 
-std::uint64_t MemTable::PrefixOf(const std::string& key) {
-  std::uint64_t p = 0;
-  std::memcpy(&p, key.data(), std::min<std::size_t>(8, key.size()));
-  if constexpr (std::endian::native == std::endian::little) {
-    p = __builtin_bswap64(p);
+MemTable::Node* MemTable::NewNode(const InlineKey& key, const ValueRef& ref,
+                                  int height) {
+  const std::size_t bytes =
+      sizeof(Node) + static_cast<std::size_t>(height) * sizeof(Node*);
+  static_assert(sizeof(Node) % alignof(Node) == 0 &&
+                alignof(Node) == alignof(Node*));
+  if (used_ + bytes > kArenaBlockBytes) {
+    if (++block_ == blocks_.size()) {
+      blocks_.push_back(
+          std::make_unique_for_overwrite<std::byte[]>(kArenaBlockBytes));
+    }
+    used_ = 0;
   }
-  return p;
+  Node* node = new (blocks_[block_].get() + used_) Node{key, ref};
+  used_ += bytes;
+  std::fill_n(node->next(), height, nullptr);
+  return node;
 }
 
-MemTable::Node* MemTable::FindGreaterOrEqual(const std::string& key,
+MemTable::Node* MemTable::FindGreaterOrEqual(const InlineKey& key,
                                              Node** prev) const {
-  const std::uint64_t kp = PrefixOf(key);
-  Node* node = head_.get();
+  Node* node = head_;
   for (int level = height_ - 1; level >= 0; --level) {
-    Node* next = node->next[level];
-    while (next != nullptr &&
-           (next->key_prefix < kp ||
-            (next->key_prefix == kp && next->key < key))) {
+    Node* next = node->next()[level];
+    while (next != nullptr && next->key < key) {
       node = next;
-      next = node->next[level];
+      next = node->next()[level];
     }
     if (prev != nullptr) prev[level] = node;
   }
-  return node->next[0];
+  return node->next()[0];
 }
 
-void MemTable::Put(const std::string& key, const ValueRef& ref) {
+void MemTable::Put(const InlineKey& key, const ValueRef& ref) {
   Node* prev[kMaxHeight];
-  for (int i = 0; i < kMaxHeight; ++i) prev[i] = head_.get();
   Node* found = FindGreaterOrEqual(key, prev);
   if (found != nullptr && found->key == key) {
     found->ref = ref;
     return;
   }
   const int height = RandomHeight();
-  if (height > height_) height_ = height;
-  auto node = std::make_unique<Node>();
-  node->key = key;
-  node->key_prefix = PrefixOf(key);
-  node->ref = ref;
+  for (; height_ < height; ++height_) prev[height_] = head_;
+  Node* node = NewNode(key, ref, height);
   for (int level = 0; level < height; ++level) {
-    node->next[static_cast<std::size_t>(level)] =
-        prev[level]->next[static_cast<std::size_t>(level)];
-    prev[level]->next[static_cast<std::size_t>(level)] = node.get();
+    node->next()[level] = prev[level]->next()[level];
+    prev[level]->next()[level] = node;
   }
   ++count_;
-  // Footprint accounting deliberately models the previous layout (node
-  // header plus a height-entry heap tower) rather than sizeof(Node): the
-  // total drives the flush threshold, and the deterministic timing built on
-  // top of it must not move when the in-memory representation does.
+  // Footprint accounting deliberately models the original layout (a
+  // std::string key, the ref and a height-entry heap tower per node) rather
+  // than the arena node: the total drives the flush threshold, and the
+  // deterministic timing built on top of it must not move when the
+  // in-memory representation does.
   static constexpr std::size_t kAccountedNodeBytes =
       sizeof(std::string) + sizeof(ValueRef) + sizeof(std::vector<Node*>);
   approx_bytes_ += key.size() + sizeof(ValueRef) +
                    static_cast<std::size_t>(height) * sizeof(Node*) +
                    kAccountedNodeBytes;
-  arena_.push_back(std::move(node));
 }
 
-const ValueRef* MemTable::Get(const std::string& key) const {
+const ValueRef* MemTable::Get(const InlineKey& key) const {
   Node* node = FindGreaterOrEqual(key, nullptr);
   if (node != nullptr && node->key == key) return &node->ref;
   return nullptr;
 }
 
 void MemTable::Clear() {
-  arena_.clear();
-  head_->next.fill(nullptr);
+  block_ = 0;
+  used_ = 0;
+  head_ = NewNode(InlineKey(), ValueRef(), kMaxHeight);
   height_ = 1;
   count_ = 0;
   approx_bytes_ = 0;
 }
 
-MemTable::Iterator MemTable::Seek(const std::string& from) const {
+MemTable::Iterator MemTable::Seek(const InlineKey& from) const {
   return Iterator(FindGreaterOrEqual(from, nullptr));
 }
 

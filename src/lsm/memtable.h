@@ -3,16 +3,20 @@
 // with deterministic (seeded) tower heights so runs reproduce exactly.
 // Entries are (key -> address, size) — values themselves live in the vLog;
 // this is the key-value separation the paper builds on (Section 2.1).
+//
+// Keys are InlineKeys, and every node is bump-allocated from the table's
+// own arena with a tower sized to its drawn height; Clear() rewinds the
+// arena and keeps its blocks for the next fill.
 #pragma once
 
-#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "common/types.h"
+#include "lsm/inline_key.h"
 #include "vlog/address.h"
 
 namespace bandslim::lsm {
@@ -26,31 +30,25 @@ struct ValueRef {
 class MemTable {
  private:
   struct Node {
-    std::string key;
-    // First 8 key bytes, big-endian, zero-padded: a single integer compare
-    // orders two nodes whenever their prefixes differ (zero-padded
-    // big-endian prefix order agrees with lexicographic order in that
-    // case); the search loop falls back to a full key compare only on a
-    // prefix tie.
-    std::uint64_t key_prefix = 0;
+    InlineKey key;
     ValueRef ref;
-    // Tower of forward pointers, inline in the node: the search loop then
-    // costs one pointer chase per step instead of two (node -> heap tower
-    // -> next node). Slots above the node's drawn height stay null and are
-    // never followed. approximate_bytes() still accounts the drawn height,
-    // not this fixed array, so flush thresholds are unchanged.
-    std::array<Node*, 12> next{};
+    // The node's tower: `height` forward pointers laid out right after the
+    // node in the arena (NewNode sizes the allocation to cover them).
+    Node** next() { return reinterpret_cast<Node**>(this + 1); }
+    Node* const* next() const {
+      return reinterpret_cast<Node* const*>(this + 1);
+    }
   };
 
  public:
   explicit MemTable(std::uint64_t seed = 0x5eed);
 
   // Inserts or overwrites.
-  void Put(const std::string& key, const ValueRef& ref);
-  void Delete(const std::string& key) { Put(key, ValueRef{0, 0, true}); }
+  void Put(const InlineKey& key, const ValueRef& ref);
+  void Delete(const InlineKey& key) { Put(key, ValueRef{0, 0, true}); }
 
   // Returns the entry (including tombstones) or nullptr.
-  const ValueRef* Get(const std::string& key) const;
+  const ValueRef* Get(const InlineKey& key) const;
 
   std::size_t entry_count() const { return count_; }
   bool empty() const { return count_ == 0; }
@@ -63,31 +61,35 @@ class MemTable {
   class Iterator {
    public:
     bool Valid() const { return node_ != nullptr; }
-    const std::string& key() const { return node_->key; }
+    const InlineKey& key() const { return node_->key; }
     const ValueRef& ref() const { return node_->ref; }
-    void Next() { node_ = node_->next[0]; }
+    void Next() { node_ = node_->next()[0]; }
 
    private:
     friend class MemTable;
     explicit Iterator(const Node* node) : node_(node) {}
     const Node* node_;
   };
-  Iterator Seek(const std::string& from) const;
-  Iterator Begin() const { return Iterator(head_->next[0]); }
+  Iterator Seek(const InlineKey& from) const;
+  Iterator Begin() const { return Iterator(head_->next()[0]); }
 
  private:
   static constexpr int kMaxHeight = 12;
-  static_assert(kMaxHeight == std::tuple_size<decltype(Node::next)>::value,
-                "tower array must cover every level");
+  static constexpr std::size_t kArenaBlockBytes = 64 * 1024;
 
   int RandomHeight();
-  static std::uint64_t PrefixOf(const std::string& key);
+  // A node with a `height`-pointer null tower, from the arena.
+  Node* NewNode(const InlineKey& key, const ValueRef& ref, int height);
   // First node with key >= `key`; when `prev` is non-null it receives the
   // last node with key < `key` at every level.
-  Node* FindGreaterOrEqual(const std::string& key, Node** prev) const;
+  Node* FindGreaterOrEqual(const InlineKey& key, Node** prev) const;
 
-  std::unique_ptr<Node> head_;
-  std::vector<std::unique_ptr<Node>> arena_;
+  // Arena: fixed-size blocks filled in order; blocks_[block_] holds the
+  // next free byte at offset used_.
+  std::vector<std::unique_ptr<std::byte[]>> blocks_;
+  std::size_t block_ = 0;
+  std::size_t used_ = 0;
+  Node* head_ = nullptr;
   int height_ = 1;
   std::size_t count_ = 0;
   std::size_t approx_bytes_ = 0;

@@ -5,35 +5,59 @@
 
 namespace bandslim::lsm {
 
+namespace {
+
+// An entry's bytes after its key: u64 vLog address, u32 size, u8 flags.
+constexpr std::size_t kRefBytes = 8 + 4 + 1;
+
+void StoreLe(std::uint8_t* p, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+std::uint64_t LoadLe(const std::uint8_t* p, int bytes) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < bytes; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  return v;
+}
+
+// Writes `entry`'s EncodedEntrySize() bytes at `p`.
+void EncodeEntryAt(std::uint8_t* p, const SSTableEntry& entry) {
+  const std::string_view key = entry.key.view();
+  *p++ = static_cast<std::uint8_t>(key.size());
+  std::memcpy(p, key.data(), key.size());
+  p += key.size();
+  StoreLe(p, entry.ref.addr, 8);
+  StoreLe(p + 8, entry.ref.size, 4);
+  p[12] = entry.ref.tombstone ? 1 : 0;
+}
+
+}  // namespace
+
 void PutU32(Bytes* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  out->resize(out->size() + 4);
+  StoreLe(out->data() + out->size() - 4, v, 4);
 }
 
 void PutU64(Bytes* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  out->resize(out->size() + 8);
+  StoreLe(out->data() + out->size() - 8, v, 8);
 }
 
 Status GetU32(ByteSpan data, std::size_t* offset, std::uint32_t* v) {
   if (*offset + 4 > data.size()) return Status::Corruption("truncated u32");
-  *v = 0;
-  for (int i = 0; i < 4; ++i) {
-    *v |= static_cast<std::uint32_t>(data[*offset + static_cast<std::size_t>(i)]) << (8 * i);
-  }
+  *v = static_cast<std::uint32_t>(LoadLe(data.data() + *offset, 4));
   *offset += 4;
   return Status::Ok();
 }
 
 Status GetU64(ByteSpan data, std::size_t* offset, std::uint64_t* v) {
   if (*offset + 8 > data.size()) return Status::Corruption("truncated u64");
-  *v = 0;
-  for (int i = 0; i < 8; ++i) {
-    *v |= static_cast<std::uint64_t>(data[*offset + static_cast<std::size_t>(i)]) << (8 * i);
-  }
+  *v = LoadLe(data.data() + *offset, 8);
   *offset += 8;
   return Status::Ok();
 }
 
-void PutLengthPrefixed(Bytes* out, const std::string& s) {
+void PutLengthPrefixed(Bytes* out, std::string_view s) {
   out->push_back(static_cast<std::uint8_t>(s.size()));
   out->insert(out->end(), s.begin(), s.end());
 }
@@ -49,23 +73,32 @@ Status GetLengthPrefixed(ByteSpan data, std::size_t* offset, std::string* s) {
 }
 
 void EncodeEntry(Bytes* out, const SSTableEntry& entry) {
-  PutLengthPrefixed(out, entry.key);
-  PutU64(out, entry.ref.addr);
-  PutU32(out, entry.ref.size);
-  out->push_back(entry.ref.tombstone ? 1 : 0);
+  const std::size_t at = out->size();
+  out->resize(at + EncodedEntrySize(entry));
+  EncodeEntryAt(out->data() + at, entry);
 }
 
 Status DecodeEntry(ByteSpan data, std::size_t* offset, SSTableEntry* out) {
-  BANDSLIM_RETURN_IF_ERROR(GetLengthPrefixed(data, offset, &out->key));
-  BANDSLIM_RETURN_IF_ERROR(GetU64(data, offset, &out->ref.addr));
-  BANDSLIM_RETURN_IF_ERROR(GetU32(data, offset, &out->ref.size));
-  if (*offset >= data.size()) return Status::Corruption("truncated flags");
-  out->ref.tombstone = data[*offset] != 0;
-  ++*offset;
+  if (*offset >= data.size()) return Status::Corruption("truncated length byte");
+  const std::size_t len = data[*offset];
+  if (len == 0 || len > kMaxKeySize) {
+    return Status::Corruption("SSTable key length out of range");
+  }
+  const std::size_t start = *offset + 1;
+  if (start + len + kRefBytes > data.size()) {
+    return Status::Corruption("truncated SSTable entry");
+  }
+  const std::uint8_t* p = data.data() + start;
+  out->key = std::string_view(reinterpret_cast<const char*>(p), len);
+  p += len;
+  out->ref.addr = LoadLe(p, 8);
+  out->ref.size = static_cast<std::uint32_t>(LoadLe(p + 8, 4));
+  out->ref.tombstone = p[12] != 0;
+  *offset = start + len + kRefBytes;
   return Status::Ok();
 }
 
-int SSTableMeta::PageForKey(const std::string& key) const {
+int SSTableMeta::PageForKey(std::string_view key) const {
   // Last fence key <= key.
   auto it = std::upper_bound(fence_keys.begin(), fence_keys.end(), key);
   if (it == fence_keys.begin()) return -1;  // key < min_key.
@@ -77,37 +110,36 @@ TableWriter::TableWriter(ftl::PageFtl* ftl, std::uint64_t id,
     : ftl_(ftl) {
   meta_.id = id;
   meta_.first_lpn = first_lpn;
+  page_.resize(kNandPageSize);
 }
 
-Status TableWriter::Add(SSTableEntry entry) {
+Status TableWriter::Add(const SSTableEntry& entry) {
   const std::uint64_t size = EncodedEntrySize(entry);
-  if (in_page_ > 0 && page_.size() + size > kNandPageSize) {
+  if (in_page_ > 0 && page_used_ + size > kNandPageSize) {
     BANDSLIM_RETURN_IF_ERROR(ProgramPage());
   }
   if (in_page_ == 0) {
-    PutU32(&page_, kSSTableMagic);
+    StoreLe(page_.data(), kSSTableMagic, 4);
     // Entry count, patched on program (u32 keeps the codec shared).
-    PutU32(&page_, 0);
-    meta_.fence_keys.push_back(entry.key);
+    page_used_ = 8;
+    meta_.fence_keys.emplace_back(entry.key.view());
   }
-  EncodeEntry(&page_, entry);
+  EncodeEntryAt(page_.data() + page_used_, entry);
+  page_used_ += size;
   ++in_page_;
   meta_.encoded_bytes += size;
-  entries_.push_back(std::move(entry));
+  entries_.push_back(entry);
   return Status::Ok();
 }
 
 Status TableWriter::ProgramPage() {
-  for (int b = 0; b < 4; ++b) {
-    page_[4 + static_cast<std::size_t>(b)] =
-        static_cast<std::uint8_t>(in_page_ >> (8 * b));
-  }
+  StoreLe(page_.data() + 4, in_page_, 4);
   // SSTable pages are always retained: compaction must read them back.
   BANDSLIM_RETURN_IF_ERROR(ftl_->Write(meta_.first_lpn + meta_.page_count,
-                                       ByteSpan(page_), ftl::Stream::kLsm,
+                                       ByteSpan(page_.data(), page_used_),
+                                       ftl::Stream::kLsm,
                                        /*retain=*/true));
   ++meta_.page_count;
-  page_.clear();
   in_page_ = 0;
   return Status::Ok();
 }
@@ -116,11 +148,15 @@ Result<SSTableMeta> TableWriter::Finish() {
   if (entries_.empty()) return Status::InvalidArgument("empty SSTable");
   BANDSLIM_RETURN_IF_ERROR(ProgramPage());
   meta_.entry_count = static_cast<std::uint32_t>(entries_.size());
-  meta_.min_key = entries_.front().key;
-  meta_.max_key = entries_.back().key;
-  meta_.bloom = BloomFilter(entries_.size());
-  for (const SSTableEntry& e : entries_) meta_.bloom.Add(e.key);
+  meta_.min_key = entries_.front().key.view();
+  meta_.max_key = entries_.back().key.view();
   return std::move(meta_);
+}
+
+void EnsureFilter(SSTableMeta* meta, const std::vector<SSTableEntry>& entries) {
+  if (!meta->bloom.empty()) return;
+  meta->bloom = BloomFilter(entries.size());
+  for (const SSTableEntry& e : entries) meta->bloom.Add(e.key.view());
 }
 
 namespace {
@@ -160,7 +196,7 @@ Result<std::vector<SSTableEntry>> ReadSSTable(ftl::PageFtl* ftl,
   for (std::uint32_t p = 0; p < meta.page_count; ++p) {
     auto page = ReadSSTablePage(ftl, meta, p);
     if (!page.ok()) return page.status();
-    for (SSTableEntry& e : page.value()) entries.push_back(std::move(e));
+    entries.insert(entries.end(), page.value().begin(), page.value().end());
   }
   if (entries.size() != meta.entry_count) {
     return Status::Corruption("entry count mismatch");

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "fault/fault_plan.h"
@@ -44,7 +45,7 @@ TEST(MemTableTest, IterationIsSorted) {
   std::string prev;
   for (auto it = mem.Begin(); it.Valid(); it.Next(), ++count) {
     EXPECT_LT(prev, it.key());
-    prev = it.key();
+    prev = it.key().view();
   }
   EXPECT_EQ(count, 1000);
 }
@@ -95,6 +96,129 @@ TEST(MemTableTest, ClearResets) {
   EXPECT_NE(mem.Get("b"), nullptr);
 }
 
+TEST(MemTableTest, ClearReusesArenaBlocks) {
+  // Enough tall and short nodes to fill several arena blocks, twice: the
+  // second fill reuses the blocks the first one left behind.
+  MemTable mem(5);
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 20000; ++i) {
+      mem.Put(std::to_string(i * 7 + round),
+              {static_cast<std::uint64_t>(i), 1, false});
+    }
+    ASSERT_EQ(mem.entry_count(), 20000u);
+    for (int i = 0; i < 20000; i += 13) {
+      const ValueRef* ref = mem.Get(std::to_string(i * 7 + round));
+      ASSERT_NE(ref, nullptr) << i;
+      EXPECT_EQ(ref->addr, static_cast<std::uint64_t>(i));
+    }
+    if (round == 1) {
+      EXPECT_EQ(mem.Get("0"), nullptr);  // Round 0's first key is gone.
+    }
+    mem.Clear();
+  }
+}
+
+// --------------------------- InlineKey ------------------------------------
+
+// Seeded keys of 1..16 bytes over bytes that stress the order: 0x00, the
+// signed/unsigned boundary (0x7f/0x80), 0xff, and keys that prefix each
+// other (including a key and the same key extended by 0x00).
+std::vector<std::string> OrderStressKeys(std::uint64_t seed, std::size_t n) {
+  static constexpr char kBytes[] = {'\x00', '\x01', '\x7f', '\x80', '\xff', 'a'};
+  Xoshiro256 rng(seed);
+  std::vector<std::string> keys;
+  while (keys.size() < n) {
+    std::string key;
+    const std::size_t len = 1 + rng.Below(kMaxKeySize);
+    for (std::size_t i = 0; i < len; ++i) key.push_back(kBytes[rng.Below(6)]);
+    keys.push_back(key);
+    if (len > 1) keys.push_back(key.substr(0, 1 + rng.Below(len - 1)));
+    if (len < kMaxKeySize) keys.push_back(key + '\0');
+  }
+  return keys;
+}
+
+TEST(InlineKeyTest, OrderAndEqualityMatchStdString) {
+  const std::vector<std::string> keys = OrderStressKeys(11, 700);
+  std::size_t mismatches = 0;
+  for (const std::string& a : keys) {
+    const InlineKey ka(a);
+    ASSERT_EQ(ka.view(), a);
+    ASSERT_EQ(ka.size(), a.size());
+    for (const std::string& b : keys) {
+      const InlineKey kb(b);
+      if ((ka < kb) != (a < b) || (ka == kb) != (a == b)) {
+        if (mismatches++ == 0) {
+          ADD_FAILURE() << "first mismatch: " << a.size() << "-byte key vs "
+                        << b.size() << "-byte key";
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(InlineKeyTest, OverlongKeySortsWhereTheWholeKeyWould) {
+  const std::vector<std::string> keys = OrderStressKeys(12, 300);
+  Xoshiro256 rng(13);
+  for (int t = 0; t < 50; ++t) {
+    // A stored-size key grown past kMaxKeySize, so it shares a 16-byte
+    // prefix with real keys.
+    std::string longer = keys[rng.Below(keys.size())];
+    longer.resize(kMaxKeySize + 1 + rng.Below(8), '\x80');
+    const InlineKey kl(longer);
+    EXPECT_EQ(kl.view(), std::string_view(longer).substr(0, kMaxKeySize));
+    for (const std::string& k : keys) {
+      ASSERT_EQ(InlineKey(k) < kl, k < longer);
+      ASSERT_FALSE(InlineKey(k) == kl);
+    }
+  }
+}
+
+TEST(MemTableTest, MatchesStdMapOnStressKeys) {
+  const std::vector<std::string> keys = OrderStressKeys(21, 400);
+  MemTable mem(3);
+  std::map<std::string, ValueRef> model;
+  Xoshiro256 rng(22);
+  for (int i = 0; i < 6000; ++i) {
+    const std::string& key = keys[rng.Below(keys.size())];
+    const std::uint64_t op = rng.Below(10);
+    if (op < 5) {
+      const ValueRef ref{rng() >> 16, static_cast<std::uint32_t>(rng.Below(100)), false};
+      mem.Put(key, ref);
+      model[key] = ref;
+    } else if (op < 7) {
+      mem.Delete(key);
+      model[key] = ValueRef{0, 0, true};
+    } else if (op < 9) {
+      const ValueRef* got = mem.Get(key);
+      auto want = model.find(key);
+      ASSERT_EQ(got != nullptr, want != model.end());
+      if (got != nullptr) {
+        EXPECT_EQ(got->addr, want->second.addr);
+        EXPECT_EQ(got->tombstone, want->second.tombstone);
+      }
+    } else {
+      auto it = mem.Seek(key);
+      auto want = model.lower_bound(key);
+      ASSERT_EQ(it.Valid(), want != model.end());
+      if (it.Valid()) {
+        EXPECT_EQ(it.key().view(), want->first);
+      }
+    }
+  }
+  EXPECT_EQ(mem.entry_count(), model.size());
+  auto it = mem.Begin();
+  for (const auto& [key, ref] : model) {
+    ASSERT_TRUE(it.Valid());
+    EXPECT_EQ(it.key().view(), key);
+    EXPECT_EQ(it.ref().addr, ref.addr);
+    EXPECT_EQ(it.ref().tombstone, ref.tombstone);
+    it.Next();
+  }
+  EXPECT_FALSE(it.Valid());
+}
+
 // --------------------------- SSTable ---------------------------------------
 
 class SSTableTest : public ::testing::Test {
@@ -127,7 +251,7 @@ struct Digest {
     }
   }
   void Add(std::uint64_t v) { Add(&v, sizeof v); }
-  void Add(const std::string& s) {
+  void Add(std::string_view s) {
     Add(s.size());
     Add(s.data(), s.size());
   }
@@ -191,6 +315,9 @@ TEST_F(SSTableTest, MultiPageTable) {
     ASSERT_TRUE(ftl_.Read(kLsmLpnBase + p, MutByteSpan(page)).ok());
     d.Add(page.data(), page.size());
   }
+  // Finish() leaves the filter to the first-use builder.
+  EXPECT_TRUE(meta.value().bloom.empty());
+  EnsureFilter(&meta.value(), entries);
   d.Add(meta.value().bloom.bits().data(), meta.value().bloom.bits().size());
   for (const std::string& fence : meta.value().fence_keys) d.Add(fence);
   EXPECT_EQ(d.h, 0x23b494a415038258ULL);
@@ -250,6 +377,42 @@ TEST(MergeTest, TombstonesDroppedOnlyWhenAsked) {
   EXPECT_TRUE(kept[0].ref.tombstone);
   auto dropped = Merge({newer, older}, true);
   EXPECT_TRUE(dropped.empty());
+}
+
+TEST(MergeTest, MatchesMapReferenceOnOverlappingRuns) {
+  const std::vector<std::string> keys = OrderStressKeys(31, 300);
+  Xoshiro256 rng(32);
+  for (int trial = 0; trial < 20; ++trial) {
+    // Runs newest first; each is sorted with unique keys, as MergeRuns
+    // requires, and overlaps the others at random.
+    std::vector<std::vector<SSTableEntry>> runs(2 + rng.Below(4));
+    for (auto& run : runs) {
+      std::map<std::string, ValueRef> sorted;
+      for (std::uint64_t n = rng.Below(200); n > 0; --n) {
+        sorted[keys[rng.Below(keys.size())]] =
+            ValueRef{rng() >> 16, 8, rng.Below(5) == 0};
+      }
+      for (const auto& [key, ref] : sorted) run.push_back({key, ref});
+    }
+    for (const bool drop_tombstones : {false, true}) {
+      std::map<std::string, ValueRef> want;
+      for (auto run = runs.rbegin(); run != runs.rend(); ++run) {
+        for (const SSTableEntry& e : *run) want[std::string(e.key.view())] = e.ref;
+      }
+      if (drop_tombstones) {
+        std::erase_if(want, [](const auto& kv) { return kv.second.tombstone; });
+      }
+      const auto merged = Merge(runs, drop_tombstones);
+      ASSERT_EQ(merged.size(), want.size());
+      auto w = want.begin();
+      for (const SSTableEntry& e : merged) {
+        EXPECT_EQ(e.key.view(), w->first);
+        EXPECT_EQ(e.ref.addr, w->second.addr);
+        EXPECT_EQ(e.ref.tombstone, w->second.tombstone);
+        ++w;
+      }
+    }
+  }
 }
 
 // --------------------------- LsmTree ---------------------------------------
@@ -423,7 +586,7 @@ TEST_F(LsmTreeTest, ForEachLiveVisitsEverything) {
   }
   ASSERT_TRUE(lsm_.Delete(Key(7)).ok());
   int visited = 0;
-  ASSERT_TRUE(lsm_.ForEachLive([&](const std::string&, const ValueRef&) {
+  ASSERT_TRUE(lsm_.ForEachLive([&](std::string_view, const ValueRef&) {
     ++visited;
   }).ok());
   EXPECT_EQ(visited, 299);
@@ -477,16 +640,65 @@ TEST_F(SSTableTest, PageForKeyFindsUniqueCandidate) {
   ASSERT_TRUE(meta.ok());
   // Every entry's key maps to the page that actually contains it.
   for (std::size_t i = 0; i < entries.size(); i += 97) {
-    const int p = meta.value().PageForKey(entries[i].key);
+    const int p = meta.value().PageForKey(entries[i].key.view());
     ASSERT_GE(p, 0);
     auto page = ReadSSTablePage(&ftl_, meta.value(), static_cast<std::uint32_t>(p));
     ASSERT_TRUE(page.ok());
     bool found = false;
     for (const auto& e : page.value()) found |= (e.key == entries[i].key);
-    EXPECT_TRUE(found) << entries[i].key;
+    EXPECT_TRUE(found) << entries[i].key.view();
   }
   // Below the minimum key: no candidate page.
   EXPECT_EQ(meta.value().PageForKey(""), -1);
+}
+
+TEST_F(SSTableTest, KeyLengthOutsideOneToSixteenIsCorruption) {
+  // A page as the writer lays it out, with one entry whose key length
+  // byte is 0 or 17: the decoder must refuse it before it copies a byte.
+  for (const std::uint8_t key_len : {std::uint8_t{0}, std::uint8_t{17}}) {
+    Bytes page;
+    PutU32(&page, kSSTableMagic);
+    PutU32(&page, 1);
+    page.push_back(key_len);
+    page.insert(page.end(), key_len, 'k');
+    PutU64(&page, 42);
+    PutU32(&page, 8);
+    page.push_back(0);
+    SSTableMeta meta;
+    meta.first_lpn = kLsmLpnBase + 300 + key_len;
+    meta.page_count = 1;
+    ASSERT_TRUE(ftl_.Write(meta.first_lpn, ByteSpan(page), ftl::Stream::kLsm,
+                           /*retain=*/true)
+                    .ok());
+    auto decoded = ReadSSTablePage(&ftl_, meta, 0);
+    ASSERT_FALSE(decoded.ok()) << int{key_len};
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption) << int{key_len};
+  }
+}
+
+TEST_F(LsmTreeTest, OverlongKeysMissAndSeekInStringOrder) {
+  std::vector<std::string> keys;
+  for (int i = 0; i < 400; ++i) keys.push_back(Key(i * 3));
+  keys.push_back("0000030000000000");  // 16 bytes: a prefix of a probe below.
+  for (const std::string& key : keys) {
+    ASSERT_TRUE(lsm_.Put(key, {1, 1, false}).ok());
+  }
+  std::sort(keys.begin(), keys.end());
+  ASSERT_GT(lsm_.memtable_flushes(), 0u);
+  auto iter = lsm_.NewIterator();
+  ASSERT_TRUE(iter.ok());
+  for (const std::string& probe :
+       {Key(30) + "123456789", std::string("0000030000000000") + "0",
+        Key(598) + "zzzzzzzzzzzzzz", std::string(20, '\xff')}) {
+    ASSERT_GT(probe.size(), kMaxKeySize);
+    EXPECT_TRUE(lsm_.Get(probe).status().IsNotFound());
+    iter.value()->Seek(probe);
+    auto want = std::lower_bound(keys.begin(), keys.end(), probe);
+    ASSERT_EQ(iter.value()->Valid(), want != keys.end()) << probe;
+    if (want != keys.end()) {
+      EXPECT_EQ(iter.value()->key(), *want) << probe;
+    }
+  }
 }
 
 TEST_F(LsmTreeTest, PointLookupReadsAtMostOnePage) {
@@ -760,6 +972,63 @@ TEST_F(LsmTreeTest, CompactionStreamDigestIsPinned) {
   EXPECT_EQ(lsm_.compaction_bytes_written(), 21818192u);
   EXPECT_EQ(mapped, 41u);
   EXPECT_EQ(d.h, 0xca8c1abe24c25467ULL);
+}
+
+TEST_F(LsmTreeTest, LookupStreamDigestIsPinned) {
+  // A seeded Put/Delete/Get/CompactStep/Checkpoint stream, then GETs on a
+  // tree restored from its manifest: the page cache and the decoded
+  // filters serve the second half. The digest covers every GET result, the
+  // bloom skips, the NAND pages read and the clock, so any change to when
+  // a lookup reads a page (or what it returns) moves it.
+  Digest d;
+  auto get = [&](LsmTree& tree, const std::string& key) {
+    auto ref = tree.Get(key);
+    d.Add(static_cast<std::uint64_t>(ref.status().code()));
+    if (ref.ok()) {
+      d.Add(ref.value().addr);
+      d.Add(ref.value().size);
+    }
+  };
+  // One in four probes misses every table's key set but not its range.
+  auto probe = [&](Xoshiro256& rng) {
+    std::string key = Key(static_cast<int>(rng.Below(20000)));
+    if (rng.Below(4) == 0) key += "q";
+    return key;
+  };
+  Xoshiro256 rng(0x100C0B);
+  for (int i = 0; i < 30000; ++i) {
+    const std::uint64_t r = rng.Below(100);
+    if (r < 50) {
+      ASSERT_TRUE(lsm_.Put(Key(static_cast<int>(rng.Below(20000))),
+                           {rng() >> 20, 8, false})
+                      .ok());
+    } else if (r < 58) {
+      ASSERT_TRUE(lsm_.Delete(Key(static_cast<int>(rng.Below(20000)))).ok());
+    } else if (r < 95) {
+      get(lsm_, probe(rng));
+    } else if (r < 99) {
+      ASSERT_TRUE(lsm_.CompactStep(rng.Below(4)).ok());
+    } else {
+      ASSERT_TRUE(lsm_.Checkpoint(static_cast<std::uint64_t>(i)).ok());
+    }
+  }
+  ASSERT_TRUE(lsm_.Checkpoint(9).ok());
+  // A cache far smaller than the tree, so pages are evicted and re-read.
+  LsmConfig cold = Config();
+  cold.page_cache_pages = 8;
+  LsmTree restored(&ftl_, &metrics_, cold);
+  ASSERT_TRUE(restored.Restore().ok());
+  for (int i = 0; i < 6000; ++i) get(restored, probe(rng));
+
+  const std::uint64_t skips = metrics_.CounterValue("lsm.bloom_skips");
+  d.Add(skips);
+  d.Add(nand_.pages_read());
+  d.Add(clock_.Now());
+  // Recorded with string keys and filters built in TableWriter::Finish.
+  EXPECT_EQ(skips, 38046u);
+  EXPECT_EQ(nand_.pages_read(), 1875u);
+  EXPECT_EQ(clock_.Now(), 1115600000u);
+  EXPECT_EQ(d.h, 0x2d0d876d1107e56bULL);
 }
 
 TEST_F(LsmTreeTest, FailedCompactionReadKeepsTheVictim) {
