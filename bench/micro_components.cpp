@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for the hot components: command codec,
 // skiplist MemTable, NAND page buffer packing, SSTable serialization, the
-// compaction merge, and the telemetry plane's per-sample and export costs.
+// compaction merge, the LSM point lookup, and the telemetry plane's
+// per-sample and export costs.
 // These measure *simulator* (wall-clock) performance, not modeled device
 // time — they exist to keep the simulation itself fast.
 #include <benchmark/benchmark.h>
@@ -13,6 +14,7 @@
 #include "buffer/page_buffer.h"
 #include "core/kvssd.h"
 #include "lsm/compaction.h"
+#include "lsm/lsm_tree.h"
 #include "lsm/memtable.h"
 #include "lsm/sstable.h"
 #include "nvme/command.h"
@@ -201,6 +203,63 @@ void BM_CompactionMerge(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(entries));
 }
 BENCHMARK(BM_CompactionMerge)->Unit(benchmark::kMillisecond);
+
+// One LsmTree::Get on a preloaded tree over an in-memory NAND/FTL, for each
+// outcome of a point read: arg 0 hits the MemTable, arg 1 hits a
+// DRAM-resident table (the tree's tables were written by this run, so all
+// are resident), arg 2 is an absent key (every table's index misses and
+// its filter runs).
+void BM_LsmPointGet(benchmark::State& state) {
+  constexpr std::size_t kTableKeys = 100000;
+  constexpr std::size_t kMemKeys = 4000;
+  sim::VirtualClock clock;
+  sim::CostModel cost;
+  stats::MetricsRegistry metrics;
+  nand::NandGeometry geometry;
+  geometry.channels = 2;
+  geometry.ways = 2;
+  geometry.blocks_per_die = 64;
+  geometry.pages_per_block = 64;
+  nand::NandFlash nand(geometry, &clock, &cost, &metrics);
+  ftl::PageFtl ftl(&nand, &metrics);
+  lsm::LsmTree tree(&ftl, &metrics);
+  const std::vector<lsm::InlineKey> keys =
+      HashKeys(11, 2 * (kTableKeys + kMemKeys));
+  auto put = [&](std::size_t i) {
+    return tree.Put(keys[i].view(), lsm::ValueRef{i, 24, false}).ok();
+  };
+  bool ok = true;
+  for (std::size_t i = 0; i < kTableKeys; ++i) ok = ok && put(i);
+  ok = ok && tree.FlushMemTable().ok();
+  for (std::size_t i = kTableKeys; i < kTableKeys + kMemKeys; ++i) {
+    ok = ok && put(i);
+  }
+  if (!ok || tree.memtable_entries() != kMemKeys) {
+    state.SkipWithError("preload failed");
+    return;
+  }
+  static constexpr const char* kLabels[] = {"memtable", "table", "absent"};
+  const auto outcome = static_cast<std::size_t>(state.range(0));
+  state.SetLabel(kLabels[outcome]);
+  // The probed keys: the MemTable's, the tables' or ones never put.
+  const std::size_t first = outcome == 0   ? kTableKeys
+                            : outcome == 1 ? 0
+                                           : kTableKeys + kMemKeys;
+  const std::size_t count = outcome == 0 ? kMemKeys : kTableKeys;
+  const bool expect_found = outcome != 2;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto ref = tree.Get(keys[first + i].view());
+    if (ref.ok() != expect_found) {
+      state.SkipWithError("lookup returned the wrong outcome");
+      break;
+    }
+    benchmark::DoNotOptimize(ref);
+    if (++i == count) i = 0;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_LsmPointGet)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_KeyGeneration(benchmark::State& state) {
   workload::UniqueHashKeyGenerator gen(9);

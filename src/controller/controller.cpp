@@ -206,19 +206,18 @@ CqEntry KvController::HandleBulkWrite(const NvmeCommand& cmd) {
   return CqEntry{records, 0, CqStatus::kSuccess};
 }
 
-std::vector<std::string> KvController::DecodeKeyBatch(
+std::vector<std::string_view> KvController::DecodeKeyBatch(
     std::uint32_t payload_size) const {
   // [u8 klen][key]* — an empty result signals a malformed payload (the
   // wire format admits no legal empty batch; the driver never sends one).
-  std::vector<std::string> keys;
+  std::vector<std::string_view> keys;
   std::size_t off = 0;
   while (off < payload_size) {
     const std::size_t klen = bulk_staging_[off++];
     if (klen == 0 || klen > kMaxKeySize || off + klen > payload_size) {
       return {};
     }
-    keys.emplace_back(reinterpret_cast<const char*>(&bulk_staging_[off]),
-                      klen);
+    keys.push_back(KeyView(&bulk_staging_[off], klen));
     off += klen;
   }
   return keys;
@@ -238,7 +237,7 @@ CqEntry KvController::HandleBulkRead(const NvmeCommand& cmd) {
     return MutByteSpan(bulk_staging_).subspan(off, kMemPageSize);
   });
   if (!dma_status.ok()) return CqEntry{0, 0, CqStatus::kInternalError};
-  const std::vector<std::string> keys = DecodeKeyBatch(payload_size);
+  const std::vector<std::string_view> keys = DecodeKeyBatch(payload_size);
   if (keys.empty()) return CqEntry{0, 0, CqStatus::kInvalidField};
 
   // Pass 1: index lookups only, to size the response before touching the
@@ -246,7 +245,7 @@ CqEntry KvController::HandleBulkRead(const NvmeCommand& cmd) {
   std::vector<Result<lsm::ValueRef>> refs;
   refs.reserve(keys.size());
   std::uint64_t response_size = 0;
-  for (const std::string& key : keys) {
+  for (const std::string_view key : keys) {
     clock_->Advance(cost_->dev_kvs_ns);
     refs.push_back(lsm_->Get(key));
     response_size += 5;  // [u8 found][u32 vsize]
@@ -305,11 +304,11 @@ CqEntry KvController::HandleBulkDelete(const NvmeCommand& cmd) {
     return MutByteSpan(bulk_staging_).subspan(off, kMemPageSize);
   });
   if (!dma_status.ok()) return CqEntry{0, 0, CqStatus::kInternalError};
-  const std::vector<std::string> keys = DecodeKeyBatch(payload_size);
+  const std::vector<std::string_view> keys = DecodeKeyBatch(payload_size);
   if (keys.empty()) return CqEntry{0, 0, CqStatus::kInvalidField};
 
   std::uint32_t removed = 0;
-  for (const std::string& key : keys) {
+  for (const std::string_view key : keys) {
     clock_->Advance(cost_->dev_kvs_ns);
     const bool present = lsm_->Get(key).ok();
     if (!present) continue;  // Absent keys are skipped, not an error.

@@ -12,6 +12,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -90,8 +91,11 @@ class KvController : public nvme::DeviceHandler {
   nvme::CqEntry HandleBulkRead(const nvme::NvmeCommand& cmd);
   nvme::CqEntry HandleBulkDelete(const nvme::NvmeCommand& cmd);
   // Decodes the [u8 klen][key]* request shared by bulk read/delete from
-  // bulk_staging_ (already DMA'd in); empty vector = malformed payload.
-  std::vector<std::string> DecodeKeyBatch(std::uint32_t payload_size) const;
+  // bulk_staging_ (already DMA'd in); empty vector = malformed payload. The
+  // keys view bulk_staging_, which nothing writes until the next bulk
+  // command.
+  std::vector<std::string_view> DecodeKeyBatch(
+      std::uint32_t payload_size) const;
   nvme::CqEntry HandleTransfer(const nvme::NvmeCommand& cmd,
                                std::uint16_t queue_id);
   nvme::CqEntry HandleRead(const nvme::NvmeCommand& cmd);

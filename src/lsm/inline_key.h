@@ -60,7 +60,19 @@ class InlineKey {
     return a.len_ <=> b.len_;
   }
 
+  // A 64-bit hash for the point indexes, mixing both words and the length
+  // through SplitMix64's finalizer: keys that share their first 8 or 15
+  // bytes, or differ only by a trailing 0x00, still spread across slots.
+  std::uint64_t Hash() const {
+    return Mix(Mix(Raw(0) ^ (len_ * 0x9e3779b97f4a7c15ULL)) ^ Raw(1));
+  }
+
  private:
+  static std::uint64_t Mix(std::uint64_t x) {
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  }
   std::uint64_t Raw(int i) const {
     std::uint64_t w = 0;
     std::memcpy(&w, bytes_ + 8 * i, sizeof w);

@@ -1,6 +1,7 @@
 #include "lsm/lsm_tree.h"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
 
 namespace bandslim::lsm {
@@ -46,6 +47,51 @@ Status DecodeMeta(ByteSpan data, std::size_t* offset, SSTableMeta* m) {
     BANDSLIM_RETURN_IF_ERROR(GetLengthPrefixed(data, offset, &m->fence_keys[f]));
   }
   return Status::Ok();
+}
+
+// `hash` scaled onto [0, n) by a multiply (Lemire's fastrange).
+std::size_t ScaleHash(std::uint64_t hash, std::size_t n) {
+  return static_cast<std::size_t>(
+      (static_cast<unsigned __int128>(hash) * n) >> 64);
+}
+
+// A resident table's point index: linear probing from ScaleHash over
+// 2 * entries.size() u32 slots, so the load is exactly 1/2 and the index
+// costs 8 B per entry; 0 = empty. A slot holds the entry index + 1 in its
+// low IndexMask() bits and, above them, the key's hash bits at those
+// positions (the slot itself comes from the hash's high bits), so a probe
+// reads an entry only when those bits match.
+std::uint32_t IndexMask(std::size_t entries) {
+  return static_cast<std::uint32_t>(
+      (std::uint64_t{1} << std::bit_width(entries)) - 1);
+}
+
+std::vector<std::uint32_t> BuildPointIndex(
+    const std::vector<SSTableEntry>& entries) {
+  std::vector<std::uint32_t> index(2 * entries.size(), 0);
+  const std::uint32_t mask = IndexMask(entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const std::uint64_t hash = entries[i].key.Hash();
+    std::size_t slot = ScaleHash(hash, index.size());
+    while (index[slot] != 0) slot = slot + 1 == index.size() ? 0 : slot + 1;
+    index[slot] = (static_cast<std::uint32_t>(hash) & ~mask) |
+                  static_cast<std::uint32_t>(i + 1);
+  }
+  return index;
+}
+
+const SSTableEntry* ProbePointIndex(const std::vector<std::uint32_t>& index,
+                                    const std::vector<SSTableEntry>& entries,
+                                    const InlineKey& key, std::uint64_t hash) {
+  const std::uint32_t mask = IndexMask(entries.size());
+  const std::uint32_t tag = static_cast<std::uint32_t>(hash) & ~mask;
+  std::size_t slot = ScaleHash(hash, index.size());
+  for (; index[slot] != 0; slot = slot + 1 == index.size() ? 0 : slot + 1) {
+    if ((index[slot] & ~mask) != tag) continue;
+    const SSTableEntry& entry = entries[(index[slot] & mask) - 1];
+    if (entry.key == key) return &entry;
+  }
+  return nullptr;
 }
 }  // namespace
 
@@ -101,35 +147,46 @@ void LsmTree::InvalidatePages(const SSTableMeta& meta) {
 
 Result<const ValueRef*> LsmTree::FindInTable(Table& table,
                                              const InlineKey& key,
+                                             std::uint64_t hash,
                                              ValueRef* storage) {
   SSTableMeta& meta = table.meta;
   const std::string_view key_view = key.view();
   if (key_view < meta.min_key || meta.max_key < key_view) {
     return static_cast<const ValueRef*>(nullptr);
   }
-  if (table.cache != nullptr) EnsureFilter(&meta, *table.cache);
+  if (table.cache != nullptr) {
+    if (table.index.empty()) {
+      EnsureFilter(&meta, *table.cache);
+      table.index = BuildPointIndex(*table.cache);
+    }
+    if (const SSTableEntry* e =
+            ProbePointIndex(table.index, *table.cache, key, hash)) {
+      *storage = e->ref;
+      return static_cast<const ValueRef*>(storage);
+    }
+    // A filter never rejects a key the table holds, so counting its
+    // rejections of index misses gives exactly the skips of running it
+    // first.
+    if (!meta.bloom.MayContain(key_view)) bloom_skip_counter_->Increment();
+    return static_cast<const ValueRef*>(nullptr);
+  }
   if (!meta.bloom.MayContain(key_view)) {
     bloom_skip_counter_->Increment();
     return static_cast<const ValueRef*>(nullptr);
-  }
-  auto search = [&](const std::vector<SSTableEntry>& entries) -> const ValueRef* {
-    auto pos = std::lower_bound(
-        entries.begin(), entries.end(), key,
-        [](const SSTableEntry& e, const InlineKey& k) { return e.key < k; });
-    if (pos != entries.end() && pos->key == key) {
-      *storage = pos->ref;
-      return storage;
-    }
-    return nullptr;
-  };
-  if (table.cache != nullptr) {
-    return search(*table.cache);
   }
   const int page = meta.PageForKey(key_view);
   if (page < 0) return static_cast<const ValueRef*>(nullptr);
   auto entries = LoadPage(meta, static_cast<std::uint32_t>(page));
   if (!entries.ok()) return entries.status();
-  return search(*entries.value());
+  const std::vector<SSTableEntry>& in_page = *entries.value();
+  auto pos = std::lower_bound(
+      in_page.begin(), in_page.end(), key,
+      [](const SSTableEntry& e, const InlineKey& k) { return e.key < k; });
+  if (pos == in_page.end() || !(pos->key == key)) {
+    return static_cast<const ValueRef*>(nullptr);
+  }
+  *storage = pos->ref;
+  return static_cast<const ValueRef*>(storage);
 }
 
 Result<ValueRef> LsmTree::Get(std::string_view key_view) {
@@ -139,25 +196,32 @@ Result<ValueRef> LsmTree::Get(std::string_view key_view) {
     if (ref->tombstone) return Status::NotFound();
     return *ref;
   }
-  ValueRef storage;
-  // L0 runs may overlap: newest (back) wins.
-  auto& l0 = levels_[0];
-  for (auto it = l0.rbegin(); it != l0.rend(); ++it) {
-    auto found = FindInTable(*it, key, &storage);
-    if (!found.ok()) return found.status();
-    if (found.value() != nullptr) {
-      if (found.value()->tombstone) return Status::NotFound();
-      return *found.value();
-    }
+  // The tables that may hold the key, newest first: every L0 run (they
+  // may overlap), then the one table of each deeper level (sorted and
+  // disjoint) whose range covers it.
+  candidates_.clear();
+  for (auto it = levels_[0].rbegin(); it != levels_[0].rend(); ++it) {
+    candidates_.push_back(&*it);
   }
-  // Deeper levels are sorted and disjoint.
   for (std::size_t level = 1; level < levels_.size(); ++level) {
     auto& tables = levels_[level];
     auto t = std::partition_point(
         tables.begin(), tables.end(),
         [&](const Table& tab) { return tab.meta.max_key < key_view; });
-    if (t == tables.end() || key_view < t->meta.min_key) continue;
-    auto found = FindInTable(*t, key, &storage);
+    if (t != tables.end() && !(key_view < t->meta.min_key)) {
+      candidates_.push_back(&*t);
+    }
+  }
+  // Each probe starts with a likely cache miss on an index slot; issuing
+  // them all first overlaps those misses instead of paying them in turn.
+  const std::uint64_t hash = key.Hash();
+  for (const Table* table : candidates_) {
+    const std::vector<std::uint32_t>& index = table->index;
+    if (!index.empty()) __builtin_prefetch(&index[ScaleHash(hash, index.size())]);
+  }
+  ValueRef storage;
+  for (Table* table : candidates_) {
+    auto found = FindInTable(*table, key, hash, &storage);
     if (!found.ok()) return found.status();
     if (found.value() != nullptr) {
       if (found.value()->tombstone) return Status::NotFound();
@@ -275,7 +339,8 @@ Status LsmTree::Install(TableWriter* writer, int level) {
   next_lpn_ += meta.value().page_count;
   Table table{std::move(meta).value(),
               std::make_shared<const std::vector<SSTableEntry>>(
-                  std::move(writer->entries()))};
+                  std::move(writer->entries())),
+              {}};
   auto& tables = levels_[static_cast<std::size_t>(level)];
   auto pos = level == 0
                  ? tables.end()

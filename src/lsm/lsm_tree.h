@@ -3,6 +3,13 @@
 // leveled SSTables stored on NAND through the FTL. Compactions merge
 // reference entries only — values stay in the vLog — but their NAND I/O is
 // real and shows up in the write-amplification figures (Section 2.4).
+//
+// A point lookup probes the MemTable's hash index, then L0 newest first and
+// one table per deeper level. A table still in DRAM answers from a hash
+// index over its entries, built with its bloom filter on its first lookup;
+// its bloom runs only when the index misses, so lsm.bloom_skips counts
+// exactly what running the bloom first would. Any other table goes bloom ->
+// fence key -> one page read through the decoded-page cache.
 #pragma once
 
 #include <cstdint>
@@ -143,16 +150,22 @@ class LsmTree {
     // DRAM) and for compaction inputs; point lookups otherwise go through
     // the page cache.
     std::shared_ptr<const std::vector<SSTableEntry>> cache;
+    // Exact point index over `cache`, built with the filter on the table's
+    // first lookup: 2 * entry_count slots probed linearly from the key's
+    // hash, each holding an entry index + 1 under hash bits that spare
+    // most mismatches a read of the entry (0 = empty). Empty until built.
+    std::vector<std::uint32_t> index;
   };
 
   // Appends `table`'s entries to `inputs` as one merge input of `age`,
   // reading the table from NAND unless it is cached.
   Status Load(Table& table, std::uint32_t age, std::vector<MergeInput>* inputs);
-  // Point lookup within one table: bloom (built on first use) -> fence
-  // keys -> one page read (served from the page cache when possible).
-  // nullptr = not in table.
+  // Point lookup within one table. A DRAM-resident table probes its index
+  // (built with its filter on first use) and runs the bloom only on a miss;
+  // any other table goes bloom -> fence keys -> one page read (served from
+  // the page cache when possible). nullptr = not in table.
   Result<const ValueRef*> FindInTable(Table& table, const InlineKey& key,
-                                      ValueRef* storage);
+                                      std::uint64_t hash, ValueRef* storage);
   Result<std::shared_ptr<const std::vector<SSTableEntry>>> LoadPage(
       const SSTableMeta& meta, std::uint32_t page_index);
   void InvalidatePages(const SSTableMeta& meta);
@@ -186,6 +199,8 @@ class LsmTree {
                      std::shared_ptr<const std::vector<SSTableEntry>>>
       page_cache_;
   std::deque<std::uint64_t> page_cache_fifo_;
+  // Get()'s candidate tables, kept to reuse the storage.
+  std::vector<Table*> candidates_;
   std::uint64_t next_table_id_ = 1;
   std::uint64_t next_lpn_ = kLsmLpnBase;
   std::uint64_t compactions_run_ = 0;

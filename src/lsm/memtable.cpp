@@ -1,6 +1,7 @@
 #include "lsm/memtable.h"
 
 #include <algorithm>
+#include <bit>
 #include <new>
 #include <string>
 #include <type_traits>
@@ -56,7 +57,35 @@ MemTable::Node* MemTable::FindGreaterOrEqual(const InlineKey& key,
   return node->next()[0];
 }
 
+std::size_t MemTable::SlotFor(const InlineKey& key) const {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t slot = key.Hash() & mask;
+  while (index_[slot] != nullptr && !(index_[slot]->key == key)) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+void MemTable::IndexAll(std::size_t slots) const {
+  index_.assign(slots, nullptr);
+  const std::size_t mask = slots - 1;
+  for (Node* node = head_->next()[0]; node != nullptr; node = node->next()[0]) {
+    std::size_t slot = node->key.Hash() & mask;
+    while (index_[slot] != nullptr) slot = (slot + 1) & mask;
+    index_[slot] = node;
+  }
+  indexed_ = true;
+}
+
 void MemTable::Put(const InlineKey& key, const ValueRef& ref) {
+  std::size_t slot = 0;
+  if (indexed_) {
+    slot = SlotFor(key);
+    if (index_[slot] != nullptr) {
+      index_[slot]->ref = ref;
+      return;
+    }
+  }
   Node* prev[kMaxHeight];
   Node* found = FindGreaterOrEqual(key, prev);
   if (found != nullptr && found->key == key) {
@@ -71,6 +100,13 @@ void MemTable::Put(const InlineKey& key, const ValueRef& ref) {
     prev[level]->next()[level] = node;
   }
   ++count_;
+  if (indexed_) {
+    if (2 * count_ > index_.size()) {
+      IndexAll(2 * index_.size());
+    } else {
+      index_[slot] = node;
+    }
+  }
   // Footprint accounting deliberately models the original layout (a
   // std::string key, the ref and a height-entry heap tower per node) rather
   // than the arena node: the total drives the flush threshold, and the
@@ -84,15 +120,19 @@ void MemTable::Put(const InlineKey& key, const ValueRef& ref) {
 }
 
 const ValueRef* MemTable::Get(const InlineKey& key) const {
-  Node* node = FindGreaterOrEqual(key, nullptr);
-  if (node != nullptr && node->key == key) return &node->ref;
-  return nullptr;
+  if (!indexed_) {
+    IndexAll(std::max({kInitialIndexSlots, index_.size(),
+                       std::bit_ceil(2 * count_)}));
+  }
+  Node* node = index_[SlotFor(key)];
+  return node != nullptr ? &node->ref : nullptr;
 }
 
 void MemTable::Clear() {
   block_ = 0;
   used_ = 0;
   head_ = NewNode(InlineKey(), ValueRef(), kMaxHeight);
+  indexed_ = false;
   height_ = 1;
   count_ = 0;
   approx_bytes_ = 0;

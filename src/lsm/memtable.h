@@ -7,6 +7,16 @@
 // Keys are InlineKeys, and every node is bump-allocated from the table's
 // own arena with a tower sized to its drawn height; Clear() rewinds the
 // arena and keeps its blocks for the next fill.
+//
+// Beside the skiplist sits an exact hash index from key to node (open
+// addressing, linear probing, load at most 1/2), built by the first Get()
+// after a Clear() and kept up to date from then on. Get() is one index
+// probe. While the index exists, a Put() of a key already present
+// overwrites through it without walking the skiplist; a fill that nobody
+// reads (a load, a flush-bound PUT stream) never pays for it. Only a new
+// key draws a height, so heights — and the footprint and flush points that
+// follow from them — do not depend on the index. The skiplist serves
+// ordered iteration.
 #pragma once
 
 #include <cstddef>
@@ -76,8 +86,14 @@ class MemTable {
  private:
   static constexpr int kMaxHeight = 12;
   static constexpr std::size_t kArenaBlockBytes = 64 * 1024;
+  static constexpr std::size_t kInitialIndexSlots = 1024;  // A power of two.
 
   int RandomHeight();
+  // Index slot holding `key`'s node, or the empty slot where it would go.
+  std::size_t SlotFor(const InlineKey& key) const;
+  // (Re)builds the index over every node with `slots` (a power of two of
+  // at least twice entry_count()) slots.
+  void IndexAll(std::size_t slots) const;
   // A node with a `height`-pointer null tower, from the arena.
   Node* NewNode(const InlineKey& key, const ValueRef& ref, int height);
   // First node with key >= `key`; when `prev` is non-null it receives the
@@ -90,6 +106,10 @@ class MemTable {
   std::size_t block_ = 0;
   std::size_t used_ = 0;
   Node* head_ = nullptr;
+  // Point index: a power-of-two slot array, nullptr = empty. Valid only
+  // while indexed_; Clear() drops it, and the rebuild reuses its storage.
+  mutable std::vector<Node*> index_;
+  mutable bool indexed_ = false;
   int height_ = 1;
   std::size_t count_ = 0;
   std::size_t approx_bytes_ = 0;

@@ -175,6 +175,44 @@ TEST(InlineKeyTest, OverlongKeySortsWhereTheWholeKeyWould) {
   }
 }
 
+TEST(InlineKeyTest, HashSpreadsKeysThatShareAPrefix) {
+  // The point indexes take a slot from the hash's low bits (the MemTable)
+  // or its high bits (a table), so both must spread keys that differ only
+  // past their first 8 bytes, only in their 16th byte or only in length.
+  auto spread = [](const std::vector<std::string>& keys, int shift) {
+    std::vector<bool> used(1024, false);
+    std::size_t buckets = 0;
+    for (const std::string& key : keys) {
+      const std::size_t b = (InlineKey(key).Hash() >> shift) & 1023;
+      if (!used[b]) ++buckets;
+      used[b] = true;
+    }
+    return buckets;
+  };
+  std::vector<std::string> second_word;  // One 8-byte prefix.
+  std::vector<std::string> last_byte;    // One 15-byte prefix.
+  std::vector<std::string> lengths;      // Keys and themselves + 0x00.
+  for (int i = 0; i < 1024; ++i) {
+    second_word.push_back("prefix08" + std::to_string(1000000 + i));
+  }
+  for (int b = 0; b < 256; ++b) {
+    last_byte.push_back(std::string(15, 'k') + static_cast<char>(b));
+  }
+  for (int i = 0; i < 512; ++i) {
+    const std::string key = std::to_string(i);
+    lengths.push_back(key);
+    lengths.push_back(key + '\0');
+  }
+  for (int shift : {0, 54}) {
+    // Random hashes of 1024 keys fill about 647 of 1024 buckets, and of
+    // 256 keys about 226. A hash that ignores the second word fills one,
+    // and one that ignores the length about 403.
+    EXPECT_GT(spread(second_word, shift), 600u) << shift;
+    EXPECT_GT(spread(last_byte, shift), 150u) << shift;
+    EXPECT_GT(spread(lengths, shift), 600u) << shift;
+  }
+}
+
 TEST(MemTableTest, MatchesStdMapOnStressKeys) {
   const std::vector<std::string> keys = OrderStressKeys(21, 400);
   MemTable mem(3);
@@ -256,6 +294,59 @@ struct Digest {
     Add(s.data(), s.size());
   }
 };
+
+// A seeded stream with about half overwrites and some tombstones across
+// three Clear() cycles, with a Get after every fourth write so the index
+// exists from each cycle's first op. A new key draws a tower height and an
+// overwrite does not, so the footprint (which counts tower pointers, and
+// decides where the LSM flushes) pins the height draws; the digest pins
+// the iteration order and every ref. Recorded with the skiplist-only
+// MemTable.
+TEST(MemTableTest, FootprintStreamIsPinned) {
+  MemTable mem(0xF007);
+  Xoshiro256 rng(0xF00D);
+  std::vector<std::string> keys;
+  std::vector<std::size_t> bytes;
+  std::vector<std::size_t> entries;
+  Digest d;
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    keys.clear();
+    for (int i = 0; i < 12000; ++i) {
+      const std::uint64_t r = rng.Below(100);
+      std::string key;
+      if (r < 50 && !keys.empty()) {
+        key = keys[rng.Below(keys.size())];
+      } else {
+        const std::size_t len = 1 + rng.Below(kMaxKeySize);
+        for (std::size_t b = 0; b < len; ++b) {
+          key.push_back(static_cast<char>(rng.Below(256)));
+        }
+        keys.push_back(key);
+      }
+      if (r % 10 == 9) {
+        mem.Delete(key);
+      } else {
+        mem.Put(key, {rng() >> 16, static_cast<std::uint32_t>(rng.Below(4096)),
+                      false});
+      }
+      if (i % 4 == 0) {
+        ASSERT_NE(mem.Get(key), nullptr);
+      }
+    }
+    bytes.push_back(mem.approximate_bytes());
+    entries.push_back(mem.entry_count());
+    for (auto it = mem.Begin(); it.Valid(); it.Next()) {
+      d.Add(it.key().view());
+      d.Add(it.ref().addr);
+      d.Add(it.ref().size);
+      d.Add(it.ref().tombstone ? 1u : 0u);
+    }
+    mem.Clear();
+  }
+  EXPECT_EQ(bytes, (std::vector<std::size_t>{628617, 629116, 629492}));
+  EXPECT_EQ(entries, (std::vector<std::size_t>{5852, 5856, 5867}));
+  EXPECT_EQ(d.h, 0x69c83c14a8d52b92ULL);
+}
 
 std::vector<SSTableEntry> MakeEntries(int n, int salt = 0) {
   std::vector<SSTableEntry> entries;
@@ -734,6 +825,106 @@ TEST_F(LsmTreeTest, PageCacheServesRepeatLookups) {
   // Same key again: fully served from the decoded-page cache.
   ASSERT_TRUE(cold.Get(Key(500)).ok());
   EXPECT_EQ(nand_.pages_read(), after_first);
+}
+
+TEST_F(LsmTreeTest, PointLookupsMatchMapInEveryResidency) {
+  // Keys that stress the point indexes: pairs sharing their first 8 bytes
+  // or their first 15, a key and the same key with a trailing 0x00, and
+  // 16-byte keys.
+  std::vector<std::string> keys;
+  for (int i = 0; i < 500; ++i) {
+    const std::string base = Key(i);
+    const std::string fifteen = base + "-prefix";
+    keys.insert(keys.end(), {base, base + '\0', base + '#', fifteen,
+                             fifteen + 'x', fifteen + 'y'});
+  }
+  std::map<std::string, ValueRef> model;
+  Xoshiro256 rng(0x5E51D);
+  auto run = [&](LsmTree& tree, int ops) {
+    for (int i = 0; i < ops; ++i) {
+      const std::string& key = keys[rng.Below(keys.size())];
+      if (rng.Below(5) == 0) {
+        ASSERT_TRUE(tree.Delete(key).ok());
+        model[key] = ValueRef{0, 0, true};
+      } else {
+        const ValueRef ref{rng() >> 20, 1 + static_cast<std::uint32_t>(rng.Below(512)),
+                           false};
+        ASSERT_TRUE(tree.Put(key, ref).ok());
+        model[key] = ref;
+      }
+    }
+  };
+  // Every key of the universe, plus in-range keys no Put ever writes.
+  auto check = [&](LsmTree& tree, const char* stage) {
+    for (const std::string& key : keys) {
+      auto got = tree.Get(key);
+      auto want = model.find(key);
+      if (want == model.end() || want->second.tombstone) {
+        ASSERT_TRUE(got.status().IsNotFound()) << stage << " " << key;
+        continue;
+      }
+      ASSERT_TRUE(got.ok()) << stage << " " << key;
+      EXPECT_EQ(got.value().addr, want->second.addr) << stage;
+      EXPECT_EQ(got.value().size, want->second.size) << stage;
+    }
+    for (int i = 0; i < 500; i += 7) {
+      EXPECT_TRUE(tree.Get(Key(i) + "-prefi").status().IsNotFound()) << stage;
+      EXPECT_TRUE(tree.Get(Key(i) + "-prefixz").status().IsNotFound()) << stage;
+    }
+  };
+
+  run(lsm_, 25);
+  ASSERT_EQ(lsm_.memtable_flushes(), 0u);
+  check(lsm_, "memtable");
+  ASSERT_TRUE(lsm_.FlushMemTable().ok());
+  ASSERT_EQ(lsm_.TableCount(0), 1u);
+  check(lsm_, "resident L0");
+  run(lsm_, 6000);
+  ASSERT_GT(lsm_.compactions_run(), 0u);
+  ASSERT_GT(lsm_.TableCount(2), 0u);
+  check(lsm_, "resident levels");
+  ASSERT_TRUE(lsm_.Checkpoint(1).ok());
+
+  // A fresh tree over the same FTL holds no table in DRAM, and an L1
+  // target this small makes its compactions read their victims back.
+  LsmConfig config = Config();
+  config.level_base_bytes = 1024;
+  LsmTree restored(&ftl_, &metrics_, config);
+  ASSERT_TRUE(restored.Restore().ok());
+  check(restored, "restored");
+  auto step = restored.CompactStep(1);
+  ASSERT_TRUE(step.ok());
+  ASSERT_TRUE(step.value());
+  check(restored, "loaded by compaction");
+  run(restored, 2000);
+  check(restored, "restored, then written");
+  ASSERT_TRUE(restored.NewIterator().ok());  // Loads every table.
+  check(restored, "every table loaded");
+}
+
+TEST_F(LsmTreeTest, LargeResidentTableIndexMatchesOnlyItsOwnKeys) {
+  // One resident table so large that an index slot keeps only 14 bits of
+  // its key's hash: the absent keys (each sharing its first 8 bytes with a
+  // present one) meet matching bits about once per ten thousand probes and
+  // must still miss.
+  constexpr int kKeys = 150000;
+  LsmConfig config;
+  config.sstable_target_bytes = 16 << 20;
+  config.level_base_bytes = 64 << 20;
+  LsmTree tree(&ftl_, &metrics_, config);
+  for (int i = 0; i < kKeys; ++i) {
+    const int k = static_cast<int>(static_cast<std::int64_t>(i) * 7919 % kKeys);
+    ASSERT_TRUE(tree.Put(Key(k) + "p", {static_cast<std::uint64_t>(k), 4, false}).ok());
+  }
+  ASSERT_TRUE(tree.FlushMemTable().ok());
+  ASSERT_EQ(tree.TableCount(1), 1u);
+  ASSERT_GT(tree.table_meta(1, 0).entry_count, 1u << 17);
+  for (int k = 0; k < kKeys; ++k) {
+    auto ref = tree.Get(Key(k) + "p");
+    ASSERT_TRUE(ref.ok()) << k;
+    ASSERT_EQ(ref.value().addr, static_cast<std::uint64_t>(k));
+    ASSERT_TRUE(tree.Get(Key(k) + "a").status().IsNotFound()) << k;
+  }
 }
 
 // --------------------------- Bloom filter ----------------------------------
