@@ -14,152 +14,107 @@ PageFtl::PageFtl(nand::NandFlash* nand, stats::MetricsRegistry* metrics,
       tracer_(tracer),
       event_log_(event_log),
       config_(config),
-      rmap_(nand->geometry().total_pages(), kUnmapped),
-      valid_pages_(nand->geometry().total_blocks(), 0),
-      block_full_(nand->geometry().total_blocks(), false),
-      bad_(nand->geometry().total_blocks(), false),
+      blocks_(nand->geometry().total_blocks()),
+      lanes_(config.stripe_across_dies ? nand->geometry().dies() : 1),
       gc_relocations_(metrics->RegisterCounter("ftl.gc_relocated_pages")),
       remaps_counter_(metrics->RegisterCounter("ftl.bad_block_remaps")) {
-  const std::uint64_t blocks = nand->geometry().total_blocks();
   if (config_.bad_block_rate > 0.0) {
     Xoshiro256 rng(config_.bad_block_seed);
-    for (std::uint64_t b = 0; b < blocks; ++b) {
+    for (BlockRecord& block : blocks_) {
       if (rng.NextDouble() < config_.bad_block_rate) {
-        bad_[b] = true;
+        block.bad = true;
         ++bad_block_count_;
       }
     }
   }
-  if (config_.stripe_across_dies) {
-    const std::uint64_t dies = nand->geometry().dies();
-    free_by_die_.resize(dies);
-    // Same lowest-block-first discipline as the global list, per die.
-    for (std::uint64_t b = blocks; b > 0; --b) {
-      if (!bad_[b - 1]) {
-        free_by_die_[nand->DieOf(b - 1)].push_back(b - 1);
-        ++free_count_;
-      }
-    }
-    active_by_die_.assign(kNumStreams, std::vector<ActiveBlock>(dies));
-  } else {
-    free_blocks_.reserve(blocks);
-    // Pop from the back; filling lowest-numbered blocks first keeps runs
-    // reproducible and easy to inspect.
-    for (std::uint64_t b = blocks; b > 0; --b) {
-      if (!bad_[b - 1]) free_blocks_.push_back(b - 1);
-    }
+  // Pop from the back; filling lowest-numbered blocks first keeps runs
+  // reproducible and easy to inspect.
+  for (std::uint64_t b = blocks_.size(); b > 0; --b) {
+    if (!blocks_[b - 1].bad) FreeList(b - 1).push_back(b - 1);
   }
   // Withhold the remap reserve: highest-numbered good blocks, which sit at
   // the *front* of the lowest-block-first free lists and would be allocated
-  // last anyway.
+  // last anyway. Each is taken from the fullest lane, so the reserve drains
+  // the lanes evenly.
   for (std::uint32_t r = 0; r < config_.reserved_blocks; ++r) {
-    std::vector<std::uint64_t>* list = &free_blocks_;
-    if (config_.stripe_across_dies) {
-      // Round-robin across dies so the reserve drains evenly.
-      std::vector<std::uint64_t>* best = nullptr;
-      for (auto& per_die : free_by_die_) {
-        if (per_die.empty()) continue;
-        if (best == nullptr || per_die.size() > best->size()) best = &per_die;
-      }
-      if (best == nullptr) break;
-      list = best;
-      --free_count_;
-    } else {
-      if (list->empty()) break;
+    Lane* best = nullptr;
+    for (Lane& lane : lanes_) {
+      if (lane.free.empty()) continue;
+      if (best == nullptr || lane.free.size() > best->free.size()) best = &lane;
     }
-    reserve_blocks_.push_back(list->front());
-    list->erase(list->begin());
+    if (best == nullptr) break;
+    reserve_blocks_.push_back(best->free.front());
+    best->free.erase(best->free.begin());
   }
   stream_programs_[0] = metrics->RegisterCounter("ftl.programs.vlog");
   stream_programs_[1] = metrics->RegisterCounter("ftl.programs.lsm");
   stream_programs_[2] = metrics->RegisterCounter("ftl.programs.gc");
 }
 
+std::uint64_t PageFtl::free_blocks() const {
+  std::uint64_t n = 0;
+  for (const Lane& lane : lanes_) n += lane.free.size();
+  return n;
+}
+
+void PageFtl::Map(std::uint64_t lpn, std::uint64_t ppn) {
+  auto [it, inserted] = map_.try_emplace(lpn, ppn);
+  if (!inserted) {
+    Invalidate(it->second);
+    it->second = ppn;
+  }
+  const auto& geom = nand_->geometry();
+  BlockRecord& block = blocks_[geom.BlockOf(ppn)];
+  block.lpns[geom.PageInBlock(ppn)] = lpn;
+  ++block.valid;
+}
+
 void PageFtl::Invalidate(std::uint64_t ppn) {
-  if (rmap_[ppn] == kUnmapped) return;
-  rmap_[ppn] = kUnmapped;
-  const std::uint64_t block = nand_->geometry().BlockOf(ppn);
-  assert(valid_pages_[block] > 0);
-  --valid_pages_[block];
-}
-
-void PageFtl::PushFree(std::uint64_t block) {
-  if (config_.stripe_across_dies) {
-    free_by_die_[nand_->DieOf(block)].push_back(block);
-    ++free_count_;
-  } else {
-    free_blocks_.push_back(block);
-  }
-}
-
-bool PageFtl::PopFree(std::uint64_t want_die, std::uint64_t* out) {
-  if (!config_.stripe_across_dies) {
-    if (free_blocks_.empty()) return false;
-    *out = free_blocks_.back();
-    free_blocks_.pop_back();
-    return true;
-  }
-  // Prefer the requested die; fall back round-robin so a die whose pool
-  // drained does not wedge the stream.
-  const std::uint64_t dies = free_by_die_.size();
-  for (std::uint64_t i = 0; i < dies; ++i) {
-    std::vector<std::uint64_t>& list = free_by_die_[(want_die + i) % dies];
-    if (list.empty()) continue;
-    *out = list.back();
-    list.pop_back();
-    --free_count_;
-    return true;
-  }
-  return false;
-}
-
-void PageFtl::RemoveFree(std::uint64_t block) {
-  std::vector<std::uint64_t>* list = &free_blocks_;
-  if (config_.stripe_across_dies) list = &free_by_die_[nand_->DieOf(block)];
-  for (auto it = list->begin(); it != list->end(); ++it) {
-    if (*it == block) {
-      list->erase(it);
-      if (config_.stripe_across_dies) --free_count_;
-      break;
-    }
-  }
+  const auto& geom = nand_->geometry();
+  BlockRecord& block = blocks_[geom.BlockOf(ppn)];
+  std::uint64_t& lpn = block.lpns[geom.PageInBlock(ppn)];
+  if (lpn == kUnmapped) return;
+  lpn = kUnmapped;
+  assert(block.valid > 0);
+  --block.valid;
 }
 
 Status PageFtl::OpenActiveBlock(ActiveBlock* active, Stream stream,
-                                std::uint64_t want_die) {
-  if (active->block != kUnmapped) block_full_[active->block] = true;
+                                std::uint64_t want_lane) {
+  if (active->block != kUnmapped) blocks_[active->block].full = true;
   // GC only when allocating for foreground streams; the GC stream draws
   // from the reserve directly to avoid re-entry.
   if (stream != Stream::kGc) {
     BANDSLIM_RETURN_IF_ERROR(MaybeCollect());
   }
-  std::uint64_t block;
-  if (!PopFree(want_die, &block)) {
-    return Status::OutOfSpace("no free NAND blocks");
+  // Prefer the requested lane; fall back round-robin so a lane whose pool
+  // drained does not wedge the stream.
+  for (std::uint64_t i = 0; i < lanes_.size(); ++i) {
+    std::vector<std::uint64_t>& pool =
+        lanes_[(want_lane + i) % lanes_.size()].free;
+    if (pool.empty()) continue;
+    const std::uint64_t block = pool.back();
+    pool.pop_back();
+    const std::uint32_t pages = nand_->geometry().pages_per_block;
+    blocks_[block].lpns = std::make_unique<std::uint64_t[]>(pages);
+    std::fill_n(blocks_[block].lpns.get(), pages, kUnmapped);
+    active->block = block;
+    active->next_page = 0;
+    return Status::Ok();
   }
-  active->block = block;
-  active->next_page = 0;
-  return Status::Ok();
+  return Status::OutOfSpace("no free NAND blocks");
 }
 
 Result<std::uint64_t> PageFtl::AllocatePage(Stream stream) {
   const auto& geom = nand_->geometry();
   const int s = static_cast<int>(stream);
-  if (config_.stripe_across_dies) {
-    // Rotate dies per page so consecutive appends land on different
-    // channels/ways and the parallel NAND scheduler can overlap them.
-    const std::uint64_t dies = geom.dies();
-    const std::uint64_t die = stripe_cursor_[s] % dies;
-    stripe_cursor_[s] = (stripe_cursor_[s] + 1) % dies;
-    ActiveBlock& active = active_by_die_[s][die];
-    if (active.block == kUnmapped || active.next_page == geom.pages_per_block) {
-      BANDSLIM_RETURN_IF_ERROR(OpenActiveBlock(&active, stream, die));
-    }
-    return geom.PageIndex(active.block, active.next_page++);
-  }
-  ActiveBlock& active = active_[s];
+  // Rotate lanes per page so consecutive appends land on different
+  // channels/ways and the parallel NAND scheduler can overlap them.
+  const std::uint64_t lane = lane_cursor_[s];
+  lane_cursor_[s] = (lane + 1) % lanes_.size();
+  ActiveBlock& active = lanes_[lane].active[s];
   if (active.block == kUnmapped || active.next_page == geom.pages_per_block) {
-    BANDSLIM_RETURN_IF_ERROR(OpenActiveBlock(&active, stream, 0));
+    BANDSLIM_RETURN_IF_ERROR(OpenActiveBlock(&active, stream, lane));
   }
   return geom.PageIndex(active.block, active.next_page++);
 }
@@ -204,13 +159,15 @@ Result<std::uint32_t> PageFtl::CollectBudgeted(std::uint32_t max_blocks,
 
 Status PageFtl::RelocateValidPages(std::uint64_t block) {
   trace::SpanScope span(tracer_, trace::Category::kFtlGc);
+  const BlockRecord& record = blocks_[block];
+  // A block not opened since its last erase holds no valid page.
+  if (record.lpns == nullptr) return Status::Ok();
   const auto& geom = nand_->geometry();
   Bytes tmp(geom.page_size);
-  const std::uint64_t first = geom.PageIndex(block, 0);
   for (std::uint32_t p = 0; p < geom.pages_per_block; ++p) {
-    const std::uint64_t ppn = first + p;
-    const std::uint64_t lpn = rmap_[ppn];
+    const std::uint64_t lpn = record.lpns[p];
     if (lpn == kUnmapped) continue;
+    const std::uint64_t ppn = geom.PageIndex(block, p);
     BANDSLIM_RETURN_IF_ERROR(nand_->Read(ppn, MutByteSpan(tmp)));
     const bool retain = nand_->HasRetainedData(ppn);
     // A media failure while replaying the page retries on a fresh GC
@@ -230,25 +187,18 @@ Status PageFtl::RelocateValidPages(std::uint64_t block) {
       ++program_failures_;
       if (tries >= config_.max_program_retries) return programmed;
     }
-    rmap_[ppn] = kUnmapped;
-    rmap_[new_ppn] = lpn;
-    map_[lpn] = new_ppn;
-    ++valid_pages_[geom.BlockOf(new_ppn)];
-    --valid_pages_[block];
+    Map(lpn, new_ppn);
     ++gc_relocated_pages_;
     gc_relocations_->Increment();
     stream_programs_[static_cast<int>(Stream::kGc)]->Increment();
   }
-  assert(valid_pages_[block] == 0);
+  assert(record.valid == 0);
   return Status::Ok();
 }
 
 bool PageFtl::IsActive(std::uint64_t block) const {
-  for (const ActiveBlock& a : active_) {
-    if (a.block == block) return true;
-  }
-  for (const auto& per_die : active_by_die_) {
-    for (const ActiveBlock& a : per_die) {
+  for (const Lane& lane : lanes_) {
+    for (const ActiveBlock& a : lane.active) {
       if (a.block == block) return true;
     }
   }
@@ -262,16 +212,18 @@ Status PageFtl::CollectOneBlock() {
   // blocks (static wear leveling, FtlConfig::wear_weight).
   std::uint32_t min_erase = ~0u;
   if (config_.wear_weight > 0.0) {
-    for (std::uint64_t b = 0; b < geom.total_blocks(); ++b) {
-      if (!bad_[b]) min_erase = std::min(min_erase, nand_->EraseCount(b));
+    for (std::uint64_t b = 0; b < blocks_.size(); ++b) {
+      if (blocks_[b].bad) continue;
+      min_erase = std::min(min_erase, nand_->EraseCount(b));
     }
   }
   std::uint64_t victim = kUnmapped;
   double best_score = 1e300;
-  for (std::uint64_t b = 0; b < geom.total_blocks(); ++b) {
-    if (!block_full_[b] || bad_[b]) continue;
-    if (valid_pages_[b] >= geom.pages_per_block) continue;  // Nothing to gain.
-    double score = static_cast<double>(valid_pages_[b]);
+  for (std::uint64_t b = 0; b < blocks_.size(); ++b) {
+    const BlockRecord& block = blocks_[b];
+    if (!block.full || block.bad) continue;
+    if (block.valid >= geom.pages_per_block) continue;  // Nothing to gain.
+    double score = static_cast<double>(block.valid);
     if (config_.wear_weight > 0.0) {
       score += config_.wear_weight *
                static_cast<double>(nand_->EraseCount(b) - min_erase);
@@ -287,7 +239,7 @@ Status PageFtl::CollectOneBlock() {
 
   if (event_log_ != nullptr) {
     event_log_->Emit(telemetry::EventType::kGcStart, victim,
-                     valid_pages_[victim]);
+                     blocks_[victim].valid);
   }
   const std::uint64_t relocated_before = gc_relocated_pages_;
   BANDSLIM_RETURN_IF_ERROR(RelocateValidPages(victim));
@@ -298,16 +250,11 @@ Status PageFtl::CollectOneBlock() {
     // progress and terminates at kOutOfSpace when nothing is reclaimable.
     ++erase_retirements_;
     BANDSLIM_RETURN_IF_ERROR(RetireBlock(victim));
-    ++gc_runs_;
-    if (event_log_ != nullptr) {
-      event_log_->Emit(telemetry::EventType::kGcEnd, victim,
-                       gc_relocated_pages_ - relocated_before);
-    }
-    return Status::Ok();
+  } else {
+    BANDSLIM_RETURN_IF_ERROR(erased);
+    blocks_[victim] = BlockRecord{};
+    FreeList(victim).push_back(victim);
   }
-  BANDSLIM_RETURN_IF_ERROR(erased);
-  block_full_[victim] = false;
-  PushFree(victim);
   ++gc_runs_;
   if (event_log_ != nullptr) {
     event_log_->Emit(telemetry::EventType::kGcEnd, victim,
@@ -316,32 +263,22 @@ Status PageFtl::CollectOneBlock() {
   return Status::Ok();
 }
 
-void PageFtl::CloseActive(std::uint64_t block) {
-  for (ActiveBlock& a : active_) {
-    if (a.block == block) a = ActiveBlock{};
-  }
-  for (auto& per_die : active_by_die_) {
-    for (ActiveBlock& a : per_die) {
+Status PageFtl::RetireBlock(std::uint64_t block) {
+  for (Lane& lane : lanes_) {
+    for (ActiveBlock& a : lane.active) {
       if (a.block == block) a = ActiveBlock{};
     }
   }
-}
-
-bool PageFtl::RefillFromReserve() {
-  if (reserve_blocks_.empty()) return false;
-  PushFree(reserve_blocks_.back());
-  reserve_blocks_.pop_back();
-  return true;
-}
-
-Status PageFtl::RetireBlock(std::uint64_t block) {
-  CloseActive(block);
   BANDSLIM_RETURN_IF_ERROR(MarkBad(block));
   ++bad_block_remaps_;
   remaps_counter_->Increment();
   // With the reserve exhausted, usable capacity just shrinks; allocation
   // reports kOutOfSpace when the free pool eventually drains.
-  const bool replaced = RefillFromReserve();
+  const bool replaced = !reserve_blocks_.empty();
+  if (replaced) {
+    FreeList(reserve_blocks_.back()).push_back(reserve_blocks_.back());
+    reserve_blocks_.pop_back();
+  }
   if (event_log_ != nullptr) {
     event_log_->Emit(telemetry::EventType::kBlockRetired, block,
                      replaced ? 1 : 0);
@@ -350,19 +287,23 @@ Status PageFtl::RetireBlock(std::uint64_t block) {
 }
 
 Status PageFtl::MarkBad(std::uint64_t block) {
-  if (block >= nand_->geometry().total_blocks()) {
+  if (block >= blocks_.size()) {
     return Status::InvalidArgument("block out of range");
   }
-  if (bad_[block]) return Status::Ok();
+  if (blocks_[block].bad) return Status::Ok();
   if (IsActive(block)) {
     return Status::InvalidArgument("cannot mark a stream-active block bad");
   }
   BANDSLIM_RETURN_IF_ERROR(RelocateValidPages(block));
-  bad_[block] = true;
+  blocks_[block] = BlockRecord{};
+  blocks_[block].bad = true;
   ++bad_block_count_;
-  block_full_[block] = false;
-  // Drop it from the free pool if it was free.
-  RemoveFree(block);
+  // Drop it from the free pool or the reserve, wherever it waits.
+  std::vector<std::uint64_t>& pool = FreeList(block);
+  pool.erase(std::remove(pool.begin(), pool.end(), block), pool.end());
+  reserve_blocks_.erase(
+      std::remove(reserve_blocks_.begin(), reserve_blocks_.end(), block),
+      reserve_blocks_.end());
   return Status::Ok();
 }
 
@@ -375,11 +316,7 @@ Status PageFtl::Write(std::uint64_t lpn, ByteSpan data, Stream stream,
     if (!ppn.ok()) return ppn.status();  // Clean kOutOfSpace, never retried.
     last = nand_->Program(ppn.value(), data, retain);
     if (last.ok()) {
-      auto it = map_.find(lpn);
-      if (it != map_.end()) Invalidate(it->second);
-      map_[lpn] = ppn.value();
-      rmap_[ppn.value()] = lpn;
-      ++valid_pages_[nand_->geometry().BlockOf(ppn.value())];
+      Map(lpn, ppn.value());
       stream_programs_[static_cast<int>(stream)]->Increment();
       return Status::Ok();
     }

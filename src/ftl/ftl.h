@@ -44,11 +44,12 @@ struct FtlConfig {
   // Re-allocation attempts after a program reports a media failure (each
   // attempt retires the failed block and lands on a fresh one).
   std::uint32_t max_program_retries = 4;
-  // Geometry-aware dispatch: each stream keeps one active block per die and
-  // round-robins page allocations across them, so consecutive logical page
-  // writes land on different channels/ways and the parallel NAND scheduler
+  // Geometry-aware dispatch: one allocation lane per die instead of one in
+  // all. Each stream keeps an active block per lane and round-robins page
+  // allocations across lanes, so consecutive logical page writes land on
+  // different channels/ways and the parallel NAND scheduler
   // (CostModel::nand_async_program) can overlap them. Off by default: the
-  // sequential allocator matches the paper's firmware and keeps the figure
+  // single-lane allocator matches the paper's firmware and keeps the figure
   // anchors bit-identical.
   bool stripe_across_dies = false;
 };
@@ -78,14 +79,12 @@ class PageFtl {
   // Drops the mapping; the physical page becomes garbage for GC.
   [[nodiscard]] Status Trim(std::uint64_t lpn);
 
-  std::uint64_t free_blocks() const {
-    return config_.stripe_across_dies ? free_count_ : free_blocks_.size();
-  }
+  std::uint64_t free_blocks() const;
   std::uint64_t gc_relocated_pages() const { return gc_relocated_pages_; }
   std::uint64_t gc_runs() const { return gc_runs_; }
   std::uint64_t mapped_pages() const { return map_.size(); }
   std::uint64_t bad_blocks() const { return bad_block_count_; }
-  bool IsBad(std::uint64_t block) const { return bad_[block]; }
+  bool IsBad(std::uint64_t block) const { return blocks_[block].bad; }
   // Fault-handling outcomes (zero on a perfect device).
   std::uint64_t program_failures() const { return program_failures_; }
   std::uint64_t bad_block_remaps() const { return bad_block_remaps_; }
@@ -93,7 +92,8 @@ class PageFtl {
   std::uint64_t reserve_remaining() const { return reserve_blocks_.size(); }
 
   // Grown bad block (fault injection): relocates any valid pages, then
-  // permanently excludes the block. Rejected for stream-active blocks.
+  // permanently excludes the block, dropping it from the free pool or the
+  // remap reserve. Rejected for stream-active blocks.
   [[nodiscard]] Status MarkBad(std::uint64_t block);
 
   // Paced background GC (closed-loop control): reclaims up to `max_blocks`
@@ -108,34 +108,48 @@ class PageFtl {
  private:
   static constexpr std::uint64_t kUnmapped = ~0ULL;
 
+  // One physical block's state. `lpns` (ppn -> lpn per page, kUnmapped for
+  // garbage) exists from when OpenActiveBlock opens the block until GC
+  // erases it or retirement excludes it.
+  struct BlockRecord {
+    std::unique_ptr<std::uint64_t[]> lpns;
+    std::uint32_t valid = 0;
+    bool full = false;
+    bool bad = false;
+  };
   struct ActiveBlock {
     std::uint64_t block = kUnmapped;
     std::uint32_t next_page = 0;
+  };
+  // One allocation lane per die when striping, else a single lane: a free
+  // stack popped lowest-block-first and each stream's active block.
+  struct Lane {
+    std::vector<std::uint64_t> free;
+    ActiveBlock active[kNumStreams];
   };
 
   // Returns the next free physical page for `stream`, running GC if the
   // free pool is low. Fails with kOutOfSpace when GC cannot reclaim.
   Result<std::uint64_t> AllocatePage(Stream stream);
   // Refills `active` from the free pool (GC first for foreground streams),
-  // preferring a block on `want_die` when striping.
+  // preferring a block on `want_lane`.
   Status OpenActiveBlock(ActiveBlock* active, Stream stream,
-                         std::uint64_t want_die);
-  // Free-pool primitives valid in both layouts (global list / per-die lists).
-  void PushFree(std::uint64_t block);
-  bool PopFree(std::uint64_t want_die, std::uint64_t* out);
-  void RemoveFree(std::uint64_t block);
+                         std::uint64_t want_lane);
+  std::vector<std::uint64_t>& FreeList(std::uint64_t block) {
+    return lanes_[block % lanes_.size()].free;
+  }
   Status MaybeCollect();
   Status CollectOneBlock();
   // Moves every valid page of `block` to the GC stream's active block.
   Status RelocateValidPages(std::uint64_t block);
   bool IsActive(std::uint64_t block) const;
+  // Points `lpn` at `ppn`, invalidating the page it mapped before.
+  void Map(std::uint64_t lpn, std::uint64_t ppn);
   void Invalidate(std::uint64_t ppn);
   // Bad-block retirement: closes any stream pointer at `block`, relocates
   // its surviving valid pages (the packed-layout replay), excludes it, and
   // refills the free pool from the reserve when one is configured.
   Status RetireBlock(std::uint64_t block);
-  void CloseActive(std::uint64_t block);
-  bool RefillFromReserve();
 
   nand::NandFlash* nand_;
   trace::Tracer* tracer_;              // Optional; null = untraced.
@@ -146,20 +160,9 @@ class PageFtl {
   bool below_watermark_ = false;
 
   std::unordered_map<std::uint64_t, std::uint64_t> map_;  // lpn -> ppn.
-  std::vector<std::uint64_t> rmap_;                       // ppn -> lpn.
-  std::vector<std::uint32_t> valid_pages_;                // Per block.
-  std::vector<bool> block_full_;                          // Per block.
-  std::vector<bool> bad_;                                 // Per block.
-  // Free pool. Non-striped: one global stack popped lowest-block-first
-  // (exactly the paper-faithful allocator). Striped: one stack per die plus
-  // a count, so OpenActiveBlock can target a die directly.
-  std::vector<std::uint64_t> free_blocks_;
-  std::vector<std::vector<std::uint64_t>> free_by_die_;
-  std::uint64_t free_count_ = 0;
-  ActiveBlock active_[kNumStreams];
-  // Striped mode: per-stream per-die active blocks and rotation cursor.
-  std::vector<std::vector<ActiveBlock>> active_by_die_;
-  std::uint64_t stripe_cursor_[kNumStreams] = {0, 0, 0};
+  std::vector<BlockRecord> blocks_;
+  std::vector<Lane> lanes_;
+  std::uint64_t lane_cursor_[kNumStreams] = {0, 0, 0};
   std::uint64_t bad_block_count_ = 0;
   std::vector<std::uint64_t> reserve_blocks_;  // Bad-block remap pool.
 

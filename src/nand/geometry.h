@@ -1,7 +1,9 @@
 // NAND flash geometry. The paper's testbed carries a 1 TB module with
 // 4 channels x 8 ways and 16 KiB pages (Table 1). The simulator defaults to
-// the same channel/way/page shape scaled to 64 GiB so reverse-map metadata
-// stays small; geometry is fully configurable.
+// the same channel/way/page shape scaled to 64 GiB; geometry is fully
+// configurable. NAND and the FTL keep fixed state per block only (page state
+// and the reverse map live in records of written blocks), so a larger
+// geometry costs a few bytes per block, not per page.
 #pragma once
 
 #include <cstdint>

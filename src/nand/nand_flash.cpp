@@ -13,7 +13,7 @@ NandFlash::NandFlash(const NandGeometry& geometry, sim::VirtualClock* clock,
       cost_(cost),
       fault_plan_(fault_plan),
       tracer_(tracer),
-      page_state_(geometry.total_pages(), 0),
+      blocks_(geometry.total_blocks()),
       erase_counts_(geometry.total_blocks(), 0),
       die_free_at_(geometry.dies(), 0),
       channel_free_at_(geometry.channels, 0),
@@ -43,7 +43,7 @@ void NandFlash::WaitForDieSlot(std::uint64_t die) {
   }
 }
 
-void NandFlash::BookProgramTiming(std::uint64_t phys_page) {
+void NandFlash::BookProgramTiming(std::uint64_t phys_page, PageRecord* page) {
   if (cost_->nand_async_program) {
     // Channel/way scheduler: the page crosses the channel bus, then the die
     // programs it; the issuing op does not wait unless the die's command
@@ -59,7 +59,7 @@ void NandFlash::BookProgramTiming(std::uint64_t phys_page) {
         std::max(channel_free_at_[channel], die_free_at_[die]);
     die_free_at_[die] = prog_start + cost_->nand_program_ns;
     die_busy_ns_[die] += cost_->nand_program_ns;
-    page_ready_at_[phys_page] = die_free_at_[die];
+    page->ready_at = die_free_at_[die];
     die_pending_[die].push_back(die_free_at_[die]);
   } else {
     // Synchronous dispatch still occupies the die: another stream's time
@@ -86,26 +86,30 @@ Status NandFlash::Program(std::uint64_t phys_page, ByteSpan data,
   if (fault_plan_ != nullptr && fault_plan_->PowerLost(clock_->Now())) {
     return Status::IoError("program: power lost");
   }
-  if (page_state_[phys_page] != 0) {
+  auto& block = blocks_[geometry_.BlockOf(phys_page)];
+  if (block == nullptr) {
+    block = std::make_unique<PageRecord[]>(geometry_.pages_per_block);
+  }
+  PageRecord& page = block[geometry_.PageInBlock(phys_page)];
+  if (page.programmed) {
     return Status::IoError("program-before-erase violation");
   }
+  page.programmed = true;
   if (fault_plan_ != nullptr && fault_plan_->enabled() &&
       fault_plan_->NextProgramFails(
           erase_counts_[geometry_.BlockOf(phys_page)], phys_page)) {
     // The die works (and stays busy) for the full program before reporting
     // the failure; the page holds garbage until its block is erased.
-    page_state_[phys_page] = 1;
-    failed_pages_.insert(phys_page);
-    BookProgramTiming(phys_page);
+    page.failed = true;
+    BookProgramTiming(phys_page, &page);
     ++program_failures_;
     program_failures_counter_->Increment();
     return Status::MediaError("program failed");
   }
-  page_state_[phys_page] = 1;
   if (retain_data && !data.empty()) {
-    data_[phys_page] = std::make_shared<const Bytes>(data.begin(), data.end());
+    page.data = std::make_shared<const Bytes>(data.begin(), data.end());
   }
-  BookProgramTiming(phys_page);
+  BookProgramTiming(phys_page, &page);
   ++pages_programmed_;
   programs_->Increment();
   return Status::Ok();
@@ -124,10 +128,11 @@ Status NandFlash::ReadImpl(std::uint64_t phys_page, std::size_t bytes,
   if (fault_plan_ != nullptr && fault_plan_->PowerLost(clock_->Now())) {
     return Status::IoError("read: power lost");
   }
-  if (page_state_[phys_page] == 0) {
+  PageRecord* page = Find(phys_page);
+  if (page == nullptr || !page->programmed) {
     return Status::IoError("read of erased page");
   }
-  if (failed_pages_.contains(phys_page)) {
+  if (page->failed) {
     return Status::MediaError("read of a failed-program page");
   }
   fault::FaultPlan::ReadOutcome outcome = fault::FaultPlan::ReadOutcome::kOk;
@@ -135,19 +140,16 @@ Status NandFlash::ReadImpl(std::uint64_t phys_page, std::size_t bytes,
     outcome = fault_plan_->NextReadOutcome(
         erase_counts_[geometry_.BlockOf(phys_page)], phys_page);
   }
-  // An in-flight program must land before the page is readable.
-  auto ready = page_ready_at_.find(phys_page);
-  if (ready != page_ready_at_.end()) {
-    if (ready->second > clock_->Now()) {
-      const sim::Nanoseconds wait = ready->second - clock_->Now();
-      clock_->Advance(wait);
-      ++read_stalls_;
-      read_stall_ns_ += wait;
-    }
-    page_ready_at_.erase(ready);
+  // An in-flight program must land before the page is readable; the first
+  // read uses the ready time up.
+  if (page->ready_at > clock_->Now()) {
+    const sim::Nanoseconds wait = page->ready_at - clock_->Now();
+    clock_->Advance(wait);
+    ++read_stalls_;
+    read_stall_ns_ += wait;
   }
-  auto it = data_.find(phys_page);
-  *payload = it == data_.end() ? nullptr : it->second;
+  page->ready_at = 0;
+  *payload = page->data;
   *fetched = true;
   if (cost_->nand_async_program) {
     // Reads are synchronous to the caller but contend on the die and the
@@ -235,13 +237,7 @@ Status NandFlash::Erase(std::uint64_t block) {
     ++erase_failures_;
     return Status::MediaError("erase failed");
   }
-  const std::uint64_t first = geometry_.PageIndex(block, 0);
-  for (std::uint32_t p = 0; p < geometry_.pages_per_block; ++p) {
-    page_state_[first + p] = 0;
-    data_.erase(first + p);
-    page_ready_at_.erase(first + p);
-    failed_pages_.erase(first + p);
-  }
+  blocks_[block].reset();
   ++erase_counts_[block];
   if (cost_->nand_async_program) {
     // No data crosses the channel; the die is busy for the erase.

@@ -4,17 +4,19 @@
 // Program/read/erase latencies come from the cost model; per-operation
 // counters feed the paper's NAND I/O figures (Figs 4, 11, 12c).
 //
+// Page state lives in one record per block: the first program after an
+// erase creates it, a successful Erase drops it, so an erased block costs
+// one null pointer and the array's fixed state is per block, not per page.
+//
 // Payload retention: callers may program a page with `retain_data = false`,
-// in which case only the page state (and byte count) is tracked and reads
-// return zeros. Benches use this to sweep millions of multi-KiB values
-// without materializing gigabytes of RAM; tests retain everything.
+// in which case only the page state is tracked and reads return zeros.
+// Benches use this to sweep millions of multi-KiB values without
+// materializing gigabytes of RAM; tests retain everything.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -64,12 +66,15 @@ class NandFlash {
   [[nodiscard]] Status Erase(std::uint64_t block);
 
   PageState StateOf(std::uint64_t phys_page) const {
-    return static_cast<PageState>(page_state_[phys_page]);
+    const PageRecord* page = Find(phys_page);
+    return page != nullptr && page->programmed ? PageState::kProgrammed
+                                               : PageState::kErased;
   }
 
   // Whether a programmed page's payload was retained (see class comment).
   bool HasRetainedData(std::uint64_t phys_page) const {
-    return data_.contains(phys_page);
+    const PageRecord* page = Find(phys_page);
+    return page != nullptr && page->data != nullptr;
   }
 
   std::uint64_t pages_programmed() const { return pages_programmed_; }
@@ -120,6 +125,22 @@ class NandFlash {
   }
 
  private:
+  struct PageRecord {
+    // Retained payload: immutable once installed (a reprogram after an
+    // erase installs a fresh buffer), so ReadView can hand out references.
+    std::shared_ptr<const Bytes> data;
+    // When an in-flight async program lands; the first read uses it up.
+    sim::Nanoseconds ready_at = 0;
+    bool programmed = false;
+    bool failed = false;  // Unreadable until the block is erased.
+  };
+
+  // The page's record, or null while its block is erased.
+  PageRecord* Find(std::uint64_t phys_page) const {
+    const auto& block = blocks_[geometry_.BlockOf(phys_page)];
+    return block ? &block[geometry_.PageInBlock(phys_page)] : nullptr;
+  }
+
   // Blocks until the die has a free command-queue slot (parallel dispatch;
   // models the bounded per-die queue in the flash controller).
   void WaitForDieSlot(std::uint64_t die);
@@ -129,8 +150,8 @@ class NandFlash {
   Status ReadImpl(std::uint64_t phys_page, std::size_t bytes,
                   std::shared_ptr<const Bytes>* payload, bool* fetched);
   // Books the timing of one program attempt (successful or failed — the die
-  // is busy either way).
-  void BookProgramTiming(std::uint64_t phys_page);
+  // is busy either way) and records when the page lands.
+  void BookProgramTiming(std::uint64_t phys_page, PageRecord* page);
   bool PowerLost() const {
     return fault_plan_ != nullptr && fault_plan_->power_lost();
   }
@@ -141,23 +162,17 @@ class NandFlash {
   fault::FaultPlan* fault_plan_;  // Optional; null = perfect media.
   trace::Tracer* tracer_;         // Optional; null = untraced.
 
-  std::vector<std::uint8_t> page_state_;       // One entry per physical page.
-  std::vector<std::uint32_t> erase_counts_;    // One entry per block (wear).
-  // Sparse retained payloads. Immutable once installed (a reprogram swaps
-  // in a fresh buffer), so ReadView can hand out shared references.
-  std::unordered_map<std::uint64_t, std::shared_ptr<const Bytes>> data_;
-  // Pages whose program failed: unreadable until their block is erased.
-  std::unordered_set<std::uint64_t> failed_pages_;
+  // One entry per block: its page records (null while erased), and wear.
+  std::vector<std::unique_ptr<PageRecord[]>> blocks_;
+  std::vector<std::uint32_t> erase_counts_;
 
   // Parallel dispatch: per-resource busy-until timelines (absolute virtual
-  // time), per-die pending-completion queues (backpressure bound), and when
-  // each in-flight page becomes readable.
+  // time) and per-die pending-completion queues (backpressure bound).
   std::vector<sim::Nanoseconds> die_free_at_;
   std::vector<sim::Nanoseconds> channel_free_at_;
   std::vector<sim::Nanoseconds> die_busy_ns_;
   std::vector<sim::Nanoseconds> channel_busy_ns_;
   std::vector<std::deque<sim::Nanoseconds>> die_pending_;
-  std::unordered_map<std::uint64_t, sim::Nanoseconds> page_ready_at_;
 
   std::uint64_t pages_programmed_ = 0;
   std::uint64_t pages_read_ = 0;

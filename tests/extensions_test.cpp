@@ -202,6 +202,19 @@ TEST_F(FtlExtensionTest, MarkBadRelocatesData) {
   EXPECT_FALSE(ftl.MarkBad(99).ok());  // Out of range.
 }
 
+TEST_F(FtlExtensionTest, MarkBadDropsReserveBlock) {
+  nand::NandFlash nand(TinyGeometry(), &clock_, &cost_, &metrics_);
+  ftl::FtlConfig config;
+  config.reserved_blocks = 1;  // Withholds block 15, the highest good one.
+  ftl::PageFtl ftl(&nand, &metrics_, config);
+  ASSERT_EQ(ftl.reserve_remaining(), 1u);
+  ASSERT_TRUE(ftl.MarkBad(15).ok());
+  EXPECT_TRUE(ftl.IsBad(15));
+  // A bad block must never come back from the reserve as a free block.
+  EXPECT_EQ(ftl.reserve_remaining(), 0u);
+  EXPECT_EQ(ftl.free_blocks(), 15u);
+}
+
 TEST_F(FtlExtensionTest, WearWeightNarrowsEraseSpread) {
   auto erase_spread = [&](double weight) {
     sim::VirtualClock clock;

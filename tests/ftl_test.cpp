@@ -2,6 +2,8 @@
 
 #include <map>
 
+#include "common/random.h"
+#include "fault/fault_plan.h"
 #include "ftl/ftl.h"
 #include "workload/value_gen.h"
 
@@ -124,6 +126,75 @@ TEST_F(FtlTest, GcPreservesUnretainedFlag) {
   Bytes back(64, 0xFF);
   ASSERT_TRUE(ftl_.Read(3, MutByteSpan(back)).ok());
   EXPECT_EQ(back, Bytes(64, 0));
+}
+
+// Runs a seeded Write/Trim stream through the allocator on a 4-die device
+// with factory bad blocks, a remap reserve, and program/erase failures that
+// retire blocks mid-run, then hashes where every page landed, every block's
+// wear and bad flag, the free pool, the GC count and the clock. Any change
+// to the allocation order, GC victim choice or retirement in either layout
+// moves the digest.
+std::uint64_t AllocationStreamDigest(bool stripe_across_dies) {
+  nand::NandGeometry g;
+  g.channels = 2;
+  g.ways = 2;
+  g.blocks_per_die = 16;
+  g.pages_per_block = 8;
+  sim::VirtualClock clock;
+  sim::CostModel cost;
+  stats::MetricsRegistry metrics;
+  fault::FaultConfig faults;
+  faults.program_fail_rate = 0.002;
+  faults.erase_fail_rate = 0.01;
+  fault::FaultPlan plan(faults);
+  nand::NandFlash nand(g, &clock, &cost, &metrics, &plan);
+  FtlConfig config;
+  config.stripe_across_dies = stripe_across_dies;
+  config.reserved_blocks = 4;
+  config.bad_block_rate = 0.1;
+  PageFtl ftl(&nand, &metrics, config);
+
+  Xoshiro256 rng(0xA110C);
+  Bytes v(16, 1);
+  for (int i = 0; i < 3000; ++i) {
+    const std::uint64_t r = rng.Below(100);
+    const std::uint64_t lpn = rng.Below(160);
+    if (r < 5) {
+      EXPECT_TRUE(ftl.Trim(lpn).ok());
+      continue;
+    }
+    const Stream stream = r < 75 ? Stream::kVlog : Stream::kLsm;
+    const Status st = ftl.Write(lpn, ByteSpan(v), stream, false);
+    EXPECT_TRUE(st.ok()) << "op " << i << ": " << st.ToString();
+  }
+  EXPECT_GT(ftl.gc_runs(), 0u);
+  EXPECT_GT(ftl.bad_block_remaps(), 0u);
+
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto add = [&h](std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (std::uint64_t p = 0; p < g.total_pages(); ++p) {
+    add(static_cast<std::uint64_t>(nand.StateOf(p)));
+  }
+  for (std::uint64_t b = 0; b < g.total_blocks(); ++b) {
+    add(nand.EraseCount(b));
+    add(ftl.IsBad(b) ? 1 : 0);
+  }
+  add(ftl.free_blocks());
+  add(ftl.gc_runs());
+  add(clock.Now());
+  return h;
+}
+
+TEST_F(FtlTest, AllocationStreamDigestIsPinned) {
+  EXPECT_EQ(AllocationStreamDigest(/*stripe_across_dies=*/false),
+            1389360533255953241u);
+  EXPECT_EQ(AllocationStreamDigest(/*stripe_across_dies=*/true),
+            8154425787519435018u);
 }
 
 }  // namespace

@@ -128,6 +128,31 @@ TEST_F(NandFlashTest, EraseClearsRetainedData) {
   EXPECT_FALSE(nand_.HasRetainedData(0));
 }
 
+TEST_F(NandFlashTest, ReadViewOutlivesEraseAndReprogram) {
+  // A view is the bytes of the read, not a window on the page: erasing the
+  // block and programming other bytes into the page leave it unchanged.
+  const Bytes first = workload::MakeValue(64, 5, 5);
+  ASSERT_TRUE(nand_.Program(3, ByteSpan(first), true).ok());
+  std::shared_ptr<const Bytes> view;
+  ASSERT_TRUE(nand_.ReadView(3, &view).ok());
+  ASSERT_TRUE(nand_.Erase(0).ok());
+  const Bytes second = workload::MakeValue(64, 6, 6);
+  ASSERT_TRUE(nand_.Program(3, ByteSpan(second), true).ok());
+  ASSERT_NE(view, nullptr);
+  EXPECT_EQ(*view, first);
+  std::shared_ptr<const Bytes> fresh;
+  ASSERT_TRUE(nand_.ReadView(3, &fresh).ok());
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_EQ(*fresh, second);
+}
+
+TEST_F(NandFlashTest, ReadViewOfUnretainedPageIsNull) {
+  const Bytes data = workload::MakeValue(64, 7, 7);
+  ASSERT_TRUE(nand_.Program(4, ByteSpan(data), /*retain_data=*/false).ok());
+  std::shared_ptr<const Bytes> view = std::make_shared<const Bytes>(1, 1);
+  ASSERT_TRUE(nand_.ReadView(4, &view).ok());
+  EXPECT_EQ(view, nullptr);
+}
 
 // --------------------- Async (multi-die) program mode ----------------------
 
@@ -171,6 +196,22 @@ TEST_F(AsyncNandTest, LandedProgramCostsNoStall) {
   Bytes back(64);
   ASSERT_TRUE(nand_->Read(0, MutByteSpan(back)).ok());
   EXPECT_EQ(nand_->read_stalls(), 0u);
+}
+
+TEST_F(AsyncNandTest, FirstReadUsesUpReadyTime) {
+  // Multi-queue time frames: after one frame's read waited out the program,
+  // a read from an earlier frame (the clock moved back) does not stall on
+  // the landed program again.
+  Bytes data(64, 1);
+  ASSERT_TRUE(nand_->Program(0, ByteSpan(data), true).ok());
+  Bytes back(64);
+  ASSERT_TRUE(nand_->Read(0, MutByteSpan(back)).ok());
+  ASSERT_EQ(nand_->read_stalls(), 1u);
+  const sim::Nanoseconds stalled = nand_->read_stall_ns();
+  clock_.SetTime(0);
+  ASSERT_TRUE(nand_->Read(0, MutByteSpan(back)).ok());
+  EXPECT_EQ(nand_->read_stalls(), 1u);
+  EXPECT_EQ(nand_->read_stall_ns(), stalled);
 }
 
 TEST_F(AsyncNandTest, DifferentDiesRunInParallel) {
