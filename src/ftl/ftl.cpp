@@ -77,6 +77,13 @@ void PageFtl::Invalidate(std::uint64_t ppn) {
   lpn = kUnmapped;
   assert(block.valid > 0);
   --block.valid;
+  nand_->DropPayload(ppn);
+}
+
+bool PageFtl::MapsTo(std::uint64_t lpn, std::uint64_t ppn) const {
+  const auto& geom = nand_->geometry();
+  const BlockRecord& block = blocks_[geom.BlockOf(ppn)];
+  return block.lpns != nullptr && block.lpns[geom.PageInBlock(ppn)] == lpn;
 }
 
 Status PageFtl::OpenActiveBlock(ActiveBlock* active, Stream stream,
@@ -337,6 +344,7 @@ Status PageFtl::Read(std::uint64_t lpn, MutByteSpan out) {
   if (it == map_.end()) {
     return Status::NotFound("unmapped logical NAND page");
   }
+  assert(MapsTo(lpn, it->second));
   return nand_->Read(it->second, out);
 }
 
@@ -345,6 +353,7 @@ Status PageFtl::ReadView(std::uint64_t lpn, std::shared_ptr<const Bytes>* out) {
   if (it == map_.end()) {
     return Status::NotFound("unmapped logical NAND page");
   }
+  assert(MapsTo(lpn, it->second));
   return nand_->ReadView(it->second, out);
 }
 

@@ -145,7 +145,10 @@ class PageFtl {
   bool IsActive(std::uint64_t block) const;
   // Points `lpn` at `ppn`, invalidating the page it mapped before.
   void Map(std::uint64_t lpn, std::uint64_t ppn);
+  // Makes `ppn` garbage and drops its retained payload.
   void Invalidate(std::uint64_t ppn);
+  // Whether `ppn`'s reverse-map entry names `lpn` (checks the forward map).
+  bool MapsTo(std::uint64_t lpn, std::uint64_t ppn) const;
   // Bad-block retirement: closes any stream pointer at `block`, relocates
   // its surviving valid pages (the packed-layout replay), excludes it, and
   // refills the free pool from the reserve when one is configured.

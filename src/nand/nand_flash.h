@@ -65,6 +65,14 @@ class NandFlash {
 
   [[nodiscard]] Status Erase(std::uint64_t block);
 
+  // Releases a page's retained payload once the FTL has made the page
+  // garbage: no mapping reaches it, so no read will. A ReadView view taken
+  // before keeps its bytes; the page stays programmed until its block is
+  // erased.
+  void DropPayload(std::uint64_t phys_page) {
+    if (PageRecord* page = Find(phys_page)) page->data.reset();
+  }
+
   PageState StateOf(std::uint64_t phys_page) const {
     const PageRecord* page = Find(phys_page);
     return page != nullptr && page->programmed ? PageState::kProgrammed

@@ -48,29 +48,44 @@ double Histogram::Percentile(double p) const {
 std::uint64_t Histogram::QuantileFromBuckets(const BucketArray& buckets,
                                              std::uint64_t count,
                                              std::uint32_t permille) {
-  if (count == 0) return 0;
-  if (permille > 1000) permille = 1000;
-  // 1-based rank of the requested quantile; permille = 0 reads the minimum.
-  std::uint64_t rank = (count * permille + 999) / 1000;
-  if (rank == 0) rank = 1;
+  std::uint64_t q = 0;
+  QuantilesFromBuckets(buckets, count, {&permille, 1}, &q);
+  return q;
+}
+
+void Histogram::QuantilesFromBuckets(const BucketArray& buckets,
+                                     std::uint64_t count,
+                                     std::span<const std::uint32_t> permilles,
+                                     std::uint64_t* out) {
+  std::size_t k = 0;
+  if (count == 0) {
+    std::fill_n(out, permilles.size(), 0);
+    return;
+  }
   std::uint64_t cumulative = 0;
-  for (int i = 0; i < kNumBuckets; ++i) {
+  for (int i = 0; i < kNumBuckets && k < permilles.size(); ++i) {
     const std::uint64_t in_bucket = buckets[static_cast<std::size_t>(i)];
     if (in_bucket == 0) continue;
-    if (cumulative + in_bucket >= rank) {
+    for (; k < permilles.size(); ++k) {
+      // 1-based rank of the requested quantile; permille = 0 reads the
+      // minimum.
+      const std::uint64_t rank = std::max<std::uint64_t>(
+          1, (count * std::min(permilles[k], 1000u) + 999) / 1000);
+      if (cumulative + in_bucket < rank) break;
       const std::uint64_t lo = BucketLowerBound(i);
       const std::uint64_t hi = BucketUpperBound(i);
       // Position within the bucket, 1..in_bucket; anchor at the lower edge
       // so a single-value bucket reports exactly its lower bound. The
       // intermediate product needs 128 bits: (hi - lo) can reach 2^62.
       const std::uint64_t pos = rank - cumulative;
-      return lo + static_cast<std::uint64_t>(
-                      static_cast<unsigned __int128>(hi - lo) * (pos - 1) /
-                      in_bucket);
+      out[k] = lo + static_cast<std::uint64_t>(
+                        static_cast<unsigned __int128>(hi - lo) * (pos - 1) /
+                        in_bucket);
     }
     cumulative += in_bucket;
   }
-  return BucketLowerBound(kNumBuckets - 1);
+  std::fill(out + k, out + permilles.size(),
+            BucketLowerBound(kNumBuckets - 1));
 }
 
 void Histogram::Merge(const Histogram& other) {

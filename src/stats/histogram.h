@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 
 namespace bandslim::stats {
@@ -34,6 +35,8 @@ class Histogram {
   static std::uint64_t BucketUpperBound(int bucket) {
     return bucket == 0 ? 1 : (bucket >= 63 ? ~0ULL : 1ULL << bucket);
   }
+  // The bucket `value` is recorded in.
+  static int BucketFor(std::uint64_t value);
 
   // Fixed-point integer quantile estimate (permille in [0, 1000]): finds
   // the bucket holding rank ceil(permille/1000 * count) and interpolates
@@ -43,6 +46,12 @@ class Histogram {
   static std::uint64_t QuantileFromBuckets(const BucketArray& buckets,
                                            std::uint64_t count,
                                            std::uint32_t permille);
+  // The quantiles at several ascending `permilles` in one cumulative walk;
+  // out[k] equals QuantileFromBuckets(buckets, count, permilles[k]).
+  static void QuantilesFromBuckets(const BucketArray& buckets,
+                                   std::uint64_t count,
+                                   std::span<const std::uint32_t> permilles,
+                                   std::uint64_t* out);
   std::uint64_t QuantilePermille(std::uint32_t permille) const {
     return QuantileFromBuckets(buckets_, count_, permille);
   }
@@ -63,8 +72,6 @@ class Histogram {
   std::string ToString() const;
 
  private:
-  static int BucketFor(std::uint64_t value);
-
   BucketArray buckets_{};
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;

@@ -1,8 +1,9 @@
 // Time-series sample model shared by the sampler, the watchdog and the
-// exporters. A Sample is a sparse vector of (series id, integer value)
-// pairs stamped with a virtual timestamp; series names are interned once in
-// a SeriesTable so samples stay allocation-light (two machine words per
-// series) and comparisons/exports are deterministic.
+// exporters. A Sample is a flat row of integer values stamped with a
+// virtual timestamp, plus a sorted layout of the series ids the row holds.
+// Series names are interned once in a SeriesTable, and consecutive samples
+// that carry the same series share one layout, so a sample costs one
+// machine word per series and comparisons/exports are deterministic.
 //
 // Everything is integral. Derived quantities that are naturally fractional
 // (rates, amplification factors, utilization) are carried in fixed point —
@@ -13,6 +14,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,6 +53,9 @@ class SeriesTable {
   std::map<std::string, std::uint32_t> ids_;
 };
 
+// Sorted ids of the series one or more samples carry.
+using SeriesLayout = std::vector<std::uint32_t>;
+
 struct Sample {
   sim::Nanoseconds t_ns = 0;        // Stamp (an interval boundary, or the
                                     // run end for the finalizing sample).
@@ -61,17 +67,26 @@ struct Sample {
   // events this sample itself caused — watchdog alerts — sort after it.
   std::uint64_t events_before = 0;
 
-  // Sorted by series id (the timeline gathers them in id order; Value()
-  // relies on it).
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> values;
+  // Ids of the series this sample carries, in id order, and their values:
+  // row[i] is the value of series (*layout)[i]. Consecutive samples with
+  // the same series share one layout.
+  std::shared_ptr<const SeriesLayout> layout;
+  std::vector<std::uint64_t> row;
+  // Decimal digits of the row's values, summed while the row is gathered:
+  // the JSONL export sizes itself without reading every row back.
+  std::size_t row_digits = 0;
+
+  std::span<const std::uint32_t> ids() const {
+    return layout == nullptr ? std::span<const std::uint32_t>()
+                             : std::span<const std::uint32_t>(*layout);
+  }
 
   // Value of `series` in this sample; `fallback` when absent.
   std::uint64_t Value(std::uint32_t series, std::uint64_t fallback = 0) const {
-    auto it = std::lower_bound(
-        values.begin(), values.end(), series,
-        [](const auto& pair, std::uint32_t id) { return pair.first < id; });
-    if (it == values.end() || it->first != series) return fallback;
-    return it->second;
+    const std::span<const std::uint32_t> present = ids();
+    const auto it = std::lower_bound(present.begin(), present.end(), series);
+    if (it == present.end() || *it != series) return fallback;
+    return row[static_cast<std::size_t>(it - present.begin())];
   }
 };
 

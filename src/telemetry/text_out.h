@@ -5,12 +5,32 @@
 // stream-state machinery per value.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <charconv>
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <type_traits>
 
 namespace bandslim::telemetry {
+
+// Number of decimal digits TextOut renders for `value` (1 for 0): the
+// sizing pass of an exact-size export counts with it.
+inline std::size_t DecimalDigits(std::uint64_t value) {
+  static constexpr auto kPow10 = [] {
+    std::array<std::uint64_t, 20> pow10{1};
+    for (std::size_t i = 1; i < pow10.size(); ++i) {
+      pow10[i] = pow10[i - 1] * 10;
+    }
+    return pow10;
+  }();
+  // floor(log10(value)) or one more: log10(2) ~= 1233 / 4096.
+  const std::size_t guess =
+      static_cast<std::size_t>(std::bit_width(value | 1)) * 1233 >> 12;
+  return guess + ((value | 1) >= kPow10[guess] ? 1 : 0);
+}
 
 class TextOut {
  public:

@@ -1,6 +1,7 @@
 #include "telemetry/timeline.h"
 
 #include <algorithm>
+#include <cassert>
 #include <map>
 #include <utility>
 
@@ -30,6 +31,17 @@ std::string SanitizeMetricName(const std::string& name) {
   return out;
 }
 
+// q->p50/.p95/.p99 of the q->count recordings in `buckets`, in one walk.
+void TakeQuantiles(const stats::Histogram::BucketArray& buckets,
+                   IntervalQuantiles* q) {
+  static constexpr std::uint32_t kPermilles[] = {500, 950, 990};
+  std::uint64_t p[3];
+  stats::Histogram::QuantilesFromBuckets(buckets, q->count, kPermilles, p);
+  q->p50 = p[0];
+  q->p95 = p[1];
+  q->p99 = p[2];
+}
+
 }  // namespace
 
 IntervalQuantiles AdvanceQuantiles(
@@ -42,20 +54,28 @@ IntervalQuantiles AdvanceQuantiles(
   }
   IntervalQuantiles q;
   if (count == last->count && sum == last->sum) return q;
-  stats::Histogram::BucketArray delta;
-  for (std::size_t b = 0; b < delta.size(); ++b) {
+  // Only buckets between a live histogram's min and max bucket have ever
+  // held a recording, so only they can have moved.
+  stats::Histogram::BucketArray delta{};
+  std::size_t first = delta.size(), end = 0;
+  for (const stats::Histogram* h : live) {
+    if (h->count() == 0) continue;
+    first = std::min<std::size_t>(
+        first, stats::Histogram::BucketFor(h->min()));
+    end = std::max<std::size_t>(
+        end, stats::Histogram::BucketFor(h->max()) + 1);
+  }
+  for (std::size_t b = first; b < end; ++b) {
     std::uint64_t cur = 0;
     for (const stats::Histogram* h : live) cur += h->bucket_counts()[b];
     delta[b] = cur - last->buckets[b];
-    last->buckets[b] = cur;
+    if (delta[b] != 0) last->buckets[b] = cur;
   }
   q.count = count - last->count;
   q.sum = sum - last->sum;
   last->count = count;
   last->sum = sum;
-  q.p50 = stats::Histogram::QuantileFromBuckets(delta, q.count, 500);
-  q.p95 = stats::Histogram::QuantileFromBuckets(delta, q.count, 950);
-  q.p99 = stats::Histogram::QuantileFromBuckets(delta, q.count, 990);
+  TakeQuantiles(delta, &q);
   return q;
 }
 
@@ -215,12 +235,7 @@ IntervalQuantiles SampleBuilder::Histogram(
     if (life.count != state.count || life.sum != state.sum) {
       life.count = state.count;
       life.sum = state.sum;
-      life.p50 = stats::Histogram::QuantileFromBuckets(state.buckets,
-                                                       state.count, 500);
-      life.p95 = stats::Histogram::QuantileFromBuckets(state.buckets,
-                                                       state.count, 950);
-      life.p99 = stats::Histogram::QuantileFromBuckets(state.buckets,
-                                                       state.count, 990);
+      TakeQuantiles(state.buckets, &life);
     }
     Set(h.lifetime_p50, life.p50);
     Set(h.lifetime_p95, life.p95);
@@ -302,14 +317,36 @@ void Timeline::TakeSample(sim::Nanoseconds stamp) {
                         prev == nullptr ? nullptr : &previous_);
   Collect(builder);
 
-  // Gather the values in id order (Sample::Value()'s binary search relies
-  // on it). Sources emit the same series sample after sample, so the
-  // previous sample's width sizes the vector exactly.
-  if (prev != nullptr) s.values.reserve(prev->values.size());
-  for (std::uint32_t id = 0; id < building_.stamp.size(); ++id) {
-    if (building_.stamp[id] == s.seq + 1) {
-      s.values.emplace_back(id, building_.value[id]);
+  // Sources emit the same series sample after sample, so the row is
+  // usually gathered against the previous sample's layout: as many distinct
+  // series, each of them set now, means the same set. A new layout gathers
+  // the set series in id order (Sample::Value()'s binary search relies on
+  // it).
+  const std::uint64_t stamp_now = s.seq + 1;
+  const auto append = [&](std::uint32_t id) {
+    s.row.push_back(building_.value[id]);
+    s.row_digits += DecimalDigits(s.row.back());
+  };
+  s.row.reserve(builder.distinct_);
+  if (prev != nullptr && builder.distinct_ == prev->row.size()) {
+    for (const std::uint32_t id : prev->ids()) {
+      if (building_.stamp[id] != stamp_now) break;
+      append(id);
     }
+    if (s.row.size() == builder.distinct_) s.layout = prev->layout;
+  }
+  if (s.layout == nullptr) {
+    auto layout = std::make_shared<SeriesLayout>();
+    layout->reserve(builder.distinct_);
+    s.row.clear();
+    s.row_digits = 0;
+    for (std::uint32_t id = 0; id < building_.stamp.size(); ++id) {
+      if (building_.stamp[id] == stamp_now) {
+        layout->push_back(id);
+        append(id);
+      }
+    }
+    s.layout = std::move(layout);
   }
   std::swap(building_, previous_);
 
@@ -349,9 +386,11 @@ std::string Timeline::ToPrometheusText() const {
     // Stable order: the latest sample's series sorted by sanitized name; of
     // two series that sanitize alike, the lower id is kept.
     std::vector<std::pair<std::string, std::uint64_t>> by_name;
-    by_name.reserve(last.values.size());
-    for (const auto& [id, value] : last.values) {
-      by_name.emplace_back(SanitizeMetricName(series_.NameOf(id)), value);
+    by_name.reserve(last.row.size());
+    const std::span<const std::uint32_t> ids = last.ids();
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      by_name.emplace_back(SanitizeMetricName(series_.NameOf(ids[i])),
+                           last.row[i]);
     }
     std::stable_sort(by_name.begin(), by_name.end(),
                      [](const auto& a, const auto& b) {
@@ -391,42 +430,75 @@ std::string Timeline::ToJsonl() const {
   // sample skips the comma).
   std::vector<std::string> keys;
   keys.reserve(series_.size());
-  std::size_t key_bytes = 0;
   for (std::uint32_t id = 0; id < series_.size(); ++id) {
     keys.push_back(",\"" + series_.NameOf(id) + "\":");
-    key_bytes += keys.back().size();
   }
-  // Render into one buffer sized up front: a key plus at most 20 digits per
-  // value, and generous fixed parts per line.
-  const std::size_t per_value =
-      (keys.empty() ? 0 : key_bytes / keys.size()) + 20;
-  std::size_t estimate = events.size() * 160;
+
+  // Event lines are few: render them up front, each ending at its offset.
+  std::string event_lines;
+  std::vector<std::size_t> event_end;
+  event_end.reserve(events.size());
+  {
+    TextOut os(&event_lines);
+    for (const EventRecord& e : events) {
+      os << "{\"kind\":\"event\",\"t_ns\":" << e.t_ns << ",\"seq\":" << e.seq
+         << ",\"type\":\"" << EventTypeName(e.type) << "\"";
+      if (e.type == EventType::kAlert && e.a < rules.size()) {
+        os << ",\"rule\":\"" << rules[static_cast<std::size_t>(e.a)].name
+           << "\"";
+      }
+      os << ",\"a\":" << e.a << ",\"b\":" << e.b
+         << ",\"tenant\":" << e.tenant << "}\n";
+      event_end.push_back(event_lines.size());
+    }
+  }
+
+  // Size the document exactly before rendering it: the event lines, and
+  // per sample its fixed text, its numbers' digits (the row's counted when
+  // it was gathered) and its layout's keys (counted once per run of samples
+  // sharing the layout). A buffer sized to the byte is reused from the heap
+  // rather than mapped afresh.
+  static constexpr std::string_view kSampleHead =
+      "{\"kind\":\"sample\",\"t_ns\":";
+  static constexpr std::string_view kSeq = ",\"seq\":";
+  static constexpr std::string_view kInterval = ",\"interval_ns\":";
+  static constexpr std::string_view kValues = ",\"values\":{";
+  static constexpr std::string_view kSampleTail = "}}\n";
+  constexpr std::size_t kSampleText = kSampleHead.size() + kSeq.size() +
+                                      kInterval.size() + kValues.size() +
+                                      kSampleTail.size();
+  std::size_t size = event_lines.size();
+  const SeriesLayout* sized_layout = nullptr;
+  std::size_t layout_key_bytes = 0;
   for (const Sample& s : samples_) {
-    estimate += 96 + s.values.size() * per_value;
+    if (s.layout.get() != sized_layout) {
+      sized_layout = s.layout.get();
+      layout_key_bytes = 0;
+      for (const std::uint32_t id : s.ids()) {
+        layout_key_bytes += keys[id].size();
+      }
+      if (layout_key_bytes > 0) --layout_key_bytes;  // The first comma.
+    }
+    size += kSampleText + layout_key_bytes + s.row_digits +
+            DecimalDigits(s.t_ns) + DecimalDigits(s.seq) +
+            DecimalDigits(s.interval_ns);
   }
   std::string out;
-  out.reserve(estimate);
+  out.reserve(size);
   TextOut os(&out);
 
-  const auto emit_event = [&](const EventRecord& e) {
-    os << "{\"kind\":\"event\",\"t_ns\":" << e.t_ns << ",\"seq\":" << e.seq
-       << ",\"type\":\"" << EventTypeName(e.type) << "\"";
-    if (e.type == EventType::kAlert && e.a < rules.size()) {
-      os << ",\"rule\":\"" << rules[static_cast<std::size_t>(e.a)].name
-         << "\"";
-    }
-    os << ",\"a\":" << e.a << ",\"b\":" << e.b
-       << ",\"tenant\":" << e.tenant << "}\n";
-  };
   const auto emit_sample = [&](const Sample& s) {
-    os << "{\"kind\":\"sample\",\"t_ns\":" << s.t_ns << ",\"seq\":" << s.seq
-       << ",\"interval_ns\":" << s.interval_ns << ",\"values\":{";
-    bool first = true;
-    for (const auto& [id, value] : s.values) {
-      os << std::string_view(keys[id]).substr(first ? 1 : 0) << value;
-      first = false;
+    os << kSampleHead << s.t_ns << kSeq << s.seq << kInterval << s.interval_ns
+       << kValues;
+    const std::span<const std::uint32_t> ids = s.ids();
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      os << std::string_view(keys[ids[i]]).substr(i == 0 ? 1 : 0) << s.row[i];
     }
-    os << "}}\n";
+    os << kSampleTail;
+  };
+  const auto emit_event = [&](std::size_t i) {
+    const std::size_t begin = i == 0 ? 0 : event_end[i - 1];
+    os << std::string_view(event_lines).substr(begin, event_end[i] - begin);
   };
 
   // Merge by timestamp. An event at t belongs to the interval that a sample
@@ -441,11 +513,12 @@ std::string Timeline::ToJsonl() const {
          (events[ei].t_ns == samples_[si].t_ns &&
           events[ei].seq < samples_[si].events_before));
     if (take_event) {
-      emit_event(events[ei++]);
+      emit_event(ei++);
     } else {
       emit_sample(samples_[si++]);
     }
   }
+  assert(out.size() == size && "ToJsonl sizing pass disagrees with render");
   return out;
 }
 

@@ -127,7 +127,10 @@ struct IntervalQuantiles {
 // there are several; log buckets share boundaries, so this is exact for
 // merged shards — since `*last`, which then advances to their cumulative
 // state. Counts are monotone, so when neither count nor sum moved the
-// interval is empty: the bucket diff and the quantile scans are skipped.
+// interval is empty: the bucket diff and the quantile walk are skipped.
+// Otherwise the diff covers the buckets between the live histograms' min
+// and max, writes back only the buckets that moved, and p50/p95/p99 come
+// from one cumulative walk over it.
 IntervalQuantiles AdvanceQuantiles(
     std::span<const stats::Histogram* const> live,
     stats::HistogramBuckets* last);
@@ -219,6 +222,7 @@ class SampleBuilder {
   // Interns `name` and sizes the dense values to the grown table.
   std::uint32_t Intern(const std::string& name);
   void Put(std::uint32_t id, std::uint64_t value) {
+    distinct_ += building_->stamp[id] != stamp_;
     building_->value[id] = value;
     building_->stamp[id] = stamp_;
   }
@@ -233,6 +237,9 @@ class SampleBuilder {
   DenseValues* building_;
   const DenseValues* previous_;
   std::uint64_t stamp_;
+  // Distinct series set so far: TakeSample reuses the previous sample's
+  // layout when this equals its size and every series of it was set.
+  std::size_t distinct_ = 0;
 };
 
 // Registry counters a source derives series from beyond the verbatim
@@ -355,7 +362,8 @@ class Timeline {
   // One JSON object per line, samples and events merged by timestamp:
   //   {"kind":"sample","t_ns":..,"seq":..,"interval_ns":..,"values":{..}}
   //   {"kind":"event","t_ns":..,"seq":..,"type":"gc_start","a":..,"b":..}
-  // Alert events additionally carry "rule":"<name>".
+  // Alert events additionally carry "rule":"<name>". The document is
+  // sized exactly before it is rendered.
   std::string ToJsonl() const;
 
   // Installs (or clears, with nullptr) the snapshot consumer. While set,

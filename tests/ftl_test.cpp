@@ -128,6 +128,55 @@ TEST_F(FtlTest, GcPreservesUnretainedFlag) {
   EXPECT_EQ(back, Bytes(64, 0));
 }
 
+// Pages of `nand` that still hold a retained payload.
+std::uint64_t PagesWithPayload(const nand::NandFlash& nand) {
+  std::uint64_t n = 0;
+  for (std::uint64_t p = 0; p < nand.geometry().total_pages(); ++p) {
+    n += nand.HasRetainedData(p) ? 1 : 0;
+  }
+  return n;
+}
+
+TEST_F(FtlTest, InvalidatedPagesDropTheirPayload) {
+  const Bytes v1 = workload::MakeValue(64, 1, 1);
+  const Bytes v2 = workload::MakeValue(64, 2, 2);
+  const Bytes v3 = workload::MakeValue(64, 3, 3);
+  // Overwrite: the old page turns garbage and gives its payload up, while a
+  // view taken before keeps the bytes.
+  ASSERT_TRUE(ftl_.Write(7, ByteSpan(v1), Stream::kVlog, true).ok());
+  std::shared_ptr<const Bytes> view1;
+  ASSERT_TRUE(ftl_.ReadView(7, &view1).ok());
+  ASSERT_TRUE(nand_.HasRetainedData(0));  // The first vLog page.
+  ASSERT_TRUE(ftl_.Write(7, ByteSpan(v2), Stream::kVlog, true).ok());
+  EXPECT_FALSE(nand_.HasRetainedData(0));
+  EXPECT_EQ(nand_.StateOf(0), nand::PageState::kProgrammed);
+  EXPECT_TRUE(nand_.HasRetainedData(1));
+  ASSERT_NE(view1, nullptr);
+  EXPECT_EQ(*view1, v1);
+
+  // GC: relocating a live page drops the source's payload before the
+  // victim is erased; only mapped pages hold payloads throughout. Every
+  // round leaves one page live for good, so every victim has pages to move.
+  ASSERT_TRUE(ftl_.Write(100, ByteSpan(v3), Stream::kVlog, true).ok());
+  std::shared_ptr<const Bytes> view3;
+  ASSERT_TRUE(ftl_.ReadView(100, &view3).ok());
+  for (std::uint64_t round = 0; round < 40; ++round) {
+    for (std::uint64_t lpn = 0; lpn < 8; ++lpn) {
+      const std::uint64_t target = lpn == 0 ? 1000 + round : lpn;
+      const Bytes v = workload::MakeValue(64, 10 + round, lpn);
+      ASSERT_TRUE(ftl_.Write(target, ByteSpan(v), Stream::kVlog, true).ok());
+      ASSERT_EQ(PagesWithPayload(nand_), ftl_.mapped_pages())
+          << "round " << round << " lpn " << target;
+    }
+  }
+  ASSERT_GT(ftl_.gc_relocated_pages(), 0u);
+  ASSERT_NE(view3, nullptr);
+  EXPECT_EQ(*view3, v3);
+  Bytes back(64);
+  ASSERT_TRUE(ftl_.Read(100, MutByteSpan(back)).ok());
+  EXPECT_EQ(back, v3);
+}
+
 // Runs a seeded Write/Trim stream through the allocator on a 4-die device
 // with factory bad blocks, a remap reserve, and program/erase failures that
 // retire blocks mid-run, then hashes where every page landed, every block's

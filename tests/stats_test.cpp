@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+
 #include "stats/counter.h"
 #include "stats/histogram.h"
 #include "stats/metrics.h"
@@ -240,6 +242,33 @@ TEST(QuantileTest, DeltaBucketsMatchFreshHistogramOfSecondBatch) {
   for (std::uint32_t p : {0u, 500u, 950u, 990u, 1000u}) {
     EXPECT_EQ(Histogram::QuantileFromBuckets(delta, delta_count, p),
               second_only.QuantilePermille(p));
+  }
+}
+
+TEST(QuantileTest, OneWalkMatchesOneQuantileAtATime) {
+  // Random sparse and dense bucket arrays, the permilles the telemetry
+  // takes plus the edges (0, 1000, above 1000), and counts above the
+  // buckets' sum (the walk then ends on the last bucket's lower bound).
+  static constexpr std::uint32_t kPermilles[] = {0,   1,   500, 950,
+                                                 990, 999, 1000, 5000};
+  Xoshiro256 rng(0x9A4);
+  for (int trial = 0; trial < 500; ++trial) {
+    Histogram::BucketArray b{};
+    std::uint64_t count = 0;
+    const std::uint64_t occupied = 1 + rng.Below(Histogram::kNumBuckets);
+    for (std::uint64_t i = 0; i < occupied; ++i) {
+      const std::uint64_t n = rng.Below(4) == 0 ? 0 : 1 + rng.Below(1000);
+      b[rng.Below(Histogram::kNumBuckets)] += n;
+      count += n;
+    }
+    if (trial % 10 == 0) count += 1 + rng.Below(50);
+    std::uint64_t walked[std::size(kPermilles)];
+    Histogram::QuantilesFromBuckets(b, count, kPermilles, walked);
+    for (std::size_t k = 0; k < std::size(kPermilles); ++k) {
+      EXPECT_EQ(walked[k],
+                Histogram::QuantileFromBuckets(b, count, kPermilles[k]))
+          << "trial " << trial << " permille " << kPermilles[k];
+    }
   }
 }
 

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <charconv>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,6 +17,7 @@
 #include "telemetry/export.h"
 #include "telemetry/fleet.h"
 #include "telemetry/telemetry.h"
+#include "telemetry/text_out.h"
 #include "workload/value_gen.h"
 
 namespace bandslim::telemetry {
@@ -658,6 +662,174 @@ TEST(TimelineRenderTest, ExactJsonlAndPrometheusBytes) {
             "rule fires.\n"
             "# TYPE bandslim_watchdog_alerts_total counter\n"
             "bandslim_watchdog_alerts_total{rule=\"zero_is_zero\"} 1\n");
+}
+
+// ------------------- Sample rows and their shared layouts -------------------
+
+// A timeline whose source runs a script per sample: script(b, n) sets the
+// series sample n carries.
+class ScriptedTimeline : public Timeline {
+ public:
+  using Script = std::function<void(SampleBuilder&, std::uint64_t)>;
+  ScriptedTimeline(const sim::VirtualClock* clock, Script script)
+      : Timeline(clock, {true, sim::kMillisecond, {}}, "test_samples_total",
+                 "Samples."),
+        script_(std::move(script)) {
+    Anchor();
+  }
+
+ private:
+  void Collect(SampleBuilder& b) override { script_(b, collected_++); }
+
+  Script script_;
+  std::uint64_t collected_ = 0;
+};
+
+void Step(sim::VirtualClock* clock, Timeline* t, int samples) {
+  for (int i = 0; i < samples; ++i) {
+    clock->Advance(sim::kMillisecond);
+    t->Poll();
+  }
+}
+
+TEST(SampleLayoutTest, SeriesFirstSetMidRunIsAbsentBeforeAndPresentAfter) {
+  sim::VirtualClock clock;
+  // "early" gives way to "late" at sample 2: the same number of series,
+  // another set.
+  SeriesSlot a("a"), early("early"), late("late"), once("once");
+  ScriptedTimeline t(&clock, [&](SampleBuilder& b, std::uint64_t n) {
+    b.Set(a, n);
+    if (n < 2) b.Set(early, 5);
+    if (n >= 2) b.Set(late, 100 + n);
+    if (n == 3) b.Set(once, 7);
+  });
+  Step(&clock, &t, 5);
+  const auto& samples = t.samples();
+  ASSERT_EQ(samples.size(), 5u);
+  const std::int64_t a_id = t.series().Find("a");
+  const std::int64_t early_id = t.series().Find("early");
+  const std::int64_t late_id = t.series().Find("late");
+  const std::int64_t once_id = t.series().Find("once");
+  ASSERT_GE(a_id, 0);
+  ASSERT_GE(early_id, 0);
+  ASSERT_GE(late_id, 0);
+  ASSERT_GE(once_id, 0);
+  for (std::uint64_t n = 0; n < samples.size(); ++n) {
+    SCOPED_TRACE(n);
+    const Sample& s = samples[n];
+    EXPECT_EQ(s.row.size(), s.ids().size());
+    EXPECT_EQ(s.Value(static_cast<std::uint32_t>(a_id), 777), n);
+    EXPECT_EQ(s.Value(static_cast<std::uint32_t>(early_id), 777),
+              n < 2 ? 5u : 777u);
+    EXPECT_EQ(s.Value(static_cast<std::uint32_t>(late_id), 777),
+              n >= 2 ? 100 + n : 777);
+    EXPECT_EQ(s.Value(static_cast<std::uint32_t>(once_id), 777),
+              n == 3 ? 7u : 777u);
+  }
+  // A layout is shared while the set of series holds, and rebuilt when it
+  // changes, grows or shrinks.
+  EXPECT_EQ(samples[0].layout, samples[1].layout);
+  EXPECT_NE(samples[1].layout, samples[2].layout);
+  EXPECT_NE(samples[2].layout, samples[3].layout);
+  EXPECT_NE(samples[3].layout, samples[4].layout);
+  EXPECT_EQ(*samples[4].layout, *samples[2].layout);
+
+  const std::vector<std::vector<std::string>> keys = {
+      {"a", "early"}, {"a", "early"}, {"a", "late"}, {"a", "late", "once"},
+      {"a", "late"}};
+  EXPECT_EQ(SampleKeys(t.ToJsonl()), keys);
+}
+
+TEST(SampleLayoutTest, SettingASlotTwiceCountsOnce) {
+  sim::VirtualClock clock;
+  SeriesSlot a("a"), b_slot("b");
+  ScriptedTimeline t(&clock, [&](SampleBuilder& b, std::uint64_t n) {
+    b.Set(a, n);
+    b.Set(b_slot, 10 + n);
+    if (n == 1) b.Set(a, 50);  // Overwrites; still one series.
+  });
+  Step(&clock, &t, 3);
+  const auto& samples = t.samples();
+  ASSERT_EQ(samples.size(), 3u);
+  // Two distinct series each time, so every sample reuses the first layout.
+  EXPECT_EQ(samples[1].layout, samples[0].layout);
+  EXPECT_EQ(samples[2].layout, samples[0].layout);
+  EXPECT_EQ(samples[1].row, (std::vector<std::uint64_t>{50, 11}));
+  EXPECT_EQ(t.ToJsonl(),
+            "{\"kind\":\"sample\",\"t_ns\":1000000,\"seq\":0,"
+            "\"interval_ns\":1000000,\"values\":{\"a\":0,\"b\":10}}\n"
+            "{\"kind\":\"sample\",\"t_ns\":2000000,\"seq\":1,"
+            "\"interval_ns\":1000000,\"values\":{\"a\":50,\"b\":11}}\n"
+            "{\"kind\":\"sample\",\"t_ns\":3000000,\"seq\":2,"
+            "\"interval_ns\":1000000,\"values\":{\"a\":2,\"b\":12}}\n");
+}
+
+// The CSV and the reductions agree with a reference kept by the source
+// itself: what it set in each sample, by name.
+TEST(SampleLayoutTest, CsvAndReductionsMatchAReferenceOfWhatWasSet) {
+  sim::VirtualClock clock;
+  std::vector<SeriesSlot> slots = {SeriesSlot("steady"), SeriesSlot("late"),
+                                   SeriesSlot("gappy"), SeriesSlot("big")};
+  std::vector<std::map<std::string, std::uint64_t>> set;
+  ScriptedTimeline t(&clock, [&](SampleBuilder& b, std::uint64_t n) {
+    std::map<std::string, std::uint64_t>& now = set.emplace_back();
+    const auto put = [&](SeriesSlot& slot, std::uint64_t value) {
+      b.Set(slot, value);
+      now[slot.name] = value;
+    };
+    put(slots[0], n * 3);
+    if (n >= 4) put(slots[1], 1000 - n);
+    if (n % 3 == 1) put(slots[2], n * n);
+    if (n == 6) put(slots[3], ~0ULL - 1);
+  });
+  Step(&clock, &t, 9);
+  ASSERT_EQ(set.size(), t.samples().size());
+
+  const std::vector<std::string> names = {"steady", "late", "gappy", "big",
+                                          "never.set"};
+  std::string csv = "t_ns,interval_ns";
+  for (const std::string& name : names) csv += "," + name;
+  csv += "\n";
+  for (std::size_t n = 0; n < set.size(); ++n) {
+    csv += std::to_string((n + 1) * sim::kMillisecond) + "," +
+           std::to_string(sim::kMillisecond);
+    for (const std::string& name : names) {
+      const auto it = set[n].find(name);
+      csv += "," + std::to_string(it == set[n].end() ? 0 : it->second);
+    }
+    csv += "\n";
+  }
+  EXPECT_EQ(ToTimeSeriesCsv(t, names), csv);
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    std::uint64_t sum = 0, max = 0;
+    for (const auto& now : set) {
+      const auto it = now.find(name);
+      const std::uint64_t v = it == now.end() ? 0 : it->second;
+      sum += v;
+      max = std::max(max, v);
+    }
+    EXPECT_EQ(SumSeries(t, name), sum);
+    EXPECT_EQ(MaxSeries(t, name), max);
+  }
+}
+
+// The exact-size export counts digits with DecimalDigits; it must agree
+// with the renderer's std::to_chars at every power-of-ten edge.
+TEST(SampleLayoutTest, DecimalDigitsMatchesToChars) {
+  std::vector<std::uint64_t> values = {0, ~0ULL};
+  for (std::uint64_t p = 1; p <= 10'000'000'000'000'000'000ULL / 10; p *= 10) {
+    values.insert(values.end(), {p - 1, p, p + 1, p * 10 - 1});
+  }
+  values.push_back(10'000'000'000'000'000'000ULL);
+  for (int bit = 0; bit < 64; ++bit) {
+    values.insert(values.end(), {1ULL << bit, (1ULL << bit) - 1});
+  }
+  for (const std::uint64_t v : values) {
+    char buf[24];
+    const auto end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+    EXPECT_EQ(DecimalDigits(v), static_cast<std::size_t>(end - buf)) << v;
+  }
 }
 
 TEST_F(SamplerUnitTest, EventAtSampleBoundaryOrdersBeforeSampleAlertAfter) {
