@@ -1,5 +1,6 @@
 // google-benchmark microbenchmarks for the hot components: command codec,
-// skiplist MemTable, NAND page buffer packing, SSTable serialization, the
+// the MemTable (a flush-sized fill with its key-order walk, and point
+// lookups), NAND page buffer packing, SSTable serialization, the
 // compaction merge, the LSM point lookup, and the telemetry plane's
 // per-sample and export costs.
 // These measure *simulator* (wall-clock) performance, not modeled device
@@ -58,23 +59,29 @@ std::vector<lsm::InlineKey> HashKeys(std::uint32_t seed, std::size_t n) {
   return keys;
 }
 
+// One MemTable fill as a flush sees it: 4-byte keys put until the table
+// reaches the default 1 MiB limit (~10k keys, as on paper workload M), the
+// key-order walk the flush makes (which pays the sort), then Clear().
 void BM_MemTableInsert(benchmark::State& state) {
-  constexpr std::size_t kFill = 100000;
+  const std::size_t limit = lsm::LsmConfig{}.memtable_limit_bytes;
   lsm::MemTable mem(1);
-  const std::vector<lsm::InlineKey> keys = HashKeys(7, kFill);
-  std::size_t i = 0;
+  const std::vector<lsm::InlineKey> keys = HashKeys(7, 20000);
+  std::uint64_t entries = 0;
   for (auto _ : state) {
-    if (i == kFill) {
-      state.PauseTiming();
-      mem.Clear();
-      i = 0;
-      state.ResumeTiming();
+    std::size_t i = 0;
+    while (mem.approximate_bytes() < limit && i < keys.size()) {
+      mem.Put(keys[i], lsm::ValueRef{i, 24, false});
+      ++i;
     }
-    mem.Put(keys[i++], lsm::ValueRef{1, 1, false});
+    std::uint64_t sum = 0;
+    for (auto it = mem.Begin(); it.Valid(); it.Next()) sum += it.ref().addr;
+    benchmark::DoNotOptimize(sum);
+    entries += mem.entry_count();
+    mem.Clear();
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(entries));
 }
-BENCHMARK(BM_MemTableInsert);
+BENCHMARK(BM_MemTableInsert)->Unit(benchmark::kMicrosecond);
 
 void BM_MemTableLookup(benchmark::State& state) {
   lsm::MemTable mem(1);
@@ -131,29 +138,45 @@ void BM_SSTableEncodeDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_SSTableEncodeDecode);
 
-// One L0 -> L1 compaction's host cost: the streaming merge of four
-// overlapping runs of ~55k 4-byte keys (a 1 MiB MemTable flush's worth
-// each, as on paper workload M), newest first, cut into 1 MiB tables
-// through TableWriter over an in-memory NAND/FTL. The device is rebuilt
-// untimed for every merge so the FTL never fills.
+// One L0 -> L1 compaction's host cost, in the 8-table shape of paper
+// workload M: four overlapping L0 runs of ~10k 4-byte keys (a 1 MiB
+// MemTable flush each), newest first, over four disjoint L1 tables of
+// ~56k keys (1 MiB each) that share one age and so merge as one chained
+// input; the output is cut into 1 MiB tables through TableWriter over an
+// in-memory NAND/FTL. The device is rebuilt untimed for every merge so the
+// FTL never fills.
 void BM_CompactionMerge(benchmark::State& state) {
-  constexpr int kRuns = 4;
-  constexpr std::uint32_t kRunEntries = 55000;
+  constexpr int kL0Runs = 4;
+  constexpr int kL1Tables = 4;
+  constexpr std::uint32_t kKeySpace = 1 << 18;
   constexpr std::uint64_t kTableBytes = 1 << 20;
   Xoshiro256 rng(17);
-  std::vector<lsm::MergeInput> inputs;
-  for (int r = 0; r < kRuns; ++r) {
-    // Every other key of a 2x key space: the runs overlap about half.
+  const auto entry = [&](std::uint32_t k) {
+    const std::uint32_t be = __builtin_bswap32(k);
+    return lsm::SSTableEntry{std::string(reinterpret_cast<const char*>(&be), 4),
+                             lsm::ValueRef{rng() >> 24, 24, false}};
+  };
+  std::vector<lsm::MergeInput> inputs(kL0Runs + 1);
+  for (int r = 0; r < kL0Runs; ++r) {
+    // One key in 26 of the key space: the runs overlap each other a little
+    // and L1 a lot.
     std::vector<lsm::SSTableEntry> run;
-    for (std::uint32_t k = 0; run.size() < kRunEntries; ++k) {
-      if (rng.Below(2) != 0) continue;
-      const std::uint32_t be = __builtin_bswap32(k);
-      run.push_back({std::string(reinterpret_cast<const char*>(&be), 4),
-                     lsm::ValueRef{rng() >> 24, 24, false}});
+    for (std::uint32_t k = 0; k < kKeySpace; ++k) {
+      if (rng.Below(26) == 0) run.push_back(entry(k));
     }
-    inputs.push_back(
-        {std::make_shared<const std::vector<lsm::SSTableEntry>>(std::move(run)),
-         static_cast<std::uint32_t>(r)});
+    inputs[r].runs.push_back(
+        std::make_shared<const std::vector<lsm::SSTableEntry>>(std::move(run)));
+  }
+  for (int t = 0; t < kL1Tables; ++t) {
+    // Seven keys in eight of one quarter of the key space.
+    std::vector<lsm::SSTableEntry> table;
+    for (std::uint32_t k = t * (kKeySpace / kL1Tables);
+         k < (t + 1) * (kKeySpace / kL1Tables); ++k) {
+      if (rng.Below(8) != 0) table.push_back(entry(k));
+    }
+    inputs.back().runs.push_back(
+        std::make_shared<const std::vector<lsm::SSTableEntry>>(
+            std::move(table)));
   }
   nand::NandGeometry geometry;
   geometry.channels = 2;

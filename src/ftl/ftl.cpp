@@ -27,6 +27,12 @@ PageFtl::PageFtl(nand::NandFlash* nand, stats::MetricsRegistry* metrics,
       }
     }
   }
+  // Each lane's stack is sized once: growing it by doubling left ~128 KiB
+  // of freed buffers per open, enough that glibc returned a closed
+  // device's heap to the OS and the next open faulted it back in.
+  for (Lane& lane : lanes_) {
+    lane.free.reserve(CeilDiv(blocks_.size(), lanes_.size()));
+  }
   // Pop from the back; filling lowest-numbered blocks first keeps runs
   // reproducible and easy to inspect.
   for (std::uint64_t b = blocks_.size(); b > 0; --b) {

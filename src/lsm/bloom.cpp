@@ -21,7 +21,7 @@ void BloomFilter::InitModMagic() {
   mod_magic_ = ~static_cast<unsigned __int128>(0) / nbits_ + 1;
 }
 
-std::uint64_t BloomFilter::HashKey(std::string_view key) {
+std::uint64_t BloomFilter::Hash(std::string_view key) {
   // FNV-1a folded through SplitMix64 for avalanche.
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (unsigned char c : key) {
@@ -33,7 +33,7 @@ std::uint64_t BloomFilter::HashKey(std::string_view key) {
 
 void BloomFilter::Add(std::string_view key) {
   if (bits_.empty()) return;
-  const std::uint64_t h = HashKey(key);
+  const std::uint64_t h = Hash(key);
   std::uint64_t a = h;
   const std::uint64_t b = (h >> 32) | (h << 32);
   for (int i = 0; i < kNumProbes; ++i) {
@@ -43,9 +43,8 @@ void BloomFilter::Add(std::string_view key) {
   }
 }
 
-bool BloomFilter::MayContain(std::string_view key) const {
+bool BloomFilter::MayContainHash(std::uint64_t h) const {
   if (bits_.empty()) return true;  // No filter -> must check the table.
-  const std::uint64_t h = HashKey(key);
   std::uint64_t a = h;
   const std::uint64_t b = (h >> 32) | (h << 32);
   for (int i = 0; i < kNumProbes; ++i) {

@@ -28,13 +28,19 @@ class BloomFilter {
 
   void Add(std::string_view key);
   // False negatives never happen; false positives at the configured rate.
-  bool MayContain(std::string_view key) const;
+  bool MayContain(std::string_view key) const {
+    return MayContainHash(Hash(key));
+  }
+  // The key hash every filter probes from: a lookup that checks several
+  // filters for one key hashes it once.
+  static std::uint64_t Hash(std::string_view key);
+  // MayContain() for the key whose Hash() is `hash`.
+  bool MayContainHash(std::uint64_t hash) const;
 
   const Bytes& bits() const { return bits_; }
   bool empty() const { return bits_.empty(); }
 
  private:
-  static std::uint64_t HashKey(std::string_view key);
   // `x % nbits` via Lemire's fastmod (a multiply instead of a hardware
   // divide on every probe). Produces exactly the same bit positions as the
   // plain modulo, so filter contents and false-positive behaviour — and the

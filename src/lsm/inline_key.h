@@ -2,7 +2,7 @@
 // kMaxKeySize (16) bytes inline in the NVMe KV command (dword2-3 +
 // dword14-15, Figure 6), and the device LSM holds it the same way: the key
 // bytes zero padded to 16, plus their length. It is trivially copyable, so
-// MemTable nodes, SSTable entries, merge cursors and the decoded caches
+// MemTable entries, SSTable entries, merge cursors and the decoded caches
 // copy 24 bytes and never touch the heap.
 //
 // Order: the two big-endian 64-bit words, then the length. That is exactly
@@ -59,6 +59,11 @@ class InlineKey {
     if (a1 != b1) return a1 <=> b1;
     return a.len_ <=> b.len_;
   }
+
+  // The first 8 key bytes as a big-endian word: keys with different
+  // prefixes order as their prefixes do (the MemTable's radix sort keys on
+  // it and compares in full only within an equal prefix).
+  std::uint64_t Prefix() const { return Word(0); }
 
   // A 64-bit hash for the point indexes, mixing both words and the length
   // through SplitMix64's finalizer: keys that share their first 8 or 15

@@ -148,6 +148,7 @@ void LsmTree::InvalidatePages(const SSTableMeta& meta) {
 Result<const ValueRef*> LsmTree::FindInTable(Table& table,
                                              const InlineKey& key,
                                              std::uint64_t hash,
+                                             std::uint64_t bloom_hash,
                                              ValueRef* storage) {
   SSTableMeta& meta = table.meta;
   const std::string_view key_view = key.view();
@@ -167,10 +168,12 @@ Result<const ValueRef*> LsmTree::FindInTable(Table& table,
     // A filter never rejects a key the table holds, so counting its
     // rejections of index misses gives exactly the skips of running it
     // first.
-    if (!meta.bloom.MayContain(key_view)) bloom_skip_counter_->Increment();
+    if (!meta.bloom.MayContainHash(bloom_hash)) {
+      bloom_skip_counter_->Increment();
+    }
     return static_cast<const ValueRef*>(nullptr);
   }
-  if (!meta.bloom.MayContain(key_view)) {
+  if (!meta.bloom.MayContainHash(bloom_hash)) {
     bloom_skip_counter_->Increment();
     return static_cast<const ValueRef*>(nullptr);
   }
@@ -219,9 +222,10 @@ Result<ValueRef> LsmTree::Get(std::string_view key_view) {
     const std::vector<std::uint32_t>& index = table->index;
     if (!index.empty()) __builtin_prefetch(&index[ScaleHash(hash, index.size())]);
   }
+  const std::uint64_t bloom_hash = BloomFilter::Hash(key_view);
   ValueRef storage;
   for (Table* table : candidates_) {
-    auto found = FindInTable(*table, key, hash, &storage);
+    auto found = FindInTable(*table, key, hash, bloom_hash, &storage);
     if (!found.ok()) return found.status();
     if (found.value() != nullptr) {
       if (found.value()->tombstone) return Status::NotFound();
@@ -231,15 +235,14 @@ Result<ValueRef> LsmTree::Get(std::string_view key_view) {
   return Status::NotFound();
 }
 
-Status LsmTree::Load(Table& table, std::uint32_t age,
-                     std::vector<MergeInput>* inputs) {
+Status LsmTree::Load(Table& table, MergeInput* input) {
   if (table.cache == nullptr) {
     auto entries = ReadSSTable(ftl_, table.meta);
     if (!entries.ok()) return entries.status();
     table.cache = std::make_shared<const std::vector<SSTableEntry>>(
         std::move(entries).value());
   }
-  inputs->push_back({table.cache, age});
+  input->runs.push_back(table.cache);
   return Status::Ok();
 }
 
@@ -258,7 +261,7 @@ Status LsmTree::FlushMemTable() {
                        mem_.approximate_bytes(), levels_[0].size());
     }
   }
-  TableWriter writer(ftl_, next_table_id_++, next_lpn_);
+  TableWriter writer(ftl_, next_table_id_++, next_lpn_, mem_.entry_count());
   Status status = Status::Ok();
   for (auto it = mem_.Begin(); it.Valid() && status.ok(); it.Next()) {
     status = writer.Add({it.key(), it.ref()});
@@ -378,19 +381,18 @@ Status LsmTree::Compact(int level) {
   }
 
   // Every input is loaded before the layout changes, so a failed read
-  // leaves the tree as it was. Victims go newest first; the next level's
-  // tables are disjoint and share the oldest age.
-  std::vector<MergeInput> inputs;
-  for (std::size_t i = victims; i-- > 0;) {
-    BANDSLIM_RETURN_IF_ERROR(
-        Load(src[i], static_cast<std::uint32_t>(victims - 1 - i), &inputs));
+  // leaves the tree as it was. Victims go newest first, one input each;
+  // the next level's tables are disjoint and in key order, so they chain
+  // into the last, oldest input.
+  std::vector<MergeInput> inputs(victims + 1);
+  for (std::size_t i = 0; i < victims; ++i) {
+    BANDSLIM_RETURN_IF_ERROR(Load(src[victims - 1 - i], &inputs[i]));
   }
   auto& next = levels_[static_cast<std::size_t>(level) + 1];
   std::vector<std::size_t> consumed;
   for (std::size_t i = 0; i < next.size(); ++i) {
     if (!next[i].meta.Overlaps(lo, hi)) continue;
-    BANDSLIM_RETURN_IF_ERROR(
-        Load(next[i], static_cast<std::uint32_t>(victims), &inputs));
+    BANDSLIM_RETURN_IF_ERROR(Load(next[i], &inputs.back()));
     consumed.push_back(i);
   }
 
@@ -406,6 +408,15 @@ Status LsmTree::Compact(int level) {
   const int target = level + 1;
   std::optional<TableWriter> out;
   std::uint64_t bytes_written = 0;
+  // The merge emits at most one entry per input entry, and a table at most
+  // what fits its target size in the smallest entries: each writer
+  // reserves the lesser bound.
+  std::size_t unmerged = 0;
+  for (const MergeInput& input : inputs) {
+    for (const auto& run : input.runs) unmerged += run->size();
+  }
+  const auto table_entries = static_cast<std::size_t>(std::max<std::uint64_t>(
+      1, config_.sstable_target_bytes / kMinEncodedEntrySize));
   auto install = [&] {
     bytes_written += out->encoded_bytes();
     return Install(&*out, target);
@@ -419,7 +430,11 @@ Status LsmTree::Compact(int level) {
           BANDSLIM_RETURN_IF_ERROR(install());
           out.reset();
         }
-        if (!out) out.emplace(ftl_, next_table_id_++, next_lpn_);
+        if (!out) {
+          out.emplace(ftl_, next_table_id_++, next_lpn_,
+                      std::min(unmerged, table_entries));
+        }
+        --unmerged;
         return out->Add(e);
       });
   if (status.ok() && out) status = install();
@@ -535,21 +550,22 @@ Result<std::uint64_t> LsmTree::Restore() {
 
 Result<std::unique_ptr<LsmTree::Iterator>> LsmTree::NewIterator() {
   // Snapshot merge: the MemTable (newest), then L0 newest first, then one
-  // age per deeper level (its tables are disjoint).
+  // chained input per deeper level (its tables are disjoint).
   auto mem_run = std::make_shared<std::vector<SSTableEntry>>();
   mem_run->reserve(mem_.entry_count());
   for (auto it = mem_.Begin(); it.Valid(); it.Next()) {
     mem_run->push_back({it.key(), it.ref()});
   }
-  std::vector<MergeInput> inputs = {{std::move(mem_run), 0}};
-  std::uint32_t age = 0;
+  std::vector<MergeInput> inputs(levels_[0].size() + levels_.size());
+  inputs[0].runs.push_back(std::move(mem_run));
+  std::size_t input = 0;
   for (auto it = levels_[0].rbegin(); it != levels_[0].rend(); ++it) {
-    BANDSLIM_RETURN_IF_ERROR(Load(*it, ++age, &inputs));
+    BANDSLIM_RETURN_IF_ERROR(Load(*it, &inputs[++input]));
   }
   for (std::size_t level = 1; level < levels_.size(); ++level) {
-    ++age;
+    ++input;
     for (Table& t : levels_[level]) {
-      BANDSLIM_RETURN_IF_ERROR(Load(t, age, &inputs));
+      BANDSLIM_RETURN_IF_ERROR(Load(t, &inputs[input]));
     }
   }
   auto iter = std::unique_ptr<Iterator>(new Iterator());

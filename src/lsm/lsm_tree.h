@@ -1,15 +1,22 @@
 // The in-device LSM-tree with key-value separation (Sections 2.1, 3.4):
-// a skiplist MemTable over (key -> vLog reference) entries, flushed to
-// leveled SSTables stored on NAND through the FTL. Compactions merge
-// reference entries only — values stay in the vLog — but their NAND I/O is
-// real and shows up in the write-amplification figures (Section 2.4).
+// a MemTable over (key -> vLog reference) entries, flushed to leveled
+// SSTables stored on NAND through the FTL. Compactions merge reference
+// entries only — values stay in the vLog — but their NAND I/O is real and
+// shows up in the write-amplification figures (Section 2.4).
+//
+// The write path works on sorted runs: a PUT is one probe of the
+// MemTable's hash index plus an overwrite or an append, a flush sorts the
+// MemTable once and streams it into one TableWriter, and a compaction
+// merges each L0 run and the next level's tables (one chained input) run
+// by run into writers that reserve their entries up front.
 //
 // A point lookup probes the MemTable's hash index, then L0 newest first and
 // one table per deeper level. A table still in DRAM answers from a hash
 // index over its entries, built with its bloom filter on its first lookup;
 // its bloom runs only when the index misses, so lsm.bloom_skips counts
 // exactly what running the bloom first would. Any other table goes bloom ->
-// fence key -> one page read through the decoded-page cache.
+// fence key -> one page read through the decoded-page cache. The key is
+// hashed once for every table's bloom (BloomFilter::Hash).
 #pragma once
 
 #include <cstdint>
@@ -157,15 +164,19 @@ class LsmTree {
     std::vector<std::uint32_t> index;
   };
 
-  // Appends `table`'s entries to `inputs` as one merge input of `age`,
-  // reading the table from NAND unless it is cached.
-  Status Load(Table& table, std::uint32_t age, std::vector<MergeInput>* inputs);
+  // Appends `table`'s entries to `input` as its next run, reading the
+  // table from NAND unless it is cached.
+  Status Load(Table& table, MergeInput* input);
   // Point lookup within one table. A DRAM-resident table probes its index
   // (built with its filter on first use) and runs the bloom only on a miss;
   // any other table goes bloom -> fence keys -> one page read (served from
   // the page cache when possible). nullptr = not in table.
+  // `hash` is the key's InlineKey::Hash(), `bloom_hash` its
+  // BloomFilter::Hash().
   Result<const ValueRef*> FindInTable(Table& table, const InlineKey& key,
-                                      std::uint64_t hash, ValueRef* storage);
+                                      std::uint64_t hash,
+                                      std::uint64_t bloom_hash,
+                                      ValueRef* storage);
   Result<std::shared_ptr<const std::vector<SSTableEntry>>> LoadPage(
       const SSTableMeta& meta, std::uint32_t page_index);
   void InvalidatePages(const SSTableMeta& meta);

@@ -1,27 +1,27 @@
 // MemTable: the in-memory component of the device LSM-tree (Figure 2),
-// mapping keys to vLog value references. Implemented as a classic skiplist
-// with deterministic (seeded) tower heights so runs reproduce exactly.
-// Entries are (key -> address, size) — values themselves live in the vLog;
-// this is the key-value separation the paper builds on (Section 2.1).
+// mapping keys to vLog value references. Entries are (key -> address,
+// size) — values themselves live in the vLog; this is the key-value
+// separation the paper builds on (Section 2.1).
 //
-// Keys are InlineKeys, and every node is bump-allocated from the table's
-// own arena with a tower sized to its drawn height; Clear() rewinds the
-// arena and keeps its blocks for the next fill.
+// Entries live in insertion order in one array, found through an exact
+// hash index (open addressing, linear probing, load at most 1/2) that is
+// always on: a Put() is one probe plus an overwrite in place or an append,
+// and a Get() is one probe. Key order is built only when it is read:
+// Begin() and Seek() sort the keys that arrived since the last ordered
+// read (a radix sort on the big-endian 8-byte prefix, the full compare
+// only within equal prefixes) and merge them into the order kept from
+// before. A flush-bound PUT stream therefore sorts once per flush.
 //
-// Beside the skiplist sits an exact hash index from key to node (open
-// addressing, linear probing, load at most 1/2), built by the first Get()
-// after a Clear() and kept up to date from then on. Get() is one index
-// probe. While the index exists, a Put() of a key already present
-// overwrites through it without walking the skiplist; a fill that nobody
-// reads (a load, a flush-bound PUT stream) never pays for it. Only a new
-// key draws a height, so heights — and the footprint and flush points that
-// follow from them — do not depend on the index. The skiplist serves
-// ordered iteration.
+// The DRAM footprint that decides flush points is modeled, not measured:
+// each new key draws the tower height a seeded skiplist node would get
+// and is charged for it, so runs reproduce exactly (see approximate_bytes).
+//
+// Lifetimes: a pointer from Get() and any Iterator stay valid until the
+// next Put() of a new key (an overwrite keeps them) or Clear().
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/random.h"
@@ -39,15 +39,9 @@ struct ValueRef {
 
 class MemTable {
  private:
-  struct Node {
+  struct Entry {
     InlineKey key;
     ValueRef ref;
-    // The node's tower: `height` forward pointers laid out right after the
-    // node in the arena (NewNode sizes the allocation to cover them).
-    Node** next() { return reinterpret_cast<Node**>(this + 1); }
-    Node* const* next() const {
-      return reinterpret_cast<Node* const*>(this + 1);
-    }
   };
 
  public:
@@ -60,58 +54,66 @@ class MemTable {
   // Returns the entry (including tombstones) or nullptr.
   const ValueRef* Get(const InlineKey& key) const;
 
-  std::size_t entry_count() const { return count_; }
-  bool empty() const { return count_ == 0; }
-  // Approximate DRAM footprint: keys + refs + tower pointers.
+  std::size_t entry_count() const { return entries_.size(); }
+  bool empty() const { return entries_.empty(); }
+  // Modeled DRAM footprint: per key, its bytes, the ref and the tower of a
+  // skiplist node (see Put()).
   std::size_t approximate_bytes() const { return approx_bytes_; }
 
+  // Empties the table, keeping its storage for the next fill.
   void Clear();
 
   // Forward iteration in key order, starting at the first key >= `from`.
   class Iterator {
    public:
-    bool Valid() const { return node_ != nullptr; }
-    const InlineKey& key() const { return node_->key; }
-    const ValueRef& ref() const { return node_->ref; }
-    void Next() { node_ = node_->next()[0]; }
+    bool Valid() const { return at_ != end_; }
+    const InlineKey& key() const { return entries_[*at_].key; }
+    const ValueRef& ref() const { return entries_[*at_].ref; }
+    void Next() { ++at_; }
 
    private:
     friend class MemTable;
-    explicit Iterator(const Node* node) : node_(node) {}
-    const Node* node_;
+    Iterator(const Entry* entries, const std::uint32_t* at,
+             const std::uint32_t* end)
+        : entries_(entries), at_(at), end_(end) {}
+    const Entry* entries_;
+    const std::uint32_t* at_;
+    const std::uint32_t* end_;
   };
-  Iterator Seek(const InlineKey& from) const;
-  Iterator Begin() const { return Iterator(head_->next()[0]); }
+  Iterator Seek(const InlineKey& from);
+  Iterator Begin();
 
  private:
   static constexpr int kMaxHeight = 12;
-  static constexpr std::size_t kArenaBlockBytes = 64 * 1024;
-  static constexpr std::size_t kInitialIndexSlots = 1024;  // A power of two.
+  static constexpr std::size_t kInitialIndexSlots = 64;  // A power of two.
 
+  // The tower height a LevelDB skiplist node would draw; only the
+  // footprint uses it.
   int RandomHeight();
-  // Index slot holding `key`'s node, or the empty slot where it would go.
-  std::size_t SlotFor(const InlineKey& key) const;
-  // (Re)builds the index over every node with `slots` (a power of two of
+  // Index slot holding `key` (hash `hash`), or the empty slot where it
+  // would go.
+  std::size_t SlotFor(const InlineKey& key, std::uint64_t hash) const;
+  // The hash bits a slot keeps above the entry id, in an index of
+  // `mask` + 1 slots.
+  static std::uint32_t Tag(std::uint64_t hash, std::uint32_t mask) {
+    return static_cast<std::uint32_t>(hash >> 32) & ~mask;
+  }
+  // Rebuilds the index over every entry with `slots` (a power of two of
   // at least twice entry_count()) slots.
-  void IndexAll(std::size_t slots) const;
-  // A node with a `height`-pointer null tower, from the arena.
-  Node* NewNode(const InlineKey& key, const ValueRef& ref, int height);
-  // First node with key >= `key`; when `prev` is non-null it receives the
-  // last node with key < `key` at every level.
-  Node* FindGreaterOrEqual(const InlineKey& key, Node** prev) const;
+  void Rehash(std::size_t slots);
+  // Extends order_ over every entry: sorts the ids appended since the last
+  // call and merges them into the ids already ordered.
+  void SortNewKeys();
 
-  // Arena: fixed-size blocks filled in order; blocks_[block_] holds the
-  // next free byte at offset used_.
-  std::vector<std::unique_ptr<std::byte[]>> blocks_;
-  std::size_t block_ = 0;
-  std::size_t used_ = 0;
-  Node* head_ = nullptr;
-  // Point index: a power-of-two slot array, nullptr = empty. Valid only
-  // while indexed_; Clear() drops it, and the rebuild reuses its storage.
-  mutable std::vector<Node*> index_;
-  mutable bool indexed_ = false;
-  int height_ = 1;
-  std::size_t count_ = 0;
+  std::vector<Entry> entries_;  // Insertion order.
+  // Point index: a power-of-two slot array, 0 = empty. A slot holds an
+  // entry id + 1 in its low bits (below the slot count) and, above them,
+  // the matching bits of the key's hash's high word, so a probe reads an
+  // entry only when those bits match; the slot comes from the hash's low
+  // bits.
+  std::vector<std::uint32_t> index_;
+  // Entry ids in key order; covers entries_[0, order_.size()).
+  std::vector<std::uint32_t> order_;
   std::size_t approx_bytes_ = 0;
   Xoshiro256 rng_;
 };

@@ -106,10 +106,11 @@ int SSTableMeta::PageForKey(std::string_view key) const {
 }
 
 TableWriter::TableWriter(ftl::PageFtl* ftl, std::uint64_t id,
-                         std::uint64_t first_lpn)
+                         std::uint64_t first_lpn, std::size_t max_entries)
     : ftl_(ftl) {
   meta_.id = id;
   meta_.first_lpn = first_lpn;
+  entries_.reserve(max_entries);
   page_.resize(kNandPageSize);
 }
 

@@ -71,7 +71,10 @@ inline constexpr std::uint32_t kSSTableMagic = 0x42534C4D;  // "BSLM"
 // yet: EnsureFilter() builds it from entries() when first needed.
 class TableWriter {
  public:
-  TableWriter(ftl::PageFtl* ftl, std::uint64_t id, std::uint64_t first_lpn);
+  // `max_entries` bounds the entries the caller will add, when it knows a
+  // bound in advance: entries() reserves that many.
+  TableWriter(ftl::PageFtl* ftl, std::uint64_t id, std::uint64_t first_lpn,
+              std::size_t max_entries = 0);
 
   Status Add(const SSTableEntry& entry);
   // Fails on an empty table. The writer is spent afterwards, apart from
@@ -117,6 +120,8 @@ Status DecodeEntry(ByteSpan data, std::size_t* offset, SSTableEntry* out);
 inline std::uint64_t EncodedEntrySize(const SSTableEntry& e) {
   return 1 + e.key.size() + 8 + 4 + 1;
 }
+// The smallest EncodedEntrySize(), of a 1-byte key.
+inline constexpr std::uint64_t kMinEncodedEntrySize = 1 + 1 + 8 + 4 + 1;
 
 // Little-endian integer helpers used across LSM serialization.
 void PutU32(Bytes* out, std::uint32_t v);

@@ -1,16 +1,20 @@
-// Append-only text builder for the exports: strings and characters go in
+// Append-only text builders for the exports: strings and characters go in
 // verbatim, integers as decimal digits through std::to_chars, all into one
-// std::string. Integer formatting matches an ostream's operator<<, so it
+// std::string (TextOut), or into a buffer sized exactly up front
+// (RawTextOut). Integer formatting matches an ostream's operator<<, so it
 // renders the same bytes a std::ostringstream did, without the locale and
 // stream-state machinery per value.
 #pragma once
 
 #include <array>
 #include <bit>
+#include <cassert>
 #include <charconv>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <system_error>
 #include <string_view>
 #include <type_traits>
 
@@ -57,6 +61,37 @@ class TextOut {
 
  private:
   std::string* out_;
+};
+
+// TextOut's rendering into a buffer already sized to the byte: text by
+// memcpy and integers by std::to_chars through one write pointer, with no
+// size or capacity check per piece. Debug builds assert that every write
+// stays inside the buffer.
+class RawTextOut {
+ public:
+  RawTextOut(char* begin, char* end) : at_(begin), end_(end) {}
+
+  RawTextOut& operator<<(std::string_view s) {
+    assert(s.size() <= static_cast<std::size_t>(end_ - at_));
+    std::memcpy(at_, s.data(), s.size());
+    at_ += s.size();
+    return *this;
+  }
+  template <typename T>
+    requires(std::is_integral_v<T> && sizeof(T) > 1)
+  RawTextOut& operator<<(T value) {
+    const std::to_chars_result r = std::to_chars(at_, end_, value);
+    assert(r.ec == std::errc());
+    at_ = r.ptr;
+    return *this;
+  }
+
+  // The next byte to write.
+  const char* at() const { return at_; }
+
+ private:
+  char* at_;
+  char* end_;
 };
 
 }  // namespace bandslim::telemetry

@@ -483,9 +483,9 @@ std::string Timeline::ToJsonl() const {
             DecimalDigits(s.t_ns) + DecimalDigits(s.seq) +
             DecimalDigits(s.interval_ns);
   }
-  std::string out;
-  out.reserve(size);
-  TextOut os(&out);
+  // Rendered through one write pointer into the string sized to the byte.
+  std::string out(size, '\0');
+  RawTextOut os(out.data(), out.data() + out.size());
 
   const auto emit_sample = [&](const Sample& s) {
     os << kSampleHead << s.t_ns << kSeq << s.seq << kInterval << s.interval_ns
@@ -518,7 +518,8 @@ std::string Timeline::ToJsonl() const {
       emit_sample(samples_[si++]);
     }
   }
-  assert(out.size() == size && "ToJsonl sizing pass disagrees with render");
+  assert(os.at() == out.data() + size &&
+         "ToJsonl sizing pass disagrees with render");
   return out;
 }
 

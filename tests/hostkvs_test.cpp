@@ -6,6 +6,7 @@
 
 #include "blockdev/block_ssd.h"
 #include "hostkvs/host_kvs.h"
+#include "lsm/sstable.h"
 #include "workload/value_gen.h"
 
 namespace bandslim {
@@ -186,6 +187,44 @@ TEST_F(HostKvsTest, KernelCrossingsCharged) {
   EXPECT_GE(metrics_.CounterValue("hostkvs.kernel_crossings"), 3u);
   EXPECT_GE(clock_.Now() - t0,
             3 * cost_.host_syscall_ns + cost_.host_fs_block_ns);
+}
+
+// The index snapshot lists every key in key order (the MemTable sorts its
+// keys on the walk), tombstones included, whatever order they arrived in.
+TEST_F(HostKvsTest, FlushSerializesIndexInKeyOrder) {
+  std::map<std::string, std::uint32_t> model;  // Key -> value size.
+  Bytes v(600, 5);
+  for (int i = 0; i < 300; ++i) {
+    const std::string key = "x" + std::to_string((i * 7919) % 1000);
+    const std::uint32_t size = 1 + static_cast<std::uint32_t>(i) % 600;
+    ASSERT_TRUE(kvs_.Put(key, ByteSpan(v.data(), size)).ok());
+    model[key] = size;
+  }
+  ASSERT_TRUE(kvs_.Delete("x0").ok());
+  model["x0"] = 0;
+  ASSERT_TRUE(kvs_.Flush().ok());
+
+  const std::uint64_t index_lba =
+      ssd_.nand().geometry().capacity_bytes() / kMemPageSize / 2;
+  Bytes snapshot(4 * kMemPageSize);
+  ASSERT_TRUE(ssd_.Read(index_lba, MutByteSpan(snapshot)).ok());
+  std::size_t offset = 0;
+  std::uint32_t count = 0;
+  ASSERT_TRUE(lsm::GetU32(ByteSpan(snapshot), &offset, &count).ok());
+  ASSERT_EQ(count, model.size());
+  auto want = model.begin();
+  for (std::uint32_t i = 0; i < count; ++i, ++want) {
+    std::string key;
+    std::uint64_t addr = 0;
+    std::uint32_t size = 0;
+    ASSERT_TRUE(lsm::GetLengthPrefixed(ByteSpan(snapshot), &offset, &key).ok());
+    ASSERT_TRUE(lsm::GetU64(ByteSpan(snapshot), &offset, &addr).ok());
+    ASSERT_TRUE(lsm::GetU32(ByteSpan(snapshot), &offset, &size).ok());
+    const bool tombstone = snapshot[offset++] != 0;
+    EXPECT_EQ(key, want->first) << i;
+    EXPECT_EQ(tombstone, want->second == 0) << key;
+    if (!tombstone) EXPECT_EQ(size, want->second) << key;
+  }
 }
 
 TEST_F(HostKvsTest, FlushWritesIndexSnapshot) {

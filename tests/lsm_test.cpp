@@ -97,8 +97,9 @@ TEST(MemTableTest, ClearResets) {
 }
 
 TEST(MemTableTest, ClearReusesArenaBlocks) {
-  // Enough tall and short nodes to fill several arena blocks, twice: the
-  // second fill reuses the blocks the first one left behind.
+  // Two fills of 20000 keys with a Clear() between: the second fill reuses
+  // the entry array and index the first one grew, and none of the first
+  // fill's keys survive.
   MemTable mem(5);
   for (int round = 0; round < 2; ++round) {
     for (int i = 0; i < 20000; ++i) {
@@ -255,6 +256,75 @@ TEST(MemTableTest, MatchesStdMapOnStressKeys) {
     it.Next();
   }
   EXPECT_FALSE(it.Valid());
+}
+
+// The key order is built lazily on an ordered read and extended by later
+// ones, so this interleaves every operation, full walks (Begin) and
+// partial walks (Seek) with writes: overwrites after a sort, new keys
+// after a Seek (some below every key walked so far), tombstones. Half the
+// new keys share their first 8 bytes, so the order within one radix
+// bucket comes from the full compare.
+TEST(MemTableTest, LazyOrderMatchesStdMapAcrossReads) {
+  std::vector<std::string> keys = OrderStressKeys(41, 300);
+  for (int i = 0; i < 300; ++i) {
+    keys.push_back("prefix08" + std::to_string(i * 37));
+  }
+  MemTable mem(9);
+  std::map<std::string, ValueRef> model;
+  Xoshiro256 rng(42);
+  auto expect_walk = [&](MemTable::Iterator it,
+                         std::map<std::string, ValueRef>::iterator want,
+                         std::size_t steps) {
+    for (; steps > 0 && want != model.end(); --steps, ++want, it.Next()) {
+      ASSERT_TRUE(it.Valid());
+      ASSERT_EQ(it.key().view(), want->first);
+      EXPECT_EQ(it.ref().addr, want->second.addr);
+      EXPECT_EQ(it.ref().tombstone, want->second.tombstone);
+    }
+    if (steps > 0) EXPECT_FALSE(it.Valid());
+  };
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 4000; ++i) {
+      const std::string& key = keys[rng.Below(keys.size())];
+      const std::uint64_t op = rng.Below(20);
+      if (op < 9) {
+        const ValueRef ref{rng() >> 16,
+                           static_cast<std::uint32_t>(rng.Below(64)), false};
+        mem.Put(key, ref);
+        model[key] = ref;
+      } else if (op < 11) {
+        mem.Delete(key);
+        model[key] = ValueRef{0, 0, true};
+      } else if (op < 15) {
+        const ValueRef* got = mem.Get(key);
+        auto want = model.find(key);
+        ASSERT_EQ(got != nullptr, want != model.end());
+        if (got != nullptr) EXPECT_EQ(got->addr, want->second.addr);
+      } else if (op < 19) {
+        expect_walk(mem.Seek(key), model.lower_bound(key), 1 + rng.Below(8));
+      } else {
+        expect_walk(mem.Begin(), model.begin(), model.size() + 1);
+      }
+    }
+    ASSERT_EQ(mem.entry_count(), model.size());
+    expect_walk(mem.Begin(), model.begin(), model.size() + 1);
+    // An overwrite after the sort shows through the kept order, and
+    // through a Get() pointer taken before it.
+    const std::string first = model.begin()->first;
+    const ValueRef* before = mem.Get(first);
+    mem.Put(first, ValueRef{777, 7, false});
+    model[first] = ValueRef{777, 7, false};
+    EXPECT_EQ(before->addr, 777u);
+    expect_walk(mem.Begin(), model.begin(), model.size() + 1);
+    // A new key after a Seek, below every key walked, joins the order.
+    expect_walk(mem.Seek(first), model.lower_bound(first), 3);
+    mem.Put("", ValueRef{1, 1, false});
+    model[""] = ValueRef{1, 1, false};
+    expect_walk(mem.Begin(), model.begin(), model.size() + 1);
+    mem.Clear();
+    model.clear();
+    EXPECT_FALSE(mem.Begin().Valid());
+  }
 }
 
 // --------------------------- SSTable ---------------------------------------
@@ -432,14 +502,17 @@ TEST_F(SSTableTest, OverlapPredicate) {
 
 // --------------------------- Merge machinery -------------------------------
 
-// Collects the streamed merge of `runs`, given newest first.
-std::vector<SSTableEntry> Merge(std::vector<std::vector<SSTableEntry>> runs,
-                                bool drop_tombstones) {
-  std::vector<MergeInput> inputs;
-  for (auto& run : runs) {
-    inputs.push_back(
-        {std::make_shared<const std::vector<SSTableEntry>>(std::move(run)),
-         static_cast<std::uint32_t>(inputs.size())});
+// Collects the streamed merge of `chains`, given newest first; each chain
+// is one input of disjoint runs in key order.
+std::vector<SSTableEntry> MergeChains(
+    std::vector<std::vector<std::vector<SSTableEntry>>> chains,
+    bool drop_tombstones) {
+  std::vector<MergeInput> inputs(chains.size());
+  for (std::size_t i = 0; i < chains.size(); ++i) {
+    for (auto& run : chains[i]) {
+      inputs[i].runs.push_back(
+          std::make_shared<const std::vector<SSTableEntry>>(std::move(run)));
+    }
   }
   std::vector<SSTableEntry> merged;
   EXPECT_TRUE(MergeRuns(inputs, drop_tombstones, [&](const SSTableEntry& e) {
@@ -447,6 +520,14 @@ std::vector<SSTableEntry> Merge(std::vector<std::vector<SSTableEntry>> runs,
                 return Status::Ok();
               }).ok());
   return merged;
+}
+
+// The merge of `runs`, given newest first, each its own input.
+std::vector<SSTableEntry> Merge(std::vector<std::vector<SSTableEntry>> runs,
+                                bool drop_tombstones) {
+  std::vector<std::vector<std::vector<SSTableEntry>>> chains;
+  for (auto& run : runs) chains.push_back({std::move(run)});
+  return MergeChains(std::move(chains), drop_tombstones);
 }
 
 TEST(MergeTest, NewestRunWins) {
@@ -498,6 +579,57 @@ TEST(MergeTest, MatchesMapReferenceOnOverlappingRuns) {
       auto w = want.begin();
       for (const SSTableEntry& e : merged) {
         EXPECT_EQ(e.key.view(), w->first);
+        EXPECT_EQ(e.ref.addr, w->second.addr);
+        EXPECT_EQ(e.ref.tombstone, w->second.tombstone);
+        ++w;
+      }
+    }
+  }
+}
+
+// One level's tables share an age and merge as one chained input. Each
+// input here is a sorted key set cut into runs at random, with empty runs
+// first, in the middle and last; inputs overlap each other at random.
+TEST(MergeTest, ChainedInputsMatchMapReference) {
+  const std::vector<std::string> keys = OrderStressKeys(51, 400);
+  Xoshiro256 rng(52);
+  for (int trial = 0; trial < 30; ++trial) {
+    std::vector<std::vector<std::vector<SSTableEntry>>> chains(
+        1 + rng.Below(5));
+    for (auto& chain : chains) {
+      std::map<std::string, ValueRef> sorted;
+      for (std::uint64_t n = rng.Below(300); n > 0; --n) {
+        sorted[keys[rng.Below(keys.size())]] =
+            ValueRef{rng() >> 16, 8, rng.Below(4) == 0};
+      }
+      chain.emplace_back();  // An empty first run.
+      for (const auto& [key, ref] : sorted) {
+        if (rng.Below(40) == 0) {
+          chain.emplace_back();
+          if (rng.Below(2) == 0) chain.emplace_back();  // An empty middle run.
+        }
+        chain.back().push_back({key, ref});
+      }
+      chain.emplace_back();
+    }
+    for (const bool drop_tombstones : {false, true}) {
+      // Oldest input first, so newer versions overwrite older ones.
+      std::map<std::string, ValueRef> want;
+      for (auto chain = chains.rbegin(); chain != chains.rend(); ++chain) {
+        for (const auto& run : *chain) {
+          for (const SSTableEntry& e : run) {
+            want[std::string(e.key.view())] = e.ref;
+          }
+        }
+      }
+      if (drop_tombstones) {
+        std::erase_if(want, [](const auto& kv) { return kv.second.tombstone; });
+      }
+      const auto merged = MergeChains(chains, drop_tombstones);
+      ASSERT_EQ(merged.size(), want.size()) << trial;
+      auto w = want.begin();
+      for (const SSTableEntry& e : merged) {
+        ASSERT_EQ(e.key.view(), w->first) << trial;
         EXPECT_EQ(e.ref.addr, w->second.addr);
         EXPECT_EQ(e.ref.tombstone, w->second.tombstone);
         ++w;
