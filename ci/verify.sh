@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification, run twice:
 #   1. Release           — the configuration the benches and figures use.
-#   2. Debug + ASan/UBSan — assertions on (the clock-overflow and CID-reuse
-#      checks live behind assert) and memory/UB errors fatal.
+#   2. Debug + ASan/UBSan — assertions on (the clock-overflow and
+#      one-command-in-flight checks live behind assert) and memory/UB errors
+#      fatal.
 # Usage: ci/verify.sh [build-dir-prefix]   (default: build-ci)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -18,7 +19,7 @@ run_pass() {
   ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)"
 }
 
-# Fault campaign under the sanitized build: nonzero failure rates drive the
+# Fault campaign, on both passes as in CI: nonzero failure rates drive the
 # bad-block remap, retry, and ECC paths that a clean run never enters.
 fault_campaign() {
   local build_dir="$1"
@@ -130,6 +131,7 @@ run_pass release "${prefix}-release" \
   -DCMAKE_BUILD_TYPE=Release \
   -DCMAKE_CXX_FLAGS="-Werror=deprecated-declarations"
 
+fault_campaign "${prefix}-release"
 trace_export "${prefix}-release"
 timeline_scrapes "${prefix}-release" 2000 3000
 control_storm "${prefix}-release"

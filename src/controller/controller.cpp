@@ -74,7 +74,6 @@ CqEntry KvController::Handle(const NvmeCommand& cmd, std::uint16_t queue_id) {
     case Opcode::kKvDelete: return HandleDelete(cmd);
     case Opcode::kKvExists: return HandleExists(cmd);
     case Opcode::kKvIterSeek: return HandleIterSeek(cmd);
-    case Opcode::kKvIterNext: return HandleIterNext(cmd);
     case Opcode::kKvIterNextBatch: return HandleIterNextBatch(cmd);
     case Opcode::kKvIterClose: return HandleIterClose(cmd);
     case Opcode::kKvFlush: return HandleFlush();
@@ -446,42 +445,6 @@ CqEntry KvController::HandleIterSeek(const NvmeCommand& cmd) {
   const std::uint32_t id = next_iterator_id_++;
   iterators_[id] = std::move(iter).value();
   return CqEntry{id, 0, CqStatus::kSuccess};
-}
-
-CqEntry KvController::HandleIterNext(const NvmeCommand& cmd) {
-  if (!config_.nand_io_enabled) return FailOp(CqStatus::kInvalidField);
-  clock_->Advance(cost_->dev_kvs_ns);
-  auto it = iterators_.find(cmd.iter_handle());
-  if (it == iterators_.end()) return FailOp(CqStatus::kIteratorInvalid);
-  lsm::LsmTree::Iterator& iter = *it->second;
-  if (!iter.Valid()) return CqEntry{0, 0, CqStatus::kIteratorExhausted};
-
-  // Record format shipped to the host: [u8 key_len][key][u32 vsize][value].
-  const std::string_view key = iter.key();
-  const lsm::ValueRef& ref = iter.ref();
-  const std::size_t needed = 1 + key.size() + 4 + ref.size;
-  if (cmd.prp.DmaBytes() < needed) {
-    return CqEntry{static_cast<std::uint32_t>(needed), 0,
-                   CqStatus::kBufferTooSmall};
-  }
-  MutByteSpan bounce = Bounce(RoundUpPow2(needed, kMemPageSize));
-  std::size_t off = 0;
-  bounce[off++] = static_cast<std::uint8_t>(key.size());
-  std::copy(key.begin(), key.end(), bounce.begin() + static_cast<std::ptrdiff_t>(off));
-  off += key.size();
-  for (int i = 0; i < 4; ++i) {
-    bounce[off++] = static_cast<std::uint8_t>(ref.size >> (8 * i));
-  }
-  const Status next_read =
-      vlog_->Read(ref.addr, bounce.subspan(off, ref.size));
-  if (!next_read.ok()) return FailOp(CqStatusFromStatus(next_read));
-  clock_->Advance(cost_->MemcpyCost(needed));
-  read_memcpy_bytes_->Add(needed);
-  if (!dma_->DeviceToHost(ByteSpan(bounce.data(), needed), 0, cmd.prp).ok()) {
-    return FailOp(CqStatus::kInternalError);
-  }
-  iter.Next();
-  return CqEntry{static_cast<std::uint32_t>(needed), 0, CqStatus::kSuccess};
 }
 
 CqEntry KvController::HandleIterNextBatch(const NvmeCommand& cmd) {

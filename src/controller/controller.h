@@ -102,7 +102,6 @@ class KvController : public nvme::DeviceHandler {
   nvme::CqEntry HandleDelete(const nvme::NvmeCommand& cmd);
   nvme::CqEntry HandleExists(const nvme::NvmeCommand& cmd);
   nvme::CqEntry HandleIterSeek(const nvme::NvmeCommand& cmd);
-  nvme::CqEntry HandleIterNext(const nvme::NvmeCommand& cmd);
   nvme::CqEntry HandleIterNextBatch(const nvme::NvmeCommand& cmd);
   nvme::CqEntry HandleIterClose(const nvme::NvmeCommand& cmd);
   nvme::CqEntry HandleFlush();

@@ -15,8 +15,8 @@ KvSsd::KvSsd(const KvSsdOptions& options)
       sampler_->enabled() ? &sampler_->event_log() : nullptr;
   fault_plan_.SetEventLog(elog);
   transport_ = std::make_unique<nvme::NvmeTransport>(
-      &clock_, &options_.cost, &link_, &metrics_, options_.queue_depth,
-      options_.num_queues, &fault_plan_, &tracer_);
+      &clock_, &options_.cost, &link_, &metrics_, options_.num_queues,
+      &fault_plan_, &tracer_);
   transport_->SetEventLog(elog);
   if (sampler_->enabled()) transport_->SetSampler(sampler_.get());
   dma_ = std::make_unique<dma::DmaEngine>(&clock_, &options_.cost, &link_,

@@ -1,7 +1,7 @@
 // bandslim::KvSsd — the public API. Opening a device assembles the whole
 // simulated stack of Figure 5(a):
 //
-//   host:   KvDriver ── NvmeTransport (SQ/CQ + doorbells over PcieLink)
+//   host:   KvDriver ── NvmeTransport (queue pairs + doorbells over PcieLink)
 //   device: KvController ── DmaEngine
 //                        ── NandPageBuffer (packing policies + DLT) ── vLog
 //                        ── LsmTree (MemTable / SSTables)           ── FTL ── NAND
@@ -75,7 +75,6 @@ struct KvSsdOptions {
   // Keep value payloads in the NAND model so GET returns real bytes. Turn
   // off for multi-GiB write-only benches (reads then return zeros).
   bool retain_payloads = true;
-  std::uint16_t queue_depth = 64;
   // NVMe submission/completion queue pairs. The built-in driver binds to
   // queue 0; CreateQueueDriver() attaches further drivers to other queues.
   std::uint16_t num_queues = 1;

@@ -548,9 +548,7 @@ Result<std::uint64_t> LsmTree::Restore() {
   return cookie;
 }
 
-Result<std::unique_ptr<LsmTree::Iterator>> LsmTree::NewIterator() {
-  // Snapshot merge: the MemTable (newest), then L0 newest first, then one
-  // chained input per deeper level (its tables are disjoint).
+Result<std::vector<MergeInput>> LsmTree::SnapshotInputs() {
   auto mem_run = std::make_shared<std::vector<SSTableEntry>>();
   mem_run->reserve(mem_.entry_count());
   for (auto it = mem_.Begin(); it.Valid(); it.Next()) {
@@ -568,9 +566,15 @@ Result<std::unique_ptr<LsmTree::Iterator>> LsmTree::NewIterator() {
       BANDSLIM_RETURN_IF_ERROR(Load(t, &inputs[input]));
     }
   }
+  return inputs;
+}
+
+Result<std::unique_ptr<LsmTree::Iterator>> LsmTree::NewIterator() {
+  auto inputs = SnapshotInputs();
+  if (!inputs.ok()) return inputs.status();
   auto iter = std::unique_ptr<Iterator>(new Iterator());
-  BANDSLIM_RETURN_IF_ERROR(
-      MergeRuns(inputs, /*drop_tombstones=*/true, [&](const SSTableEntry& e) {
+  BANDSLIM_RETURN_IF_ERROR(MergeRuns(
+      inputs.value(), /*drop_tombstones=*/true, [&](const SSTableEntry& e) {
         iter->entries_.push_back(e);
         return Status::Ok();
       }));
@@ -588,12 +592,13 @@ void LsmTree::Iterator::Seek(std::string_view target) {
 
 Status LsmTree::ForEachLive(
     const std::function<void(std::string_view, const ValueRef&)>& fn) {
-  auto iter = NewIterator();
-  if (!iter.ok()) return iter.status();
-  for (auto& it = *iter.value(); it.Valid(); it.Next()) {
-    fn(it.key(), it.ref());
-  }
-  return Status::Ok();
+  auto inputs = SnapshotInputs();
+  if (!inputs.ok()) return inputs.status();
+  return MergeRuns(inputs.value(), /*drop_tombstones=*/true,
+                   [&](const SSTableEntry& e) {
+                     fn(e.key.view(), e.ref);
+                     return Status::Ok();
+                   });
 }
 
 }  // namespace bandslim::lsm

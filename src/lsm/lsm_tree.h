@@ -99,7 +99,8 @@ class LsmTree {
   };
   Result<std::unique_ptr<Iterator>> NewIterator();
 
-  // Visits every live entry (vLog GC liveness scan).
+  // Visits every live entry in key order, straight off the merge (vLog GC
+  // liveness scan, recovery's torn-value check).
   Status ForEachLive(
       const std::function<void(std::string_view, const ValueRef&)>& fn);
 
@@ -167,6 +168,10 @@ class LsmTree {
   // Appends `table`'s entries to `input` as its next run, reading the
   // table from NAND unless it is cached.
   Status Load(Table& table, MergeInput* input);
+  // Every live run, newest first, as merge inputs: the MemTable, then L0
+  // newest first, then one chained input per deeper level (its tables are
+  // disjoint).
+  Result<std::vector<MergeInput>> SnapshotInputs();
   // Point lookup within one table. A DRAM-resident table probes its index
   // (built with its filter on first use) and runs the bloom only on a miss;
   // any other table goes bloom -> fence keys -> one page read (served from

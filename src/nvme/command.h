@@ -39,7 +39,6 @@ enum class Opcode : std::uint8_t {
   kKvRead = 0xC3,      // KV retrieve; PRP describes the receive buffer.
   kKvDelete = 0xC4,
   kKvIterSeek = 0xC5,  // Position an iterator at the first key >= seek key.
-  kKvIterNext = 0xC6,  // Fetch next (key, value) via the PRP receive buffer.
   kKvFlush = 0xC7,     // Drain device buffers / MemTable to NAND.
   kKvExists = 0xC8,
   kKvIterClose = 0xC9,

@@ -4,9 +4,9 @@
 // from host memory — we account that fetch traffic too.
 //
 // Up to kInlinePages entries are stored inline (covering values up to one
-// NAND page), so the common small-value commands copy through submission/
-// completion rings without touching the allocator; longer lists spill to a
-// heap vector, mirroring how a real PRP list spills into a list page.
+// NAND page), so the common small-value commands are built and copied
+// without touching the allocator; longer lists spill to a heap vector,
+// mirroring how a real PRP list spills into a list page.
 #pragma once
 
 #include <algorithm>

@@ -9,32 +9,25 @@ namespace bandslim::nvme {
 
 NvmeTransport::NvmeTransport(sim::VirtualClock* clock, const sim::CostModel* cost,
                              pcie::PcieLink* link, stats::MetricsRegistry* metrics,
-                             std::uint16_t queue_depth, std::uint16_t num_queues,
-                             fault::FaultPlan* fault_plan, trace::Tracer* tracer)
+                             std::uint16_t num_queues, fault::FaultPlan* fault_plan,
+                             trace::Tracer* tracer)
     : clock_(clock),
       cost_(cost),
       link_(link),
       fault_plan_(fault_plan),
       tracer_(tracer),
-      queue_depth_(queue_depth),
+      queues_(num_queues),
       metrics_(metrics),
       submit_counter_(metrics->RegisterCounter("nvme.commands_submitted")),
       timeout_counter_(metrics->RegisterCounter("nvme.timeouts")),
       retry_counter_(metrics->RegisterCounter("nvme.retries")) {
   assert(num_queues >= 1);
-  queues_.reserve(num_queues);
-  for (std::uint16_t q = 0; q < num_queues; ++q) {
-    queues_.emplace_back(queue_depth);
-  }
 }
 
 std::uint16_t NvmeTransport::AllocateCid(QueuePair* qp) {
-  const std::uint16_t cid = qp->next_cid++;
-  assert(!qp->inflight_cids[cid] &&
-         "CID reused while still in flight on this queue");
-  qp->inflight_cids[cid] = 1;
+  assert(qp->inflight_count == 0 && "a command is already in flight");
   ++qp->inflight_count;
-  return cid;
+  return qp->next_cid++;
 }
 
 void NvmeTransport::ChargeCommand(bool first_in_batch) {
@@ -76,14 +69,9 @@ CqEntry NvmeTransport::SubmitOne(QueuePair& qp, std::uint16_t queue_id,
       dead.cid = cmd.cid();
       return dead;
     }
-    // The SQ/CQ rings are modeled but not exercised by the synchronous
-    // transport: a submission is fetched (and a completion reaped) before
-    // the next one is pushed, so the entry would round-trip through the
-    // ring untouched. The copies are skipped — ring capacity semantics are
-    // covered by the ring's own unit tests, and command latency is charged
-    // below via ChargeCommand, not by ring data movement. The CID never
-    // has to be written into the command either: the device handlers don't
-    // read it, so it is carried alongside and stamped on the completion.
+    // The CID never has to be written into the command: the device
+    // handlers don't read it, so it is carried alongside and stamped on the
+    // completion.
     const std::uint16_t cid = AllocateCid(&qp);
     if (trace::Active(tracer_)) tracer_->SetCommandCid(cid);
     if (attempt > 0) {
@@ -101,7 +89,7 @@ CqEntry NvmeTransport::SubmitOne(QueuePair& qp, std::uint16_t queue_id,
       // The command is lost before the device fetches it: the host waits
       // out the watchdog, reclaims the slot, and backs off exponentially
       // before resubmitting.
-      ReleaseCid(&qp, cid);
+      ReleaseCid(&qp);
       {
         trace::SpanScope wait(tracer_, trace::Category::kTimeout);
         clock_->Advance(fault_plan_->config().command_timeout_ns);
@@ -154,7 +142,7 @@ CqEntry NvmeTransport::SubmitOne(QueuePair& qp, std::uint16_t queue_id,
       tracer_->InstantSpan(trace::Category::kCompletion, cost_->cqe_bytes);
     }
 
-    ReleaseCid(&qp, cqe.cid);
+    ReleaseCid(&qp);
     ++commands_submitted_;
     ++qp.submitted;
     submit_counter_->Increment();
@@ -214,55 +202,25 @@ bool NvmeTransport::ShedIfOutOfCredits(QueuePair* qp, const NvmeCommand& cmd,
   return true;
 }
 
-CqEntry NvmeTransport::Submit(std::uint16_t queue_id, const NvmeCommand& cmd) {
-  assert(device_ != nullptr && "no device attached");
+std::size_t NvmeTransport::SubmitBatch(std::uint16_t queue_id,
+                                      std::span<const NvmeCommand> cmds,
+                                      CqEntry* out) {
   assert(queue_id < queues_.size());
-  QueuePair& qp = queues_[queue_id];
-
-  CqEntry rejected;
-  if (ShedIfOutOfCredits(&qp, cmd, &rejected)) {
-    if (sampler_ != nullptr) sampler_->Poll();
-    return rejected;
-  }
-
-  trace::CommandScope scope(tracer_, queue_id,
-                            static_cast<std::uint8_t>(cmd.opcode()));
-  // Host rings the doorbell for this submission.
-  link_->Record(pcie::TrafficClass::kMmio, pcie::Direction::kHostToDevice,
-                cost_->mmio_doorbell_bytes);
-  if (trace::Active(tracer_)) {
-    tracer_->InstantSpan(trace::Category::kDoorbell,
-                         cost_->mmio_doorbell_bytes);
-  }
-  const CqEntry reaped = SubmitOne(qp, queue_id, cmd, /*first_in_batch=*/true);
-  scope.Finish(static_cast<std::uint16_t>(reaped.status));
-  if (sampler_ != nullptr) sampler_->Poll();
-  return reaped;
-}
-
-void NvmeTransport::SubmitPipelined(std::uint16_t queue_id,
-                                    std::span<const NvmeCommand> cmds,
-                                    std::vector<CqEntry>* out) {
-  assert(queue_id < queues_.size());
-  QueuePair& qp = queues_[queue_id];
-  std::vector<CqEntry>& completions = *out;
-  completions.clear();
-  completions.reserve(cmds.size());
-  if (cmds.empty()) return;  // Nothing fetched; device untouched.
+  if (cmds.empty()) return 0;  // Nothing fetched; device untouched.
   assert(device_ != nullptr && "no device attached");
+  QueuePair& qp = queues_[queue_id];
 
   // Admission is all-or-nothing per batch: one credit covers the whole
   // op (head + trailing fragments). Shedding mid-batch would leave the
   // device holding a partial fragment stream.
-  CqEntry rejected;
-  if (ShedIfOutOfCredits(&qp, cmds.front(), &rejected)) {
-    completions.push_back(rejected);
+  if (ShedIfOutOfCredits(&qp, cmds.front(), out)) {
     if (sampler_ != nullptr) sampler_->Poll();
-    return;
+    return 1;
   }
 
-  bool first = true;
-  for (const NvmeCommand& cmd : cmds) {
+  for (std::size_t i = 0; i < cmds.size(); ++i) {
+    const NvmeCommand& cmd = cmds[i];
+    const bool first = i == 0;
     trace::CommandScope scope(tracer_, queue_id,
                               static_cast<std::uint8_t>(cmd.opcode()));
     if (first) {
@@ -275,29 +233,18 @@ void NvmeTransport::SubmitPipelined(std::uint16_t queue_id,
                              cost_->mmio_doorbell_bytes);
       }
     }
-    // The ring may be smaller than the batch; with the device draining
-    // entries synchronously here, push/pop per command is equivalent.
-    completions.push_back(SubmitOne(qp, queue_id, cmd, first));
-    scope.Finish(static_cast<std::uint16_t>(completions.back().status));
+    out[i] = SubmitOne(qp, queue_id, cmd, first);
+    scope.Finish(static_cast<std::uint16_t>(out[i].status));
     if (sampler_ != nullptr) sampler_->Poll();
-    first = false;
   }
-}
-
-std::vector<NvmeTransport::QueueInfo> NvmeTransport::QueueInfos() const {
-  std::vector<QueueInfo> infos;
-  infos.reserve(queues_.size());
-  for (std::size_t q = 0; q < queues_.size(); ++q) {
-    infos.push_back(QueueInfoAt(static_cast<std::uint16_t>(q)));
-  }
-  return infos;
+  return cmds.size();
 }
 
 NvmeTransport::QueueInfo NvmeTransport::QueueInfoAt(
     std::uint16_t queue_id) const {
   QueueInfo info;
   info.queue_id = queue_id;
-  info.depth = queue_depth_;
+  info.depth = kQueueDepth;
   info.submitted = queues_[queue_id].submitted;
   info.inflight = queues_[queue_id].inflight_count;
   return info;

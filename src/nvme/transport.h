@@ -1,6 +1,6 @@
 // NvmeTransport couples the host driver to the device controller through
-// submission/completion queues, accounting every PCIe transaction the NVMe
-// protocol generates (Section 4.2):
+// NVMe queue pairs, accounting every PCIe transaction the NVMe protocol
+// generates (Section 4.2):
 //   * an 8 B doorbell MMIO write per submission,
 //   * a 64 B command fetch (plus PRP-list page fetch for >2-page payloads),
 //   * a 16 B completion entry,
@@ -14,7 +14,6 @@
 
 #include "fault/fault_plan.h"
 #include "nvme/command.h"
-#include "nvme/queue.h"
 #include "pcie/link.h"
 #include "sim/clock.h"
 #include "sim/cost_model.h"
@@ -44,7 +43,7 @@ class NvmeTransport {
  public:
   NvmeTransport(sim::VirtualClock* clock, const sim::CostModel* cost,
                 pcie::PcieLink* link, stats::MetricsRegistry* metrics,
-                std::uint16_t queue_depth = 64, std::uint16_t num_queues = 1,
+                std::uint16_t num_queues = 1,
                 fault::FaultPlan* fault_plan = nullptr,
                 trace::Tracer* tracer = nullptr);
 
@@ -56,28 +55,25 @@ class NvmeTransport {
 
   // Synchronous submit on queue 0 (the paper's passthrough path).
   CqEntry Submit(const NvmeCommand& cmd) { return Submit(0, cmd); }
-  // Synchronous submit on a specific queue pair.
-  CqEntry Submit(std::uint16_t queue_id, const NvmeCommand& cmd);
+  // Synchronous submit on a specific queue pair: a pipelined batch of one.
+  CqEntry Submit(std::uint16_t queue_id, const NvmeCommand& cmd) {
+    CqEntry cqe;
+    SubmitBatch(queue_id, std::span<const NvmeCommand>(&cmd, 1), &cqe);
+    return cqe;
+  }
 
   // Pipelined batch submit (extension beyond the paper's serialized
-  // passthrough, Section 4.2): all entries are written to the SQ and the
-  // doorbell rings ONCE; the first command pays the full round trip and
-  // each subsequent one only the device-side cadence. Commands execute in
-  // order, so multi-command values stay correct.
-  std::vector<CqEntry> SubmitPipelined(const std::vector<NvmeCommand>& cmds) {
-    return SubmitPipelined(0, cmds);
-  }
-  std::vector<CqEntry> SubmitPipelined(std::uint16_t queue_id,
-                                       const std::vector<NvmeCommand>& cmds) {
-    std::vector<CqEntry> completions;
-    SubmitPipelined(queue_id, std::span<const NvmeCommand>(cmds), &completions);
-    return completions;
-  }
-  // Allocation-free variant: clears `*out` and fills it with one completion
-  // per command, reusing the vector's capacity. The driver's hot path calls
-  // this with a per-driver scratch vector.
+  // passthrough, Section 4.2): the doorbell rings ONCE for the whole batch;
+  // the first command pays the full round trip and each subsequent one only
+  // the device-side cadence. Commands execute in order, so multi-command
+  // values stay correct. Clears `*out` and fills it with one completion per
+  // command (a single kBusy completion when admission sheds the batch),
+  // reusing the vector's capacity.
   void SubmitPipelined(std::uint16_t queue_id, std::span<const NvmeCommand> cmds,
-                       std::vector<CqEntry>* out);
+                       std::vector<CqEntry>* out) {
+    out->resize(cmds.size());
+    out->resize(SubmitBatch(queue_id, cmds, out->data()));
+  }
 
   std::uint64_t commands_submitted() const { return commands_submitted_; }
   // Host-watchdog expirations (lost commands) and bounded resubmissions
@@ -94,6 +90,10 @@ class NvmeTransport {
   void SetParallelArbitration(bool on) { parallel_arbitration_ = on; }
   bool parallel_arbitration() const { return parallel_arbitration_; }
 
+  // Submission-queue depth reported for every queue pair. The synchronous
+  // path keeps at most one command in flight, so nothing ever fills it.
+  static constexpr std::uint16_t kQueueDepth = 64;
+
   // Read-only per-queue-pair state for DeviceSnapshot.
   struct QueueInfo {
     std::uint16_t queue_id = 0;
@@ -101,9 +101,6 @@ class NvmeTransport {
     std::uint64_t submitted = 0;
     std::uint64_t inflight = 0;
   };
-  std::vector<QueueInfo> QueueInfos() const;
-  // Allocation-free per-queue access for reusable snapshots
-  // (KvSsd::InspectDeviceInto).
   std::size_t num_queue_pairs() const { return queues_.size(); }
   QueueInfo QueueInfoAt(std::uint16_t queue_id) const;
 
@@ -133,35 +130,30 @@ class NvmeTransport {
 
  private:
   struct QueuePair {
-    SubmissionQueue sq;
-    CompletionQueue cq;
-    // CIDs are per submission queue in NVMe; each pair allocates its own
-    // and tracks which are in flight so reuse trips an assert. A flat
-    // bitmap over the 16-bit CID space (64 KiB, allocated once per queue)
-    // keeps the per-command bookkeeping allocation- and hash-free.
+    // No SQ/CQ ring is kept: each command is fetched and completed before
+    // the next is issued. CIDs are per submission queue in NVMe; with one
+    // command in flight a wrapping counter never reuses a live CID.
     std::uint16_t next_cid = 0;
-    std::vector<std::uint8_t> inflight_cids;
     std::uint64_t inflight_count = 0;
     std::uint64_t submitted = 0;
     // Admission control (disabled unless SetAdmissionControl was called).
     std::uint32_t admission_budget = 0;  // 0 = shedding disabled.
     std::uint32_t admission_credits = 0;
     sim::Nanoseconds busy_backoff_ns = 0;
-    QueuePair(std::uint16_t depth) : sq(depth), cq(depth), inflight_cids(65536, 0) {}
   };
 
-  // Allocates the queue's next CID and registers it in flight.
-  std::uint16_t AllocateCid(QueuePair* qp);
-  static void ReleaseCid(QueuePair* qp, std::uint16_t cid) {
-    if (qp->inflight_cids[cid]) {
-      qp->inflight_cids[cid] = 0;
-      --qp->inflight_count;
-    }
-  }
+  // Submits `cmds` (every Submit/SubmitPipelined call lands here) and
+  // writes the completions to `out`, which has room for cmds.size();
+  // returns how many were written: cmds.size(), or 1 when shed.
+  std::size_t SubmitBatch(std::uint16_t queue_id,
+                          std::span<const NvmeCommand> cmds, CqEntry* out);
+  // Allocates the queue's next CID and marks it in flight.
+  static std::uint16_t AllocateCid(QueuePair* qp);
+  static void ReleaseCid(QueuePair* qp) { --qp->inflight_count; }
   // Charges one command's latency: a full round trip serialized on the
   // clock (sync), or arbitration through the shared fetch unit (parallel).
   void ChargeCommand(bool first_in_batch);
-  // One command through the SQ/CQ machinery, including the watchdog/retry
+  // One command through the queue pair, including the watchdog/retry
   // loop for injected command drops. The caller records the doorbell for
   // the first attempt; resubmissions ring their own.
   CqEntry SubmitOne(QueuePair& qp, std::uint16_t queue_id,
@@ -179,7 +171,6 @@ class NvmeTransport {
   telemetry::EventLog* event_log_ = nullptr;  // Optional; null = untapped.
   telemetry::Sampler* sampler_ = nullptr;     // Optional; null = unsampled.
   DeviceHandler* device_ = nullptr;
-  std::uint16_t queue_depth_;
   std::vector<QueuePair> queues_;
   bool parallel_arbitration_ = false;
   sim::Nanoseconds fetch_busy_until_ = 0;

@@ -20,13 +20,6 @@ WatchdogRule RetryStormRule(std::uint64_t retries, std::uint32_t n,
   return rule;
 }
 
-WatchdogRule QueueSaturationRule(std::uint16_t q, std::uint64_t inflight,
-                                 std::uint32_t n) {
-  return WatchdogRule{"queue" + std::to_string(q) + "_saturated",
-                      "gauge.queue" + std::to_string(q) + ".inflight",
-                      WatchdogRule::Cmp::kAtLeast, inflight, n};
-}
-
 WatchdogRule FreeBlocksLowRule(std::uint64_t blocks, std::uint32_t n) {
   return WatchdogRule{"free_blocks_low", "gauge.ftl.free_blocks",
                       WatchdogRule::Cmp::kAtMost, blocks, n};

@@ -73,11 +73,6 @@ WatchdogRule TafBudgetRule(std::uint64_t taf_milli, std::uint32_t n);
 // interval; `clear_n` quiet intervals must pass before it re-arms.
 WatchdogRule RetryStormRule(std::uint64_t retries, std::uint32_t n,
                             std::uint32_t clear_n = 4);
-// Queue `q` has >= `inflight` commands outstanding at `n` consecutive
-// sample points. (The synchronous passthrough path drains between ops, so
-// this fires only under pipelined/multi-queue pressure.)
-WatchdogRule QueueSaturationRule(std::uint16_t q, std::uint64_t inflight,
-                                 std::uint32_t n);
 // FTL free-block pool at or below `blocks` for `n` intervals (GC pressure).
 WatchdogRule FreeBlocksLowRule(std::uint64_t blocks, std::uint32_t n);
 // LSM compaction debt (bytes past each level's trigger) above `budget_bytes`

@@ -141,7 +141,7 @@ void Tracer::EndOp() {
   op_latency_hist_->Record(cur_op_.end_ns - cur_op_.start_ns);
   op_type_hists_[static_cast<int>(cur_op_.type)]->Record(cur_op_.end_ns -
                                                          cur_op_.start_ns);
-  if (ops_.size() == config_.op_capacity) {
+  if (ops_.size() == kOpCapacity) {
     ops_.pop_front();
     ++dropped_ops_;
   }
@@ -187,13 +187,13 @@ void Tracer::EndCommand(std::uint16_t cq_status) {
   assert(covered <= total);
   cur_cmd_.stages.ns[static_cast<int>(Category::kOther)] += total - covered;
   cmd_latency_hist_->Record(total);
-  RecordStageHistograms(cur_cmd_.stages, total);
+  RecordStageHistograms(cur_cmd_.stages);
   if (op_active_) {
     cur_op_.stages.Accumulate(cur_cmd_.stages);
     ++cur_op_.num_commands;
     cur_op_.commands_ns += total;
   }
-  if (commands_.size() == config_.command_capacity) {
+  if (commands_.size() == kCommandCapacity) {
     commands_.pop_front();
     ++dropped_commands_;
   }
@@ -201,9 +201,7 @@ void Tracer::EndCommand(std::uint16_t cq_status) {
   cmd_active_ = false;
 }
 
-void Tracer::RecordStageHistograms(const StageBreakdown& stages,
-                                   sim::Nanoseconds total_ns) {
-  (void)total_ns;
+void Tracer::RecordStageHistograms(const StageBreakdown& stages) {
   for (int i = 0; i < kNumCategories; ++i) {
     if (stages.ns[i] > 0 || stages.bytes[i] > 0) {
       stage_hists_[i]->Record(stages.ns[i]);
@@ -266,7 +264,7 @@ void Tracer::CloseSpan() {
   rec.start_ns = state.start_ns;
   rec.end_ns = end;
   rec.bytes = state.bytes;
-  if (spans_.size() == config_.span_capacity) {
+  if (spans_.size() == kSpanCapacity) {
     spans_.pop_front();
     ++dropped_spans_;
   }
@@ -306,7 +304,6 @@ const char* OpcodeMnemonic(std::uint8_t opcode) {
     case 0xC3: return "KvRead";
     case 0xC4: return "KvDelete";
     case 0xC5: return "KvIterSeek";
-    case 0xC6: return "KvIterNext";
     case 0xC7: return "KvFlush";
     case 0xC8: return "KvExists";
     case 0xC9: return "KvIterClose";

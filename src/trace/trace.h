@@ -71,12 +71,13 @@ enum class OpType : std::uint8_t {
 inline constexpr int kNumOpTypes = 13;
 const char* OpTypeName(OpType t);
 
+// Ring capacities; the oldest record is dropped (and counted) on overflow.
+inline constexpr std::size_t kOpCapacity = 1u << 15;
+inline constexpr std::size_t kCommandCapacity = 1u << 16;
+inline constexpr std::size_t kSpanCapacity = 1u << 18;
+
 struct TraceConfig {
   bool enabled = false;
-  // Ring capacities; the oldest record is dropped (and counted) on overflow.
-  std::size_t op_capacity = 1u << 15;
-  std::size_t command_capacity = 1u << 16;
-  std::size_t span_capacity = 1u << 18;
   // Sampled tracing (DESIGN.md 2.6): record every Nth host operation.
   // 1 (the default) is exact mode — every op, command, and span is recorded
   // and all exports are bit-identical to the pre-sampling tracer. N > 1 is
@@ -234,8 +235,7 @@ class Tracer {
     std::uint16_t depth;
   };
 
-  void RecordStageHistograms(const StageBreakdown& stages,
-                             sim::Nanoseconds total_ns);
+  void RecordStageHistograms(const StageBreakdown& stages);
 
   sim::VirtualClock* clock_;
   TraceConfig config_;
@@ -323,9 +323,6 @@ class CommandScope {
   CommandScope(Tracer* tracer, std::uint16_t queue_id, std::uint8_t opcode)
       : tracer_(Active(tracer) ? tracer : nullptr) {
     if (tracer_ != nullptr) tracer_->BeginCommand(queue_id, opcode);
-  }
-  void SetCid(std::uint16_t cid) {
-    if (tracer_ != nullptr) tracer_->SetCommandCid(cid);
   }
   void Finish(std::uint16_t cq_status) {
     if (tracer_ != nullptr) {

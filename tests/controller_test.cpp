@@ -156,6 +156,25 @@ TEST_F(RawControllerTest, MissingKeyRejected) {
   EXPECT_EQ(transport_.Submit(cmd).status, CqStatus::kInvalidField);
 }
 
+TEST_F(RawControllerTest, RetiredIterNextOpcodeIsInvalidField) {
+  // 0xC6 once fetched a single range-scan record; iterators now ship only
+  // kKvIterNextBatch, so the raw opcode is as unknown as any other.
+  Bytes value = workload::MakeValue(32, 1, 1);
+  ASSERT_TRUE(PiggybackPut("key1", ByteSpan(value)).ok());
+  NvmeCommand seek;
+  seek.set_opcode(Opcode::kKvIterSeek);
+  seek.set_key(AsBytes(std::string("key0")));
+  const nvme::CqEntry handle = transport_.Submit(seek);
+  ASSERT_TRUE(handle.ok());
+  NvmeCommand next;
+  next.set_opcode(static_cast<Opcode>(0xC6));
+  next.set_iter_handle(handle.result);
+  auto pages = host_.AllocatePages(1);
+  nvme::codec::SetPrpPointers(next, nvme::PrpList(pages));
+  EXPECT_EQ(transport_.Submit(next).status, CqStatus::kInvalidField);
+  host_.FreePages(pages);
+}
+
 TEST_F(RawControllerTest, PrpWriteAndReadBack) {
   Bytes value = workload::MakeValue(6000, 4, 4);
   auto pages = host_.AllocatePages(2);

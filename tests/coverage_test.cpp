@@ -208,7 +208,9 @@ TEST(TransportEdgeTest, PipelinedEmptyBatch) {
   pcie::PcieLink link;
   stats::MetricsRegistry metrics;
   nvme::NvmeTransport transport(&clock, &cost, &link, &metrics);
-  EXPECT_TRUE(transport.SubmitPipelined({}).empty());
+  std::vector<nvme::CqEntry> out(1);
+  transport.SubmitPipelined(0, {}, &out);
+  EXPECT_TRUE(out.empty());
   EXPECT_EQ(link.TotalBytes(), 0u);
   EXPECT_EQ(transport.num_queues(), 1u);
 }

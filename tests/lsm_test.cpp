@@ -804,15 +804,54 @@ TEST_F(LsmTreeTest, RestoreWithoutManifestFails) {
 }
 
 TEST_F(LsmTreeTest, ForEachLiveVisitsEverything) {
-  for (int i = 0; i < 300; ++i) {
-    ASSERT_TRUE(lsm_.Put(Key(i), {static_cast<std::uint64_t>(i), 4, false}).ok());
+  // Live entries, overwrites and tombstones spread over L1, L0 and the
+  // MemTable; the model is the newest version of every key.
+  std::map<std::string, std::uint64_t> model;
+  auto put = [&](int i, std::uint64_t addr) {
+    ASSERT_TRUE(lsm_.Put(Key(i), {addr, 4, false}).ok());
+    model[Key(i)] = addr;
+  };
+  auto del = [&](int i) {
+    ASSERT_TRUE(lsm_.Delete(Key(i)).ok());
+    model.erase(Key(i));
+  };
+  for (int i = 0; i < 300; ++i) put(i, static_cast<std::uint64_t>(i));
+  for (int i = 0; i < 300; i += 7) del(i);
+  // Until a flush leaves L0 nonempty and the MemTable nearly empty.
+  for (int i = 0; lsm_.TableCount(0) == 0 || lsm_.memtable_entries() > 4;
+       ++i) {
+    put(i * 5 % 400, 1000 + static_cast<std::uint64_t>(i));
+    if (i % 4 == 0) del(i * 3 % 300);
   }
-  ASSERT_TRUE(lsm_.Delete(Key(7)).ok());
-  int visited = 0;
-  ASSERT_TRUE(lsm_.ForEachLive([&](std::string_view, const ValueRef&) {
-    ++visited;
+  // A handful more stays in the MemTable.
+  for (int i = 0; i < 5; ++i) put(i * 11, 5000 + static_cast<std::uint64_t>(i));
+  for (int i = 1; i < 60; i += 13) del(i);
+  ASSERT_GT(lsm_.TableCount(1), 0u);
+  ASSERT_GT(lsm_.TableCount(0), 0u);
+  ASSERT_GT(lsm_.memtable_entries(), 0u);
+
+  std::vector<std::pair<std::string, ValueRef>> visited;
+  ASSERT_TRUE(lsm_.ForEachLive([&](std::string_view key, const ValueRef& ref) {
+    visited.emplace_back(key, ref);
   }).ok());
-  EXPECT_EQ(visited, 299);
+  auto iter = lsm_.NewIterator();
+  ASSERT_TRUE(iter.ok());
+  std::size_t n = 0;
+  for (auto& it = *iter.value(); it.Valid(); it.Next(), ++n) {
+    ASSERT_LT(n, visited.size());
+    EXPECT_EQ(visited[n].first, it.key());
+    EXPECT_EQ(visited[n].second.addr, it.ref().addr);
+    EXPECT_EQ(visited[n].second.size, it.ref().size);
+    EXPECT_FALSE(visited[n].second.tombstone);
+  }
+  EXPECT_EQ(n, visited.size());
+  ASSERT_EQ(visited.size(), model.size());
+  auto expected = model.begin();
+  for (const auto& [key, ref] : visited) {
+    EXPECT_EQ(key, expected->first);
+    EXPECT_EQ(ref.addr, expected->second);
+    ++expected;
+  }
 }
 
 TEST_F(LsmTreeTest, CompactionTrimsOldTablesAfterCheckpoint) {

@@ -27,7 +27,7 @@ nand::NandGeometry SmallGeometry() {
 class MultiQueueRawTest : public ::testing::Test {
  protected:
   MultiQueueRawTest()
-      : transport_(&clock_, &cost_, &link_, &metrics_, 64, /*num_queues=*/2),
+      : transport_(&clock_, &cost_, &link_, &metrics_, /*num_queues=*/2),
         dma_(&clock_, &cost_, &link_, &host_, &metrics_),
         nand_(SmallGeometry(), &clock_, &cost_, &metrics_),
         ftl_(&nand_, &metrics_),

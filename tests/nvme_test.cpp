@@ -3,8 +3,8 @@
 #include "nvme/command.h"
 #include "nvme/host_memory.h"
 #include "nvme/prp.h"
-#include "nvme/queue.h"
 #include "nvme/transport.h"
+#include "trace/trace.h"
 #include "workload/value_gen.h"
 
 namespace bandslim::nvme {
@@ -155,37 +155,6 @@ TEST(PrpListTest, ListFetchBytes) {
   EXPECT_EQ(PrpList({1, 2, 3, 4}).ListFetchBytes(), 24u);
 }
 
-TEST(QueueTest, SubmissionRingFifo) {
-  SubmissionQueue sq(4);
-  EXPECT_TRUE(sq.Empty());
-  NvmeCommand cmd;
-  for (std::uint16_t i = 0; i < 3; ++i) {
-    cmd.set_cid(i);
-    EXPECT_TRUE(sq.Push(cmd));
-  }
-  EXPECT_TRUE(sq.Full());
-  EXPECT_FALSE(sq.Push(cmd));
-  NvmeCommand out;
-  for (std::uint16_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(sq.Pop(&out));
-    EXPECT_EQ(out.cid(), i);
-  }
-  EXPECT_TRUE(sq.Empty());
-  EXPECT_FALSE(sq.Pop(&out));
-}
-
-TEST(QueueTest, CompletionRingFifo) {
-  CompletionQueue cq(3);
-  cq.Push(CqEntry{1, 1, CqStatus::kSuccess});
-  cq.Push(CqEntry{2, 2, CqStatus::kNotFound});
-  CqEntry e;
-  ASSERT_TRUE(cq.Pop(&e));
-  EXPECT_EQ(e.result, 1u);
-  ASSERT_TRUE(cq.Pop(&e));
-  EXPECT_EQ(e.status, CqStatus::kNotFound);
-  EXPECT_FALSE(cq.Pop(&e));
-}
-
 // Transport accounting against a trivial echo device.
 class EchoDevice : public DeviceHandler {
  public:
@@ -261,6 +230,91 @@ TEST(TransportTest, CidsAssignedSequentially) {
   const CqEntry a = transport.Submit(cmd);
   const CqEntry b = transport.Submit(cmd);
   EXPECT_EQ(a.cid + 1, b.cid);
+}
+
+TEST(TransportTest, QueueInfoReadsDepth64AndNothingInFlight) {
+  sim::VirtualClock clock;
+  sim::CostModel cost;
+  pcie::PcieLink link;
+  stats::MetricsRegistry metrics;
+  NvmeTransport transport(&clock, &cost, &link, &metrics);
+  EchoDevice device;
+  transport.AttachDevice(&device);
+  NvmeCommand cmd;
+  cmd.set_opcode(Opcode::kKvExists);
+  ASSERT_TRUE(transport.Submit(cmd).ok());
+  const NvmeTransport::QueueInfo info = transport.QueueInfoAt(0);
+  EXPECT_EQ(info.queue_id, 0u);
+  EXPECT_EQ(info.depth, 64u);
+  EXPECT_EQ(info.submitted, 1u);
+  EXPECT_EQ(info.inflight, 0u);
+}
+
+// A traced transport on an echo device, with its own clock and link.
+struct Rig {
+  static trace::TraceConfig Traced() {
+    trace::TraceConfig c;
+    c.enabled = true;
+    return c;
+  }
+  Rig() { transport.AttachDevice(&device); }
+
+  sim::VirtualClock clock;
+  sim::CostModel cost;
+  pcie::PcieLink link;
+  stats::MetricsRegistry metrics;
+  trace::Tracer tracer{&clock, &metrics, Traced()};
+  NvmeTransport transport{&clock, &cost, &link, &metrics,
+                          /*num_queues=*/1, /*fault_plan=*/nullptr, &tracer};
+  EchoDevice device;
+};
+
+TEST(TransportTest, SubmitIsAPipelinedBatchOfOne) {
+  // credits = 0: every command is served. credits = 1: the first command
+  // takes the only credit and the second is shed.
+  for (std::uint32_t credits : {0u, 1u}) {
+    SCOPED_TRACE(credits);
+    Rig single, batch;
+    single.transport.SetAdmissionControl(0, credits, /*busy_backoff_ns=*/700);
+    batch.transport.SetAdmissionControl(0, credits, /*busy_backoff_ns=*/700);
+    NvmeCommand cmd;
+    cmd.set_opcode(Opcode::kKvExists);
+    cmd.set_cid(0x55);
+    std::vector<CqEntry> out;
+    for (int i = 0; i < 2; ++i) {
+      const CqEntry cqe = single.transport.Submit(cmd);
+      batch.transport.SubmitPipelined(
+          0, std::span<const NvmeCommand>(&cmd, 1), &out);
+      ASSERT_EQ(out.size(), 1u);
+      EXPECT_EQ(cqe.result, out[0].result);
+      EXPECT_EQ(cqe.cid, out[0].cid);
+      EXPECT_EQ(cqe.status, out[0].status);
+      const bool shed = credits == 1 && i == 1;
+      EXPECT_EQ(cqe.status, shed ? CqStatus::kBusy : CqStatus::kSuccess);
+      EXPECT_EQ(cqe.cid, shed ? 0x55 : i);
+    }
+    EXPECT_EQ(single.clock.Now(), batch.clock.Now());
+    for (int c = 0; c < pcie::kNumTrafficClasses; ++c) {
+      for (auto dir : {pcie::Direction::kHostToDevice,
+                       pcie::Direction::kDeviceToHost}) {
+        const auto cls = static_cast<pcie::TrafficClass>(c);
+        EXPECT_EQ(single.link.BytesOf(cls, dir), batch.link.BytesOf(cls, dir));
+      }
+    }
+    EXPECT_EQ(single.transport.commands_submitted(),
+              batch.transport.commands_submitted());
+    EXPECT_EQ(single.transport.busy_rejections(), credits);
+    EXPECT_EQ(batch.transport.busy_rejections(), credits);
+    EXPECT_EQ(single.device.handled, batch.device.handled);
+    ASSERT_EQ(single.tracer.commands().size(), batch.tracer.commands().size());
+    for (std::size_t i = 0; i < single.tracer.commands().size(); ++i) {
+      EXPECT_EQ(single.tracer.commands()[i].cid, batch.tracer.commands()[i].cid);
+    }
+    EXPECT_EQ(trace::ToChromeTraceJson(single.tracer),
+              trace::ToChromeTraceJson(batch.tracer));
+    EXPECT_EQ(trace::ToBreakdownCsv(single.tracer),
+              trace::ToBreakdownCsv(batch.tracer));
+  }
 }
 
 }  // namespace

@@ -241,10 +241,10 @@ TEST(TraceSamplingTest, SampledSubsetMatchesTheExactRun) {
   std::vector<trace::OpRecord> exact, sampled;
   for (int pass = 0; pass < 2; ++pass) {
     KvSsdOptions o = TracedOptions();
-    o.trace.op_capacity = 1u << 12;  // No drops at this op count.
     o.trace.sample_every = pass == 0 ? 1 : 5;
     auto ssd = KvSsd::Open(o).value();
     DriveMixed(ssd.get(), 30);
+    ASSERT_EQ(ssd->tracer().dropped_ops(), 0u);
     (pass == 0 ? exact : sampled) =
         std::vector<trace::OpRecord>(ssd->tracer().ops().begin(),
                                      ssd->tracer().ops().end());
