@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
     auto ssd = KvSsd::Open(o).value();
     Bytes value(64, 0x3C);
     for (std::uint64_t i = 0; i < args.ops; ++i) {
-      char key[12];
+      char key[21];  // Up to 20 digits, and the NUL.
       std::snprintf(key, sizeof key, "%010llu",
                     static_cast<unsigned long long>(i));
       if (!ssd->Put(key, ByteSpan(value)).ok()) return 1;

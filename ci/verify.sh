@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Tier-1 verification, run twice:
+# Tier-1 verification, run twice, each with warnings as errors
+# (-DBANDSLIM_WERROR=ON):
 #   1. Release           — the configuration the benches and figures use.
 #   2. Debug + ASan/UBSan — assertions on (the clock-overflow and
 #      one-command-in-flight checks live behind assert) and memory/UB errors
 #      fatal.
+# plus a ThreadSanitizer build of the two tests that start threads.
 # Usage: ci/verify.sh [build-dir-prefix]   (default: build-ci)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -92,6 +94,22 @@ control_storm() {
   "${build_dir}/bench/fault_campaign" --ops=2000 --control
 }
 
+# ThreadSanitizer: the library starts threads in two places, the JSONL
+# renderer's workers (telemetry_test renders a multi-MiB timeline on 1-7
+# threads) and the HTTP exporter's server (http_exporter_test scrapes it
+# while snapshots are published), so only those two tests are built with
+# -fsanitize=thread and run.
+tsan_pass() {
+  local build_dir="$1"
+  echo "=== verify pass: tsan (${build_dir}) ==="
+  cmake -B "${build_dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DBANDSLIM_WERROR=ON -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
+  cmake --build "${build_dir}" -j --target telemetry_test http_exporter_test
+  "${build_dir}/tests/telemetry_test"
+  "${build_dir}/tests/http_exporter_test"
+}
+
 # Simulator-throughput regression gate. Release only: wall-clock numbers
 # from a sanitized build measure the sanitizer, not the simulator, so the
 # ASan pass skips it. The gate fails when any profile drops more than the
@@ -128,7 +146,7 @@ shard_scaling() {
 # -Werror=deprecated-declarations: the legacy KvSsd accessors are gone, and
 # a [[deprecated]] declaration can never be called from new code.
 run_pass release "${prefix}-release" \
-  -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_BUILD_TYPE=Release -DBANDSLIM_WERROR=ON \
   -DCMAKE_CXX_FLAGS="-Werror=deprecated-declarations"
 
 fault_campaign "${prefix}-release"
@@ -143,7 +161,7 @@ shard_scaling "${prefix}-release"
 ci/golden_check.sh "${prefix}-release"
 
 run_pass asan-ubsan "${prefix}-asan" \
-  -DCMAKE_BUILD_TYPE=Debug \
+  -DCMAKE_BUILD_TYPE=Debug -DBANDSLIM_WERROR=ON \
   -DCMAKE_CXX_FLAGS="-Werror=deprecated-declarations -fsanitize=address,undefined -fno-sanitize-recover=all" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 
@@ -152,6 +170,8 @@ trace_export "${prefix}-asan"
 timeline_scrapes "${prefix}-asan" 1200 1500
 control_storm "${prefix}-asan"
 shard_scaling "${prefix}-asan" 1500
+
+tsan_pass "${prefix}-tsan"
 
 # Last, so a slow or noisy host cannot stop the gates above from running;
 # a failing gate still fails the script.

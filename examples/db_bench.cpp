@@ -2,8 +2,8 @@
 // (Section 4.1). Runs one workload against one device configuration and
 // prints the metrics the paper reports.
 //
-//   $ ./build/examples/db_bench --workload=M --method=adaptive \
-//        --policy=backfill --ops=100000
+//   $ ./build/examples/db_bench --workload=M --method=adaptive
+//        --policy=backfill --ops=100000   (one command line)
 //   $ ./build/examples/db_bench --workload=A --value_size=64 --nand=off
 #include <cstdio>
 #include <cstring>

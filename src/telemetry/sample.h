@@ -72,9 +72,6 @@ struct Sample {
   // the same series share one layout.
   std::shared_ptr<const SeriesLayout> layout;
   std::vector<std::uint64_t> row;
-  // Decimal digits of the row's values, summed while the row is gathered:
-  // the JSONL export sizes itself without reading every row back.
-  std::size_t row_digits = 0;
 
   std::span<const std::uint32_t> ids() const {
     return layout == nullptr ? std::span<const std::uint32_t>()

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <map>
+#include <system_error>
+#include <thread>
 #include <utility>
 
 #include "telemetry/text_out.h"
@@ -192,14 +195,31 @@ RoleTotals RegistryPlan::EmitCounters(SampleBuilder& b) {
 
 // --- SampleBuilder -----------------------------------------------------------
 
+SampleBuilder::SampleBuilder(Timeline* timeline, Sample* sample,
+                             const Sample* previous)
+    : timeline_(timeline),
+      sample_(sample),
+      position_(timeline->position_.data()),
+      row_(sample->row.data()),
+      previous_row_(previous == nullptr ? nullptr : previous->row.data()),
+      written_at_(timeline->written_at_.data()),
+      stamp_(sample->seq + 1) {}
+
 std::uint32_t SampleBuilder::Intern(const std::string& name) {
   const std::uint32_t id = timeline_->series_.Intern(name);
-  const std::size_t n = timeline_->series_.size();
-  for (DenseValues* d : {&timeline_->building_, &timeline_->previous_}) {
-    d->value.resize(n, 0);
-    d->stamp.resize(n, 0);
-  }
+  timeline_->position_.resize(timeline_->series_.size(), kNoPosition);
+  position_ = timeline_->position_.data();
   return id;
+}
+
+void SampleBuilder::PutUnplaced(std::uint32_t id, std::uint64_t value) {
+  for (auto& [unplaced_id, unplaced_value] : timeline_->unplaced_) {
+    if (unplaced_id == id) {
+      unplaced_value = value;
+      return;
+    }
+  }
+  timeline_->unplaced_.emplace_back(id, value);
 }
 
 std::uint64_t SampleBuilder::Previous(SeriesSlot& slot) const {
@@ -313,42 +333,18 @@ void Timeline::TakeSample(sim::Nanoseconds stamp) {
   s.interval_ns = stamp - last_sample_ns_;
   s.seq = next_seq_++;
   const Sample* prev = samples_.empty() ? nullptr : &samples_.back();
-  SampleBuilder builder(this, &s, &building_,
-                        prev == nullptr ? nullptr : &previous_);
+  // Sources emit the same series sample after sample, so the row is written
+  // in place against the latest layout, and that layout is shared when
+  // every position of it was written and no other series was set.
+  s.row.resize(prev == nullptr ? 0 : prev->row.size());
+  SampleBuilder builder(this, &s, prev);
   Collect(builder);
-
-  // Sources emit the same series sample after sample, so the row is
-  // usually gathered against the previous sample's layout: as many distinct
-  // series, each of them set now, means the same set. A new layout gathers
-  // the set series in id order (Sample::Value()'s binary search relies on
-  // it).
-  const std::uint64_t stamp_now = s.seq + 1;
-  const auto append = [&](std::uint32_t id) {
-    s.row.push_back(building_.value[id]);
-    s.row_digits += DecimalDigits(s.row.back());
-  };
-  s.row.reserve(builder.distinct_);
-  if (prev != nullptr && builder.distinct_ == prev->row.size()) {
-    for (const std::uint32_t id : prev->ids()) {
-      if (building_.stamp[id] != stamp_now) break;
-      append(id);
-    }
-    if (s.row.size() == builder.distinct_) s.layout = prev->layout;
+  if (prev != nullptr && builder.written_ == s.row.size() &&
+      unplaced_.empty()) {
+    s.layout = prev->layout;
+  } else {
+    Relayout(&s, prev, builder.stamp_);
   }
-  if (s.layout == nullptr) {
-    auto layout = std::make_shared<SeriesLayout>();
-    layout->reserve(builder.distinct_);
-    s.row.clear();
-    s.row_digits = 0;
-    for (std::uint32_t id = 0; id < building_.stamp.size(); ++id) {
-      if (building_.stamp[id] == stamp_now) {
-        layout->push_back(id);
-        append(id);
-      }
-    }
-    s.layout = std::move(layout);
-  }
-  std::swap(building_, previous_);
 
   // Events emitted from here on (watchdog alerts) belong *after* this
   // sample in the timeline; the exporters use this to break timestamp ties.
@@ -370,6 +366,40 @@ void Timeline::TakeSample(sim::Nanoseconds stamp) {
   // Rendering is O(samples), so publish on a sample-count cadence only;
   // Finalize publishes the closing sample regardless.
   if (samples_.back().seq % kPublishEvery == 0) PublishSnapshot();
+}
+
+void Timeline::Relayout(Sample* s, const Sample* previous,
+                        std::uint64_t stamp) {
+  std::sort(unplaced_.begin(), unplaced_.end());  // Ids are unique.
+  const std::span<const std::uint32_t> old =
+      previous == nullptr ? std::span<const std::uint32_t>() : previous->ids();
+  auto layout = std::make_shared<SeriesLayout>();
+  std::vector<std::uint64_t> row;
+  layout->reserve(old.size() + unplaced_.size());
+  row.reserve(old.size() + unplaced_.size());
+  // Merge the written positions (in id order already) with the side list;
+  // no id is in both.
+  std::size_t p = 0, u = 0;
+  for (;;) {
+    while (p < old.size() && written_at_[p] != stamp) ++p;
+    if (p == old.size() && u == unplaced_.size()) break;
+    if (u == unplaced_.size() ||
+        (p < old.size() && old[p] < unplaced_[u].first)) {
+      layout->push_back(old[p]);
+      row.push_back(s->row[p++]);
+    } else {
+      layout->push_back(unplaced_[u].first);
+      row.push_back(unplaced_[u++].second);
+    }
+  }
+  for (const std::uint32_t id : old) position_[id] = SampleBuilder::kNoPosition;
+  for (std::uint32_t i = 0; i < layout->size(); ++i) {
+    position_[(*layout)[i]] = i;
+  }
+  written_at_.assign(layout->size(), 0);
+  unplaced_.clear();
+  s->row = std::move(row);
+  s->layout = std::move(layout);
 }
 
 // --- Timeline: exports and publication ---------------------------------------
@@ -422,7 +452,45 @@ std::string Timeline::ToPrometheusText() const {
   return out;
 }
 
-std::string Timeline::ToJsonl() const {
+namespace {
+
+// Render threads the host offers ToJsonl: its hardware threads, at most
+// kMaxRenderRanges, at least 1 when it cannot tell.
+std::size_t HostRenderRanges() {
+  static const std::size_t ranges = std::clamp<std::size_t>(
+      std::thread::hardware_concurrency(), 1, kMaxRenderRanges);
+  return ranges;
+}
+
+// Ranges for a document of about `bytes`.
+std::size_t RangesFor(std::size_t bytes) {
+  return std::clamp<std::size_t>(bytes / kMinRenderRangeBytes, 1,
+                                 HostRenderRanges());
+}
+
+// Runs body(r) for every r in [0, ranges): range 0 on the calling thread,
+// the others on worker threads started before it. A range whose thread
+// cannot be started runs on the calling thread instead.
+template <typename Body>
+void ForEachRange(std::size_t ranges, const Body& body) {
+  std::vector<std::thread> workers;
+  workers.reserve(ranges - 1);
+  for (std::size_t r = 1; r < ranges; ++r) {
+    try {
+      workers.emplace_back(std::cref(body), r);
+    } catch (const std::system_error&) {
+      body(r);
+    }
+  }
+  body(0);
+  for (std::thread& worker : workers) worker.join();
+}
+
+}  // namespace
+
+std::string Timeline::ToJsonl() const { return RenderJsonl(0); }
+
+std::string Timeline::RenderJsonl(std::size_t ranges) const {
   const auto& events = event_log_.records();
   const auto& rules = watchdog_.rules();
 
@@ -452,12 +520,15 @@ std::string Timeline::ToJsonl() const {
       event_end.push_back(event_lines.size());
     }
   }
+  const auto event_line = [&](std::size_t i) {
+    const std::size_t begin = i == 0 ? 0 : event_end[i - 1];
+    return std::string_view(event_lines).substr(begin, event_end[i] - begin);
+  };
 
-  // Size the document exactly before rendering it: the event lines, and
-  // per sample its fixed text, its numbers' digits (the row's counted when
-  // it was gathered) and its layout's keys (counted once per run of samples
-  // sharing the layout). A buffer sized to the byte is reused from the heap
-  // rather than mapped afresh.
+  // Size every sample line exactly, over ranges of samples: its fixed text,
+  // its numbers' digits and its layout's keys (counted once per run of
+  // samples sharing the layout). A value renders as at least `"x":0`,
+  // which bounds the document from below for the range count.
   static constexpr std::string_view kSampleHead =
       "{\"kind\":\"sample\",\"t_ns\":";
   static constexpr std::string_view kSeq = ",\"seq\":";
@@ -467,59 +538,108 @@ std::string Timeline::ToJsonl() const {
   constexpr std::size_t kSampleText = kSampleHead.size() + kSeq.size() +
                                       kInterval.size() + kValues.size() +
                                       kSampleTail.size();
-  std::size_t size = event_lines.size();
-  const SeriesLayout* sized_layout = nullptr;
-  std::size_t layout_key_bytes = 0;
-  for (const Sample& s : samples_) {
-    if (s.layout.get() != sized_layout) {
-      sized_layout = s.layout.get();
-      layout_key_bytes = 0;
-      for (const std::uint32_t id : s.ids()) {
-        layout_key_bytes += keys[id].size();
+  constexpr std::size_t kMinValueBytes = 5;
+  const std::size_t n = samples_.size();
+  std::size_t values = 0;
+  for (const Sample& s : samples_) values += s.row.size();
+  const std::size_t sizing_ranges =
+      ranges != 0 ? ranges : RangesFor(values * kMinValueBytes);
+  std::vector<std::size_t> sample_at(n);  // Sizes, then offsets.
+  ForEachRange(sizing_ranges, [&](std::size_t r) {
+    const std::size_t begin = n * r / sizing_ranges;
+    const std::size_t end = n * (r + 1) / sizing_ranges;
+    const SeriesLayout* sized_layout = nullptr;
+    std::size_t layout_key_bytes = 0;
+    auto it = samples_.begin() + static_cast<std::ptrdiff_t>(begin);
+    for (std::size_t i = begin; i < end; ++i, ++it) {
+      const Sample& s = *it;
+      if (s.layout.get() != sized_layout) {
+        sized_layout = s.layout.get();
+        layout_key_bytes = 0;
+        for (const std::uint32_t id : s.ids()) {
+          layout_key_bytes += keys[id].size();
+        }
+        if (layout_key_bytes > 0) --layout_key_bytes;  // The first comma.
       }
-      if (layout_key_bytes > 0) --layout_key_bytes;  // The first comma.
+      std::size_t digits = 0;
+      for (const std::uint64_t v : s.row) digits += DecimalDigits(v);
+      sample_at[i] = kSampleText + layout_key_bytes + digits +
+                     DecimalDigits(s.t_ns) + DecimalDigits(s.seq) +
+                     DecimalDigits(s.interval_ns);
     }
-    size += kSampleText + layout_key_bytes + s.row_digits +
-            DecimalDigits(s.t_ns) + DecimalDigits(s.seq) +
-            DecimalDigits(s.interval_ns);
-  }
-  // Rendered through one write pointer into the string sized to the byte.
-  std::string out(size, '\0');
-  RawTextOut os(out.data(), out.data() + out.size());
-
-  const auto emit_sample = [&](const Sample& s) {
-    os << kSampleHead << s.t_ns << kSeq << s.seq << kInterval << s.interval_ns
-       << kValues;
-    const std::span<const std::uint32_t> ids = s.ids();
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      os << std::string_view(keys[ids[i]]).substr(i == 0 ? 1 : 0) << s.row[i];
-    }
-    os << kSampleTail;
-  };
-  const auto emit_event = [&](std::size_t i) {
-    const std::size_t begin = i == 0 ? 0 : event_end[i - 1];
-    os << std::string_view(event_lines).substr(begin, event_end[i] - begin);
-  };
+  });
 
   // Merge by timestamp. An event at t belongs to the interval that a sample
   // stamped >= t closes, so events sort before an equal-stamped sample —
   // except events the sample itself emitted (watchdog alerts, recognized by
   // seq >= events_before), which sort after it.
-  std::size_t si = 0, ei = 0;
-  while (si < samples_.size() || ei < events.size()) {
-    const bool take_event =
-        ei < events.size() &&
-        (si >= samples_.size() || events[ei].t_ns < samples_[si].t_ns ||
-         (events[ei].t_ns == samples_[si].t_ns &&
-          events[ei].seq < samples_[si].events_before));
-    if (take_event) {
-      emit_event(ei++);
+  const auto event_first = [&](std::size_t si, std::size_t ei) {
+    return ei < events.size() &&
+           (si >= n || events[ei].t_ns < samples_[si].t_ns ||
+            (events[ei].t_ns == samples_[si].t_ns &&
+             events[ei].seq < samples_[si].events_before));
+  };
+  // Every line's offset, in that order.
+  std::vector<std::size_t> event_at(events.size());
+  std::size_t size = 0;
+  for (std::size_t si = 0, ei = 0; si < n || ei < events.size();) {
+    if (event_first(si, ei)) {
+      event_at[ei] = size;
+      size += event_line(ei++).size();
     } else {
-      emit_sample(samples_[si++]);
+      const std::size_t line = sample_at[si];
+      sample_at[si++] = size;
+      size += line;
     }
   }
-  assert(os.at() == out.data() + size &&
-         "ToJsonl sizing pass disagrees with render");
+
+  // Byte-balanced ranges of lines: range r starts at the first line at or
+  // after size * r / ranges, with the samples and events before it done.
+  struct Cut {
+    std::size_t at, sample, event;
+  };
+  const std::size_t render_ranges = ranges != 0 ? ranges : RangesFor(size);
+  std::vector<Cut> cuts(render_ranges + 1);  // The first starts at 0.
+  cuts.back() = {size, n, events.size()};
+  for (std::size_t r = 1; r < render_ranges; ++r) {
+    const std::size_t target = size * r / render_ranges;
+    Cut& cut = cuts[r];
+    cut.sample = static_cast<std::size_t>(
+        std::lower_bound(sample_at.begin(), sample_at.end(), target) -
+        sample_at.begin());
+    cut.event = static_cast<std::size_t>(
+        std::lower_bound(event_at.begin(), event_at.end(), target) -
+        event_at.begin());
+    cut.at = std::min(cut.sample < n ? sample_at[cut.sample] : size,
+                      cut.event < events.size() ? event_at[cut.event] : size);
+  }
+
+  // Each range renders through its own write pointer into the string sized
+  // to the byte.
+  std::string out(size, '\0');
+  ForEachRange(render_ranges, [&](std::size_t r) {
+    const Cut& from = cuts[r];
+    const Cut& to = cuts[r + 1];
+    RawTextOut os(out.data() + from.at, out.data() + to.at);
+    std::size_t si = from.sample, ei = from.event;
+    while (si < to.sample || ei < to.event) {
+      if (event_first(si, ei)) {
+        os << event_line(ei++);
+        continue;
+      }
+      const Sample& s = samples_[si++];
+      os << kSampleHead << s.t_ns << kSeq << s.seq << kInterval
+         << s.interval_ns << kValues;
+      const std::span<const std::uint32_t> ids = s.ids();
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        os << std::string_view(keys[ids[i]]).substr(i == 0 ? 1 : 0)
+           << s.row[i];
+      }
+      os << kSampleTail;
+    }
+    assert(os.at() == out.data() + to.at &&
+           "ToJsonl sizing pass disagrees with render");
+  });
   return out;
 }
 

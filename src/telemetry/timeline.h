@@ -14,7 +14,9 @@
 //    that crosses several boundaries yields ONE sample stamped at the last
 //    crossed boundary whose rates divide by the true elapsed interval.
 //  * All derived series are integer / fixed-point; exports are
-//    byte-identical across runs and platforms.
+//    byte-identical across runs and platforms. The JSONL export may render
+//    on worker threads, each writing its own byte range of a document sized
+//    up front; its bytes do not depend on the thread count.
 //  * A timeline never advances the clock or touches simulated state:
 //    enabling it changes no simulated outcome, and a disabled timeline is a
 //    single branch per Poll().
@@ -27,6 +29,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sim/clock.h"
@@ -49,6 +52,11 @@ struct TimelineConfig {
 // Ring capacities; the oldest record is dropped (and counted) on overflow.
 inline constexpr std::size_t kSampleCapacity = 1u << 16;
 inline constexpr std::size_t kEventCapacity = 1u << 14;
+// ToJsonl renders on at most this many threads (and no more than the host
+// has), each range at least kMinRenderRangeBytes: a smaller document, or a
+// one-core host, renders on the calling thread alone.
+inline constexpr std::size_t kMaxRenderRanges = 4;
+inline constexpr std::size_t kMinRenderRangeBytes = std::size_t{1} << 20;
 // With a SnapshotSink attached, publish a rendered snapshot every Nth sample
 // (and always at Finalize). Rendering the timeline is O(samples), so
 // publishing every sample would make a run quadratic in its length; a live
@@ -169,17 +177,11 @@ struct HistogramSeries {
 
 class Timeline;
 
-// One sample's values indexed by series id, sized to the series table.
-// stamp[id] is 1 + the seq of the sample that last wrote value[id] (0 =
-// never), so values of older samples read as absent without clearing.
-struct DenseValues {
-  std::vector<std::uint64_t> value;
-  std::vector<std::uint64_t> stamp;
-};
-
 // Write access to the sample under construction, handed to Collect(). A
 // source sets each series at most once per sample (a second Set
-// overwrites).
+// overwrites). The row is written in place against the latest sample's
+// layout: a series that layout carries goes straight to its position, any
+// other to a short side list that TakeSample folds into a new layout.
 class SampleBuilder {
  public:
   sim::Nanoseconds interval_ns() const { return sample_->interval_ns; }
@@ -207,39 +209,44 @@ class SampleBuilder {
 
  private:
   friend class Timeline;
-  // `previous` is null before the first sample.
-  SampleBuilder(Timeline* timeline, const Sample* sample,
-                DenseValues* building, const DenseValues* previous)
-      : timeline_(timeline),
-        sample_(sample),
-        building_(building),
-        previous_(previous),
-        stamp_(sample->seq + 1) {}
+  // `sample->row` is sized to the latest layout; `previous` (null before
+  // the first sample) is the latest sample, which carries that layout.
+  SampleBuilder(Timeline* timeline, Sample* sample, const Sample* previous);
   std::uint32_t Resolve(SeriesSlot& slot) {
     if (slot.id == SeriesSlot::kUnresolved) slot.id = Intern(slot.name);
     return slot.id;
   }
-  // Interns `name` and sizes the dense values to the grown table.
+  // Interns `name` and sizes the position map to the grown table.
   std::uint32_t Intern(const std::string& name);
   void Put(std::uint32_t id, std::uint64_t value) {
-    distinct_ += building_->stamp[id] != stamp_;
-    building_->value[id] = value;
-    building_->stamp[id] = stamp_;
+    const std::uint32_t pos = position_[id];
+    if (pos == kNoPosition) {
+      PutUnplaced(id, value);
+      return;
+    }
+    written_ += written_at_[pos] != stamp_;
+    written_at_[pos] = stamp_;
+    row_[pos] = value;
   }
+  void PutUnplaced(std::uint32_t id, std::uint64_t value);
   std::uint64_t PreviousOf(std::uint32_t id) const {
-    return previous_ != nullptr && previous_->stamp[id] == stamp_ - 1
-               ? previous_->value[id]
-               : 0;
+    const std::uint32_t pos = position_[id];
+    return pos == kNoPosition ? 0 : previous_row_[pos];
   }
+
+  static constexpr std::uint32_t kNoPosition = ~0u;
 
   Timeline* timeline_;
   const Sample* sample_;
-  DenseValues* building_;
-  const DenseValues* previous_;
+  // Timeline::position_, refreshed whenever the series table grows.
+  const std::uint32_t* position_;
+  std::uint64_t* row_;
+  const std::uint64_t* previous_row_;
+  std::uint64_t* written_at_;
   std::uint64_t stamp_;
-  // Distinct series set so far: TakeSample reuses the previous sample's
-  // layout when this equals its size and every series of it was set.
-  std::size_t distinct_ = 0;
+  // Positions of the latest layout written so far: TakeSample reuses that
+  // layout when every one was and the side list is empty.
+  std::size_t written_ = 0;
 };
 
 // Registry counters a source derives series from beyond the verbatim
@@ -363,7 +370,8 @@ class Timeline {
   //   {"kind":"sample","t_ns":..,"seq":..,"interval_ns":..,"values":{..}}
   //   {"kind":"event","t_ns":..,"seq":..,"type":"gc_start","a":..,"b":..}
   // Alert events additionally carry "rule":"<name>". The document is
-  // sized exactly before it is rendered.
+  // sized exactly, line by line, and then rendered from each line's offset
+  // on up to kMaxRenderRanges threads; its bytes do not depend on how many.
   std::string ToJsonl() const;
 
   // Installs (or clears, with nullptr) the snapshot consumer. While set,
@@ -392,8 +400,18 @@ class Timeline {
 
  private:
   friend class SampleBuilder;
+  friend struct JsonlRenderProbe;  // Test access to RenderJsonl.
 
   void TakeSample(sim::Nanoseconds stamp);
+  // Gives `s`, whose row was written against the latest layout, the
+  // id-sorted layout of the series set in it: the written positions of the
+  // latest layout and the side list. Repoints the position map at it.
+  void Relayout(Sample* s, const Sample* previous, std::uint64_t stamp);
+  // ToJsonl over exactly `ranges` byte-balanced ranges of lines, each on
+  // its own thread, the first on the calling thread; 0 takes the count
+  // from the host and the document's size. A range boundary is the first
+  // line starting at or after size * r / ranges.
+  std::string RenderJsonl(std::size_t ranges) const;
   // Renders the routes and hands them to the sink. No-op when no sink is
   // set or the latest sample was already published, so Finalize can call
   // it unconditionally.
@@ -407,9 +425,15 @@ class Timeline {
   Watchdog watchdog_;
   SeriesTable series_;
   std::deque<Sample> samples_;
-  // The sample under construction and the latest sample, by series id;
-  // swapped after every sample.
-  DenseValues building_, previous_;
+  // By series id, its position in the latest sample's layout
+  // (SampleBuilder::kNoPosition when absent), and by position, 1 + the seq
+  // of the sample that last wrote it (0 = none since the layout was made).
+  std::vector<std::uint32_t> position_;
+  std::vector<std::uint64_t> written_at_;
+  // (id, value) of the series set in the sample under construction that
+  // the latest layout does not carry, one entry per id (a second Set
+  // overwrites), in Set order.
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> unplaced_;
 
   // Cumulative buckets of every histogram at its previous Histogram() call,
   // indexed by the histogram's id in hist_names_. Kept by name, so a

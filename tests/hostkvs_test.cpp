@@ -223,7 +223,9 @@ TEST_F(HostKvsTest, FlushSerializesIndexInKeyOrder) {
     const bool tombstone = snapshot[offset++] != 0;
     EXPECT_EQ(key, want->first) << i;
     EXPECT_EQ(tombstone, want->second == 0) << key;
-    if (!tombstone) EXPECT_EQ(size, want->second) << key;
+    if (!tombstone) {
+      EXPECT_EQ(size, want->second) << key;
+    }
   }
 }
 

@@ -47,7 +47,9 @@ TEST(KvSsdTest, ReadYourWritesAcrossFlushBoundaries) {
                                   static_cast<std::uint64_t>(i));
     ASSERT_TRUE(ssd->Put(key, ByteSpan(v)).ok());
     model[key] = v;
-    if (i % 97 == 0) ASSERT_TRUE(ssd->Flush().ok());
+    if (i % 97 == 0) {
+      ASSERT_TRUE(ssd->Flush().ok());
+    }
   }
   for (const auto& [key, expected] : model) {
     auto v = ssd->Get(key);

@@ -281,7 +281,9 @@ TEST(MemTableTest, LazyOrderMatchesStdMapAcrossReads) {
       EXPECT_EQ(it.ref().addr, want->second.addr);
       EXPECT_EQ(it.ref().tombstone, want->second.tombstone);
     }
-    if (steps > 0) EXPECT_FALSE(it.Valid());
+    if (steps > 0) {
+      EXPECT_FALSE(it.Valid());
+    }
   };
   for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < 4000; ++i) {
@@ -299,7 +301,9 @@ TEST(MemTableTest, LazyOrderMatchesStdMapAcrossReads) {
         const ValueRef* got = mem.Get(key);
         auto want = model.find(key);
         ASSERT_EQ(got != nullptr, want != model.end());
-        if (got != nullptr) EXPECT_EQ(got->addr, want->second.addr);
+        if (got != nullptr) {
+          EXPECT_EQ(got->addr, want->second.addr);
+        }
       } else if (op < 19) {
         expect_walk(mem.Seek(key), model.lower_bound(key), 1 + rng.Below(8));
       } else {

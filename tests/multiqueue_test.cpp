@@ -114,8 +114,12 @@ TEST_F(MultiQueueRawTest, InterleavedFragmentStreams) {
   std::size_t ia = 0;
   std::size_t ib = 0;
   while (ia < ta.size() || ib < tb.size()) {
-    if (ia < ta.size()) ASSERT_TRUE(transport_.Submit(0, ta[ia++]).ok());
-    if (ib < tb.size()) ASSERT_TRUE(transport_.Submit(1, tb[ib++]).ok());
+    if (ia < ta.size()) {
+      ASSERT_TRUE(transport_.Submit(0, ta[ia++]).ok());
+    }
+    if (ib < tb.size()) {
+      ASSERT_TRUE(transport_.Submit(1, tb[ib++]).ok());
+    }
   }
   EXPECT_EQ(ReadValue("keyA", 300), va);
   EXPECT_EQ(ReadValue("keyB", 420), vb);

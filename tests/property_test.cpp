@@ -72,7 +72,9 @@ TEST_P(FullStackPropertyTest, RandomOpsMatchReferenceModel) {
         EXPECT_EQ(got.value(), expected->second) << "op " << i;
       }
     }
-    if (i % 211 == 0) ASSERT_TRUE(ssd->Flush().ok());
+    if (i % 211 == 0) {
+      ASSERT_TRUE(ssd->Flush().ok());
+    }
   }
 
   // Final audit: every model entry readable, iterator sees exactly the

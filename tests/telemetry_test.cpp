@@ -1,8 +1,9 @@
 // Telemetry tests: timeline boundary stamping and delta/rate arithmetic
 // against hand-computed values (device and fleet sources alike), watchdog
 // edge-trigger semantics, full-device reconciliation (telescoping deltas == final counters), byte-identical
-// exports across runs, alert behavior under fault storms vs clean runs, and
-// the disabled-telemetry invariance guarantee.
+// exports across runs (and across JSONL render thread counts), alert behavior
+// under fault storms vs clean runs, and the disabled-telemetry invariance
+// guarantee.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,14 @@
 #include "workload/value_gen.h"
 
 namespace bandslim::telemetry {
+
+// Renders a timeline's JSONL over exactly `ranges` threads.
+struct JsonlRenderProbe {
+  static std::string Render(const Timeline& t, std::size_t ranges) {
+    return t.RenderJsonl(ranges);
+  }
+};
+
 namespace {
 
 // --- Timeline unit tests (no device, hand-driven clock) --------------------
@@ -671,9 +680,10 @@ TEST(TimelineRenderTest, ExactJsonlAndPrometheusBytes) {
 class ScriptedTimeline : public Timeline {
  public:
   using Script = std::function<void(SampleBuilder&, std::uint64_t)>;
-  ScriptedTimeline(const sim::VirtualClock* clock, Script script)
-      : Timeline(clock, {true, sim::kMillisecond, {}}, "test_samples_total",
-                 "Samples."),
+  ScriptedTimeline(const sim::VirtualClock* clock, Script script,
+                   std::vector<WatchdogRule> rules = {})
+      : Timeline(clock, {true, sim::kMillisecond, std::move(rules)},
+                 "test_samples_total", "Samples."),
         script_(std::move(script)) {
     Anchor();
   }
@@ -812,6 +822,158 @@ TEST(SampleLayoutTest, CsvAndReductionsMatchAReferenceOfWhatWasSet) {
     EXPECT_EQ(SumSeries(t, name), sum);
     EXPECT_EQ(MaxSeries(t, name), max);
   }
+}
+
+// Rows are written in place against the latest layout, and series outside
+// it go to a side list: check every value and every Cumulative delta
+// against a reference the script keeps of what it set, across a histogram
+// whose first record comes mid-run, a series missing from one sample and
+// series set twice in one sample (before and after they have a position).
+TEST(SampleLayoutTest, RowsWrittenInPlaceMatchWhatWasSet) {
+  sim::VirtualClock clock;
+  stats::Histogram latency;
+  const stats::Histogram* live[] = {&latency};
+  HistogramSeries hist("op.latency_ns", /*lifetime=*/false);
+  SeriesSlot cum("cum"), gappy("gappy"), twice("twice"), steady("steady");
+  std::vector<std::map<std::string, std::uint64_t>> set;
+  std::vector<std::uint64_t> deltas;  // Of "cum" and "gappy", per sample.
+  ScriptedTimeline t(&clock, [&](SampleBuilder& b, std::uint64_t n) {
+    std::map<std::string, std::uint64_t>& now = set.emplace_back();
+    const auto put = [&](SeriesSlot& slot, std::uint64_t value) {
+      b.Set(slot, value);
+      now[slot.name] = value;
+    };
+    const auto cumulative = [&](SeriesSlot& slot, std::uint64_t value) {
+      deltas.push_back(b.Cumulative(slot, value));
+      now[slot.name] = value;
+    };
+    put(steady, 7 * n);
+    if (n == 0 || n == 4) put(twice, 1000 + n);  // Overwritten just below.
+    put(twice, 2000 + n);
+    cumulative(cum, n * n + 3);
+    if (n != 5) cumulative(gappy, 10 * n + 1);
+    if (n >= 3) {
+      latency.Record(100 * (n + 1));
+      latency.Record(50);
+    }
+    const IntervalQuantiles q = b.Histogram(hist, live);
+    if (latency.count() > 0) {
+      now["hist.op.count"] = 2 * (n - 2);
+      now["delta.op.count"] = 2;
+      now["delta.op.sum"] = 100 * (n + 1) + 50;
+      now["op.p50"] = q.p50;
+      now["op.p95"] = q.p95;
+      now["op.p99"] = q.p99;
+    }
+  });
+  Step(&clock, &t, 9);
+  const auto& samples = t.samples();
+  ASSERT_EQ(samples.size(), set.size());
+
+  // Cumulative deltas against the previous sample's value, 0 when absent.
+  std::size_t d = 0;
+  for (std::size_t n = 0; n < set.size(); ++n) {
+    SCOPED_TRACE(n);
+    for (const char* name : {"cum", "gappy"}) {
+      if (set[n].count(name) == 0) continue;
+      const std::uint64_t before =
+          n > 0 && set[n - 1].count(name) ? set[n - 1].at(name) : 0;
+      ASSERT_LT(d, deltas.size());
+      EXPECT_EQ(deltas[d++], set[n].at(name) - before) << name;
+    }
+  }
+  EXPECT_EQ(d, deltas.size());
+
+  // Every series of every sample reads back what was set, and nothing else
+  // is present.
+  constexpr std::uint64_t kAbsent = 0xabcdef;
+  for (std::size_t n = 0; n < set.size(); ++n) {
+    SCOPED_TRACE(n);
+    const Sample& s = samples[n];
+    EXPECT_EQ(s.row.size(), set[n].size());
+    EXPECT_TRUE(std::is_sorted(s.ids().begin(), s.ids().end()));
+    for (std::uint32_t id = 0; id < t.series().size(); ++id) {
+      const std::string& name = t.series().NameOf(id);
+      const auto it = set[n].find(name);
+      EXPECT_EQ(s.Value(id, kAbsent), it == set[n].end() ? kAbsent : it->second)
+          << name;
+    }
+  }
+  // The histogram's series join at sample 3, "gappy" leaves at 5 and comes
+  // back at 6: a new layout each time, shared in between.
+  EXPECT_EQ(samples[1].layout, samples[0].layout);
+  EXPECT_NE(samples[3].layout, samples[2].layout);
+  EXPECT_EQ(samples[4].layout, samples[3].layout);
+  EXPECT_NE(samples[5].layout, samples[4].layout);
+  EXPECT_NE(samples[6].layout, samples[5].layout);
+  EXPECT_EQ(*samples[6].layout, *samples[4].layout);
+  EXPECT_EQ(samples[8].layout, samples[6].layout);
+}
+
+// A JSONL document rendered on 1, 2, 3, 4 and 7 threads is the same bytes.
+// The timeline is several MiB with a layout change mid-run, events inside
+// intervals and on their boundaries (sorting before the sample), and
+// watchdog alerts stamped equal to the sample that raised them (sorting
+// after it); events follow nearly every sample line, so range boundaries
+// land on event lines.
+TEST(TimelineRenderTest, ParallelRenderIsByteIdenticalAtEveryThreadCount) {
+  sim::VirtualClock clock;
+  std::vector<SeriesSlot> wide;
+  for (int i = 0; i < 160; ++i) {
+    wide.emplace_back("wide.series." + std::to_string(i) + ".value");
+  }
+  SeriesSlot flip("flip"), late("late.series");
+  constexpr std::uint64_t kSamples = 1400, kLayoutChange = 700;
+  ScriptedTimeline t(
+      &clock,
+      [&](SampleBuilder& b, std::uint64_t n) {
+        for (std::size_t i = 0; i < wide.size(); ++i) {
+          if (n >= kLayoutChange && i == 3) continue;
+          b.Set(wide[i], (n * 2654435761ULL + i * 40503ULL) >> (i % 48));
+        }
+        b.Set(flip, n % 5 == 0 ? 1 : 0);
+        if (n >= kLayoutChange) b.Set(late, n);
+      },
+      {WatchdogRule{"flip_set", "flip", WatchdogRule::Cmp::kEqual, 1, 1}});
+  for (std::uint64_t n = 0; n < kSamples; ++n) {
+    clock.Advance(sim::kMillisecond / 2);
+    t.event_log().Emit(EventType::kTimeout, n, 1);
+    clock.Advance(sim::kMillisecond / 2);
+    if (n % 3 == 0) t.event_log().Emit(EventType::kRetryBackoff, n, 2);
+    t.Poll();
+  }
+  ASSERT_EQ(t.samples().size(), kSamples);
+  ASSERT_EQ(t.watchdog().total_fired(), kSamples / 5);
+
+  const std::string one = JsonlRenderProbe::Render(t, 1);
+  ASSERT_GT(one.size(), std::size_t{4} << 20);
+  EXPECT_TRUE(t.ToJsonl() == one);
+  std::vector<std::size_t> line_starts = {0};
+  for (std::size_t i = 0; i + 1 < one.size(); ++i) {
+    if (one[i] == '\n') line_starts.push_back(i + 1);
+  }
+  EXPECT_EQ(line_starts.size(),
+            kSamples + t.event_log().records().size());
+
+  int event_cuts = 0;
+  for (const std::size_t ranges : {2, 3, 4, 7}) {
+    SCOPED_TRACE(ranges);
+    const std::string many = JsonlRenderProbe::Render(t, ranges);
+    ASSERT_EQ(many.size(), one.size());
+    const auto diff = std::mismatch(one.begin(), one.end(), many.begin());
+    EXPECT_TRUE(diff.first == one.end())
+        << "first difference at byte " << (diff.first - one.begin());
+    // Range r starts at the first line at or after size * r / ranges.
+    for (std::size_t r = 1; r < ranges; ++r) {
+      const auto start = std::lower_bound(line_starts.begin(),
+                                          line_starts.end(),
+                                          one.size() * r / ranges);
+      ASSERT_NE(start, line_starts.end());
+      event_cuts += std::string_view(one).substr(*start).starts_with(
+          "{\"kind\":\"event\"");
+    }
+  }
+  EXPECT_GT(event_cuts, 0);
 }
 
 // The exact-size export counts digits with DecimalDigits; it must agree
