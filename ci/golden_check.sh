@@ -15,6 +15,10 @@
 # SEEK/NEXT; bench/abl_vlog_gc drives the vLog GC's ForEachLive scan.
 # Like the figures, they print only modeled numbers.
 #
+# Bulk oracle: bench/abl_bulk_put drives host-side batching (the bulk
+# PutBatch command, encode through device unpack) at five batch sizes and
+# prints only modeled numbers (~0.15 s).
+#
 # KvStore oracle: examples/quickstart runs Get, GetBatch, Delete and
 # Inspect through a KvStore& on a bare KvSsd and on a 4-shard KvCluster,
 # so its stdout pins the routed point and batch paths and the
@@ -46,7 +50,7 @@ for bench in fig03_pcie_amplification fig04_nand_amplification \
   "${build_dir}/bench/${bench}" > "${out}/${bench}.stdout"
   cmp "${golden}/${bench}.stdout" "${out}/${bench}.stdout" || failed=1
 done
-for bench in abl_range_scan abl_vlog_gc; do
+for bench in abl_range_scan abl_vlog_gc abl_bulk_put; do
   "${build_dir}/bench/${bench}" > "${out}/${bench}.stdout"
   cmp "${golden}/${bench}.stdout" "${out}/${bench}.stdout" || failed=1
 done
@@ -75,5 +79,5 @@ if [ "${failed}" -ne 0 ]; then
   echo "golden outputs differ from ${golden}/ (see cmp/sha256sum above)" >&2
   exit 1
 fi
-echo "golden outputs: figures, LSM and quickstart stdouts byte-identical to ${golden}/," \
+echo "golden outputs: figures, LSM, bulk and quickstart stdouts byte-identical to ${golden}/," \
   "export digests match ${golden}/exports.sha256"

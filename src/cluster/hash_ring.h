@@ -5,9 +5,17 @@
 // and the construction is a pure function of (num_shards, virtual_nodes,
 // seed) — no RNG state, so ownership is bit-stable across runs and
 // processes, which the cluster's determinism tests rely on.
+//
+// Lookup is O(1): a fixed table of 2^kBucketBits entries, indexed by a
+// hash's top bits, holds the index of the first point at or after each
+// bucket's start. A hash's owner is then the first point at or after it
+// among the points inside its own bucket (about num_points / 4096 of
+// them) or, past those, the next bucket's first point: the same point a
+// binary search over the whole ring finds.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string_view>
 #include <utility>
@@ -39,7 +47,20 @@ class HashRing {
     // Sort by (hash, shard): ties — astronomically unlikely but possible —
     // resolve to the lowest shard index, deterministically.
     std::sort(points_.begin(), points_.end());
+    std::size_t first = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      const std::uint64_t bucket_start = std::uint64_t{b} << kBucketShift;
+      while (first < points_.size() && points_[first].first < bucket_start) {
+        ++first;
+      }
+      bucket_first_[b] = static_cast<std::uint32_t>(first);
+    }
+    bucket_first_[kBuckets] = static_cast<std::uint32_t>(points_.size());
   }
+
+  // Sorted (hash, shard) ring points.
+  using Point = std::pair<std::uint64_t, std::uint32_t>;
+  const std::vector<Point>& points() const { return points_; }
 
   std::uint64_t HashKey(std::string_view key) const {
     // FNV-1a over the key bytes, then mixed with the ring seed so distinct
@@ -52,13 +73,18 @@ class HashRing {
     return Mix64(h ^ seed_);
   }
 
+  // The shard of the first point at or clockwise-after `hash`.
+  std::uint32_t OwnerOfHash(std::uint64_t hash) const {
+    const std::size_t b = hash >> kBucketShift;
+    std::size_t i = bucket_first_[b];
+    const std::size_t end = bucket_first_[b + 1];
+    while (i < end && points_[i].first < hash) ++i;
+    if (i == points_.size()) i = 0;  // Wrap around.
+    return points_[i].second;
+  }
+
   std::uint32_t OwnerOf(std::string_view key) const {
-    const std::uint64_t h = HashKey(key);
-    auto it = std::lower_bound(
-        points_.begin(), points_.end(), h,
-        [](const Point& p, std::uint64_t hash) { return p.first < hash; });
-    if (it == points_.end()) it = points_.begin();  // Wrap around.
-    return it->second;
+    return OwnerOfHash(HashKey(key));
   }
 
   std::size_t num_points() const { return points_.size(); }
@@ -94,9 +120,15 @@ class HashRing {
   }
 
  private:
-  using Point = std::pair<std::uint64_t, std::uint32_t>;  // (hash, shard).
+  static constexpr int kBucketBits = 12;
+  static constexpr int kBucketShift = 64 - kBucketBits;
+  static constexpr std::size_t kBuckets = std::size_t{1} << kBucketBits;
+
   std::vector<Point> points_;
   std::uint64_t seed_;
+  // bucket_first_[b]: index of the first point whose hash is at or after
+  // bucket b's start; bucket_first_[kBuckets] == num_points().
+  std::array<std::uint32_t, kBuckets + 1> bucket_first_;
 };
 
 }  // namespace bandslim::cluster

@@ -18,16 +18,17 @@ sim::Nanoseconds KvCluster::CallShard(std::uint32_t s, std::size_t tenant,
   // shard accrues while serving to this tenant.
   const bool tagged = tenant != kUntagged;
   const bool charge = tagged && attribution_->enabled();
-  trace::Tracer* tracer = shard_tracers_[s];
-  tracer->SetClientOpContext(client_op);
-  tracer->SetTenantContext(tagged ? static_cast<std::uint16_t>(tenant + 1) : 0);
+  const Lane& lane = lanes_[s];
+  lane.tracer->SetClientOpContext(client_op);
+  lane.tracer->SetTenantContext(
+      tagged ? static_cast<std::uint16_t>(tenant + 1) : 0);
   if (charge) attribution_->ChargeBegin(s);
-  shards_[s]->Hooks().clock->AdvanceTo(start);
+  lane.clock->AdvanceTo(start);
   serve();
-  tracer->ClearClientOpContext();
-  tracer->ClearTenantContext();
+  lane.tracer->ClearClientOpContext();
+  lane.tracer->ClearTenantContext();
   if (charge) attribution_->ChargeEnd(tenant, s);
-  return shards_[s]->Now();
+  return lane.clock->Now();
 }
 
 void KvCluster::Complete(std::size_t tenant, sim::Nanoseconds start,
@@ -45,9 +46,10 @@ Status KvCluster::Route(std::size_t tenant, std::string_view key, Op&& op,
                         Book&& book) {
   MaybeRefillCredits();
   const sim::Nanoseconds start = clock_.Now();
-  const std::uint32_t s = ring_.OwnerOf(key);
+  const std::uint64_t hash = ring_.HashKey(key);
+  const std::uint32_t s = ring_.OwnerOfHash(hash);
   ++routed_keys_[s];
-  if (attribution_->enabled()) attribution_->TouchKey(ring_.HashKey(key));
+  if (attribution_->enabled()) attribution_->TouchKey(hash);
   Status status;
   const sim::Nanoseconds finish =
       CallShard(s, tenant, next_client_op_++, start,
@@ -72,28 +74,33 @@ Status KvCluster::Scatter(std::size_t tenant, std::span<const T> items,
   // Every shard-local sub-batch carries the same router client op, so a
   // cross-shard batch can be reassembled from the per-shard traces.
   const std::uint64_t client_op = next_client_op_++;
-  std::vector<std::vector<std::size_t>> origin(shards_.size());
+  for (Lane& lane : lanes_) lane.origin.clear();
   for (std::size_t i = 0; i < items.size(); ++i) {
-    const std::string_view key = KeyOf(items[i]);
-    const std::uint32_t s = ring_.OwnerOf(key);
+    const std::uint64_t hash = ring_.HashKey(KeyOf(items[i]));
+    const std::uint32_t s = ring_.OwnerOfHash(hash);
     ++routed_keys_[s];
-    if (attribution_->enabled()) attribution_->TouchKey(ring_.HashKey(key));
-    origin[s].push_back(i);
+    if (attribution_->enabled()) attribution_->TouchKey(hash);
+    lanes_[s].origin.push_back(i);
   }
   sim::Nanoseconds latest = start;
   Status first_error;
   std::uint32_t touched = 0;
-  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-    if (origin[s].empty()) continue;
+  for (std::uint32_t s = 0; s < lanes_.size(); ++s) {
+    Lane& lane = lanes_[s];
+    const std::span<const std::size_t> origin(lane.origin);
+    if (origin.empty()) continue;
     ++touched;
     ++batch_subops_;
     // Sub-batches keep each record's relative request order.
-    std::vector<T> sub;
-    sub.reserve(origin[s].size());
-    for (const std::size_t i : origin[s]) sub.push_back(items[i]);
+    std::vector<T>& bucket = lane.Bucket<T>();
+    if (bucket.size() < origin.size()) bucket.resize(origin.size());
+    for (std::size_t j = 0; j < origin.size(); ++j) {
+      bucket[j] = items[origin[j]];
+    }
+    const std::span<const T> sub(bucket.data(), origin.size());
     Status status;
     latest = std::max(latest, CallShard(s, tenant, client_op, start, [&] {
-      status = serve(*drivers_[s][tenant], sub, std::span(origin[s]));
+      status = serve(*drivers_[s][tenant], sub, origin);
     }));
     if (first_error.ok()) first_error = status;
   }
@@ -136,29 +143,25 @@ class KvCluster::TenantView final : public KvStore {
     for (const KvPair& kv : batch) payload_bytes += kv.value.size();
     return cluster_->Scatter(
         tenant_, batch,
-        [](driver::KvDriver& d, const std::vector<KvPair>& sub,
+        [](driver::KvDriver& d, std::span<const KvPair> sub,
            std::span<const std::size_t>) { return d.PutBatch(sub); },
         [&](const Status&) { return payload_bytes; });
   }
-  // Merges shard results back into REQUEST order (the KvStore contract);
-  // books the returned bytes only when the whole batch succeeds.
+  // Each shard decodes its results straight into their REQUEST-order slots
+  // (the KvStore contract); books the returned bytes only when the whole
+  // batch succeeds.
   Result<std::vector<BatchGetResult>> GetBatch(
       std::span<const std::string> keys) override {
     std::vector<BatchGetResult> merged(keys.size());
     std::uint64_t returned_bytes = 0;
     const Status status = cluster_->Scatter(
         tenant_, keys,
-        [&](driver::KvDriver& d, const std::vector<std::string>& sub,
+        [&](driver::KvDriver& d, std::span<const std::string> sub,
             std::span<const std::size_t> origin) -> Status {
-          auto got = d.GetBatch(sub);
-          if (!got.ok()) return got.status();
-          if (got.value().size() != sub.size()) {
-            return Status::Corruption(
-                "shard GetBatch violated the one-result-per-key contract");
-          }
-          for (std::size_t j = 0; j < sub.size(); ++j) {
-            returned_bytes += got.value()[j].value.size();
-            merged[origin[j]] = std::move(got.value()[j]);
+          BANDSLIM_RETURN_IF_ERROR(
+              d.GetBatchInto(sub, origin, std::span(merged)));
+          for (const std::size_t i : origin) {
+            returned_bytes += merged[i].value.size();
           }
           return Status::Ok();
         },
@@ -171,7 +174,7 @@ class KvCluster::TenantView final : public KvStore {
     std::uint32_t removed = 0;
     const Status status = cluster_->Scatter(
         tenant_, keys,
-        [&](driver::KvDriver& d, const std::vector<std::string>& sub,
+        [&](driver::KvDriver& d, std::span<const std::string> sub,
             std::span<const std::size_t>) -> Status {
           auto got = d.DeleteBatch(sub);
           if (got.ok()) removed += got.value();
@@ -280,19 +283,22 @@ Status KvCluster::Assemble() {
       shard_options.num_queues, static_cast<std::uint16_t>(max_queue + 1));
 
   shards_.reserve(config_.num_shards);
+  lanes_.resize(config_.num_shards);
   drivers_.resize(config_.num_shards);
-  shard_tracers_.reserve(config_.num_shards);
   for (std::uint32_t s = 0; s < config_.num_shards; ++s) {
     auto opened = KvSsd::Open(shard_options);
     if (!opened.ok()) return opened.status();
     shards_.push_back(std::move(opened).value());
     KvSsd& dev = *shards_.back();
+    const KvSsd::TestHooks hooks = dev.Hooks();
+    lanes_[s].clock = hooks.clock;
+    lanes_[s].transport = hooks.transport;
+    lanes_[s].tracer = hooks.tracer;
 
     // Shard-tag the tracer (s + 1; 0 means untagged) so a merged Chrome
     // trace renders one process lane per shard and trace_breakdown rows
     // carry their shard. Plain stamps — no simulated effect.
-    dev.Hooks().tracer->SetShardTag(static_cast<std::uint16_t>(s + 1));
-    shard_tracers_.push_back(dev.Hooks().tracer);
+    hooks.tracer->SetShardTag(static_cast<std::uint16_t>(s + 1));
 
     drivers_[s].resize(tenants_.size(), nullptr);
     for (std::size_t t = 0; t < tenants_.size(); ++t) {
@@ -300,7 +306,7 @@ Status KvCluster::Assemble() {
         // Queue 0 rides the shard's built-in driver: with one unmetered
         // default tenant this makes the 1-shard cluster's command stream
         // byte-identical to a bare KvSsd's.
-        drivers_[s][t] = dev.Hooks().driver;
+        drivers_[s][t] = hooks.driver;
       } else {
         auto made =
             dev.CreateQueueDriver(tenants_[t].queue_id, shard_options.driver);
@@ -308,7 +314,7 @@ Status KvCluster::Assemble() {
         drivers_[s][t] = made.value();
       }
       if (tenants_[t].credits_per_window > 0) {
-        dev.Hooks().transport->SetAdmissionControl(
+        hooks.transport->SetAdmissionControl(
             tenants_[t].queue_id, tenants_[t].credits_per_window,
             tenants_[t].busy_backoff_ns);
       }
@@ -371,7 +377,7 @@ void KvCluster::MaybeRefillCredits() {
   qos_refill_windows_ += elapsed;
   // One refill per crossing, not per elapsed window: credits cap at the
   // budget anyway, so collapsed windows are indistinguishable.
-  for (auto& dev : shards_) dev->Hooks().transport->RefillQueueCredits();
+  for (Lane& lane : lanes_) lane.transport->RefillQueueCredits();
 }
 
 // ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "cluster/hash_ring.h"
@@ -199,7 +200,9 @@ class KvCluster : public KvStore {
   // Batch op: rejects a malformed batch before routing, splits the rest by
   // owner shard, serves every touched shard from one start time with
   // `serve(driver, sub_batch, request_indices)`, gathers the router clock
-  // to the slowest shard and returns the first error in shard order.
+  // to the slowest shard and returns the first error in shard order. The
+  // split reuses each lane's buckets, so a warmed-up router allocates
+  // nothing for it.
   template <typename T, typename Serve, typename Book>
   Status Scatter(std::size_t tenant, std::span<const T> items, Serve&& serve,
                  Book&& book);
@@ -209,10 +212,33 @@ class KvCluster : public KvStore {
                 sim::Nanoseconds finish, StatusCode code,
                 std::uint64_t booked_bytes);
 
+  // What the router keeps per shard: the device parts an op touches, taken
+  // once in Assemble, and the scatter buckets a batch reuses. The buckets
+  // only grow, so copy-assigning a sub-batch into them reuses the keys' and
+  // values' capacity.
+  struct Lane {
+    sim::VirtualClock* clock = nullptr;
+    nvme::NvmeTransport* transport = nullptr;
+    trace::Tracer* tracer = nullptr;
+    std::vector<std::size_t> origin;  // Request indices routed here.
+    std::vector<std::string> keys;    // Key sub-batch (first origin.size()).
+    std::vector<KvPair> pairs;        // Record sub-batch (likewise).
+
+    template <typename T>
+    std::vector<T>& Bucket() {
+      if constexpr (std::is_same_v<T, KvPair>) {
+        return pairs;
+      } else {
+        return keys;
+      }
+    }
+  };
+
   ClusterConfig config_;
   HashRing ring_;
   sim::VirtualClock clock_;  // Router clock: the client-visible timeline.
   std::vector<std::unique_ptr<KvSsd>> shards_;
+  std::vector<Lane> lanes_;  // Shard-index order.
   std::vector<TenantConfig> tenants_;
   // drivers_[shard][tenant] — tenant 0 on queue 0 reuses the shard's
   // built-in driver; other tenants get CreateQueueDriver() attachments.
@@ -230,8 +256,7 @@ class KvCluster : public KvStore {
   // single branch per Poll() when config_.fleet.enabled is false.
   std::unique_ptr<telemetry::FleetAggregator> fleet_;
   std::unique_ptr<telemetry::attribution::AttributionPlane> attribution_;
-  std::vector<std::uint64_t> routed_keys_;    // One entry per shard.
-  std::vector<trace::Tracer*> shard_tracers_;  // Shard-index order.
+  std::vector<std::uint64_t> routed_keys_;  // One entry per shard.
   std::uint64_t next_client_op_ = 0;  // Router-level client op ids.
 };
 

@@ -148,22 +148,30 @@ CqEntry KvController::HandleWrite(const NvmeCommand& cmd,
   return CqEntry{};
 }
 
+CqStatus KvController::StageBulk(const NvmeCommand& cmd) {
+  const std::uint32_t payload_size = cmd.value_size();
+  if (payload_size == 0 || cmd.prp.empty() ||
+      cmd.prp.DmaBytes() < payload_size) {
+    return CqStatus::kInvalidField;
+  }
+  if (bulk_staging_.size() < cmd.prp.DmaBytes()) {
+    bulk_staging_.resize(cmd.prp.DmaBytes());
+  }
+  const Status dma_status =
+      dma_->HostToDevice(cmd.prp, 0, [&](std::uint64_t off) {
+        return MutByteSpan(bulk_staging_).subspan(off, kMemPageSize);
+      });
+  return dma_status.ok() ? CqStatus::kSuccess : CqStatus::kInternalError;
+}
+
 CqEntry KvController::HandleBulkWrite(const NvmeCommand& cmd) {
   // Host-side batching (Section 1's "existing approach"): one PRP payload
   // carries many records that the device must unpack and index one by one —
   // the per-record overhead the paper points out.
   const std::uint32_t payload_size = cmd.value_size();
-  if (payload_size == 0 || cmd.prp.empty() ||
-      cmd.prp.DmaBytes() < payload_size) {
-    return CqEntry{0, 0, CqStatus::kInvalidField};
+  if (const CqStatus staged = StageBulk(cmd); staged != CqStatus::kSuccess) {
+    return CqEntry{0, 0, staged};
   }
-  if (bulk_staging_.size() < cmd.prp.DmaBytes()) {
-    bulk_staging_.resize(cmd.prp.DmaBytes());
-  }
-  Status dma_status = dma_->HostToDevice(cmd.prp, 0, [&](std::uint64_t off) {
-    return MutByteSpan(bulk_staging_).subspan(off, kMemPageSize);
-  });
-  if (!dma_status.ok()) return CqEntry{0, 0, CqStatus::kInternalError};
 
   std::uint32_t records = 0;
   std::size_t off = 0;
@@ -205,46 +213,38 @@ CqEntry KvController::HandleBulkWrite(const NvmeCommand& cmd) {
   return CqEntry{records, 0, CqStatus::kSuccess};
 }
 
-std::vector<std::string_view> KvController::DecodeKeyBatch(
-    std::uint32_t payload_size) const {
-  // [u8 klen][key]* — an empty result signals a malformed payload (the
-  // wire format admits no legal empty batch; the driver never sends one).
-  std::vector<std::string_view> keys;
+bool KvController::DecodeKeyBatch(std::uint32_t payload_size) {
+  // [u8 klen][key]* — the wire format admits no legal empty batch (the
+  // driver never sends one).
+  bulk_keys_.clear();
   std::size_t off = 0;
   while (off < payload_size) {
     const std::size_t klen = bulk_staging_[off++];
     if (klen == 0 || klen > kMaxKeySize || off + klen > payload_size) {
-      return {};
+      return false;
     }
-    keys.push_back(KeyView(&bulk_staging_[off], klen));
+    bulk_keys_.push_back(KeyView(&bulk_staging_[off], klen));
     off += klen;
   }
-  return keys;
+  return !bulk_keys_.empty();
 }
 
 CqEntry KvController::HandleBulkRead(const NvmeCommand& cmd) {
   if (!config_.nand_io_enabled) return FailOp(CqStatus::kInvalidField);
   const std::uint32_t payload_size = cmd.value_size();
-  if (payload_size == 0 || cmd.prp.empty() ||
-      cmd.prp.DmaBytes() < payload_size) {
+  if (const CqStatus staged = StageBulk(cmd); staged != CqStatus::kSuccess) {
+    return CqEntry{0, 0, staged};
+  }
+  if (!DecodeKeyBatch(payload_size)) {
     return CqEntry{0, 0, CqStatus::kInvalidField};
   }
-  if (bulk_staging_.size() < cmd.prp.DmaBytes()) {
-    bulk_staging_.resize(cmd.prp.DmaBytes());
-  }
-  Status dma_status = dma_->HostToDevice(cmd.prp, 0, [&](std::uint64_t off) {
-    return MutByteSpan(bulk_staging_).subspan(off, kMemPageSize);
-  });
-  if (!dma_status.ok()) return CqEntry{0, 0, CqStatus::kInternalError};
-  const std::vector<std::string_view> keys = DecodeKeyBatch(payload_size);
-  if (keys.empty()) return CqEntry{0, 0, CqStatus::kInvalidField};
 
   // Pass 1: index lookups only, to size the response before touching the
   // vLog. Each key costs the per-record KVS work exactly as a single GET.
-  std::vector<Result<lsm::ValueRef>> refs;
-  refs.reserve(keys.size());
+  std::vector<Result<lsm::ValueRef>>& refs = bulk_refs_;
+  refs.clear();
   std::uint64_t response_size = 0;
-  for (const std::string_view key : keys) {
+  for (const std::string_view key : bulk_keys_) {
     clock_->Advance(cost_->dev_kvs_ns);
     refs.push_back(lsm_->Get(key));
     response_size += 5;  // [u8 found][u32 vsize]
@@ -260,7 +260,7 @@ CqEntry KvController::HandleBulkRead(const NvmeCommand& cmd) {
   // across commands, so every record header byte is written explicitly.
   MutByteSpan bounce = Bounce(RoundUpPow2(response_size, kMemPageSize));
   std::size_t off = 0;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
+  for (std::size_t i = 0; i < refs.size(); ++i) {
     if (!refs[i].ok()) {
       if (!refs[i].status().IsNotFound()) {
         return FailOp(CqStatusFromStatus(refs[i].status()));
@@ -292,22 +292,15 @@ CqEntry KvController::HandleBulkRead(const NvmeCommand& cmd) {
 CqEntry KvController::HandleBulkDelete(const NvmeCommand& cmd) {
   if (!config_.nand_io_enabled) return FailOp(CqStatus::kInvalidField);
   const std::uint32_t payload_size = cmd.value_size();
-  if (payload_size == 0 || cmd.prp.empty() ||
-      cmd.prp.DmaBytes() < payload_size) {
+  if (const CqStatus staged = StageBulk(cmd); staged != CqStatus::kSuccess) {
+    return CqEntry{0, 0, staged};
+  }
+  if (!DecodeKeyBatch(payload_size)) {
     return CqEntry{0, 0, CqStatus::kInvalidField};
   }
-  if (bulk_staging_.size() < cmd.prp.DmaBytes()) {
-    bulk_staging_.resize(cmd.prp.DmaBytes());
-  }
-  Status dma_status = dma_->HostToDevice(cmd.prp, 0, [&](std::uint64_t off) {
-    return MutByteSpan(bulk_staging_).subspan(off, kMemPageSize);
-  });
-  if (!dma_status.ok()) return CqEntry{0, 0, CqStatus::kInternalError};
-  const std::vector<std::string_view> keys = DecodeKeyBatch(payload_size);
-  if (keys.empty()) return CqEntry{0, 0, CqStatus::kInvalidField};
 
   std::uint32_t removed = 0;
-  for (const std::string_view key : keys) {
+  for (const std::string_view key : bulk_keys_) {
     clock_->Advance(cost_->dev_kvs_ns);
     const bool present = lsm_->Get(key).ok();
     if (!present) continue;  // Absent keys are skipped, not an error.

@@ -90,12 +90,14 @@ class KvController : public nvme::DeviceHandler {
   nvme::CqEntry HandleBulkWrite(const nvme::NvmeCommand& cmd);
   nvme::CqEntry HandleBulkRead(const nvme::NvmeCommand& cmd);
   nvme::CqEntry HandleBulkDelete(const nvme::NvmeCommand& cmd);
+  // Checks a bulk command's payload size against its PRP pages and DMAs
+  // the payload into bulk_staging_; returns the failure status or
+  // kSuccess.
+  nvme::CqStatus StageBulk(const nvme::NvmeCommand& cmd);
   // Decodes the [u8 klen][key]* request shared by bulk read/delete from
-  // bulk_staging_ (already DMA'd in); empty vector = malformed payload. The
-  // keys view bulk_staging_, which nothing writes until the next bulk
-  // command.
-  std::vector<std::string_view> DecodeKeyBatch(
-      std::uint32_t payload_size) const;
+  // bulk_staging_ into bulk_keys_; false = malformed payload. The keys view
+  // bulk_staging_, which nothing writes until the next bulk command.
+  bool DecodeKeyBatch(std::uint32_t payload_size);
   nvme::CqEntry HandleTransfer(const nvme::NvmeCommand& cmd,
                                std::uint16_t queue_id);
   nvme::CqEntry HandleRead(const nvme::NvmeCommand& cmd);
@@ -132,6 +134,10 @@ class KvController : public nvme::DeviceHandler {
   Bytes nand_off_scratch_;  // DMA landing zone when persistence is disabled.
   Bytes bulk_staging_;      // Unpack area for host-side-batched payloads.
   Bytes bounce_scratch_;    // Read-response staging (see Bounce()).
+  // Bulk read/delete scratch, reused across commands: the decoded keys and
+  // the bulk read's index lookups.
+  std::vector<std::string_view> bulk_keys_;
+  std::vector<Result<lsm::ValueRef>> bulk_refs_;
 
   std::unordered_map<std::uint32_t, std::unique_ptr<lsm::LsmTree::Iterator>>
       iterators_;

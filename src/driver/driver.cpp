@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #include "nvme/command.h"
 
@@ -30,15 +31,27 @@ NvmeCommand KeyCommand(Opcode opcode, std::string_view key) {
   return cmd;
 }
 
+std::uint8_t* PutBytes(std::uint8_t* p, const void* data, std::size_t n) {
+  std::memcpy(p, data, n);
+  return p + n;
+}
+
+std::uint8_t* PutU32(std::uint8_t* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) *p++ = static_cast<std::uint8_t>(v >> (8 * i));
+  return p;
+}
+
 // The bulk-key request shared by GetBatch and DeleteBatch, repeated per
-// key: [u8 klen][key].
-Bytes EncodeKeyBatch(std::span<const std::string> keys) {
-  Bytes payload;
+// key: [u8 klen][key]. Encoded into `*out` at exact size.
+void EncodeKeyBatch(std::span<const std::string> keys, Bytes* out) {
+  std::size_t size = 0;
+  for (const std::string& key : keys) size += 1 + key.size();
+  out->resize(size);
+  std::uint8_t* p = out->data();
   for (const std::string& key : keys) {
-    payload.push_back(static_cast<std::uint8_t>(key.size()));
-    payload.insert(payload.end(), key.begin(), key.end());
+    *p++ = static_cast<std::uint8_t>(key.size());
+    p = PutBytes(p, key.data(), key.size());
   }
-  return payload;
 }
 
 }  // namespace
@@ -251,30 +264,39 @@ Status KvDriver::PutBatch(std::span<const KvPair> batch) {
                 [&] { return PutBatchImpl(batch); });
 }
 
+nvme::CqEntry KvDriver::SubmitBulk(Opcode opcode, std::size_t pages) {
+  assert(pages * kMemPageSize >= bulk_scratch_.size());
+  host_->AllocatePagesInto(pages, &page_scratch_);
+  // Fresh pages that hold the payload: staging cannot fail.
+  [[maybe_unused]] const Status staged =
+      host_->WriteToPages(page_scratch_, ByteSpan(bulk_scratch_));
+  assert(staged.ok());
+  NvmeCommand cmd = MakeCommand(opcode);
+  cmd.set_value_size(static_cast<std::uint32_t>(bulk_scratch_.size()));
+  if (opcode == Opcode::kKvBulkWrite) cmd.set_final_fragment(true);
+  nvme::codec::SetPrpPointers(cmd, nvme::PrpList(page_scratch_));
+  return transport_->Submit(config_.queue_id, cmd);
+}
+
 Status KvDriver::PutBatchImpl(std::span<const KvPair> batch) {
   if (batch.empty()) return Status::Ok();
   BANDSLIM_RETURN_IF_ERROR(CheckBatch(batch));
   // Wire format, repeated per record: [u8 klen][key][u32 vsize][value].
-  Bytes payload;
+  std::size_t size = 0;
+  for (const KvPair& kv : batch) size += 5 + kv.key.size() + kv.value.size();
+  bulk_scratch_.resize(size);
+  std::uint8_t* p = bulk_scratch_.data();
   for (const KvPair& kv : batch) {
-    payload.push_back(static_cast<std::uint8_t>(kv.key.size()));
-    payload.insert(payload.end(), kv.key.begin(), kv.key.end());
-    const auto vsize = static_cast<std::uint32_t>(kv.value.size());
-    for (int i = 0; i < 4; ++i) {
-      payload.push_back(static_cast<std::uint8_t>(vsize >> (8 * i)));
-    }
-    payload.insert(payload.end(), kv.value.begin(), kv.value.end());
+    *p++ = static_cast<std::uint8_t>(kv.key.size());
+    p = PutBytes(p, kv.key.data(), kv.key.size());
+    p = PutU32(p, static_cast<std::uint32_t>(kv.value.size()));
+    p = PutBytes(p, kv.value.data(), kv.value.size());
   }
-  auto ids = host_->AllocatePages(CeilDiv(payload.size(), kMemPageSize));
-  BANDSLIM_RETURN_IF_ERROR(host_->WriteToPages(ids, ByteSpan(payload)));
-  NvmeCommand cmd = MakeCommand(Opcode::kKvBulkWrite);
-  cmd.set_value_size(static_cast<std::uint32_t>(payload.size()));
-  cmd.set_final_fragment(true);
-  nvme::codec::SetPrpPointers(cmd, nvme::PrpList(ids));
-  Status st = StatusFromCq(transport_->Submit(config_.queue_id, cmd));
-  host_->FreePages(ids);
+  const CqEntry cqe =
+      SubmitBulk(Opcode::kKvBulkWrite, CeilDiv(size, kMemPageSize));
+  host_->FreePages(page_scratch_);
   puts_issued_ += batch.size();
-  return st;
+  return StatusFromCq(cqe);
 }
 
 Result<std::uint32_t> KvDriver::SubmitRead(NvmeCommand cmd, Bytes* payload,
@@ -305,54 +327,54 @@ Result<std::uint32_t> KvDriver::SubmitRead(NvmeCommand cmd, Bytes* payload,
 
 Result<std::vector<KvDriver::BatchGetResult>> KvDriver::GetBatch(
     std::span<const std::string> keys) {
-  return Traced(trace::OpType::kGetBatch, 0,
-                [&] { return GetBatchImpl(keys); });
+  std::vector<BatchGetResult> results(keys.size());
+  BANDSLIM_RETURN_IF_ERROR(GetBatchInto(keys, {}, results));
+  return results;
 }
 
-Result<std::vector<KvDriver::BatchGetResult>> KvDriver::GetBatchImpl(
-    std::span<const std::string> keys) {
-  std::vector<BatchGetResult> results;
-  if (keys.empty()) return results;
+Status KvDriver::GetBatchInto(std::span<const std::string> keys,
+                              std::span<const std::size_t> at,
+                              std::span<BatchGetResult> results) {
+  return Traced(trace::OpType::kGetBatch, 0,
+                [&] { return GetBatchImpl(keys, at, results); });
+}
+
+Status KvDriver::GetBatchImpl(std::span<const std::string> keys,
+                              std::span<const std::size_t> at,
+                              std::span<BatchGetResult> results) {
+  assert(at.empty() ? results.size() >= keys.size() : at.size() == keys.size());
+  if (keys.empty()) return Status::Ok();
   BANDSLIM_RETURN_IF_ERROR(CheckBatch(keys));
-  const Bytes req = EncodeKeyBatch(keys);
+  EncodeKeyBatch(keys, &bulk_scratch_);
 
   // The PRP buffer is used in both directions: the device fetches the key
   // list from it, then overwrites it with the response. Renegotiate its
   // size on kBufferTooSmall like any PRP read.
-  std::size_t pages = CeilDiv(req.size(), kMemPageSize);
+  std::size_t pages = CeilDiv(bulk_scratch_.size(), kMemPageSize);
   for (int attempt = 0; attempt < 4; ++attempt) {
-    auto ids = host_->AllocatePages(pages);
-    Status st = host_->WriteToPages(ids, ByteSpan(req));
-    if (!st.ok()) {
-      host_->FreePages(ids);
-      return st;
-    }
-    NvmeCommand cmd = MakeCommand(Opcode::kKvBulkRead);
-    cmd.set_value_size(static_cast<std::uint32_t>(req.size()));
-    nvme::codec::SetPrpPointers(cmd, nvme::PrpList(ids));
-    const CqEntry cqe = transport_->Submit(config_.queue_id, cmd);
+    const CqEntry cqe = SubmitBulk(Opcode::kKvBulkRead, pages);
     if (cqe.status == CqStatus::kBufferTooSmall) {
-      host_->FreePages(ids);
+      host_->FreePages(page_scratch_);
       pages = std::max<std::size_t>(pages, CeilDiv(cqe.result, kMemPageSize));
       continue;
     }
-    st = StatusFromCq(cqe);
+    Status st = StatusFromCq(cqe);
     if (!st.ok()) {
-      host_->FreePages(ids);
+      host_->FreePages(page_scratch_);
       return st;
     }
-    Bytes payload(cqe.result);
-    st = host_->ReadFromPages(ids, MutByteSpan(payload));
-    host_->FreePages(ids);
+    Bytes& payload = bulk_scratch_;
+    payload.resize(cqe.result);
+    st = host_->ReadFromPages(page_scratch_, MutByteSpan(payload));
+    host_->FreePages(page_scratch_);
     BANDSLIM_RETURN_IF_ERROR(st);
     // Decode: [u8 found][u32 vsize][value]* — one record per requested key.
     std::size_t off = 0;
-    results.reserve(keys.size());
     for (std::size_t i = 0; i < keys.size(); ++i) {
       if (off + 5 > payload.size()) {
         return Status::Corruption("truncated bulk-read response");
       }
-      BatchGetResult r;
+      BatchGetResult& r = results[at.empty() ? i : at[i]];
       r.found = payload[off++] != 0;
       std::uint32_t vsize = 0;
       for (int b = 0; b < 4; ++b) {
@@ -364,9 +386,8 @@ Result<std::vector<KvDriver::BatchGetResult>> KvDriver::GetBatchImpl(
       r.value.assign(payload.begin() + static_cast<std::ptrdiff_t>(off),
                      payload.begin() + static_cast<std::ptrdiff_t>(off + vsize));
       off += vsize;
-      results.push_back(std::move(r));
     }
-    return results;
+    return Status::Ok();
   }
   return Status::IoError("receive buffer negotiation failed");
 }
@@ -380,18 +401,10 @@ Result<std::uint32_t> KvDriver::DeleteBatchImpl(
     std::span<const std::string> keys) {
   if (keys.empty()) return 0u;
   BANDSLIM_RETURN_IF_ERROR(CheckBatch(keys));
-  const Bytes req = EncodeKeyBatch(keys);
-  auto ids = host_->AllocatePages(CeilDiv(req.size(), kMemPageSize));
-  Status st = host_->WriteToPages(ids, ByteSpan(req));
-  if (!st.ok()) {
-    host_->FreePages(ids);
-    return st;
-  }
-  NvmeCommand cmd = MakeCommand(Opcode::kKvBulkDelete);
-  cmd.set_value_size(static_cast<std::uint32_t>(req.size()));
-  nvme::codec::SetPrpPointers(cmd, nvme::PrpList(ids));
-  const CqEntry cqe = transport_->Submit(config_.queue_id, cmd);
-  host_->FreePages(ids);
+  EncodeKeyBatch(keys, &bulk_scratch_);
+  const CqEntry cqe = SubmitBulk(Opcode::kKvBulkDelete,
+                                 CeilDiv(bulk_scratch_.size(), kMemPageSize));
+  host_->FreePages(page_scratch_);
   BANDSLIM_RETURN_IF_ERROR(StatusFromCq(cqe));
   return cqe.result;
 }

@@ -85,6 +85,13 @@ class KvDriver {
   };
   Result<std::vector<BatchGetResult>> GetBatch(
       std::span<const std::string> keys);
+  // GetBatch without a result vector of its own: the result for keys[j]
+  // goes to results[at[j]] (results[j] when `at` is empty), reusing that
+  // entry's value capacity. A router merges per-shard sub-batches straight
+  // into its request-order result this way.
+  Status GetBatchInto(std::span<const std::string> keys,
+                      std::span<const std::size_t> at,
+                      std::span<BatchGetResult> results);
   // Deletes every present key (absent keys are skipped, not an error);
   // returns how many were actually removed.
   Result<std::uint32_t> DeleteBatch(std::span<const std::string> keys);
@@ -157,8 +164,12 @@ class KvDriver {
   template <typename Body>
   auto Traced(trace::OpType type, std::uint64_t payload_bytes, Body&& body);
   Status PutBatchImpl(std::span<const KvPair> batch);
-  Result<std::vector<BatchGetResult>> GetBatchImpl(
-      std::span<const std::string> keys);
+  Status GetBatchImpl(std::span<const std::string> keys,
+                      std::span<const std::size_t> at,
+                      std::span<BatchGetResult> results);
+  // Stages bulk_scratch_ in fresh host pages (page_scratch_) and submits
+  // it as one `opcode` command; the pages stay allocated for the caller.
+  nvme::CqEntry SubmitBulk(nvme::Opcode opcode, std::size_t pages);
   Result<std::uint32_t> DeleteBatchImpl(std::span<const std::string> keys);
   Status PutPiggyback(std::string_view key, ByteSpan value);
   Status PutPrp(std::string_view key, ByteSpan value);
@@ -186,6 +197,9 @@ class KvDriver {
   std::vector<nvme::NvmeCommand> cmd_scratch_;
   std::vector<nvme::CqEntry> completion_scratch_;
   std::vector<nvme::PageId> page_scratch_;
+  // A bulk command's request payload, encoded at exact size; GetBatch reads
+  // the reply into it too.
+  Bytes bulk_scratch_;
 };
 
 // The KV record rule, stated once for every topology: keys are 1..16 bytes

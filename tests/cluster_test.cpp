@@ -176,6 +176,47 @@ TEST(HashRingTest, SeededPlacementIsPinned) {
             (std::vector<std::uint64_t>{1000u}));
 }
 
+TEST(HashRingTest, LookupTableMatchesFullSearch) {
+  // OwnerOfHash reads the bucket table and scans the bucket's own points; a
+  // binary search over every point, wrapping past the last, must agree on
+  // every hash: random ones, each point's hash and its neighbours, both
+  // ends of the ring and both sides of every bucket edge. 64 x 128 puts
+  // two points in an average bucket of the 4096.
+  const std::pair<std::uint32_t, std::uint32_t> shapes[] = {
+      {1, 1}, {4, 64}, {64, 128}};
+  for (const auto& [shards, vnodes] : shapes) {
+    const HashRing ring(shards, vnodes, 0xB5CCA11);
+    const auto& points = ring.points();
+    ASSERT_EQ(points.size(), std::size_t{shards} * vnodes);
+    const auto full_search = [&](std::uint64_t hash) {
+      auto it = std::lower_bound(
+          points.begin(), points.end(), hash,
+          [](const HashRing::Point& p, std::uint64_t h) { return p.first < h; });
+      return (it == points.end() ? points.begin() : it)->second;
+    };
+    std::vector<std::uint64_t> hashes = {0, ~std::uint64_t{0}};
+    for (const HashRing::Point& p : points) {
+      hashes.push_back(p.first - 1);
+      hashes.push_back(p.first);
+      hashes.push_back(p.first + 1);
+    }
+    for (std::uint64_t b = 1; b < 4096; ++b) {
+      hashes.push_back((b << 52) - 1);
+      hashes.push_back(b << 52);
+    }
+    Xoshiro256 rng(shards * 1000 + vnodes);
+    for (int i = 0; i < 100000; ++i) hashes.push_back(rng());
+    for (const std::uint64_t hash : hashes) {
+      ASSERT_EQ(ring.OwnerOfHash(hash), full_search(hash))
+          << shards << "x" << vnodes << " hash " << hash;
+    }
+    for (int i = 0; i < 1000; ++i) {
+      const std::string key = "key-" + std::to_string(i);
+      ASSERT_EQ(ring.OwnerOf(key), full_search(ring.HashKey(key))) << key;
+    }
+  }
+}
+
 // --- 1-shard bit-identity ----------------------------------------------------
 
 TEST(KvClusterTest, SingleShardMatchesBareDeviceBitIdentically) {

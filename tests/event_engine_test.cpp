@@ -3,10 +3,12 @@
 //
 // This binary also replaces the global allocator with a counting wrapper,
 // so it can prove the hot-path allocation contracts (DESIGN.md §2.6): a
-// reserved engine schedules without touching the heap, and steady-state
-// PUT/GET against an assembled device performs zero allocations per op.
+// reserved engine schedules without touching the heap, steady-state
+// PUT/GET against an assembled device performs zero allocations per op, and
+// routed point and batch ops on a cluster allocate only what they return.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -63,22 +65,48 @@ class AllocCounter {
 // pairing is in fact malloc/free (aligned_alloc/free for aligned forms).
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 
-void* operator new(std::size_t size) {
+// Every replaced operator new, throwing or nothrow (std::stable_sort's
+// temporary buffer comes from the nothrow form), counts and allocates here,
+// so every replaced operator delete can free with std::free.
+namespace {
+void* CountedAlloc(std::size_t size) noexcept {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size == 0 ? 1 : size);
+  return std::malloc(size == 0 ? 1 : size);
+}
+void* CountedAlignedAlloc(std::size_t size, std::align_val_t align) noexcept {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t a = static_cast<std::size_t>(align);
+  return std::aligned_alloc(a, (size + a - 1) / a * a);
+}
+}  // namespace
+
+void* operator new(std::size_t size) {
+  void* p = CountedAlloc(size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new(std::size_t size, std::align_val_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a = static_cast<std::size_t>(align);
-  void* p = std::aligned_alloc(a, (size + a - 1) / a * a);
+  void* p = CountedAlignedAlloc(size, align);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return CountedAlloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return CountedAlignedAlloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return CountedAlignedAlloc(size, align);
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -90,6 +118,18 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -375,6 +415,144 @@ TEST(SteadyStateAllocationTest, ClusterInspectIntoAllocatesNothingAfterWarmup) {
   EXPECT_EQ(snap.alerts.size(), 2u);
   EXPECT_EQ(snap.alerts[0].rule, "shard_imbalance");
   EXPECT_FALSE(snap.shards[0].counters.empty());
+}
+
+// The counter sees every allocation form: nothrow ones (std::stable_sort's
+// temporary buffer) are counted and freed by the matching replaced delete.
+TEST(AllocCounterTest, CountsNothrowAllocations) {
+  AllocCounter direct;
+  void* volatile plain = ::operator new(64, std::nothrow);
+  ::operator delete(plain, std::nothrow);
+  void* volatile aligned =
+      ::operator new(64, std::align_val_t{64}, std::nothrow);
+  ::operator delete(aligned, std::align_val_t{64}, std::nothrow);
+  EXPECT_EQ(direct.delta(), 2u);
+
+  std::vector<int> v(1024);
+  for (int i = 0; i < 1024; ++i) v[i] = (i * 7919) % 1024;
+  AllocCounter sort;
+  std::stable_sort(v.begin(), v.end());
+  EXPECT_GE(sort.delta(), 1u) << "stable_sort's buffer went uncounted";
+  EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));
+}
+
+// Routed-op contract (DESIGN.md §2.6): once a 4-shard cluster with a point
+// tenant and a metered batch tenant is warm, the router reuses its scatter
+// buckets, each driver its bulk and page scratch, and each controller its
+// bulk key and lookup scratch. Routed Put, GetInto, Delete, PutBatch and
+// DeleteBatch then allocate nothing, and GetBatch allocates only what it
+// returns: the result vector and each found value. vLog page flushes
+// legitimately allocate, so every shard starts the measured ops on a fresh
+// page and writes far less than one page during them.
+TEST(SteadyStateAllocationTest, RoutedOpsAllocateOnlyTheirResults) {
+  cluster::ClusterConfig cc;
+  cc.num_shards = 4;
+  cc.shard.geometry.channels = 2;
+  cc.shard.geometry.ways = 2;
+  cc.shard.geometry.blocks_per_die = 256;
+  cc.shard.geometry.pages_per_block = 32;
+  cc.tenants.resize(2);
+  cc.tenants[0].name = "point";
+  cc.tenants[1].name = "batch";
+  cc.tenants[1].queue_id = 1;
+  cc.tenants[1].credits_per_window = 1024;  // Metered; never sheds here.
+  auto fleet = cluster::KvCluster::Open(cc).value();
+  KvStore& point = fleet->Tenant(0);
+  KvStore& batch = fleet->Tenant(1);
+
+  // Keys stay within libstdc++'s small-string buffer; groups of 8 span
+  // several shards.
+  std::vector<std::string> keys;
+  for (int i = 0; i < 32; ++i) keys.emplace_back("r").append(std::to_string(i));
+  const Bytes value(64, 0xEF);
+  const ByteSpan vspan(value.data(), value.size());
+  std::vector<std::vector<KvStore::KvPair>> pairs(4);
+  std::vector<std::vector<std::string>> names(4);
+  for (std::size_t g = 0; g < 4; ++g) {
+    for (std::size_t j = 0; j < 8; ++j) {
+      pairs[g].push_back({keys[8 * g + j], value});
+      names[g].push_back(keys[8 * g + j]);
+    }
+  }
+  Bytes got;
+  got.reserve(4096);
+
+  // Warm-up: every key exists on its shard, and every op kind has run on
+  // every shard through both tenants' drivers.
+  for (int round = 0; round < 8; ++round) {
+    for (const std::string& key : keys) ASSERT_TRUE(point.Put(key, vspan).ok());
+    for (std::size_t g = 0; g < 4; ++g) {
+      ASSERT_TRUE(batch.PutBatch(pairs[g]).ok());
+      ASSERT_TRUE(batch.GetBatch(names[g]).ok());
+      ASSERT_TRUE(batch.DeleteBatch(names[g]).ok());
+      ASSERT_TRUE(batch.PutBatch(pairs[g]).ok());
+    }
+    for (const std::string& key : keys) {
+      ASSERT_TRUE(point.GetInto(key, &got).ok());
+      ASSERT_TRUE(point.Delete(key).ok());
+      ASSERT_TRUE(point.Put(key, vspan).ok());
+    }
+  }
+  // Align every shard to a fresh vLog page.
+  std::vector<std::uint64_t> flushed(fleet->num_shards());
+  for (std::uint32_t s = 0; s < fleet->num_shards(); ++s) {
+    KvSsd& shard = fleet->shard(s);
+    const std::uint64_t before = shard.GetStats().vlog_pages_flushed;
+    for (int guard = 0; shard.GetStats().vlog_pages_flushed == before;
+         ++guard) {
+      ASSERT_TRUE(shard.Put("align", vspan).ok());
+      ASSERT_LT(guard, 1000) << "vLog flush never fired on shard " << s;
+    }
+    flushed[s] = shard.GetStats().vlog_pages_flushed;
+  }
+
+  // Each measured step writes at most 2 KiB across the fleet.
+  const auto measure = [&](const char* what, auto&& body) {
+    AllocCounter allocs;
+    body();
+    const std::uint64_t delta = allocs.delta();
+    if (kStrictAllocChecks) {
+      EXPECT_EQ(delta, 0u) << "steady-state routed " << what
+                           << " must not allocate";
+    }
+  };
+  measure("Put", [&] {
+    for (int i = 0; i < 16; ++i) EXPECT_TRUE(point.Put(keys[i], vspan).ok());
+  });
+  measure("GetInto", [&] {
+    for (int i = 0; i < 16; ++i) EXPECT_TRUE(point.GetInto(keys[i], &got).ok());
+  });
+  measure("Delete", [&] {
+    for (int i = 0; i < 8; ++i) EXPECT_TRUE(point.Delete(keys[i]).ok());
+  });
+  measure("PutBatch", [&] {
+    for (std::size_t g = 0; g < 2; ++g) {
+      EXPECT_TRUE(batch.PutBatch(pairs[g]).ok());
+    }
+  });
+  measure("DeleteBatch", [&] {
+    auto removed = batch.DeleteBatch(names[3]);
+    ASSERT_TRUE(removed.ok());
+    EXPECT_EQ(removed.value(), 8u);
+  });
+  for (std::size_t g = 0; g < 4; ++g) {
+    AllocCounter allocs;
+    auto res = batch.GetBatch(names[g]);
+    const std::uint64_t delta = allocs.delta();
+    ASSERT_TRUE(res.ok());
+    ASSERT_EQ(res.value().size(), 8u);
+    std::uint64_t found = 0;
+    for (const auto& r : res.value()) found += r.found ? 1 : 0;
+    EXPECT_EQ(found, g == 3 ? 0u : 8u);  // Group 3 was just deleted.
+    if (kStrictAllocChecks) {
+      EXPECT_LE(delta, 1 + found)
+          << "GetBatch may allocate only its result vector and found values";
+    }
+  }
+  for (std::uint32_t s = 0; s < fleet->num_shards(); ++s) {
+    EXPECT_EQ(fleet->shard(s).GetStats().vlog_pages_flushed, flushed[s])
+        << "a page flush inside the measured ops would allocate";
+  }
 }
 
 }  // namespace
